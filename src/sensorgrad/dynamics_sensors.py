@@ -29,7 +29,7 @@ from .envs.arm import (
     split_dart_sensors,
 )
 from .estimators import TrialBatch
-from .linreg import quad_feature_count, quad_features, resh
+from .linreg import quad_feature_count, quad_features
 from .seeding import children, psd_sqrt
 
 __all__ = [

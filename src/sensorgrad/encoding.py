@@ -4,9 +4,10 @@ High-dimensional raw sensor payloads are projected through a matrix B
 before entering the joint gradient regression.  The quality of a
 candidate B is scored by the leave-one-out cost: for every trial, fit
 the joint regression on the remaining trials and square the error of
-its affine prediction at the held-out trial.  A quasi-Newton search
-with finite-difference gradients minimizes that cost over the entries
-of B from several restarts.
+its affine prediction at the held-out trial.  The coefficients drop
+out of that cost in closed form, so its gradient in B has a closed form
+too, and a quasi-Newton search with that exact gradient minimizes the
+cost over the entries of B from several restarts.
 
 The cost depends on B only through its column space (the regression is
 invariant under invertible recombinations of the projected columns),
@@ -80,8 +81,8 @@ class EncodingSearchConfig:
     """Settings for the projection search.
 
     ``target_dim`` columns are fit by ``restarts`` quasi-Newton runs of
-    at most ``max_iterations`` iterations each, using central
-    finite differences with step ``gradient_step``.  One restart is
+    at most ``max_iterations`` iterations each, using the analytic
+    gradient of the leave-one-out cost.  One restart is
     initialized from the principal components of the raw sensors; the
     rest are random orthonormal matrices drawn from ``seed``.
     ``init_projection``, when given, is tried as an extra warm-start
@@ -90,7 +91,6 @@ class EncodingSearchConfig:
 
     target_dim: int
     max_iterations: int = 60
-    gradient_step: float = 1e-4
     restarts: int = 5
     seed: int = 0
     init_projection: np.ndarray | None = None
@@ -100,8 +100,6 @@ class EncodingSearchConfig:
             raise ValueError("target_dim must be non-negative")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.gradient_step <= 0:
-            raise ValueError("gradient_step must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.init_projection is not None:
@@ -134,6 +132,57 @@ def _projection_matrix(projection) -> np.ndarray:
     return mat
 
 
+def _centered(batch: TrialBatch, raw: np.ndarray):
+    """Centered policies, scores and raw sensors of a batch."""
+    pols = batch.policies()
+    scores = batch.scores()
+    return pols - pols.mean(axis=0), scores - scores.mean(), raw - raw.mean(axis=0)
+
+
+def _loo_cost_and_grad(
+    pols_c: np.ndarray, y: np.ndarray, sens_c: np.ndarray, b: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Leave-one-out cost of projection ``b`` and its gradient in ``b``.
+
+    Takes centered policies (n, d), scores (n,) and raw sensors (n, m).
+    With the design X = [pols_c, sens_c b] = U S V^T, hat matrix
+    H = U U^T, coefficients beta, residuals r = (I - H) y, leverage slack
+    s = 1 - 1/n - diag(H) and held-out errors e = r / s, the cost is
+    e^T e.  A change of X moves r and s only through H; with w = 2e / s,
+    v = w e and XA = X (X^T X)^-1 = U S^-1 V^T, the gradient in X is
+
+        G = -(I - H) w beta^T - r (w^T XA) + 2 (I - H) diag(v) XA
+
+    and the gradient in ``b`` is sens_c^T G[:, d:].  Raises the errors
+    documented for :func:`loo_cost`.
+    """
+    n, d = pols_c.shape
+    ds = b.shape[1]
+    if n < d + ds + 3:
+        raise EstimationError(
+            f"insufficient samples: n={n} < d+d_s+3={d + ds + 3} for "
+            "leave-one-out fits"
+        )
+    design = np.concatenate([pols_c, sens_c @ b], axis=1)
+    u, svals, vt = np.linalg.svd(design, full_matrices=False)
+    if svals[0] <= 0.0 or svals[-1] <= 0.0 or svals[0] / svals[-1] > RANK_RATIO_LIMIT:
+        raise EncodingError("rank deficient design")
+    coef = vt.T @ ((u.T @ y) / svals)
+    resid = y - design @ coef
+    slack = 1.0 - (1.0 / n + np.sum(u * u, axis=1))
+    bad = np.nonzero(slack <= _LEVERAGE_TOL)[0]
+    if bad.size:
+        raise EncodingError(f"rank deficient held-out fit at index {int(bad[0])}")
+    press = resid / slack
+    w = 2.0 * press / slack
+    xa = (u / svals) @ vt[:, d:]
+    w_perp = w - u @ (u.T @ w)
+    vxa = (w * press)[:, None] * xa
+    vxa_perp = vxa - u @ (u.T @ vxa)
+    g = -np.outer(w_perp, coef[d:]) - np.outer(resid, w @ xa) + 2.0 * vxa_perp
+    return float(press @ press), sens_c.T @ g
+
+
 def loo_cost(
     batch: TrialBatch,
     projection,
@@ -161,31 +210,8 @@ def loo_cost(
     raw = _raw_sensor_matrix(batch, sensors)
     if raw.shape[1] != b.shape[0]:
         raise ValueError("projection rows must match the raw sensor dimension")
-    n, d = batch.size, batch.policy_dim
-    ds = b.shape[1]
-    if n < d + ds + 3:
-        raise EstimationError(
-            f"insufficient samples: n={n} < d+d_s+3={d + ds + 3} for "
-            "leave-one-out fits"
-        )
-    pols = batch.policies()
-    scores = batch.scores()
-    design = np.concatenate([pols, raw @ b], axis=1)
-    centered = design - design.mean(axis=0)
-    y = scores - scores.mean()
-
-    u, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    if svals[0] <= 0.0 or svals[-1] <= 0.0 or svals[0] / svals[-1] > RANK_RATIO_LIMIT:
-        raise EncodingError("rank deficient design")
-    coef = vt.T @ ((u.T @ y) / svals)
-    resid = y - centered @ coef
-    leverage = 1.0 / n + np.sum(u * u, axis=1)
-    slack = 1.0 - leverage
-    bad = np.nonzero(slack <= _LEVERAGE_TOL)[0]
-    if bad.size:
-        raise EncodingError(f"rank deficient held-out fit at index {int(bad[0])}")
-    press = resid / slack
-    return float(press @ press)
+    cost, _ = _loo_cost_and_grad(*_centered(batch, raw), b)
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +241,20 @@ def _pca_init(raw: np.ndarray, target_dim: int) -> np.ndarray:
     return _orthonormalized(init)
 
 
-def _central_difference(fun, x: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        shift = np.zeros_like(x)
-        shift[i] = step
-        grad[i] = (fun(x + shift) - fun(x - shift)) / (2.0 * step)
-    return grad
+# Failures that make the search reject a projection as infinitely costly.
+_REJECTED = (EncodingError, EstimationError, np.linalg.LinAlgError)
+
+
+def _search_cost_and_grad(flat, pols_c, y, sens_c) -> tuple[float, np.ndarray]:
+    """:func:`_loo_cost_and_grad` over the flattened projection, as BFGS
+    sees it; a rejected projection costs infinity."""
+    try:
+        cost, grad = _loo_cost_and_grad(
+            pols_c, y, sens_c, flat.reshape(sens_c.shape[1], -1)
+        )
+    except _REJECTED:
+        return np.inf, np.zeros_like(flat)
+    return cost, grad.ravel()
 
 
 def optimize_projection(
@@ -232,8 +265,8 @@ def optimize_projection(
 ) -> SensorProjection:
     """Minimize the leave-one-out cost over projection entries.
 
-    Runs a BFGS search with central-difference gradients from each
-    restart and returns the best projection found, columns
+    Runs a BFGS search with the analytic leave-one-out gradient from
+    each restart and returns the best projection found, columns
     orthonormalized.  Ties go to the earliest restart.  With
     ``max_iterations=0`` the best initialization is returned unchanged
     (up to orthonormalization).
@@ -247,12 +280,7 @@ def optimize_projection(
             np.zeros((raw_dim, 0)), np.zeros(0), cost=cost, cost_trace=(cost,)
         )
 
-    def cost_of(flat: np.ndarray) -> float:
-        try:
-            return loo_cost(batch, flat.reshape(raw_dim, ds), sensors=raw)
-        except (EncodingError, EstimationError, np.linalg.LinAlgError):
-            return np.inf
-
+    centered = _centered(batch, raw)
     rng = np.random.default_rng(config.seed)
     inits: list[np.ndarray] = []
     if config.init_projection is not None:
@@ -269,7 +297,10 @@ def optimize_projection(
     best_trace: tuple[float, ...] | None = None
     for start in inits:
         x0 = start.ravel().copy()
-        c0 = cost_of(x0)
+        try:
+            c0 = loo_cost(batch, start, sensors=raw)
+        except _REJECTED:
+            c0 = np.inf
         if not np.isfinite(c0):
             continue
         if config.max_iterations == 0:
@@ -277,14 +308,15 @@ def optimize_projection(
         else:
             trace_list = [c0]
 
-            def record(xk: np.ndarray) -> None:
-                trace_list.append(cost_of(xk))
+            def record(intermediate_result) -> None:
+                trace_list.append(float(intermediate_result.fun))
 
             result = minimize(
-                cost_of,
+                _search_cost_and_grad,
                 x0,
+                args=centered,
                 method="BFGS",
-                jac=lambda x: _central_difference(cost_of, x, config.gradient_step),
+                jac=True,
                 callback=record,
                 options={"maxiter": config.max_iterations, "gtol": 1e-10},
             )

@@ -72,7 +72,6 @@ _SEARCH_KEYS = {
     "search.encode_trials_per_step",
     "search.encode_max_iterations",
     "search.encode_restarts",
-    "search.encode_gradient_step",
 }
 
 _CANNON_KEYS = {
@@ -123,7 +122,6 @@ ENCODE_KEYS = _COMMON_KEYS | {
     "encode.planted",
     "encode.max_iterations",
     "encode.restarts",
-    "encode.gradient_step",
     "encode.min_cosine",
 }
 
@@ -293,7 +291,6 @@ def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
             encode_trials_per_step=cfg.get_int("search.encode_trials_per_step", 0),
             encode_max_iterations=cfg.get_int("search.encode_max_iterations", 60),
             encode_restarts=cfg.get_int("search.encode_restarts", 3),
-            encode_gradient_step=cfg.get_float("search.encode_gradient_step", 1e-4),
         )
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid search settings: {exc}") from exc
@@ -620,7 +617,6 @@ def encode_search_tables(cfg: Config):
         target_dim=target_dim,
         max_iterations=cfg.get_int("encode.max_iterations", 60),
         restarts=cfg.get_int("encode.restarts", 3),
-        gradient_step=cfg.get_float("encode.gradient_step", 1e-4),
         seed=search_seed,
     )
     projection = optimize_projection(batch, search)

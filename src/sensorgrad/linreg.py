@@ -1,9 +1,9 @@
 """Least-squares primitives shared by the gradient estimators.
 
 Centering, ordinary least squares through an orthogonal decomposition,
-quadratic feature expansion, and row-major matrix (un)flattening.  All
-regressions in the package go through :func:`ols` so that rank handling
-and the centered-offset convention live in one place.
+and quadratic feature expansion.  All regressions in the package go
+through :func:`ols` so that rank handling and the centered-offset
+convention live in one place.
 """
 
 from __future__ import annotations
@@ -141,24 +141,3 @@ def quad_features(x: np.ndarray) -> np.ndarray:
 def quad_feature_count(k: int) -> int:
     """Length of :func:`quad_features` output for a k-vector."""
     return (k + 1) * (k + 2) // 2
-
-
-def vec_mat(m: np.ndarray) -> np.ndarray:
-    """Row-major flattening of a matrix (inverse of :func:`resh`)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise RegressionError("vec_mat expects a 2-d array")
-    return m.reshape(-1)
-
-
-def resh(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Row-major reshape of a flat vector into a (rows, cols) matrix."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise RegressionError("resh expects a 1-d array")
-    if v.shape[0] != rows * cols:
-        raise RegressionError(
-            f"length mismatch: {v.shape[0]} values cannot fill a "
-            f"{rows}x{cols} matrix"
-        )
-    return v.reshape(rows, cols)

@@ -80,7 +80,6 @@ class SearchConfig:
     encode_trials_per_step: int = 0
     encode_max_iterations: int = 60
     encode_restarts: int = 3
-    encode_gradient_step: float = 1e-4
 
     def __post_init__(self):
         policy = np.asarray(self.initial_policy, dtype=float)
@@ -173,14 +172,13 @@ def _estimate(
         target_dim=config.encoding_dim,
         max_iterations=config.encode_max_iterations,
         restarts=config.encode_restarts,
-        gradient_step=config.encode_gradient_step,
         seed=encode_seed,
     )
     if search_batch is None:
         search_batch = batch
     search_feats = search_batch.encoded()
     # Feature scales differ by orders of magnitude; standardized
-    # coordinates keep the finite-difference search isotropic.
+    # coordinates keep the projection search well conditioned.
     center = search_feats.mean(axis=0)
     spread = search_feats.std(axis=0)
     spread = np.where(spread > 1e-12, spread, 1.0)

@@ -126,6 +126,20 @@ def test_missing_and_unknown_keys_exit_2(tmp_path, capsys):
     assert "search.momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("run", RUN_CFG, "search.encode_gradient_step"),
+        ("encode-search", ENCODE_CFG, "encode.gradient_step"),
+    ],
+    ids=["run", "encode-search"],
+)
+def test_removed_gradient_step_keys_are_unknown(tmp_path, capsys, command, text, key):
+    cfg = write_cfg(tmp_path, text + f"{key} = 0.0001\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
 def test_an_output_directory_never_mixes_configs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, RUN_CFG)
     out = str(tmp_path / "out")

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sensorgrad.encoding import (
     EncodingError,
     EncodingSearchConfig,
     SensorProjection,
+    _centered,
+    _loo_cost_and_grad,
+    _search_cost_and_grad,
     estimate_gradient_encoded,
     loo_cost,
     optimize_projection,
@@ -52,6 +57,79 @@ def brute_force_loo(batch, matrix):
     return total
 
 
+def random_batch(seed, n, d, raw_dim):
+    """Scores depend on every policy and raw sensor coordinate."""
+    rng = np.random.default_rng(seed)
+    policies = rng.normal(size=(n, d))
+    raw = rng.normal(size=(n, raw_dim))
+    scores = policies @ rng.normal(size=d) + raw @ rng.normal(size=raw_dim)
+    scores = scores + rng.normal(size=n)
+    trials = tuple(
+        TrialRecord(policies[i], raw[i], raw[i], float(scores[i])) for i in range(n)
+    )
+    return TrialBatch(np.zeros(d), np.eye(d), trials)
+
+
+def central_difference(fun, b, step=1e-6):
+    """Reference gradient of a scalar function of a matrix."""
+    grad = np.empty_like(b)
+    for idx in np.ndindex(b.shape):
+        shift = np.zeros_like(b)
+        shift[idx] = step
+        grad[idx] = (fun(b + shift) - fun(b - shift)) / (2.0 * step)
+    return grad
+
+
+@st.composite
+def loo_problems(draw):
+    """(batch, projection) with n at or above the leave-one-out minimum."""
+    d = draw(st.integers(1, 4))
+    raw_dim = draw(st.integers(1, 8))
+    target_dim = draw(st.integers(1, raw_dim))
+    n = d + target_dim + 3 + draw(st.integers(0, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    batch = random_batch(seed, n, d, raw_dim)
+    # Orthonormal columns, as the search starts from: an ill-conditioned
+    # projection would swamp the finite-difference reference in rounding.
+    draws = np.random.default_rng(seed + 1).normal(size=(raw_dim, target_dim))
+    b, _ = np.linalg.qr(draws)
+    return batch, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(loo_problems())
+def test_analytic_gradient_matches_central_differences(problem):
+    batch, b = problem
+    centered = _centered(batch, batch.raw())
+    try:
+        cost, grad = _loo_cost_and_grad(*centered, b)
+    except EncodingError:
+        assume(False)
+    # Near leverage 1 the cost grows as 1 / slack^2 and rounding in the
+    # slack swamps the finite-difference reference, so such points are
+    # left out; elsewhere its rounding error is of order eps * cost / step.
+    pols_c, _, sens_c = centered
+    design = np.concatenate([pols_c, sens_c @ b], axis=1)
+    u = np.linalg.svd(design, full_matrices=False)[0]
+    assume(np.min(1.0 - 1.0 / len(u) - np.sum(u * u, axis=1)) > 0.01)
+    reference = central_difference(lambda m: _loo_cost_and_grad(*centered, m)[0], b)
+    scale = cost + np.abs(grad).max()
+    assert np.abs(grad - reference).max() <= 1e-5 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(loo_problems())
+def test_kernel_cost_equals_loo_cost_and_delete_and_refit(problem):
+    batch, b = problem
+    try:
+        cost, _ = _loo_cost_and_grad(*_centered(batch, batch.raw()), b)
+    except EncodingError:
+        assume(False)
+    assert cost == loo_cost(batch, b)
+    slow = brute_force_loo(batch, b)
+    assert abs(cost - slow) <= 1e-8 * max(1.0, abs(slow))
+
+
 def test_loo_cost_equals_delete_and_refit():
     batch, _ = planted_batch(81, n=30, raw_dim=6)
     rng = substream(82)
@@ -74,6 +152,48 @@ def test_loo_cost_rejects_rank_deficient_projection():
     matrix[0, 1] = 1.0
     with pytest.raises(EncodingError, match="rank deficient"):
         loo_cost(batch, matrix)
+
+
+def rejection_case(name):
+    """(batch, projection, sensors) for a named leave-one-out case."""
+    few, _ = planted_batch(83, n=6, raw_dim=4)
+    batch, _ = planted_batch(84, n=30, raw_dim=6)
+    if name == "too_few_samples":
+        return few, np.eye(4)[:, :2], few.raw()
+    if name == "one_column_fewer":
+        return few, np.eye(4)[:, :1], few.raw()
+    if name == "rank_deficient":
+        repeated = np.zeros((6, 2))
+        repeated[0, :] = 1.0
+        return batch, repeated, batch.raw()
+    if name == "leverage_one":
+        # A raw channel that is nonzero at one trial only gives it leverage 1.
+        spike = np.zeros((30, 6))
+        spike[0, 0] = 1.0
+        return batch, np.eye(6)[:, :1], spike
+    return batch, substream(85).normal(size=(6, 2)), batch.raw()
+
+
+@pytest.mark.parametrize(
+    "name, rejected",
+    [
+        ("too_few_samples", True),
+        ("one_column_fewer", False),
+        ("rank_deficient", True),
+        ("leverage_one", True),
+        ("valid", False),
+    ],
+)
+def test_search_rejects_exactly_where_loo_cost_raises(name, rejected):
+    batch, matrix, raw = rejection_case(name)
+    cost, grad = _search_cost_and_grad(matrix.ravel(), *_centered(batch, raw))
+    if rejected:
+        with pytest.raises((EncodingError, EstimationError)):
+            loo_cost(batch, matrix, sensors=raw)
+        assert cost == np.inf
+        assert not grad.any()
+    else:
+        assert cost == loo_cost(batch, matrix, sensors=raw)
 
 
 def test_optimize_projection_recovers_planted_direction():

@@ -7,8 +7,6 @@ from sensorgrad.linreg import (
     ols,
     quad_feature_count,
     quad_features,
-    resh,
-    vec_mat,
 )
 from sensorgrad.seeding import substream
 
@@ -115,9 +113,3 @@ def test_quad_features_broadcast_over_batches():
     rows = np.stack([quad_features(s) for s in states])
     assert np.array_equal(stacked, rows)
 
-
-def test_vec_mat_resh_round_trip():
-    m = np.arange(12, dtype=float).reshape(3, 4)
-    assert np.array_equal(resh(vec_mat(m), 3, 4), m)
-    with pytest.raises(RegressionError, match="length mismatch"):
-        resh(np.zeros(5), 2, 3)
