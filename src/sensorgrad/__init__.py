@@ -11,15 +11,8 @@ experiment harness.
 """
 
 from .config import Config, ConfigError, config_hash, load_config, parse_config_text
-from .encoding import (
-    EncodingError,
-    EncodingSearchConfig,
-    SensorProjection,
-    estimate_gradient_encoded,
-    loo_cost,
-    optimize_projection,
-)
 from .estimators import (
+    EncodingError,
     EstimationError,
     GradientEstimate,
     NoiseSpec,
@@ -81,3 +74,21 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The projection search needs scipy; it loads on first use, so commands
+# that never search (cannon runs, variance checks) do not import scipy.
+_ENCODING_NAMES = {
+    "EncodingSearchConfig",
+    "SensorProjection",
+    "estimate_gradient_encoded",
+    "loo_cost",
+    "optimize_projection",
+}
+
+
+def __getattr__(name):
+    if name in _ENCODING_NAMES:
+        from . import encoding
+
+        return getattr(encoding, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

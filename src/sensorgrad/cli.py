@@ -56,8 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=1,
-                help="worker threads for scheduling runs; results are "
-                "identical at any value",
+                help="accepted for compatibility and must be >= 1; runs "
+                "always advance in lockstep in one thread, so results and "
+                "speed are the same at any value",
             )
 
     add_config_args(
@@ -107,7 +108,7 @@ def _cmd_run(args) -> int:
         raise ConfigError("--threads must be >= 1")
     cfg = _load_config(args)
     out_dir = _resolve_out_dir(args, cfg)
-    paths = run_experiment(cfg, out_dir, threads=args.threads)
+    paths = run_experiment(cfg, out_dir)
     print(f"config hash {cfg.hash()}")
     for path in paths:
         print(f"wrote {path}")

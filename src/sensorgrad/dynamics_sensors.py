@@ -138,7 +138,7 @@ def sample_pretraining_states(
     rollouts = max(2, -(-count // max(states_per_rollout // 5, 1)))
     policy_rng, trial_rng, pick_rng = children(rng, 3)
     policies = mean + policy_rng.standard_normal((rollouts, world.policy_dim)) @ root.T
-    trials = dart_trials(world, policies, trial_rng)
+    trials = dart_trials(world, policies, children(trial_rng, rollouts))
     pool_q = []
     pool_v = []
     for trial in trials:

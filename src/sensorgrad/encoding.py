@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .estimators import EstimationError, TrialBatch, GradientEstimate, estimate_g2
+from .estimators import (
+    EncodingError,
+    EstimationError,
+    GradientEstimate,
+    TrialBatch,
+    estimate_g2,
+)
 from .linreg import RANK_RATIO_LIMIT
 
 __all__ = [
@@ -36,10 +42,6 @@ __all__ = [
 # A held-out fit is treated as rank deficient when the trial's leverage
 # reaches 1 within this margin.
 _LEVERAGE_TOL = 1e-10
-
-
-class EncodingError(ValueError):
-    """Raised when the projection search cannot proceed."""
 
 
 @dataclass(frozen=True)

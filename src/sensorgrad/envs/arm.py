@@ -28,10 +28,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..estimators import TrialRecord
-from ..seeding import children
 
 __all__ = [
     "ArmWorld",
@@ -293,8 +291,10 @@ def _knot_times(world: ArmWorld) -> np.ndarray:
     return np.linspace(0.0, world.sim_duration, KNOTS_PER_JOINT + 1)
 
 
-def _policy_spline(world: ArmWorld, policies: np.ndarray) -> CubicSpline:
+def _policy_spline(world: ArmWorld, policies: np.ndarray):
     # policies (B, dof * KNOTS_PER_JOINT), knots joint-major
+    from scipy.interpolate import CubicSpline
+
     count = policies.shape[0]
     knots = policies.reshape(count, world.dof, KNOTS_PER_JOINT)
     values = np.empty((KNOTS_PER_JOINT + 1, count, world.dof))
@@ -469,10 +469,12 @@ def dart_trial(world: ArmWorld, policy, rng: np.random.Generator) -> TrialRecord
     return _simulate_batch(world, policies, [rng])[0]
 
 
-def dart_trials(world: ArmWorld, policies, rng: np.random.Generator) -> list[TrialRecord]:
-    """Throw one trial per policy row, each on a child stream of ``rng``."""
+def dart_trials(world: ArmWorld, policies, streams) -> list[TrialRecord]:
+    """Throw one trial per policy row, row ``i`` drawing from ``streams[i]``."""
     policies = _check_policies(world, policies)
-    return _simulate_batch(world, policies, children(rng, policies.shape[0]))
+    if len(streams) != policies.shape[0]:
+        raise ValueError("need one stream per policy row")
+    return _simulate_batch(world, policies, streams)
 
 
 class DartEnv:
@@ -491,8 +493,12 @@ class DartEnv:
     def sample_trial(self, policy, rng: np.random.Generator) -> TrialRecord:
         return dart_trial(self.world, policy, rng)
 
-    def sample_trials(self, policies, rng: np.random.Generator) -> list[TrialRecord]:
-        return dart_trials(self.world, policies, rng)
+    def check_policies(self, policies) -> np.ndarray:
+        """Policy rows as a float array; raises for a malformed policy."""
+        return _check_policies(self.world, policies)
+
+    def sample_trials(self, policies, streams) -> list[TrialRecord]:
+        return dart_trials(self.world, policies, streams)
 
     def encode_batch(self, batch):
         if self.model is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..estimators import PolicyDomainError, TrialRecord
-from ..seeding import children, psd_sqrt
+from ..seeding import psd_sqrt
 
 __all__ = [
     "CannonWorld",
@@ -108,6 +108,18 @@ def _check_policy(policy: np.ndarray) -> np.ndarray:
     return policy
 
 
+def _check_policies(policies) -> np.ndarray:
+    """Validate policy rows; the first bad row raises as ``_check_policy`` would."""
+    policies = np.atleast_2d(np.asarray(policies, dtype=float))
+    if policies.ndim != 2 or policies.shape[1] != 2:
+        raise ValueError("cannon policy must be (speed, angle)")
+    speed, angle = policies[:, 0], policies[:, 1]
+    bad = ~((speed > 0.0) & (0.0 < angle) & (angle < np.pi / 2.0))
+    if bad.any():
+        _check_policy(policies[int(np.argmax(bad))])
+    return policies
+
+
 def _build_trials(
     world: CannonWorld,
     policies: np.ndarray,
@@ -187,10 +199,15 @@ class CannonEnv:
             self.world, policy[None, :], self._control_root, self._sensor_root, [rng]
         )[0]
 
-    def sample_trials(self, policies, rng: np.random.Generator) -> list[TrialRecord]:
-        policies = np.atleast_2d(np.asarray(policies, dtype=float))
-        checked = np.stack([_check_policy(p) for p in policies])
-        streams = children(rng, checked.shape[0])
+    def check_policies(self, policies) -> np.ndarray:
+        """Policy rows as a float array; raises outside the task's domain."""
+        return _check_policies(policies)
+
+    def sample_trials(self, policies, streams) -> list[TrialRecord]:
+        """One trial per policy row, row ``i`` drawing from ``streams[i]``."""
+        checked = _check_policies(policies)
+        if len(streams) != checked.shape[0]:
+            raise ValueError("need one stream per policy row")
         return _build_trials(
             self.world, checked, self._control_root, self._sensor_root, streams
         )

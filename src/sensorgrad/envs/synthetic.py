@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..estimators import NoiseSpec, TrialRecord
-from ..seeding import children, psd_sqrt
+from ..seeding import psd_sqrt
 
 __all__ = [
     "SyntheticWorld",
@@ -164,9 +164,15 @@ class SyntheticEnv:
             self.world, policy, rng, self._root, self._score_std, self.correlated
         )
 
-    def sample_trials(self, policies, rng: np.random.Generator) -> list[TrialRecord]:
-        policies = np.atleast_2d(np.asarray(policies, dtype=float))
-        streams = children(rng, policies.shape[0])
+    def check_policies(self, policies) -> np.ndarray:
+        """Policy rows as a float array; every policy is in this world's domain."""
+        return np.atleast_2d(np.asarray(policies, dtype=float))
+
+    def sample_trials(self, policies, streams) -> list[TrialRecord]:
+        """One trial per policy row, row ``i`` drawing from ``streams[i]``."""
+        policies = self.check_policies(policies)
+        if len(streams) != policies.shape[0]:
+            raise ValueError("need one stream per policy row")
         return [
             self.sample_trial(policies[i], streams[i])
             for i in range(policies.shape[0])

@@ -36,6 +36,7 @@ from .linreg import RegressionError, ols
 
 __all__ = [
     "EstimationError",
+    "EncodingError",
     "PolicyDomainError",
     "TrialRecord",
     "trial_to_line",
@@ -54,6 +55,10 @@ __all__ = [
 
 class EstimationError(ValueError):
     """Raised when a batch cannot support the requested estimate."""
+
+
+class EncodingError(ValueError):
+    """Raised when the projection search cannot proceed."""
 
 
 class PolicyDomainError(ValueError):

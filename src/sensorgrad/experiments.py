@@ -18,7 +18,6 @@ import os
 import numpy as np
 
 from .config import Config, ConfigError, canonical_text
-from .encoding import EncodingSearchConfig, optimize_projection
 from .envs.arm import ArmWorld, DartEnv
 from .envs.cannon import CannonEnv, CannonWorld
 from .envs.synthetic import SyntheticEnv, SyntheticWorld
@@ -33,14 +32,13 @@ from .estimators import (
     predicted_variance_g2,
     predicted_variance_g2_correlated,
 )
-from .dynamics_sensors import fit_dynamics_model, sample_pretraining_states
 from .search import (
     ESTIMATORS,
     SearchConfig,
     run_learning_curve,
     sample_exploration_policies,
 )
-from .seeding import ENCODE, EVAL, LEARN, PRETRAIN, substream
+from .seeding import ENCODE, EVAL, LEARN, PRETRAIN, children, substream
 
 __all__ = [
     "HASH_PREFIX",
@@ -306,6 +304,8 @@ def _build_environments(cfg: Config):
         world = build_cannon_world(cfg)
         return [(scale, CannonEnv(world, noise_scale=scale)) for scale in scales]
     if environment == "dart":
+        from .dynamics_sensors import fit_dynamics_model, sample_pretraining_states
+
         if scales != [1.0]:
             raise ConfigError(
                 f"{cfg.source}: key 'run.noise_scales' applies to the cannon "
@@ -340,7 +340,7 @@ def _build_environments(cfg: Config):
 # ---------------------------------------------------------------------------
 
 
-def run_tables(cfg: Config, threads: int = 1):
+def run_tables(cfg: Config):
     """Learning-curve and diagnostics tables for a run config.
 
     Returns (learning_header, learning_rows, diag_header, diag_rows,
@@ -370,9 +370,7 @@ def run_tables(cfg: Config, threads: int = 1):
     curves = {}
     for scale, env in environments:
         for estimator in estimators:
-            curve = run_learning_curve(
-                env, build_search_config(cfg, estimator), workers=threads
-            )
+            curve = run_learning_curve(env, build_search_config(cfg, estimator))
             curves[(scale, estimator)] = curve
             for step in range(curve.mean_values.shape[0]):
                 row = [
@@ -405,11 +403,9 @@ def run_tables(cfg: Config, threads: int = 1):
     return learning_header, learning_rows, diag_header, diag_rows, curves
 
 
-def run_experiment(cfg: Config, out_dir, threads: int = 1) -> list:
+def run_experiment(cfg: Config, out_dir) -> list:
     """Execute a run config and write its output files."""
-    learning_header, learning_rows, diag_header, diag_rows, _ = run_tables(
-        cfg, threads
-    )
+    learning_header, learning_rows, diag_header, diag_rows, _ = run_tables(cfg)
     cfg_hash = cfg.hash()
     prepare_out_dir(out_dir, cfg_hash)
     curve_path = os.path.join(out_dir, "learning_curve.csv")
@@ -484,7 +480,8 @@ def variance_check(cfg: Config):
         policies = sample_exploration_policies(
             nominal, sigma_e, n, substream(seed, rep, LEARN)
         )
-        trials = tuple(env.sample_trials(policies, substream(seed, rep, EVAL)))
+        streams = children(substream(seed, rep, EVAL), n)
+        trials = tuple(env.sample_trials(policies, streams))
         batch = TrialBatch(nominal, sigma_e, trials)
         g1_draws[rep] = estimate_g1(batch, center=False).gradient
         g2_draws[rep] = estimate_g2(batch, center=False).gradient
@@ -613,6 +610,8 @@ def encode_search_tables(cfg: Config):
     )
     batch = TrialBatch(np.zeros(policy_dim), np.eye(policy_dim), trials)
     search_seed = int(substream(seed, ENCODE, 1).integers(0, 2**32))
+    from .encoding import EncodingSearchConfig, optimize_projection
+
     search = EncodingSearchConfig(
         target_dim=target_dim,
         max_iterations=cfg.get_int("encode.max_iterations", 60),

@@ -12,6 +12,13 @@ evaluation trials, and each trial gets a child of its step stream.  The
 estimator choice never enters the derivation, so runs with different
 estimators see identical noise at the same (run, step, trial) address
 until their nominal policies diverge.
+
+An environment provides ``sample_trials(policies, streams)``, one trial
+per policy row drawn from its own stream, and ``check_policies(policies)``,
+which raises :class:`PolicyDomainError` for a row outside its domain
+without drawing anything.  The check lets :func:`run_learning_curve`
+keep one run's infeasible batch out of the env call it shares with the
+other runs.
 """
 
 from __future__ import annotations
@@ -20,13 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import (
-    EncodingError,
-    EncodingSearchConfig,
-    estimate_gradient_encoded,
-    optimize_projection,
-)
 from .estimators import (
+    EncodingError,
     EstimationError,
     GradientEstimate,
     PolicyDomainError,
@@ -168,6 +170,12 @@ def _estimate(
         return estimate_g1(batch), None
     if config.estimator == "with_sensors":
         return estimate_g2(batch), None
+    from .encoding import (
+        EncodingSearchConfig,
+        estimate_gradient_encoded,
+        optimize_projection,
+    )
+
     encode_config = EncodingSearchConfig(
         target_dim=config.encoding_dim,
         max_iterations=config.encode_max_iterations,
@@ -191,38 +199,113 @@ def _estimate(
     return estimate, projection.cost
 
 
-def _gather_batch(env, policy, config: SearchConfig, count, explore_rng, trial_rng):
-    """Sample ``count`` trials around ``policy`` and drop flagged ones."""
+@dataclass
+class _Attempt:
+    """One run's draws for one try at a step, and what simulating them gave.
+
+    ``policies`` and ``streams`` hold the learning batch followed by the
+    projection search's own batch of ``search_count`` trials (0 when the
+    search reuses the learning batch).  ``outcome`` is the simulated
+    trials, or the recoverable error the simulation raised.
+    """
+
+    policies: np.ndarray
+    streams: list
+    search_count: int
+    encode_seed: int
+    outcome: list | Exception | None = None
+
+
+def _draw_attempt(policy, config: SearchConfig, rng) -> _Attempt:
+    """Draw one attempt's exploration policies and per-trial streams from ``rng``.
+
+    Each call takes fresh children of ``rng``, so a retry draws anew.
+    """
+    explore_rng, trial_rng, encode_rng = children(rng, 3)
+    count = config.trials_per_step
     policies = sample_exploration_policies(
         policy, config.exploration_cov, count, explore_rng
     )
-    trials = env.sample_trials(policies, trial_rng)
+    streams = children(trial_rng, count)
+    search_count = 0
+    seed_rng = encode_rng
+    if config.estimator == "with_encoding" and config.encode_trials_per_step > 0:
+        enc_explore_rng, enc_trial_rng, seed_rng = children(encode_rng, 3)
+        search_count = config.encode_trials_per_step
+        search_policies = sample_exploration_policies(
+            policy, config.exploration_cov, search_count, enc_explore_rng
+        )
+        policies = np.concatenate([policies, search_policies])
+        streams += children(enc_trial_rng, search_count)
+    encode_seed = int(seed_rng.integers(0, 2**32))
+    return _Attempt(policies, streams, search_count, encode_seed)
+
+
+def _simulated_attempt(env, policy, config: SearchConfig, rng) -> _Attempt:
+    attempt = _draw_attempt(policy, config, rng)
+    attempt.outcome = env.sample_trials(attempt.policies, attempt.streams)
+    return attempt
+
+
+def _sample_blocks(env, blocks) -> list:
+    """Simulate every ``(policies, streams)`` block in one env call.
+
+    Returns each block's trials, or the recoverable error its domain
+    check raised: a failing block stays out of the shared call, so it
+    cannot abort the others.  An error raised by the shared call itself
+    counts against every block in it.
+    """
+    outcomes = [None] * len(blocks)
+    passed = []
+    for index, (policies, _) in enumerate(blocks):
+        try:
+            env.check_policies(policies)
+        except _RECOVERABLE as err:
+            outcomes[index] = err
+        else:
+            passed.append(index)
+    if not passed:
+        return outcomes
+    try:
+        trials = env.sample_trials(
+            np.concatenate([blocks[i][0] for i in passed]),
+            [stream for i in passed for stream in blocks[i][1]],
+        )
+    except _RECOVERABLE as err:
+        for index in passed:
+            outcomes[index] = err
+        return outcomes
+    start = 0
+    for index in passed:
+        stop = start + len(blocks[index][1])
+        outcomes[index] = trials[start:stop]
+        start = stop
+    return outcomes
+
+
+def _kept_batch(env, policy, config: SearchConfig, trials) -> TrialBatch:
+    """The unflagged trials as a batch, with the env's encoded sensors."""
     kept = tuple(t for t in trials if not t.flagged)
     if not kept:
         raise EstimationError("insufficient samples: every trial was flagged")
     batch = TrialBatch(policy, config.exploration_cov, kept)
     if config.estimator != "ignore_sensors" and hasattr(env, "encode_batch"):
         batch = env.encode_batch(batch)
-    scores = np.array([t.score for t in trials])
-    return batch, scores, len(trials) - len(kept)
+    return batch
 
 
-def _attempt_step(env, policy, config: SearchConfig, rng):
-    explore_rng, trial_rng, encode_rng = children(rng, 3)
-    batch, scores, flagged = _gather_batch(
-        env, policy, config, config.trials_per_step, explore_rng, trial_rng
-    )
+def _estimate_attempt(env, policy, config: SearchConfig, attempt: _Attempt):
+    if isinstance(attempt.outcome, Exception):
+        raise attempt.outcome
+    split = len(attempt.streams) - attempt.search_count
+    trials = attempt.outcome[:split]
+    batch = _kept_batch(env, policy, config, trials)
     search_batch = None
-    if config.estimator == "with_encoding" and config.encode_trials_per_step > 0:
-        enc_explore_rng, enc_trial_rng, seed_rng = children(encode_rng, 3)
-        search_batch, _, _ = _gather_batch(
-            env, policy, config, config.encode_trials_per_step,
-            enc_explore_rng, enc_trial_rng,
-        )
-        encode_seed = int(seed_rng.integers(0, 2**32))
-    else:
-        encode_seed = int(encode_rng.integers(0, 2**32))
-    estimate, loo = _estimate(batch, config, encode_seed, search_batch)
+    if attempt.search_count:
+        search_batch = _kept_batch(env, policy, config, attempt.outcome[split:])
+    estimate, loo = _estimate(batch, config, attempt.encode_seed, search_batch)
+    scores = np.array([t.score for t in trials])
+    flagged = sum(t.flagged for t in trials)
     return estimate, loo, scores, flagged
 
 
@@ -237,20 +320,30 @@ def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_i
     return policy + rate * (gradient / norm)
 
 
-def hill_climb_step(env, policy, config: SearchConfig, rng, *, step_index: int = 0):
+def hill_climb_step(
+    env, policy, config: SearchConfig, rng, *, step_index: int = 0, first=None
+):
     """One gradient step from ``policy``; returns (new policy, record).
 
     Flagged trials are dropped before estimation.  An estimator failure
     (rank deficiency, too few surviving trials) is retried once with
     fresh exploration samples from the same stream, then propagated.
+
+    ``first`` is the step's first attempt when the caller has already
+    drawn it from ``rng`` and simulated it, as the lockstep driver does
+    for all runs at once; by default the step draws and simulates it.
     """
     policy = np.asarray(policy, dtype=float)
     retried = False
     try:
-        estimate, loo, scores, flagged = _attempt_step(env, policy, config, rng)
+        if first is None:
+            first = _simulated_attempt(env, policy, config, rng)
+        estimate, loo, scores, flagged = _estimate_attempt(env, policy, config, first)
     except _RECOVERABLE:
         retried = True
-        estimate, loo, scores, flagged = _attempt_step(env, policy, config, rng)
+        estimate, loo, scores, flagged = _estimate_attempt(
+            env, policy, config, _simulated_attempt(env, policy, config, rng)
+        )
     new_policy = _apply_rule(policy, estimate, config, step_index)
     record = StepRecord(
         run=-1,
@@ -265,16 +358,20 @@ def hill_climb_step(env, policy, config: SearchConfig, rng, *, step_index: int =
     return new_policy, record
 
 
-def evaluate_policy(env, policy, count: int, rng):
+def evaluate_policy(env, policy, count: int, rng, *, trials=None):
     """Mean and standard error of ``count`` fresh trial scores at ``policy``.
 
     Flagged trials count like any other (their penalty score is part of
     the policy's value).  The standard error is None when count is 1.
+    ``trials`` are the ``count`` trials when the caller has already
+    simulated them on ``children(rng, count)``, as the lockstep driver
+    does for all runs at once.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    policy = np.asarray(policy, dtype=float)
-    trials = env.sample_trials(np.tile(policy, (count, 1)), rng)
+    if trials is None:
+        policy = np.asarray(policy, dtype=float)
+        trials = env.sample_trials(np.tile(policy, (count, 1)), children(rng, count))
     scores = np.array([t.score for t in trials])
     mean = float(np.mean(scores))
     if count == 1:
@@ -282,76 +379,73 @@ def evaluate_policy(env, policy, count: int, rng):
     return mean, float(np.std(scores, ddof=1) / np.sqrt(count))
 
 
-def _execute_run(env, config: SearchConfig, run: int):
-    """One full hill-climbing run; returns (values or None, records, failure)."""
-    policy = config.initial_policy
-    values = np.full(config.steps, np.nan)
-    records = []
-    for step in range(config.steps):
-        learn_rng = substream(config.seed, run, step, LEARN)
-        eval_rng = substream(config.seed, run, step, EVAL)
-        try:
-            policy, record = hill_climb_step(
-                env, policy, config, learn_rng, step_index=step
-            )
-            mean, std_error = evaluate_policy(
-                env, policy, config.eval_trials_per_point, eval_rng
-            )
-        except _RECOVERABLE as err:
-            records.append(
-                StepRecord(
-                    run=run, step=step, estimator=config.estimator, error=str(err)
-                )
-            )
-            return None, records, (run, step, str(err))
-        values[step] = mean
-        records.append(
-            replace(
-                record,
-                run=run,
-                eval_mean=mean,
-                eval_std_error=float("nan") if std_error is None else std_error,
-            )
-        )
-    return values, records, None
-
-
-def run_learning_curve(env, config: SearchConfig, *, workers: int = 1) -> LearningCurve:
+def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
     """Aggregate hill-climbing runs into a per-step evaluation curve.
 
-    After each step the updated nominal policy is scored with fresh
-    evaluation trials.  A run that hits a propagated step error is
-    recorded in ``failed_runs`` and excluded from the aggregates.
-
-    ``workers`` > 1 executes independent runs on a thread pool; every
-    run owns seed-derived streams and results are reduced in run-index
-    order, so the curve is identical for any worker count.
+    All runs advance in lockstep: at each step the first-attempt
+    learning batches of every live run go through one env call, each
+    run then estimates and steps on its own (retrying alone when it
+    must), and the evaluation batches of the runs that stepped go
+    through a second env call.  Every run draws from its own
+    seed-derived streams, so a run's values do not depend on the other
+    runs.  A run that hits a propagated step error is recorded in
+    ``failed_runs``, drops out of later steps, and is excluded from the
+    aggregates.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    if workers == 1 or config.runs == 1:
-        outcomes = [_execute_run(env, config, run) for run in range(config.runs)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    count = config.eval_trials_per_point
+    policies = [config.initial_policy] * config.runs
+    values = np.full((config.runs, config.steps), np.nan)
+    records = [[] for _ in range(config.runs)]
+    failures = {}
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda run: _execute_run(env, config, run), range(config.runs))
+    def fail(run, step, err):
+        records[run].append(
+            StepRecord(run=run, step=step, estimator=config.estimator, error=str(err))
+        )
+        failures[run] = (run, step, str(err))
+
+    for step in range(config.steps):
+        live = [run for run in range(config.runs) if run not in failures]
+        rngs = [substream(config.seed, run, step, LEARN) for run in live]
+        attempts = [
+            _draw_attempt(policies[run], config, rng) for run, rng in zip(live, rngs)
+        ]
+        outcomes = _sample_blocks(env, [(a.policies, a.streams) for a in attempts])
+        stepped = []
+        for run, rng, attempt, outcome in zip(live, rngs, attempts, outcomes):
+            attempt.outcome = outcome
+            try:
+                policies[run], record = hill_climb_step(
+                    env, policies[run], config, rng, step_index=step, first=attempt
+                )
+            except _RECOVERABLE as err:
+                fail(run, step, err)
+            else:
+                stepped.append((run, record))
+        eval_rngs = [substream(config.seed, run, step, EVAL) for run, _ in stepped]
+        blocks = [
+            (np.tile(policies[run], (count, 1)), children(rng, count))
+            for (run, _), rng in zip(stepped, eval_rngs)
+        ]
+        outcomes = _sample_blocks(env, blocks)
+        for (run, record), rng, outcome in zip(stepped, eval_rngs, outcomes):
+            if isinstance(outcome, Exception):
+                fail(run, step, outcome)
+                continue
+            mean, std_error = evaluate_policy(
+                env, policies[run], count, rng, trials=outcome
             )
-    records = []
-    completed = []
-    indices = []
-    failed = []
-    for run, (values, run_records, failure) in enumerate(outcomes):
-        records.extend(run_records)
-        if failure is not None:
-            failed.append(failure)
-        else:
-            completed.append(values)
-            indices.append(run)
-    run_values = (
-        np.array(completed) if completed else np.empty((0, config.steps))
-    )
+            values[run, step] = mean
+            records[run].append(
+                replace(
+                    record,
+                    run=run,
+                    eval_mean=mean,
+                    eval_std_error=float("nan") if std_error is None else std_error,
+                )
+            )
+    indices = [run for run in range(config.runs) if run not in failures]
+    run_values = values[indices]
     if run_values.shape[0] > 0:
         means = run_values.mean(axis=0)
         if run_values.shape[0] > 1:
@@ -367,6 +461,6 @@ def run_learning_curve(env, config: SearchConfig, *, workers: int = 1) -> Learni
         std_errors=std_errors,
         run_values=run_values,
         run_indices=tuple(indices),
-        failed_runs=tuple(failed),
-        diagnostics=tuple(records),
+        failed_runs=tuple(failures[run] for run in sorted(failures)),
+        diagnostics=tuple(record for run_records in records for record in run_records),
     )

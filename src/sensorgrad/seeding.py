@@ -3,7 +3,8 @@
 All randomness in the package flows from a single root seed.  Every
 consumer derives its own independent substream through a fixed integer
 path (root -> run -> step -> trial), so results never depend on
-execution order or on how work is scheduled across threads.
+execution order or on how many runs' trials share one simulator call
+when the runs advance in lockstep.
 
 Path layout used by the experiment harness:
 

@@ -47,7 +47,7 @@ from sensorgrad.estimators import (
 )
 from sensorgrad.experiments import build_search_config, run_tables
 from sensorgrad.search import run_learning_curve, sample_exploration_policies
-from sensorgrad.seeding import EVAL, LEARN, PRETRAIN, substream
+from sensorgrad.seeding import EVAL, LEARN, PRETRAIN, children, substream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -83,7 +83,8 @@ def _law_sweep(root_seed: int, correlated: bool):
         policies = sample_exploration_policies(
             nominal, EXPLORATION_COV, TRIALS_PER_BATCH, substream(root_seed, rep, LEARN)
         )
-        trials = tuple(env.sample_trials(policies, substream(root_seed, rep, EVAL)))
+        streams = children(substream(root_seed, rep, EVAL), TRIALS_PER_BATCH)
+        trials = tuple(env.sample_trials(policies, streams))
         batch = TrialBatch(nominal, EXPLORATION_COV, trials)
         g1_draws[rep] = estimate_g1(batch, center=False).gradient
         g2_draws[rep] = estimate_g2(batch, center=False).gradient
@@ -224,7 +225,7 @@ def test_criterion_06_sensor_advantage_grows_with_cannon_noise():
     cfg = load_config(CONFIG_DIR / "cannon_sweep.cfg").with_value(
         "run.noise_scales", [1.0, 4.0]
     )
-    *_, curves = run_tables(cfg, threads=1)
+    *_, curves = run_tables(cfg)
     finals = {}
     for scale in (1.0, 4.0):
         plain = curves[(scale, "ignore_sensors")]
@@ -272,7 +273,8 @@ def test_criterion_07_joint_estimate_matches_finite_differences():
         policies = sample_exploration_policies(
             nominal, explore, 200, substream(71, index, LEARN)
         )
-        trials = tuple(env.sample_trials(policies, substream(71, index, EVAL)))
+        streams = children(substream(71, index, EVAL), 200)
+        trials = tuple(env.sample_trials(policies, streams))
         gradients[index] = estimate_g2(
             TrialBatch(nominal, explore, trials)
         ).gradient
@@ -333,7 +335,7 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
         release_time_std=0.0,
     )
     policies = initial + 0.01 * substream(91).standard_normal((20, 9))
-    trials = dart_trials(quiet, policies, substream(91, 0))
+    trials = dart_trials(quiet, policies, children(substream(91, 0), 20))
     model_square = 0.0
     zero_square = 0.0
     for trial in trials:
@@ -352,7 +354,7 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
 
     noisy_policies = initial + 0.002 * substream(92).standard_normal((200, 9))
     noisy_trials = tuple(
-        t for t in dart_trials(world, noisy_policies, substream(92, 0))
+        t for t in dart_trials(world, noisy_policies, children(substream(92, 0), 200))
         if not t.flagged
     )
     assert len(noisy_trials) >= 150

@@ -15,7 +15,7 @@ from sensorgrad.envs.arm import (
     fingertip_state,
     split_dart_sensors,
 )
-from sensorgrad.seeding import substream
+from sensorgrad.seeding import children, substream
 
 HOLD_POLICY = np.repeat([1.9, 2.0, 0.6], KNOTS_PER_JOINT)
 
@@ -128,8 +128,9 @@ def test_trials_are_deterministic():
     b = dart_trial(world, HOLD_POLICY, substream(104))
     assert a.score == b.score
     assert np.array_equal(a.raw_sensors, b.raw_sensors)
-    batch_a = dart_trials(world, np.tile(HOLD_POLICY, (3, 1)), substream(105))
-    batch_b = dart_trials(world, np.tile(HOLD_POLICY, (3, 1)), substream(105))
+    policies = np.tile(HOLD_POLICY, (3, 1))
+    batch_a = dart_trials(world, policies, children(substream(105), 3))
+    batch_b = dart_trials(world, policies, children(substream(105), 3))
     for x, y in zip(batch_a, batch_b):
         assert x.score == y.score
         assert np.array_equal(x.raw_sensors, y.raw_sensors)

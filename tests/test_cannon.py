@@ -15,7 +15,7 @@ from sensorgrad.estimators import (
     estimate_g2,
 )
 from sensorgrad.search import sample_exploration_policies
-from sensorgrad.seeding import substream
+from sensorgrad.seeding import children, substream
 
 QUIET = CannonWorld(
     control_noise_cov=np.zeros((2, 2)), sensor_noise_cov=np.zeros((2, 2))
@@ -53,6 +53,15 @@ def test_policy_domain_is_enforced():
         env.sample_trial(np.array([15.0, np.pi / 2]), substream(71))
     with pytest.raises(PolicyDomainError, match="angle"):
         env.sample_trial(np.array([15.0, -0.1]), substream(71))
+    # A batch reports its first bad row, whichever check that row fails.
+    good, slow, steep = [15.0, 0.7], [0.0, 0.7], [15.0, np.pi / 2]
+    cases = (([good, steep, slow], "angle"), ([good, slow, steep], "speed"))
+    for rows, problem in cases:
+        with pytest.raises(PolicyDomainError, match=problem):
+            env.check_policies(np.array(rows))
+        with pytest.raises(PolicyDomainError, match=problem):
+            env.sample_trials(np.array(rows), children(substream(71), 3))
+    assert env.check_policies(np.array([good, good])).shape == (2, 2)
 
 
 def test_sensors_report_the_actuation_error_exactly():
@@ -63,7 +72,7 @@ def test_sensors_report_the_actuation_error_exactly():
     policies = sample_exploration_policies(
         np.array([16.0, np.pi / 4]), np.diag([0.25, 0.0025]), 20, substream(72)
     )
-    trials = env.sample_trials(policies, substream(73))
+    trials = env.sample_trials(policies, children(substream(73), 20))
     for trial in trials:
         executed = trial.policy + trial.raw_sensors
         expected = -((cannon_range(executed) - world.target_range) ** 2)
@@ -90,8 +99,8 @@ def test_env_noise_scale_matches_scaled_world():
 def test_trials_are_reproducible():
     env = CannonEnv()
     policies = np.tile(np.array([16.0, np.pi / 4]), (6, 1))
-    a = env.sample_trials(policies, substream(74))
-    b = env.sample_trials(policies, substream(74))
+    a = env.sample_trials(policies, children(substream(74), 6))
+    b = env.sample_trials(policies, children(substream(74), 6))
     for x, y in zip(a, b):
         assert x.score == y.score
         assert np.array_equal(x.raw_sensors, y.raw_sensors)
@@ -114,7 +123,7 @@ def test_sensor_regression_explains_most_cannon_score_noise():
     policies = sample_exploration_policies(
         nominal, np.diag([0.25, 0.0025]), 40, substream(75)
     )
-    trials = tuple(env.sample_trials(policies, substream(76)))
+    trials = tuple(env.sample_trials(policies, children(substream(76), 40)))
     batch = TrialBatch(nominal, np.diag([0.25, 0.0025]), trials)
     plain = estimate_g1(batch)
     joint = estimate_g2(batch)

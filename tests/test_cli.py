@@ -1,7 +1,13 @@
 """Command line behavior: exit codes, output files, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sensorgrad
 from sensorgrad.cli import main
 
 RUN_CFG = """\
@@ -226,3 +232,26 @@ def test_missing_config_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["run"])
     capsys.readouterr()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # A fresh interpreter: this test process has imported scipy already.
+    code = (
+        "import sys, sensorgrad.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+        "import sensorgrad\n"
+        "assert callable(sensorgrad.loo_cost)\n"
+        "assert issubclass(sensorgrad.EncodingError, ValueError)\n"
+        "import sensorgrad.encoding\n"
+        "assert sensorgrad.encoding.EncodingError is sensorgrad.EncodingError\n"
+    )
+    package_root = str(Path(sensorgrad.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -15,7 +15,7 @@ from sensorgrad.dynamics_sensors import (
 )
 from sensorgrad.envs.arm import KNOTS_PER_JOINT, ArmWorld, dart_trials
 from sensorgrad.estimators import TrialBatch
-from sensorgrad.seeding import PRETRAIN, substream
+from sensorgrad.seeding import PRETRAIN, children, substream
 
 WORLD = ArmWorld()
 
@@ -138,7 +138,7 @@ def test_project_residuals_recovers_planted_coefficients():
 
 def test_encode_dart_batch_layout(model):
     policy = np.repeat(np.array(WORLD.start_posture), KNOTS_PER_JOINT)
-    trials = dart_trials(WORLD, np.tile(policy, (4, 1)), substream(8))
+    trials = dart_trials(WORLD, np.tile(policy, (4, 1)), children(substream(8), 4))
     batch = TrialBatch(policy, np.eye(9) * 0.01, tuple(trials))
     encoded = encode_dart_batch(WORLD, model, batch)
     sensors = encoded.encoded()

@@ -17,7 +17,7 @@ from sensorgrad.estimators import (
     trial_to_line,
 )
 from sensorgrad.search import sample_exploration_policies
-from sensorgrad.seeding import EVAL, LEARN, substream
+from sensorgrad.seeding import EVAL, LEARN, children, substream
 
 TRUE_GRADIENT = np.array([1.5, -0.7])
 SENSOR_SLOPE = np.array([0.8, -1.2])
@@ -39,7 +39,7 @@ def zero_mean_batch(env, n, rep, seed):
     policies = sample_exploration_policies(
         nominal, EXPLORATION_COV, n, substream(seed, rep, LEARN)
     )
-    trials = tuple(env.sample_trials(policies, substream(seed, rep, EVAL)))
+    trials = tuple(env.sample_trials(policies, children(substream(seed, rep, EVAL), n)))
     return TrialBatch(nominal, EXPLORATION_COV, trials)
 
 
@@ -208,7 +208,7 @@ def test_centered_estimators_tolerate_offsets_and_sensor_means():
     policies = sample_exploration_policies(
         nominal, EXPLORATION_COV, 10, substream(51, LEARN)
     )
-    trials = tuple(env.sample_trials(policies, substream(51, EVAL)))
+    trials = tuple(env.sample_trials(policies, children(substream(51, EVAL), 10)))
     batch = TrialBatch(nominal, EXPLORATION_COV, trials)
     estimate = estimate_g2(batch)
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-8)

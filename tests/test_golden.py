@@ -17,7 +17,7 @@ from sensorgrad.cli import main
 from test_acceptance import RERUN_CASES
 
 # The dart search config cut to 2 runs of 2 steps with a small
-# pretraining set; two runs let the thread pool take part.
+# pretraining set; two runs exercise the lockstep batch.
 DART_CFG = """\
 seed = 20250819
 run.environment = dart

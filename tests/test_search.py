@@ -1,4 +1,4 @@
-"""Hill-climbing search: step rules, retries, aggregation, worker pools."""
+"""Hill-climbing search: step rules, retries, aggregation, lockstep runs."""
 
 from dataclasses import replace
 
@@ -11,12 +11,13 @@ from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import EstimationError, NoiseSpec, PolicyDomainError
 from sensorgrad.search import (
     SearchConfig,
+    StepRecord,
     evaluate_policy,
     hill_climb_step,
     run_learning_curve,
     sample_exploration_policies,
 )
-from sensorgrad.seeding import substream
+from sensorgrad.seeding import EVAL, LEARN, children, substream
 
 TRUE_GRADIENT = np.array([1.5, -0.7])
 
@@ -74,15 +75,20 @@ class FlakyEnv:
         self.base = base
         self.remaining = failures
 
-    def sample_trials(self, policies, rng):
+    def sample_trials(self, policies, streams):
         if self.remaining > 0:
             self.remaining -= 1
             raise EstimationError("transient failure")
-        return self.base.sample_trials(policies, rng)
+        return self.base.sample_trials(policies, streams)
 
 
 class BrokenEnv:
-    def sample_trials(self, policies, rng):
+    """Passes every domain check, then fails every simulation."""
+
+    def check_policies(self, policies):
+        return policies
+
+    def sample_trials(self, policies, streams):
         raise PolicyDomainError("policy left the feasible set")
 
 
@@ -92,8 +98,8 @@ class FlaggingEnv:
     def __init__(self, base):
         self.base = base
 
-    def sample_trials(self, policies, rng):
-        trials = self.base.sample_trials(policies, rng)
+    def sample_trials(self, policies, streams):
+        trials = self.base.sample_trials(policies, streams)
         return [replace(t, flagged=(i % 3 == 0)) for i, t in enumerate(trials)]
 
 
@@ -188,24 +194,154 @@ def test_zero_steps_gives_an_empty_curve():
     assert curve.diagnostics == ()
 
 
-def test_curves_are_identical_for_any_worker_count():
-    world = junk_sensor_world()
-    config = base_config(
-        initial_policy=np.zeros(2),
-        steps=3,
-        runs=4,
-        seed=17,
-        estimator="with_sensors",
-        learning_rate=0.2,
-    )
-    one = run_learning_curve(SyntheticEnv(world), config, workers=1)
-    three = run_learning_curve(SyntheticEnv(world), config, workers=3)
-    assert np.array_equal(one.run_values, three.run_values)
-    assert one.run_indices == three.run_indices
+def _records_by_run(curve):
+    by_run = {}
+    for record in curve.diagnostics:
+        by_run.setdefault(record.run, []).append(record)
+    return by_run
+
+
+PREFIX_CASES = {
+    "cannon": (
+        lambda: CannonEnv(CannonWorld()),
+        dict(
+            initial_policy=np.array([16.0, np.pi / 4.0]),
+            exploration_cov=np.diag([0.25, 0.0025]),
+            estimator="with_sensors",
+            step_rule="normalized",
+            learning_rate=0.05,
+        ),
+    ),
+    "synthetic": (
+        lambda: SyntheticEnv(informative_sensor_world()),
+        dict(
+            initial_policy=np.zeros(2),
+            exploration_cov=0.25 * np.eye(2),
+            estimator="with_encoding",
+            encode_trials_per_step=12,
+            encode_max_iterations=10,
+            encode_restarts=1,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_a_run_does_not_depend_on_the_runs_beside_it(case):
+    make_env, settings = PREFIX_CASES[case]
+    config = base_config(steps=3, runs=2, seed=17, trials_per_step=10, **settings)
+    few = run_learning_curve(make_env(), config)
+    many = run_learning_curve(make_env(), replace(config, runs=5))
+    assert few.run_indices == (0, 1) and many.run_indices == (0, 1, 2, 3, 4)
+    assert np.array_equal(few.run_values, many.run_values[:2])
     # loo_cost is NaN outside the encoding estimator, so compare reprs.
-    assert repr(one.diagnostics) == repr(three.diagnostics)
-    again = run_learning_curve(SyntheticEnv(world), config, workers=1)
-    assert np.array_equal(one.run_values, again.run_values)
+    prefix = tuple(r for r in many.diagnostics if r.run < 2)
+    assert repr(few.diagnostics) == repr(prefix)
+    again = run_learning_curve(make_env(), config)
+    assert repr(few.diagnostics) == repr(again.diagnostics)
+
+
+def _stepped_alone(env, config, run):
+    """Policies and evaluations of one run stepped without the lockstep driver."""
+    policy = config.initial_policy
+    stepped, means = [], []
+    for step in range(config.steps):
+        policy, _ = hill_climb_step(
+            env, policy, config, substream(config.seed, run, step, LEARN),
+            step_index=step,
+        )
+        mean, _ = evaluate_policy(
+            env, policy, config.eval_trials_per_point,
+            substream(config.seed, run, step, EVAL),
+        )
+        stepped.append(policy)
+        means.append(mean)
+    return stepped, means
+
+
+def test_lockstep_runs_match_runs_stepped_alone():
+    env = SyntheticEnv(junk_sensor_world())
+    config = base_config(
+        steps=3, runs=3, seed=19, estimator="with_sensors", eval_trials_per_point=5
+    )
+    curve = run_learning_curve(env, config)
+    for run in range(config.runs):
+        _, means = _stepped_alone(env, config, run)
+        assert np.array_equal(curve.run_values[run], means)
+
+
+class FaultyEnv:
+    """Junk-sensor synthetic env with faults aimed at chosen runs.
+
+    ``infeasible`` (run, step): that run's first learning batch fails the
+    domain check; the batch is recognised by its first exploration
+    policy, derived from the run's seed path the way the search derives
+    it.  ``flagged`` (run, step): that run's first learning batch comes
+    back all flagged, recognised by its trial streams' seed path.
+    ``broken_eval``: a policy whose evaluation batch fails the domain
+    check.
+    """
+
+    def __init__(self, config, policies, infeasible, flagged, broken_eval):
+        self.base = SyntheticEnv(junk_sensor_world())
+        run, step = infeasible
+        explore_rng = children(substream(config.seed, run, step, LEARN), 3)[0]
+        self.infeasible_row = sample_exploration_policies(
+            policies[run][step - 1], config.exploration_cov, 1, explore_rng
+        )[0]
+        self.flagged_key = (*flagged, LEARN, 1)
+        self.broken_eval = broken_eval
+
+    def check_policies(self, policies):
+        policies = self.base.check_policies(policies)
+        if np.array_equal(policies[0], self.infeasible_row) or np.array_equal(
+            policies, np.tile(self.broken_eval, (policies.shape[0], 1))
+        ):
+            raise PolicyDomainError("policy left the feasible set")
+        return policies
+
+    def sample_trials(self, policies, streams):
+        trials = self.base.sample_trials(policies, streams)
+        keys = [s.bit_generator.seed_seq.spawn_key[:4] for s in streams]
+        return [
+            replace(t, flagged=True) if key == self.flagged_key else t
+            for t, key in zip(trials, keys)
+        ]
+
+
+def test_faults_stay_with_the_runs_they_hit():
+    config = base_config(
+        steps=4, runs=5, seed=23, estimator="with_sensors", eval_trials_per_point=5
+    )
+    clean = run_learning_curve(SyntheticEnv(junk_sensor_world()), config)
+    policies = [
+        _stepped_alone(SyntheticEnv(junk_sensor_world()), config, run)[0]
+        for run in range(config.runs)
+    ]
+    env = FaultyEnv(
+        config, policies, infeasible=(1, 2), flagged=(2, 1),
+        broken_eval=policies[3][1],
+    )
+    faulty = run_learning_curve(env, config)
+    error = "policy left the feasible set"
+    assert faulty.failed_runs == ((3, 1, error),)
+    assert faulty.run_indices == (0, 1, 2, 4)
+    before, after = _records_by_run(clean), _records_by_run(faulty)
+    for run in (0, 4):
+        assert repr(after[run]) == repr(before[run])
+        assert np.array_equal(
+            faulty.run_values[faulty.run_indices.index(run)], clean.run_values[run]
+        )
+    # The infeasible and the all-flagged learning batches are retried
+    # from fresh draws of the same step stream; nothing before them moves.
+    for run, step in ((1, 2), (2, 1)):
+        assert repr(after[run][:step]) == repr(before[run][:step])
+        assert [r.retried for r in after[run]] == [s == step for s in range(4)]
+    # The broken evaluation replaces that step's record with an error row.
+    assert repr(after[3][:1]) == repr(before[3][:1])
+    assert after[3][1:] == [
+        StepRecord(run=3, step=1, estimator="with_sensors", error=error)
+    ]
 
 
 def test_policy_evaluation_reports_mean_and_spread():
@@ -279,8 +415,8 @@ def test_an_all_flagged_batch_fails_the_step():
         def __init__(self, base):
             self.base = base
 
-        def sample_trials(self, policies, rng):
-            trials = self.base.sample_trials(policies, rng)
+        def sample_trials(self, policies, streams):
+            trials = self.base.sample_trials(policies, streams)
             return [replace(t, flagged=True) for t in trials]
 
     env = AllFlagged(SyntheticEnv(noiseless_world()))
@@ -308,10 +444,6 @@ def test_search_config_rejects_bad_settings():
         SearchConfig(**{**base, "exploration_cov": np.eye(3)})
     with pytest.raises(ValueError, match="trials_per_step"):
         SearchConfig(**{**base, "trials_per_step": 0})
-    with pytest.raises(ValueError, match="workers"):
-        run_learning_curve(
-            SyntheticEnv(noiseless_world()), SearchConfig(**base), workers=0
-        )
 
 
 def test_uninformative_sensors_give_no_systematic_edge():
@@ -330,12 +462,10 @@ def test_uninformative_sensors_give_no_systematic_edge():
     plain = run_learning_curve(
         SyntheticEnv(world),
         SearchConfig(**settings, estimator="ignore_sensors"),
-        workers=4,
     )
     joint = run_learning_curve(
         SyntheticEnv(world),
         SearchConfig(**settings, estimator="with_sensors"),
-        workers=4,
     )
     assert plain.run_indices == joint.run_indices
     result = stats.ttest_rel(joint.run_values[:, -1], plain.run_values[:, -1])

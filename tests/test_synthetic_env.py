@@ -68,7 +68,9 @@ def test_correlated_sensor_mean_tracks_the_policy():
     env = SyntheticEnv(world, correlated=True)
     policy = np.array([1.0, -0.5])
     count = 4000
-    trials = env.sample_trials(np.tile(policy, (count, 1)), substream(64))
+    trials = env.sample_trials(
+        np.tile(policy, (count, 1)), children(substream(64), count)
+    )
     sensed = np.array([t.raw_sensors for t in trials])
     expected = (
         world.noise.sensor_mean + world.noise.coupling_offset - coupling.T @ policy
@@ -81,7 +83,7 @@ def test_batch_sampling_matches_per_trial_streams():
     world = make_world(sensor_cov=np.eye(2) * 0.1, output_variance=0.2)
     env = SyntheticEnv(world)
     policies = substream(65).normal(size=(5, 2))
-    batch = env.sample_trials(policies, substream(66))
+    batch = env.sample_trials(policies, children(substream(66), 5))
     singles = [
         env.sample_trial(policies[i], stream)
         for i, stream in enumerate(children(substream(66), 5))
@@ -97,7 +99,9 @@ def test_mean_score_matches_the_analytic_value():
     env = SyntheticEnv(world)
     policy = np.array([0.3, 0.6])
     count = 20000
-    trials = env.sample_trials(np.tile(policy, (count, 1)), substream(67))
+    trials = env.sample_trials(
+        np.tile(policy, (count, 1)), children(substream(67), count)
+    )
     scores = np.array([t.score for t in trials])
     analytic = (
         float(policy @ TRUE_GRADIENT)
