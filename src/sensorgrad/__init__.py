@@ -17,15 +17,11 @@ from .estimators import (
     GradientEstimate,
     NoiseSpec,
     TrialBatch,
-    TrialRecord,
     estimate_g1,
     estimate_g2,
     predicted_bias_g2,
     predicted_variance_g1,
     predicted_variance_g2,
-    predicted_variance_g2_correlated,
-    trial_from_line,
-    trial_to_line,
 )
 from .search import (
     ESTIMATORS,
@@ -54,15 +50,11 @@ __all__ = [
     "GradientEstimate",
     "NoiseSpec",
     "TrialBatch",
-    "TrialRecord",
     "estimate_g1",
     "estimate_g2",
     "predicted_bias_g2",
     "predicted_variance_g1",
     "predicted_variance_g2",
-    "predicted_variance_g2_correlated",
-    "trial_from_line",
-    "trial_to_line",
     "ESTIMATORS",
     "LearningCurve",
     "SearchConfig",

@@ -42,8 +42,6 @@ __all__ = [
     "spline_basis",
     "project_residuals",
     "encode_dart_batch",
-    "save_dynamics_model",
-    "load_dynamics_model",
 ]
 
 
@@ -141,8 +139,8 @@ def sample_pretraining_states(
     trials = dart_trials(world, policies, children(trial_rng, rollouts))
     pool_q = []
     pool_v = []
-    for trial in trials:
-        angles, velocities, _ = split_dart_sensors(world, trial.raw_sensors)
+    for raw in trials.raw_sensors:
+        angles, velocities, _ = split_dart_sensors(world, raw)
         pool_q.append(angles)
         pool_v.append(velocities)
     pool_q = np.concatenate(pool_q, axis=0)
@@ -298,7 +296,7 @@ def project_residuals(
 def encode_dart_batch(
     world: ArmWorld, model: DynamicsModel, batch: TrialBatch
 ) -> TrialBatch:
-    """Attach residual-projection sensors to every trial of a batch.
+    """The batch with residual-projection sensors for every trial.
 
     Encoded layout: spline coefficients of the velocity residual curve,
     joint-major, then the realized release time.
@@ -306,40 +304,13 @@ def encode_dart_batch(
     grid_times = np.arange(world.grid_steps + 1) * world.timestep
     basis = None
     encoded = []
-    for trial in batch.trials:
-        angles, velocities, release = split_dart_sensors(world, trial.raw_sensors)
+    for policy, raw in zip(batch.policies, batch.raw()):
+        angles, velocities, release = split_dart_sensors(world, raw)
         torques = commanded_torques(
-            world, trial.policy, angles[:-1], velocities[:-1], grid_times[:-1]
+            world, policy, angles[:-1], velocities[:-1], grid_times[:-1]
         )
         curve = velocity_residuals(model, angles, velocities, torques, world.timestep)
         if basis is None:
             basis = spline_basis(world, curve.times)
         encoded.append(project_residuals(curve, basis, release))
     return batch.with_encoded(np.array(encoded))
-
-
-def save_dynamics_model(model: DynamicsModel, path) -> None:
-    """Write a model as an npz archive of its matrices and fit scores."""
-    np.savez(
-        path,
-        inverse_mass_map=model.inverse_mass_map,
-        gravity_map=model.gravity_map,
-        coriolis_map=model.coriolis_map,
-        joint_count=np.array(model.joint_count),
-        fit_r2=np.array(
-            [model.fit_r2_inverse_mass, model.fit_r2_gravity, model.fit_r2_coriolis]
-        ),
-    )
-
-
-def load_dynamics_model(path) -> DynamicsModel:
-    with np.load(path) as data:
-        return DynamicsModel(
-            inverse_mass_map=data["inverse_mass_map"],
-            gravity_map=data["gravity_map"],
-            coriolis_map=data["coriolis_map"],
-            joint_count=int(data["joint_count"]),
-            fit_r2_inverse_mass=float(data["fit_r2"][0]),
-            fit_r2_gravity=float(data["fit_r2"][1]),
-            fit_r2_coriolis=float(data["fit_r2"][2]),
-        )

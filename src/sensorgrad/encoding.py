@@ -136,8 +136,7 @@ def _projection_matrix(projection) -> np.ndarray:
 
 def _centered(batch: TrialBatch, raw: np.ndarray):
     """Centered policies, scores and raw sensors of a batch."""
-    pols = batch.policies()
-    scores = batch.scores()
+    pols, scores = batch.policies, batch.scores
     return pols - pols.mean(axis=0), scores - scores.mean(), raw - raw.mean(axis=0)
 
 
@@ -342,7 +341,6 @@ def estimate_gradient_encoded(
     projection,
     *,
     sensors: np.ndarray | None = None,
-    noise=None,
 ) -> GradientEstimate:
     """Joint gradient estimate using projected sensors.
 
@@ -355,4 +353,4 @@ def estimate_gradient_encoded(
     if raw.shape[1] != b.shape[0]:
         raise ValueError("projection rows must match the raw sensor dimension")
     encoded_batch = batch.with_encoded(raw @ b)
-    return estimate_g2(encoded_batch, noise=noise)
+    return estimate_g2(encoded_batch)

@@ -1,13 +1,8 @@
-"""Simulated tasks producing trial records."""
+"""Simulated tasks producing trial batches."""
 
 from .arm import ArmState, ArmWorld, DartEnv, dart_trial, dart_trials
-from .cannon import CannonEnv, CannonWorld, cannon_range, cannon_trial, cannon_true_value
-from .synthetic import (
-    SyntheticEnv,
-    SyntheticWorld,
-    correlated_sensor_trial,
-    synthetic_trial,
-)
+from .cannon import CannonEnv, CannonWorld, cannon_range, cannon_true_value
+from .synthetic import SyntheticEnv, SyntheticWorld
 
 __all__ = [
     "ArmState",
@@ -18,10 +13,7 @@ __all__ = [
     "CannonEnv",
     "CannonWorld",
     "cannon_range",
-    "cannon_trial",
     "cannon_true_value",
     "SyntheticEnv",
     "SyntheticWorld",
-    "correlated_sensor_trial",
-    "synthetic_trial",
 ]

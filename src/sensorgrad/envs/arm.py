@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..estimators import TrialRecord
+from ..estimators import TrialBatch
 
 __all__ = [
     "ArmWorld",
@@ -355,7 +355,7 @@ def _rk4_step(world, tensors, angles, velocities, torques, step):
     return new_angles, new_velocities
 
 
-def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> list[TrialRecord]:
+def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatch:
     """Integrate one trial per policy, each on its own random stream.
 
     Per-trial draw order: release time, then the multiplicative torque
@@ -413,43 +413,34 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> list[Tria
     ).reshape(count, (grid + 1) * 2 * dof)
     raw = np.concatenate([sensor_blocks, release_times[:, None]], axis=1)
 
-    records = []
+    scores = np.full(count, FLAGGED_SCORE)
+    flagged = ~alive
     target_x, target_y = world.target_position
-    for i in range(count):
-        flagged = not alive[i]
-        score = FLAGGED_SCORE
-        if not flagged:
-            k_rel = int(math.floor(release_times[i] / dt))
-            partial = release_times[i] - k_rel * dt
-            q_rel, v_rel = _rk4_step(
-                world,
-                tensors,
-                angles[i, k_rel][None, :],
-                velocities[i, k_rel][None, :],
-                torques[i, k_rel][None, :],
-                partial,
-            )
-            position, velocity = fingertip_state(world, q_rel[0], v_rel[0])
-            gap = target_x - position[0]
-            degenerate = (
-                not (np.isfinite(position).all() and np.isfinite(velocity).all())
-                or velocity[0] <= _TINY_FORWARD_SPEED
-                or gap < 0.0
-            )
-            if degenerate:
-                flagged = True
-            else:
-                flight = gap / velocity[0]
-                hit_y = (
-                    position[1]
-                    + velocity[1] * flight
-                    - 0.5 * world.gravity * flight**2
-                )
-                score = -((hit_y - target_y) ** 2)
-        records.append(
-            TrialRecord(policies[i], raw[i], None, float(score), flagged=flagged)
+    for i in np.flatnonzero(alive):
+        k_rel = int(math.floor(release_times[i] / dt))
+        partial = release_times[i] - k_rel * dt
+        q_rel, v_rel = _rk4_step(
+            world,
+            tensors,
+            angles[i, k_rel][None, :],
+            velocities[i, k_rel][None, :],
+            torques[i, k_rel][None, :],
+            partial,
         )
-    return records
+        position, velocity = fingertip_state(world, q_rel[0], v_rel[0])
+        gap = target_x - position[0]
+        degenerate = (
+            not (np.isfinite(position).all() and np.isfinite(velocity).all())
+            or velocity[0] <= _TINY_FORWARD_SPEED
+            or gap < 0.0
+        )
+        if degenerate:
+            flagged[i] = True
+        else:
+            flight = gap / velocity[0]
+            hit_y = position[1] + velocity[1] * flight - 0.5 * world.gravity * flight**2
+            scores[i] = -((hit_y - target_y) ** 2)
+    return TrialBatch(policies, scores, raw_sensors=raw, flagged=flagged)
 
 
 def _check_policies(world: ArmWorld, policies) -> np.ndarray:
@@ -463,13 +454,12 @@ def _check_policies(world: ArmWorld, policies) -> np.ndarray:
     return policies
 
 
-def dart_trial(world: ArmWorld, policy, rng: np.random.Generator) -> TrialRecord:
-    """Throw once with the given spline-knot policy."""
-    policies = _check_policies(world, policy)
-    return _simulate_batch(world, policies, [rng])[0]
+def dart_trial(world: ArmWorld, policy, rng: np.random.Generator) -> TrialBatch:
+    """Throw once with the given spline-knot policy: a one-trial batch."""
+    return _simulate_batch(world, _check_policies(world, policy), [rng])
 
 
-def dart_trials(world: ArmWorld, policies, streams) -> list[TrialRecord]:
+def dart_trials(world: ArmWorld, policies, streams) -> TrialBatch:
     """Throw one trial per policy row, row ``i`` drawing from ``streams[i]``."""
     policies = _check_policies(world, policies)
     if len(streams) != policies.shape[0]:
@@ -490,14 +480,12 @@ class DartEnv:
         self.policy_dim = self.world.policy_dim
         self.model = model
 
-    def sample_trial(self, policy, rng: np.random.Generator) -> TrialRecord:
-        return dart_trial(self.world, policy, rng)
-
     def check_policies(self, policies) -> np.ndarray:
         """Policy rows as a float array; raises for a malformed policy."""
         return _check_policies(self.world, policies)
 
-    def sample_trials(self, policies, streams) -> list[TrialRecord]:
+    def sample_trials(self, policies, streams) -> TrialBatch:
+        """One throw per policy row, row ``i`` drawing from ``streams[i]``."""
         return dart_trials(self.world, policies, streams)
 
     def encode_batch(self, batch):

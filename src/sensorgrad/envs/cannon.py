@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..estimators import PolicyDomainError, TrialRecord
+from ..estimators import PolicyDomainError, TrialBatch
 from ..seeding import psd_sqrt
 
 __all__ = [
     "CannonWorld",
     "cannon_range",
-    "cannon_trial",
     "cannon_true_value",
     "CannonEnv",
 ]
@@ -120,48 +119,6 @@ def _check_policies(policies) -> np.ndarray:
     return policies
 
 
-def _build_trials(
-    world: CannonWorld,
-    policies: np.ndarray,
-    control_root: np.ndarray,
-    sensor_root: np.ndarray,
-    streams,
-) -> list[TrialRecord]:
-    count = policies.shape[0]
-    executed = np.empty((count, 2))
-    sensed = np.empty((count, 2))
-    for i in range(count):
-        rng = streams[i]
-        actuation = control_root @ rng.standard_normal(2)
-        read = sensor_root @ rng.standard_normal(2)
-        executed[i] = policies[i] + actuation
-        sensed[i] = actuation + read
-    ranges = cannon_range(executed, world.gravity)
-    scores = -((ranges - world.target_range) ** 2)
-    return [
-        TrialRecord(policies[i], sensed[i], sensed[i], float(scores[i]))
-        for i in range(count)
-    ]
-
-
-def cannon_trial(
-    world: CannonWorld, policy, rng: np.random.Generator
-) -> TrialRecord:
-    """Fire once at the commanded ``(speed, angle)`` policy.
-
-    Draw order per trial: actuation noise, then sensor read noise.
-    """
-    policy = _check_policy(policy)
-    trials = _build_trials(
-        world,
-        policy[None, :],
-        psd_sqrt(world.control_noise_cov),
-        psd_sqrt(world.sensor_noise_cov),
-        [rng],
-    )
-    return trials[0]
-
-
 def cannon_true_value(
     world: CannonWorld, policy, samples: int = 20000, seed: int = 0
 ) -> float:
@@ -193,21 +150,27 @@ class CannonEnv:
         self._control_root = psd_sqrt(self.world.control_noise_cov)
         self._sensor_root = psd_sqrt(self.world.sensor_noise_cov)
 
-    def sample_trial(self, policy, rng: np.random.Generator) -> TrialRecord:
-        policy = _check_policy(policy)
-        return _build_trials(
-            self.world, policy[None, :], self._control_root, self._sensor_root, [rng]
-        )[0]
-
     def check_policies(self, policies) -> np.ndarray:
         """Policy rows as a float array; raises outside the task's domain."""
         return _check_policies(policies)
 
-    def sample_trials(self, policies, streams) -> list[TrialRecord]:
-        """One trial per policy row, row ``i`` drawing from ``streams[i]``."""
-        checked = _check_policies(policies)
-        if len(streams) != checked.shape[0]:
+    def sample_trials(self, policies, streams) -> TrialBatch:
+        """One shot per policy row, row ``i`` drawing from ``streams[i]``.
+
+        Draw order per trial: actuation noise, then sensor read noise.
+        The raw and the encoded sensors are both the sensed actuation
+        error.
+        """
+        policies = _check_policies(policies)
+        count = policies.shape[0]
+        if len(streams) != count:
             raise ValueError("need one stream per policy row")
-        return _build_trials(
-            self.world, checked, self._control_root, self._sensor_root, streams
-        )
+        actuation = np.empty((count, 2))
+        read = np.empty((count, 2))
+        for i, rng in enumerate(streams):
+            actuation[i] = self._control_root @ rng.standard_normal(2)
+            read[i] = self._sensor_root @ rng.standard_normal(2)
+        ranges = cannon_range(policies + actuation, self.world.gravity)
+        sensed = actuation + read
+        scores = -((ranges - self.world.target_range) ** 2)
+        return TrialBatch(policies, scores, sensed, sensed)

@@ -7,9 +7,10 @@ policy:
 - ``estimate_g2`` regresses scores jointly on policy parameters and
   sensor readings, soaking up the score noise the sensors explain.
 
-Closed-form covariance predictions for both estimators, the
-policy-sensor coupling bias of the joint estimator, and the coupled
-covariance law are provided alongside.
+Closed-form covariance laws for both estimators (the joint one with or
+without policy-coupled sensors) and the coupling bias of the joint
+estimator are provided alongside.  Every estimator works on one
+:class:`TrialBatch`, the arrays of a batch of executed trials.
 
 Centering conventions
 ---------------------
@@ -18,16 +19,15 @@ the batch and carry the fitted offset separately (``center=True``).
 The closed-form covariance laws, however, are exact for regression
 through the origin on data that are genuinely zero mean: the policy
 scatter matrix then carries all n degrees of freedom.  ``center=False``
-selects that mode - policies are shifted by the known nominal policy,
-nothing is estimated for the offset - and is what the variance-law
-validation harness uses.  Batch centering spends one extra degree of
-freedom, so its sampling covariance runs slightly above the laws
-(denominator smaller by one).
+selects that mode - the policies are regressed as given, so the caller
+draws them around a zero nominal policy, and nothing is estimated for
+the offset - and is what the variance-law validation harness uses.
+Batch centering spends one extra degree of freedom, so its sampling
+covariance runs slightly above the laws (denominator smaller by one).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,9 +38,6 @@ __all__ = [
     "EstimationError",
     "EncodingError",
     "PolicyDomainError",
-    "TrialRecord",
-    "trial_to_line",
-    "trial_from_line",
     "TrialBatch",
     "NoiseSpec",
     "GradientEstimate",
@@ -49,7 +46,6 @@ __all__ = [
     "predicted_variance_g1",
     "predicted_variance_g2",
     "predicted_bias_g2",
-    "predicted_variance_g2_correlated",
 ]
 
 
@@ -100,170 +96,94 @@ def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batch containers
+# batch container
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One executed trial: the policy tried, what was sensed, the score.
-
-    ``raw_sensors`` is the environment's native payload (may be long,
-    e.g. sampled trajectories); ``encoded_sensors`` is the
-    low-dimensional vector handed to the regression estimators.  Either
-    may be absent.  ``flagged`` marks failed trials (non-finite
-    simulation state); the search layer keeps them out of regression
-    batches.
-    """
-
-    policy: np.ndarray
-    raw_sensors: np.ndarray | None
-    encoded_sensors: np.ndarray | None
-    score: float
-    flagged: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "policy", _as_vector(self.policy, "policy"))
-        for name in ("raw_sensors", "encoded_sensors"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _as_vector(value, name))
-        object.__setattr__(self, "score", float(self.score))
-        if not np.isfinite(self.score):
-            raise ValueError("trial score must be finite")
-
-
-def trial_to_line(record: TrialRecord) -> str:
-    """Serialize one trial as a single JSON line.
-
-    The object has the fixed key order ``policy``, ``raw_sensors``,
-    ``encoded_sensors``, ``score``, ``flagged``; absent sensor payloads
-    are ``null``.  Floats round-trip exactly through
-    :func:`trial_from_line`.
-    """
-    payload = {
-        "policy": record.policy.tolist(),
-        "raw_sensors": None
-        if record.raw_sensors is None
-        else record.raw_sensors.tolist(),
-        "encoded_sensors": None
-        if record.encoded_sensors is None
-        else record.encoded_sensors.tolist(),
-        "score": record.score,
-        "flagged": record.flagged,
-    }
-    return json.dumps(payload, separators=(", ", ": "))
-
-
-def trial_from_line(line: str) -> TrialRecord:
-    """Parse a line written by :func:`trial_to_line`."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unparseable trial line: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError("trial line must hold a JSON object")
-    missing = {"policy", "raw_sensors", "encoded_sensors", "score", "flagged"} - set(
-        payload
-    )
-    if missing:
-        raise ValueError(f"trial line missing field '{sorted(missing)[0]}'")
-    return TrialRecord(
-        policy=np.array(payload["policy"], dtype=float),
-        raw_sensors=None
-        if payload["raw_sensors"] is None
-        else np.array(payload["raw_sensors"], dtype=float),
-        encoded_sensors=None
-        if payload["encoded_sensors"] is None
-        else np.array(payload["encoded_sensors"], dtype=float),
-        score=payload["score"],
-        flagged=bool(payload["flagged"]),
-    )
+def _as_rows(value, name: str, n: int) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != n:
+        raise ValueError(f"{name} must hold one row per trial")
+    return arr
 
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """Trials gathered around one nominal policy.
+    """Executed trials as arrays, one row per trial.
 
-    All trials must share the policy dimension and (where present) the
-    sensor dimensions; the exploration covariance must be symmetric
-    positive definite.
+    ``policies`` (n, d) holds the policies tried and ``scores`` (n,)
+    what they scored.  ``raw_sensors`` (n, m) is the environment's
+    native payload (may be long, e.g. sampled trajectories);
+    ``encoded_sensors`` (n, k) is the low-dimensional reading handed to
+    the regression estimators.  Either may be absent.  ``flagged`` (n,)
+    marks failed trials (non-finite simulation state), which the search
+    layer keeps out of regression batches; it defaults to all False.
+    Shapes and finite scores are checked once, on construction.
     """
 
-    nominal_policy: np.ndarray
-    exploration_cov: np.ndarray
-    trials: tuple[TrialRecord, ...]
+    policies: np.ndarray
+    scores: np.ndarray
+    raw_sensors: np.ndarray | None = None
+    encoded_sensors: np.ndarray | None = None
+    flagged: np.ndarray | None = None
 
     def __post_init__(self):
-        nominal = _as_vector(self.nominal_policy, "nominal_policy")
-        cov = _as_square(self.exploration_cov, "exploration_cov")
-        object.__setattr__(self, "nominal_policy", nominal)
-        object.__setattr__(self, "exploration_cov", cov)
-        object.__setattr__(self, "trials", tuple(self.trials))
-        d = nominal.shape[0]
-        if cov.shape != (d, d):
-            raise ValueError("exploration_cov shape does not match policy")
-        if np.max(np.abs(cov - cov.T)) > 1e-9 * max(1.0, np.max(np.abs(cov))):
-            raise ValueError("exploration covariance must be symmetric")
-        if self.trials and np.linalg.eigvalsh(cov)[0] <= 0.0:
-            raise ValueError("exploration covariance must be positive definite")
-        enc_dim = None
-        raw_dim = None
-        for t in self.trials:
-            if t.policy.shape[0] != d:
-                raise ValueError("trial policy dimension mismatch")
-            if t.encoded_sensors is not None:
-                if enc_dim is None:
-                    enc_dim = t.encoded_sensors.shape[0]
-                elif t.encoded_sensors.shape[0] != enc_dim:
-                    raise ValueError("trial sensor dimension mismatch")
-            if t.raw_sensors is not None:
-                if raw_dim is None:
-                    raw_dim = t.raw_sensors.shape[0]
-                elif t.raw_sensors.shape[0] != raw_dim:
-                    raise ValueError("trial sensor dimension mismatch")
+        scores = _as_vector(self.scores, "scores")
+        n = scores.shape[0]
+        if not np.isfinite(scores).all():
+            raise ValueError("trial score must be finite")
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "policies", _as_rows(self.policies, "policies", n))
+        for name in ("raw_sensors", "encoded_sensors"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _as_rows(value, name, n))
+        flagged = np.zeros(n, dtype=bool) if self.flagged is None else self.flagged
+        flagged = np.asarray(flagged, dtype=bool)
+        if flagged.shape != (n,):
+            raise ValueError("flagged must hold one entry per trial")
+        object.__setattr__(self, "flagged", flagged)
+
+    def __len__(self) -> int:
+        return self.size
 
     @property
     def size(self) -> int:
-        return len(self.trials)
+        return self.scores.shape[0]
 
     @property
     def policy_dim(self) -> int:
-        return self.nominal_policy.shape[0]
+        return self.policies.shape[1]
 
-    def policies(self) -> np.ndarray:
-        if not self.trials:
-            raise EstimationError("empty batch")
-        return np.stack([t.policy for t in self.trials])
+    def rows(self, index) -> "TrialBatch":
+        """The trials at ``index``: a slice, a boolean mask or row numbers."""
 
-    def scores(self) -> np.ndarray:
-        if not self.trials:
-            raise EstimationError("empty batch")
-        return np.array([t.score for t in self.trials])
+        def pick(arr):
+            return None if arr is None else arr[index]
+
+        return TrialBatch(
+            self.policies[index],
+            self.scores[index],
+            pick(self.raw_sensors),
+            pick(self.encoded_sensors),
+            self.flagged[index],
+        )
 
     def encoded(self) -> np.ndarray:
-        if not self.trials:
-            raise EstimationError("empty batch")
-        if any(t.encoded_sensors is None for t in self.trials):
+        """The encoded sensors; raises EstimationError when there are none."""
+        if self.encoded_sensors is None:
             raise EstimationError("missing encoded sensors")
-        return np.stack([t.encoded_sensors for t in self.trials])
+        return self.encoded_sensors
 
     def raw(self) -> np.ndarray:
-        if not self.trials:
-            raise EstimationError("empty batch")
-        if any(t.raw_sensors is None for t in self.trials):
+        """The raw sensors; raises EstimationError when there are none."""
+        if self.raw_sensors is None:
             raise EstimationError("missing raw sensors")
-        return np.stack([t.raw_sensors for t in self.trials])
+        return self.raw_sensors
 
     def with_encoded(self, encoded: np.ndarray) -> "TrialBatch":
-        """Copy of the batch with per-trial encoded sensors replaced."""
-        encoded = np.asarray(encoded, dtype=float)
-        if encoded.shape[0] != self.size:
-            raise ValueError("length mismatch between batch and sensor rows")
-        new_trials = tuple(
-            replace(t, encoded_sensors=encoded[i]) for i, t in enumerate(self.trials)
-        )
-        return replace(self, trials=new_trials)
+        """Copy of the batch with its encoded sensors replaced."""
+        return replace(self, encoded_sensors=encoded)
 
 
 @dataclass(frozen=True)
@@ -317,18 +237,14 @@ class GradientEstimate:
     """A gradient estimate plus regression diagnostics.
 
     ``sensor_coefficients`` is None for the sensor-free estimator.
-    ``predicted_variance`` is attached only when a :class:`NoiseSpec`
-    was supplied; during real runs the noise structure is unknown and
-    the field stays None.  ``residual_variance`` is the sample fallback
-    for the score noise variance (residual mean square on the fit's
-    remaining degrees of freedom), None when no degree of freedom is
-    left.
+    ``residual_variance`` is the sample estimate of the score noise
+    variance (residual mean square on the fit's remaining degrees of
+    freedom), None when no degree of freedom is left.
     """
 
     gradient: np.ndarray
     sensor_coefficients: np.ndarray | None
     offset: float
-    predicted_variance: np.ndarray | None = None
     residual_variance: float | None = None
 
 
@@ -337,116 +253,59 @@ class GradientEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _centered_inputs(batch: TrialBatch, center: bool) -> tuple[np.ndarray, np.ndarray]:
-    pols = batch.policies()
-    scores = batch.scores()
-    if not center:
-        pols = pols - batch.nominal_policy
-    return pols, scores
-
-
-def estimate_g1(
-    batch: TrialBatch,
-    *,
-    noise: NoiseSpec | None = None,
-    sensor_slope: np.ndarray | None = None,
-    center: bool = True,
+def _fit(
+    batch: TrialBatch, sensors: np.ndarray | None, center: bool
 ) -> GradientEstimate:
-    """Gradient from regressing scores on policy parameters alone.
-
-    Requires ``n >= d + 2`` (offset plus one spare degree of freedom).
-    Sensor-driven score noise stays in the residual, inflating the
-    estimator's covariance accordingly.  When ``noise`` (and, if the
-    world has sensor-linked noise, ``sensor_slope``) is given, the
-    closed-form covariance prediction is attached.
-    """
+    """Regress scores on policies, and on ``sensors`` when given."""
     n, d = batch.size, batch.policy_dim
-    if n == 0:
-        raise EstimationError("empty batch")
-    if n < d + 2:
-        raise EstimationError(
-            f"insufficient samples: n={n} < d+2={d + 2} for the policy regression"
-        )
-    pols, scores = _centered_inputs(batch, center)
-    try:
-        fit = ols(pols, scores, center=center)
-    except RegressionError as exc:
-        if "rank deficient" in str(exc):
-            raise EstimationError("degenerate exploration") from exc
-        raise
-    dof = n - d - 1
-    rss = float(fit.residuals @ fit.residuals)
-    residual_variance = rss / dof if dof > 0 else None
-    predicted = None
-    if noise is not None:
-        predicted = predicted_variance_g1(
-            batch.exploration_cov, noise, sensor_slope, n, d
-        )
-    offset = float(fit.mean_y - fit.column_means_x @ fit.coefficients)
-    return GradientEstimate(
-        gradient=fit.coefficients,
-        sensor_coefficients=None,
-        offset=offset,
-        predicted_variance=predicted,
-        residual_variance=residual_variance,
-    )
-
-
-def estimate_g2(
-    batch: TrialBatch,
-    *,
-    noise: NoiseSpec | None = None,
-    center: bool = True,
-) -> GradientEstimate:
-    """Gradient from the joint regression on policies and sensors.
-
-    Fits scores against ``[policies, encoded sensors]``; the first d
-    coefficients are the gradient estimate, the rest the sensor
-    coefficients.  Requires ``n >= d + d_s + 2``.  When a
-    :class:`NoiseSpec` is supplied, the covariance prediction is
-    attached (the coupled law when the spec carries a nonzero
-    policy-sensor coupling).
-    """
-    n, d = batch.size, batch.policy_dim
-    if n == 0:
-        raise EstimationError("empty batch")
-    sensors = batch.encoded()
-    ds = sensors.shape[1]
+    ds = 0 if sensors is None else sensors.shape[1]
     if n < d + ds + 2:
+        need, what = ("d+2", "policy") if sensors is None else ("d+d_s+2", "joint")
         raise EstimationError(
-            f"insufficient samples: n={n} < d+d_s+2={d + ds + 2} for the joint "
+            f"insufficient samples: n={n} < {need}={d + ds + 2} for the {what} "
             "regression"
         )
-    pols, scores = _centered_inputs(batch, center)
-    design = np.concatenate([pols, sensors], axis=1)
+    design = batch.policies
+    if sensors is not None:
+        design = np.concatenate([design, sensors], axis=1)
     try:
-        fit = ols(design, scores, center=center)
+        fit = ols(design, batch.scores, center=center)
     except RegressionError as exc:
         if "rank deficient" in str(exc):
             raise EstimationError("degenerate exploration") from exc
         raise
     dof = n - d - ds - 1
     rss = float(fit.residuals @ fit.residuals)
-    residual_variance = rss / dof if dof > 0 else None
-    predicted = None
-    if noise is not None:
-        coupling = noise.policy_sensor_coupling
-        if coupling is not None and np.any(coupling != 0.0):
-            predicted = predicted_variance_g2_correlated(
-                batch.exploration_cov, noise, n, d, ds
-            )
-        else:
-            predicted = predicted_variance_g2(
-                batch.exploration_cov, noise.output_variance, n, d, ds
-            )
-    offset = float(fit.mean_y - fit.column_means_x @ fit.coefficients)
     return GradientEstimate(
         gradient=fit.coefficients[:d],
-        sensor_coefficients=fit.coefficients[d:],
-        offset=offset,
-        predicted_variance=predicted,
-        residual_variance=residual_variance,
+        sensor_coefficients=None if sensors is None else fit.coefficients[d:],
+        offset=float(fit.mean_y - fit.column_means_x @ fit.coefficients),
+        residual_variance=rss / dof if dof > 0 else None,
     )
+
+
+def estimate_g1(batch: TrialBatch, *, center: bool = True) -> GradientEstimate:
+    """Gradient from regressing scores on policy parameters alone.
+
+    Requires ``n >= d + 2`` (offset plus one spare degree of freedom).
+    Sensor-driven score noise stays in the residual, inflating the
+    estimator's covariance accordingly.
+    """
+    if batch.size == 0:
+        raise EstimationError("empty batch")
+    return _fit(batch, None, center)
+
+
+def estimate_g2(batch: TrialBatch, *, center: bool = True) -> GradientEstimate:
+    """Gradient from the joint regression on policies and sensors.
+
+    Fits scores against ``[policies, encoded sensors]``; the first d
+    coefficients are the gradient estimate, the rest the sensor
+    coefficients.  Requires ``n >= d + d_s + 2``.
+    """
+    if batch.size == 0:
+        raise EstimationError("empty batch")
+    return _fit(batch, batch.encoded(), center)
 
 
 # ---------------------------------------------------------------------------
@@ -484,26 +343,40 @@ def predicted_variance_g1(
 
 def predicted_variance_g2(
     exploration_cov: np.ndarray,
-    output_variance: float,
+    noise: NoiseSpec,
     n: int,
     d: int,
     d_s: int,
 ) -> np.ndarray:
-    """Covariance law for the joint estimator with independent sensors.
+    """Covariance law for the joint estimator.
 
+    With independent sensors (no or zero coupling) the law is
     ``inv(S_e) * s2 / (n - d - d_s - 1)``: the sensors absorb their
     share of the score noise, at the price of d_s regression degrees of
-    freedom.
+    freedom.  With coupled sensors, ``S_es = S_e @ coupling`` and
+    ``D = S_es @ inv(coupling' S_e coupling + S_s) @ S_es'``, the law
+    is ``inv(S_e - D) * s2 / (n - d - d_s - 1)``: coupling shrinks the
+    usable exploration scatter, inflating the covariance.  The
+    uncoupled case never inverts the sensor covariance, so a singular
+    one is fine there.
     """
     if n <= d + d_s + 1:
         raise EstimationError(
             f"variance undefined: n={n} <= d+d_s+1={d + d_s + 1}"
         )
     cov = _as_square(exploration_cov, "exploration_cov")
-    inv = _spd_inverse(cov, "degenerate exploration")
-    if output_variance < 0:
-        raise ValueError("output variance must be non-negative")
-    return _symmetrized(inv * (float(output_variance) / (n - d - d_s - 1)))
+    coupling = noise.policy_sensor_coupling
+    if coupling is None or not np.any(coupling != 0.0):
+        inv = _spd_inverse(cov, "degenerate exploration")
+    else:
+        if coupling.shape != (cov.shape[0], noise.sensor_dim):
+            raise ValueError("policy_sensor_coupling must be d x d_s")
+        cross = cov @ coupling
+        sensor_total = coupling.T @ cov @ coupling + noise.sensor_cov
+        sensor_total_inv = _spd_inverse(sensor_total, "degenerate coupling")
+        shrink = cross @ sensor_total_inv @ cross.T
+        inv = _spd_inverse(cov - shrink, "degenerate coupling")
+    return _symmetrized(inv * (noise.output_variance / (n - d - d_s - 1)))
 
 
 def predicted_bias_g2(noise: NoiseSpec, sensor_slope: np.ndarray) -> np.ndarray:
@@ -524,37 +397,3 @@ def predicted_bias_g2(noise: NoiseSpec, sensor_slope: np.ndarray) -> np.ndarray:
     if coupling.shape[1] != slope.shape[0]:
         raise ValueError("sensor_slope dimension mismatch")
     return coupling @ slope
-
-
-def predicted_variance_g2_correlated(
-    exploration_cov: np.ndarray,
-    noise: NoiseSpec,
-    n: int,
-    d: int,
-    d_s: int,
-) -> np.ndarray:
-    """Covariance law for the joint estimator with coupled sensors.
-
-    With ``S_es = S_e @ coupling`` and
-    ``D = S_es @ inv(coupling' S_e coupling + S_s) @ S_es'`` the law is
-    ``inv(S_e - D) * s2 / (n - d - d_s - 1)``: coupling shrinks the
-    usable exploration scatter, inflating the covariance.  Reduces to
-    the independent-sensor law when the coupling is zero.
-    """
-    if n <= d + d_s + 1:
-        raise EstimationError(
-            f"variance undefined: n={n} <= d+d_s+1={d + d_s + 1}"
-        )
-    cov = _as_square(exploration_cov, "exploration_cov")
-    coupling = noise.policy_sensor_coupling
-    if coupling is None:
-        coupling = np.zeros((cov.shape[0], noise.sensor_dim))
-    if coupling.shape != (cov.shape[0], noise.sensor_dim):
-        raise ValueError("policy_sensor_coupling must be d x d_s")
-    cross = cov @ coupling
-    sensor_total = coupling.T @ cov @ coupling + noise.sensor_cov
-    sensor_total_inv = _spd_inverse(sensor_total, "degenerate coupling")
-    shrink = cross @ sensor_total_inv @ cross.T
-    effective = cov - shrink
-    inv = _spd_inverse(effective, "degenerate coupling")
-    return _symmetrized(inv * (noise.output_variance / (n - d - d_s - 1)))

@@ -24,17 +24,16 @@ from .envs.synthetic import SyntheticEnv, SyntheticWorld
 from .estimators import (
     NoiseSpec,
     TrialBatch,
-    TrialRecord,
     estimate_g1,
     estimate_g2,
     predicted_bias_g2,
     predicted_variance_g1,
     predicted_variance_g2,
-    predicted_variance_g2_correlated,
 )
 from .search import (
     ESTIMATORS,
     SearchConfig,
+    check_exploration_cov,
     run_learning_curve,
     sample_exploration_policies,
 )
@@ -47,6 +46,7 @@ __all__ = [
     "write_text",
     "run_experiment",
     "variance_check",
+    "replicate_gradients",
     "encode_search",
     "schema_check",
 ]
@@ -361,6 +361,9 @@ def run_tables(cfg: Config):
             )
     if len(set(estimators)) != len(estimators):
         raise ConfigError(f"{cfg.source}: key 'run.estimators' repeats an entry")
+    # Bad search settings, such as a singular exploration covariance, fail
+    # here, before the dart pretraining simulates anything.
+    configs = {name: build_search_config(cfg, name) for name in estimators}
     environments = _build_environments(cfg)
     sweep = len(environments) > 1
     learning_header = list(LEARNING_CURVE_COLUMNS) + (["noise_scale"] if sweep else [])
@@ -370,7 +373,7 @@ def run_tables(cfg: Config):
     curves = {}
     for scale, env in environments:
         for estimator in estimators:
-            curve = run_learning_curve(env, build_search_config(cfg, estimator))
+            curve = run_learning_curve(env, configs[estimator])
             curves[(scale, estimator)] = curve
             for step in range(curve.mean_values.shape[0]):
                 row = [
@@ -469,30 +472,18 @@ def variance_check(cfg: Config):
             output_variance=s2, sensor_cov=sigma_s, policy_sensor_coupling=coupling
         )
         world = SyntheticWorld(a_pi, a_s, 0.0, noise)
+        check_exploration_cov(sigma_e, d)
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid synthetic world: {exc}") from exc
     env = SyntheticEnv(world, correlated=coupled)
-    nominal = np.zeros(d)
-
-    g1_draws = np.empty((reps, d))
-    g2_draws = np.empty((reps, d))
-    for rep in range(reps):
-        policies = sample_exploration_policies(
-            nominal, sigma_e, n, substream(seed, rep, LEARN)
-        )
-        streams = children(substream(seed, rep, EVAL), n)
-        trials = tuple(env.sample_trials(policies, streams))
-        batch = TrialBatch(nominal, sigma_e, trials)
-        g1_draws[rep] = estimate_g1(batch, center=False).gradient
-        g2_draws[rep] = estimate_g2(batch, center=False).gradient
+    g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
 
     pred1 = predicted_variance_g1(sigma_e, noise, a_s, n, d)
+    pred2 = predicted_variance_g2(sigma_e, noise, n, d, ds)
     if coupled:
-        pred2 = predicted_variance_g2_correlated(sigma_e, noise, n, d, ds)
         g2_target = a_pi + predicted_bias_g2(noise, a_s)
         g2_target_label = "true gradient plus predicted coupling bias"
     else:
-        pred2 = predicted_variance_g2(sigma_e, s2, n, d, ds)
         g2_target = a_pi
         g2_target_label = "true gradient"
 
@@ -540,6 +531,27 @@ def variance_check(cfg: Config):
         )
     lines.append("result: " + ("PASS" if ok else "FAIL"))
     return lines, ok
+
+
+def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
+    """Both estimators on ``reps`` independent zero-mean batches of ``n`` trials.
+
+    Replication ``rep`` draws its policies around the zero policy from
+    ``substream(seed, rep, LEARN)`` and its trials from children of
+    ``substream(seed, rep, EVAL)``; both estimators run uncentered.
+    Returns the (reps, d) arrays of g1 and g2 gradients.
+    """
+    nominal = np.zeros(env.policy_dim)
+    g1_draws = np.empty((reps, env.policy_dim))
+    g2_draws = np.empty((reps, env.policy_dim))
+    for rep in range(reps):
+        policies = sample_exploration_policies(
+            nominal, exploration_cov, n, substream(seed, rep, LEARN)
+        )
+        batch = env.sample_trials(policies, children(substream(seed, rep, EVAL), n))
+        g1_draws[rep] = estimate_g1(batch, center=False).gradient
+        g2_draws[rep] = estimate_g2(batch, center=False).gradient
+    return g1_draws, g2_draws
 
 
 def variance_check_experiment(cfg: Config, out_dir):
@@ -604,11 +616,7 @@ def encode_search_tables(cfg: Config):
         slopes = data_rng.normal(size=raw_dim)
         sensor_part = raw @ slopes
     scores = policies @ a_pi + sensor_part + noise_std * data_rng.normal(size=samples)
-    trials = tuple(
-        TrialRecord(policies[i], raw[i], raw[i], float(scores[i]))
-        for i in range(samples)
-    )
-    batch = TrialBatch(np.zeros(policy_dim), np.eye(policy_dim), trials)
+    batch = TrialBatch(policies, scores, raw, raw)
     search_seed = int(substream(seed, ENCODE, 1).integers(0, 2**32))
     from .encoding import EncodingSearchConfig, optimize_projection
 

@@ -43,6 +43,7 @@ __all__ = [
     "ESTIMATORS",
     "SearchConfig",
     "StepRecord",
+    "check_exploration_cov",
     "LearningCurve",
     "sample_exploration_policies",
     "hill_climb_step",
@@ -88,8 +89,7 @@ class SearchConfig:
         cov = np.asarray(self.exploration_cov, dtype=float)
         if policy.ndim != 1:
             raise ValueError("initial policy must be a vector")
-        if cov.shape != (policy.shape[0], policy.shape[0]):
-            raise ValueError("exploration covariance must be d x d")
+        check_exploration_cov(cov, policy.shape[0])
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator: {self.estimator}")
         if self.step_rule not in _STEP_RULES:
@@ -142,6 +142,20 @@ class LearningCurve:
     @property
     def completed_runs(self) -> int:
         return self.run_values.shape[0]
+
+
+def check_exploration_cov(cov, dim: int) -> None:
+    """Raise ValueError unless ``cov`` is a symmetric positive definite
+    ``dim`` x ``dim`` matrix."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (dim, dim):
+        raise ValueError("exploration covariance must be d x d")
+    if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-9 * max(
+        1.0, np.max(np.abs(cov), initial=0.0)
+    ):
+        raise ValueError("exploration covariance must be symmetric")
+    if dim and np.linalg.eigvalsh(cov)[0] <= 0.0:
+        raise ValueError("exploration covariance must be positive definite")
 
 
 def sample_exploration_policies(policy, exploration_cov, count, rng) -> np.ndarray:
@@ -213,7 +227,7 @@ class _Attempt:
     streams: list
     search_count: int
     encode_seed: int
-    outcome: list | Exception | None = None
+    outcome: TrialBatch | Exception | None = None
 
 
 def _draw_attempt(policy, config: SearchConfig, rng) -> _Attempt:
@@ -278,35 +292,33 @@ def _sample_blocks(env, blocks) -> list:
     start = 0
     for index in passed:
         stop = start + len(blocks[index][1])
-        outcomes[index] = trials[start:stop]
+        outcomes[index] = trials.rows(slice(start, stop))
         start = stop
     return outcomes
 
 
-def _kept_batch(env, policy, config: SearchConfig, trials) -> TrialBatch:
-    """The unflagged trials as a batch, with the env's encoded sensors."""
-    kept = tuple(t for t in trials if not t.flagged)
-    if not kept:
+def _kept_batch(env, config: SearchConfig, trials: TrialBatch) -> TrialBatch:
+    """The unflagged trials, with the env's encoded sensors."""
+    batch = trials.rows(~trials.flagged)
+    if not batch.size:
         raise EstimationError("insufficient samples: every trial was flagged")
-    batch = TrialBatch(policy, config.exploration_cov, kept)
     if config.estimator != "ignore_sensors" and hasattr(env, "encode_batch"):
         batch = env.encode_batch(batch)
     return batch
 
 
-def _estimate_attempt(env, policy, config: SearchConfig, attempt: _Attempt):
+def _estimate_attempt(env, config: SearchConfig, attempt: _Attempt):
     if isinstance(attempt.outcome, Exception):
         raise attempt.outcome
     split = len(attempt.streams) - attempt.search_count
-    trials = attempt.outcome[:split]
-    batch = _kept_batch(env, policy, config, trials)
+    trials = attempt.outcome.rows(slice(None, split))
+    batch = _kept_batch(env, config, trials)
     search_batch = None
     if attempt.search_count:
-        search_batch = _kept_batch(env, policy, config, attempt.outcome[split:])
+        search = attempt.outcome.rows(slice(split, None))
+        search_batch = _kept_batch(env, config, search)
     estimate, loo = _estimate(batch, config, attempt.encode_seed, search_batch)
-    scores = np.array([t.score for t in trials])
-    flagged = sum(t.flagged for t in trials)
-    return estimate, loo, scores, flagged
+    return estimate, loo, trials.scores, int(trials.flagged.sum())
 
 
 def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_index: int):
@@ -338,11 +350,11 @@ def hill_climb_step(
     try:
         if first is None:
             first = _simulated_attempt(env, policy, config, rng)
-        estimate, loo, scores, flagged = _estimate_attempt(env, policy, config, first)
+        estimate, loo, scores, flagged = _estimate_attempt(env, config, first)
     except _RECOVERABLE:
         retried = True
         estimate, loo, scores, flagged = _estimate_attempt(
-            env, policy, config, _simulated_attempt(env, policy, config, rng)
+            env, config, _simulated_attempt(env, policy, config, rng)
         )
     new_policy = _apply_rule(policy, estimate, config, step_index)
     record = StepRecord(
@@ -372,7 +384,7 @@ def evaluate_policy(env, policy, count: int, rng, *, trials=None):
     if trials is None:
         policy = np.asarray(policy, dtype=float)
         trials = env.sample_trials(np.tile(policy, (count, 1)), children(rng, count))
-    scores = np.array([t.score for t in trials])
+    scores = trials.scores
     mean = float(np.mean(scores))
     if count == 1:
         return mean, None

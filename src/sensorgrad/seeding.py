@@ -6,16 +6,33 @@ path (root -> run -> step -> trial), so results never depend on
 execution order or on how many runs' trials share one simulator call
 when the runs advance in lockstep.
 
-Path layout used by the experiment harness:
+``children(rng, k)`` of the stream at path ``p`` are the streams at
+``p + (i,)`` for the next k values of i; a later call continues the
+count.  Path layout used by the experiment harness:
 
-    (run,)                      per-run stream (initial draws)
-    (run, step, LEARN, trial)   exploration trials inside one step
-    (run, step, EVAL, trial)    evaluation trials of the stepped policy
-    (run, step, RETRY, trial)   one-shot resample after estimator failure
-    (PRETRAIN, i)               dynamics pretraining rollouts
+    (run, step, LEARN)      one step's learning stream.  Each attempt at
+                            the step takes children(., 3): the
+                            exploration policies, the trials (one child
+                            each) and the projection search (its seed,
+                            or children(., 3) for a dedicated search
+                            batch).  A retry takes the next three
+                            children of the same stream.
+    (run, step, EVAL)       evaluation of the stepped policy, one child
+                            per trial
+    (PRETRAIN,)             dynamics pretraining: children(., 3) for the
+                            rollout policies, rollouts and state picks
+    (ENCODE, 0|1)           encode-search problem data and search seed
+    (rep, LEARN|EVAL)       variance-check replication: its policies,
+                            and one child of EVAL per trial
 
-The tags keep sibling domains from colliding without any global
-counter.
+Paths are untagged integer tuples, so addresses can coincide.  The
+encode-search data stream (ENCODE, 0) = (4, 0) is the policy stream of
+variance-check replication 4.  Within one dart run, the first
+pretraining rollout's stream (PRETRAIN, 1, 0) is run 3's step-1
+learning stream (3, 1, LEARN); the rollout only draws from it and the
+step only spawns children from it, so no number is used twice.  Leading
+every path with a domain tag would rule such overlaps out by
+construction.
 """
 
 from __future__ import annotations
@@ -26,7 +43,6 @@ import numpy as np
 # changing them changes every downstream draw.
 LEARN = 0
 EVAL = 1
-RETRY = 2
 PRETRAIN = 3
 ENCODE = 4
 

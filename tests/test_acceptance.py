@@ -37,15 +37,13 @@ from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import (
     NoiseSpec,
     TrialBatch,
-    TrialRecord,
     estimate_g1,
     estimate_g2,
     predicted_bias_g2,
     predicted_variance_g1,
     predicted_variance_g2,
-    predicted_variance_g2_correlated,
 )
-from sensorgrad.experiments import build_search_config, run_tables
+from sensorgrad.experiments import build_search_config, replicate_gradients, run_tables
 from sensorgrad.search import run_learning_curve, sample_exploration_policies
 from sensorgrad.seeding import EVAL, LEARN, PRETRAIN, children, substream
 
@@ -76,18 +74,9 @@ def _law_sweep(root_seed: int, correlated: bool):
     )
     world = SyntheticWorld(A_PI, A_S, 0.0, noise)
     env = SyntheticEnv(world, correlated=correlated)
-    nominal = np.zeros(2)
-    g1_draws = np.empty((REPLICATIONS, 2))
-    g2_draws = np.empty((REPLICATIONS, 2))
-    for rep in range(REPLICATIONS):
-        policies = sample_exploration_policies(
-            nominal, EXPLORATION_COV, TRIALS_PER_BATCH, substream(root_seed, rep, LEARN)
-        )
-        streams = children(substream(root_seed, rep, EVAL), TRIALS_PER_BATCH)
-        trials = tuple(env.sample_trials(policies, streams))
-        batch = TrialBatch(nominal, EXPLORATION_COV, trials)
-        g1_draws[rep] = estimate_g1(batch, center=False).gradient
-        g2_draws[rep] = estimate_g2(batch, center=False).gradient
+    g1_draws, g2_draws = replicate_gradients(
+        env, EXPLORATION_COV, TRIALS_PER_BATCH, REPLICATIONS, root_seed
+    )
     return g1_draws, g2_draws, noise
 
 
@@ -142,10 +131,8 @@ def test_criterion_01_policies_only_variance_law(plain_sweep):
 
 
 def test_criterion_02_joint_estimator_variance_law(plain_sweep):
-    _, g2_draws, _, elapsed = plain_sweep
-    predicted = predicted_variance_g2(
-        EXPLORATION_COV, OUTPUT_VARIANCE, TRIALS_PER_BATCH, 2, 2
-    )
+    _, g2_draws, noise, elapsed = plain_sweep
+    predicted = predicted_variance_g2(EXPLORATION_COV, noise, TRIALS_PER_BATCH, 2, 2)
     rel = _relative_frobenius(g2_draws, predicted)
     _verdict(
         2,
@@ -171,11 +158,8 @@ def test_criterion_03_perfect_sensors_recover_the_gradient_exactly():
             size=(2, 2)
         )
         scores = policies @ a_pi + sensors @ a_s + offset
-        trials = tuple(
-            TrialRecord(policies[i], sensors[i], sensors[i], float(scores[i]))
-            for i in range(6)
-        )
-        gradient = estimate_g2(TrialBatch(nominal, explore, trials)).gradient
+        batch = TrialBatch(policies, scores, sensors, sensors)
+        gradient = estimate_g2(batch).gradient
         worst = max(worst, float(np.max(np.abs(gradient - a_pi))))
     _verdict(
         3,
@@ -192,9 +176,7 @@ def test_criterion_04_policy_coupled_sensors_bias_and_variance(correlated_sweep)
     mean = g2_draws.mean(axis=0)
     std_error = g2_draws.std(axis=0, ddof=1) / np.sqrt(REPLICATIONS)
     deviations = np.abs(mean - target) / std_error
-    predicted = predicted_variance_g2_correlated(
-        EXPLORATION_COV, noise, TRIALS_PER_BATCH, 2, 2
-    )
+    predicted = predicted_variance_g2(EXPLORATION_COV, noise, TRIALS_PER_BATCH, 2, 2)
     rel = _relative_frobenius(g2_draws, predicted)
     ok = bool(np.all(deviations <= 3.0)) and rel <= 0.15
     _verdict(
@@ -274,10 +256,7 @@ def test_criterion_07_joint_estimate_matches_finite_differences():
             nominal, explore, 200, substream(71, index, LEARN)
         )
         streams = children(substream(71, index, EVAL), 200)
-        trials = tuple(env.sample_trials(policies, streams))
-        gradients[index] = estimate_g2(
-            TrialBatch(nominal, explore, trials)
-        ).gradient
+        gradients[index] = estimate_g2(env.sample_trials(policies, streams)).gradient
     steps = np.array([0.05, 0.005])
     reference = np.empty(2)
     for axis in range(2):
@@ -336,14 +315,14 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
     )
     policies = initial + 0.01 * substream(91).standard_normal((20, 9))
     trials = dart_trials(quiet, policies, children(substream(91, 0), 20))
+    assert not trials.flagged.any()
     model_square = 0.0
     zero_square = 0.0
-    for trial in trials:
-        assert not trial.flagged
-        angles, velocities, _ = split_dart_sensors(quiet, trial.raw_sensors)
+    for policy, raw in zip(trials.policies, trials.raw_sensors):
+        angles, velocities, _ = split_dart_sensors(quiet, raw)
         times = np.arange(angles.shape[0]) * quiet.timestep
         torques = commanded_torques(
-            quiet, trial.policy, angles[:-1], velocities[:-1], times[:-1]
+            quiet, policy, angles[:-1], velocities[:-1], times[:-1]
         )
         residuals = velocity_residuals(
             model, angles, velocities, torques, quiet.timestep
@@ -353,15 +332,12 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
     ratio = float(np.sqrt(model_square / zero_square))
 
     noisy_policies = initial + 0.002 * substream(92).standard_normal((200, 9))
-    noisy_trials = tuple(
-        t for t in dart_trials(world, noisy_policies, children(substream(92, 0), 200))
-        if not t.flagged
-    )
-    assert len(noisy_trials) >= 150
-    batch = TrialBatch(initial, (0.002**2) * np.eye(9), noisy_trials)
+    noisy = dart_trials(world, noisy_policies, children(substream(92, 0), 200))
+    batch = noisy.rows(~noisy.flagged)
+    assert len(batch) >= 150
     estimate = estimate_g1(batch)
     residual_scores = (
-        batch.scores() - estimate.offset - batch.policies() @ estimate.gradient
+        batch.scores - estimate.offset - batch.policies @ estimate.gradient
     )
     encoded = encode_dart_batch(world, model, batch).encoded()
     correlations = [
@@ -377,7 +353,7 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
         f"velocity-residual RMS ratio {ratio:.4f} vs zero-acceleration "
         f"predictor (limit 0.20) on 20 noise-free rollouts; strongest "
         f"|correlation| {best:.3f} between an encoded coordinate and the "
-        f"score residual (floor 0.2) over {len(noisy_trials)} noisy trials",
+        f"score residual (floor 0.2) over {len(batch)} noisy trials",
     )
 
 

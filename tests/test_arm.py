@@ -110,37 +110,36 @@ def test_desired_trajectory_interpolates_the_knots():
 
 def test_trial_sensors_unpack_consistently():
     world = ArmWorld()
-    trial = dart_trial(world, HOLD_POLICY, substream(103))
-    angles, velocities, release = split_dart_sensors(world, trial.raw_sensors)
+    raw = dart_trial(world, HOLD_POLICY, substream(103)).raw_sensors[0]
+    angles, velocities, release = split_dart_sensors(world, raw)
     assert angles.shape == (world.grid_steps + 1, 3)
     assert velocities.shape == angles.shape
     assert np.allclose(angles[0], world.start_posture)
     assert np.allclose(velocities[0], 0.0)
-    assert release == trial.raw_sensors[-1]
+    assert release == raw[-1]
     assert abs(release - world.sim_duration) < 6.0 * world.release_time_std
     with pytest.raises(ValueError, match="length mismatch"):
-        split_dart_sensors(world, trial.raw_sensors[:-2])
+        split_dart_sensors(world, raw[:-2])
 
 
 def test_trials_are_deterministic():
     world = ArmWorld()
     a = dart_trial(world, HOLD_POLICY, substream(104))
     b = dart_trial(world, HOLD_POLICY, substream(104))
-    assert a.score == b.score
+    assert np.array_equal(a.scores, b.scores)
     assert np.array_equal(a.raw_sensors, b.raw_sensors)
     policies = np.tile(HOLD_POLICY, (3, 1))
     batch_a = dart_trials(world, policies, children(substream(105), 3))
     batch_b = dart_trials(world, policies, children(substream(105), 3))
-    for x, y in zip(batch_a, batch_b):
-        assert x.score == y.score
-        assert np.array_equal(x.raw_sensors, y.raw_sensors)
+    assert np.array_equal(batch_a.scores, batch_b.scores)
+    assert np.array_equal(batch_a.raw_sensors, batch_b.raw_sensors)
 
 
 def test_score_is_continuous_in_the_policy():
     world = ArmWorld()
     base = dart_trial(world, HOLD_POLICY, substream(106))
     nudged = dart_trial(world, HOLD_POLICY + 1e-6, substream(106))
-    assert abs(nudged.score - base.score) < 1e-2
+    assert abs(nudged.scores[0] - base.scores[0]) < 1e-2
 
 
 def test_policy_validation():
@@ -154,9 +153,6 @@ def test_policy_validation():
 def test_env_exposes_the_policy_dimension_and_passthrough_encoding():
     env = DartEnv()
     assert env.policy_dim == 9
-    trial = env.sample_trial(HOLD_POLICY, substream(108))
-    assert trial.raw_sensors.shape == (env.world.sensor_dim,)
-    from sensorgrad.estimators import TrialBatch
-
-    batch = TrialBatch(HOLD_POLICY, np.eye(9) * 0.01, (trial,))
+    batch = env.sample_trials(HOLD_POLICY, [substream(108)])
+    assert batch.raw_sensors.shape == (1, env.world.sensor_dim)
     assert env.encode_batch(batch) is batch

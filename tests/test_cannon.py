@@ -5,15 +5,9 @@ from sensorgrad.envs.cannon import (
     CannonEnv,
     CannonWorld,
     cannon_range,
-    cannon_trial,
     cannon_true_value,
 )
-from sensorgrad.estimators import (
-    PolicyDomainError,
-    TrialBatch,
-    estimate_g1,
-    estimate_g2,
-)
+from sensorgrad.estimators import PolicyDomainError, estimate_g1, estimate_g2
 from sensorgrad.search import sample_exploration_policies
 from sensorgrad.seeding import children, substream
 
@@ -36,23 +30,24 @@ def test_range_clamps_nonpositive_speeds():
 
 def test_noise_free_scores_are_closed_form():
     # the default target range is reached exactly at (20, pi/4)
-    optimum = cannon_trial(QUIET, np.array([20.0, np.pi / 4]), substream(70))
-    assert optimum.score == pytest.approx(0.0, abs=1e-18)
+    env = CannonEnv(QUIET)
+    optimum = env.sample_trials(np.array([20.0, np.pi / 4]), [substream(70)])
+    assert optimum.scores[0] == pytest.approx(0.0, abs=1e-18)
     policy = np.array([16.0, np.pi / 4])
-    trial = cannon_trial(QUIET, policy, substream(70))
+    trial = env.sample_trials(policy, [substream(70)])
     miss = 16.0**2 / 9.8 - 400.0 / 9.8
-    assert trial.score == pytest.approx(-(miss**2))
+    assert trial.scores[0] == pytest.approx(-(miss**2))
     assert np.allclose(trial.raw_sensors, 0.0)
 
 
 def test_policy_domain_is_enforced():
     env = CannonEnv()
     with pytest.raises(PolicyDomainError, match="speed"):
-        env.sample_trial(np.array([0.0, 0.7]), substream(71))
+        env.sample_trials(np.array([0.0, 0.7]), [substream(71)])
     with pytest.raises(PolicyDomainError, match="angle"):
-        env.sample_trial(np.array([15.0, np.pi / 2]), substream(71))
+        env.sample_trials(np.array([15.0, np.pi / 2]), [substream(71)])
     with pytest.raises(PolicyDomainError, match="angle"):
-        env.sample_trial(np.array([15.0, -0.1]), substream(71))
+        env.sample_trials(np.array([15.0, -0.1]), [substream(71)])
     # A batch reports its first bad row, whichever check that row fails.
     good, slow, steep = [15.0, 0.7], [0.0, 0.7], [15.0, np.pi / 2]
     cases = (([good, steep, slow], "angle"), ([good, slow, steep], "speed"))
@@ -73,10 +68,9 @@ def test_sensors_report_the_actuation_error_exactly():
         np.array([16.0, np.pi / 4]), np.diag([0.25, 0.0025]), 20, substream(72)
     )
     trials = env.sample_trials(policies, children(substream(73), 20))
-    for trial in trials:
-        executed = trial.policy + trial.raw_sensors
-        expected = -((cannon_range(executed) - world.target_range) ** 2)
-        assert trial.score == pytest.approx(expected, rel=1e-12)
+    executed = trials.policies + trials.raw_sensors
+    expected = -((cannon_range(executed) - world.target_range) ** 2)
+    assert trials.scores == pytest.approx(expected, rel=1e-12)
 
 
 def test_scaled_world_changes_actuation_noise_only():
@@ -101,9 +95,8 @@ def test_trials_are_reproducible():
     policies = np.tile(np.array([16.0, np.pi / 4]), (6, 1))
     a = env.sample_trials(policies, children(substream(74), 6))
     b = env.sample_trials(policies, children(substream(74), 6))
-    for x, y in zip(a, b):
-        assert x.score == y.score
-        assert np.array_equal(x.raw_sensors, y.raw_sensors)
+    assert np.array_equal(a.scores, b.scores)
+    assert np.array_equal(a.raw_sensors, b.raw_sensors)
 
 
 def test_true_value_is_deterministic_and_exact_when_quiet():
@@ -123,8 +116,7 @@ def test_sensor_regression_explains_most_cannon_score_noise():
     policies = sample_exploration_policies(
         nominal, np.diag([0.25, 0.0025]), 40, substream(75)
     )
-    trials = tuple(env.sample_trials(policies, children(substream(76), 40)))
-    batch = TrialBatch(nominal, np.diag([0.25, 0.0025]), trials)
+    batch = env.sample_trials(policies, children(substream(76), 40))
     plain = estimate_g1(batch)
     joint = estimate_g2(batch)
     assert joint.residual_variance < 0.2 * plain.residual_variance

@@ -9,6 +9,8 @@ import pytest
 
 import sensorgrad
 from sensorgrad.cli import main
+from sensorgrad.envs.cannon import CannonEnv
+from sensorgrad.envs.synthetic import SyntheticEnv
 
 RUN_CFG = """\
 seed = 7
@@ -105,6 +107,30 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
         (base / "learning_curve.csv").read_bytes()
         != (other / "learning_curve.csv").read_bytes()
     )
+
+
+SINGULAR_COV_CASES = {
+    "run": RUN_CFG.replace("[0.25, 0.0025]", "[0.25, 0.0]"),
+    "variance-check": VARIANCE_CFG.replace(
+        "[[0.5, 0.1], [0.1, 0.3]]", "[[0.5, 0.5], [0.5, 0.5]]"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGULAR_COV_CASES))
+def test_a_singular_exploration_covariance_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_trials(self, policies, streams):
+        raise AssertionError("a trial was simulated")
+
+    # A simulated trial would end the command with exit 3, not 2.
+    monkeypatch.setattr(CannonEnv, "sample_trials", no_trials)
+    monkeypatch.setattr(SyntheticEnv, "sample_trials", no_trials)
+    cfg = write_cfg(tmp_path, SINGULAR_COV_CASES[command])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "exploration covariance must be positive definite" in err
 
 
 def test_a_seedless_config_needs_the_seed_flag(tmp_path, capsys):

@@ -5,16 +5,13 @@ from sensorgrad.dynamics_sensors import (
     ResidualCurve,
     encode_dart_batch,
     fit_dynamics_model,
-    load_dynamics_model,
     predict_acceleration,
     project_residuals,
     sample_pretraining_states,
-    save_dynamics_model,
     spline_basis,
     velocity_residuals,
 )
 from sensorgrad.envs.arm import KNOTS_PER_JOINT, ArmWorld, dart_trials
-from sensorgrad.estimators import TrialBatch
 from sensorgrad.seeding import PRETRAIN, children, substream
 
 WORLD = ArmWorld()
@@ -138,25 +135,10 @@ def test_project_residuals_recovers_planted_coefficients():
 
 def test_encode_dart_batch_layout(model):
     policy = np.repeat(np.array(WORLD.start_posture), KNOTS_PER_JOINT)
-    trials = dart_trials(WORLD, np.tile(policy, (4, 1)), children(substream(8), 4))
-    batch = TrialBatch(policy, np.eye(9) * 0.01, tuple(trials))
+    batch = dart_trials(WORLD, np.tile(policy, (4, 1)), children(substream(8), 4))
     encoded = encode_dart_batch(WORLD, model, batch)
     sensors = encoded.encoded()
     assert sensors.shape == (4, KNOTS_PER_JOINT * 3 + 1)
-    for row, trial in zip(sensors, trials):
-        assert row[-1] == trial.raw_sensors[-1]
+    assert np.array_equal(sensors[:, -1], batch.raw_sensors[:, -1])
     again = encode_dart_batch(WORLD, model, batch)
     assert np.array_equal(sensors, again.encoded())
-
-
-def test_model_save_load_round_trip(model, tmp_path):
-    path = tmp_path / "model.npz"
-    save_dynamics_model(model, path)
-    loaded = load_dynamics_model(path)
-    assert np.array_equal(loaded.inverse_mass_map, model.inverse_mass_map)
-    assert np.array_equal(loaded.gravity_map, model.gravity_map)
-    assert np.array_equal(loaded.coriolis_map, model.coriolis_map)
-    assert loaded.joint_count == model.joint_count
-    assert loaded.fit_r2_inverse_mass == model.fit_r2_inverse_mass
-    assert loaded.fit_r2_gravity == model.fit_r2_gravity
-    assert loaded.fit_r2_coriolis == model.fit_r2_coriolis

@@ -17,7 +17,6 @@ from sensorgrad.encoding import (
 from sensorgrad.estimators import (
     EstimationError,
     TrialBatch,
-    TrialRecord,
     estimate_g2,
 )
 from sensorgrad.linreg import ols
@@ -38,16 +37,13 @@ def planted_batch(seed, n=50, raw_dim=10, signal=2.0, noise_std=0.1):
         + signal * (raw @ direction)
         + noise_std * rng.normal(size=n)
     )
-    trials = tuple(
-        TrialRecord(policies[i], raw[i], raw[i], float(scores[i])) for i in range(n)
-    )
-    return TrialBatch(np.zeros(2), np.eye(2), trials), direction
+    return TrialBatch(policies, scores, raw, raw), direction
 
 
 def brute_force_loo(batch, matrix):
     """Delete one row, refit, and score its held-out prediction."""
-    pols = batch.policies()
-    scores = batch.scores()
+    pols = batch.policies
+    scores = batch.scores
     design = np.concatenate([pols, batch.raw() @ matrix], axis=1)
     total = 0.0
     for i in range(design.shape[0]):
@@ -64,10 +60,7 @@ def random_batch(seed, n, d, raw_dim):
     raw = rng.normal(size=(n, raw_dim))
     scores = policies @ rng.normal(size=d) + raw @ rng.normal(size=raw_dim)
     scores = scores + rng.normal(size=n)
-    trials = tuple(
-        TrialRecord(policies[i], raw[i], raw[i], float(scores[i])) for i in range(n)
-    )
-    return TrialBatch(np.zeros(d), np.eye(d), trials)
+    return TrialBatch(policies, scores, raw, raw)
 
 
 def central_difference(fun, b, step=1e-6):

@@ -6,16 +6,13 @@ from sensorgrad.estimators import (
     EstimationError,
     NoiseSpec,
     TrialBatch,
-    TrialRecord,
     estimate_g1,
     estimate_g2,
     predicted_bias_g2,
     predicted_variance_g1,
     predicted_variance_g2,
-    predicted_variance_g2_correlated,
-    trial_from_line,
-    trial_to_line,
 )
+from sensorgrad.experiments import replicate_gradients
 from sensorgrad.search import sample_exploration_policies
 from sensorgrad.seeding import EVAL, LEARN, children, substream
 
@@ -24,6 +21,7 @@ SENSOR_SLOPE = np.array([0.8, -1.2])
 SENSOR_COV = np.array([[0.2, -0.05], [-0.05, 0.4]])
 EXPLORATION_COV = np.array([[0.5, 0.1], [0.1, 0.3]])
 OUTPUT_VARIANCE = 0.09
+COUPLING = np.array([[0.6, -0.3], [0.2, 0.5]])
 
 
 def make_noise(coupling=None, output_variance=OUTPUT_VARIANCE):
@@ -35,69 +33,52 @@ def make_noise(coupling=None, output_variance=OUTPUT_VARIANCE):
 
 
 def zero_mean_batch(env, n, rep, seed):
-    nominal = np.zeros(2)
     policies = sample_exploration_policies(
-        nominal, EXPLORATION_COV, n, substream(seed, rep, LEARN)
+        np.zeros(2), EXPLORATION_COV, n, substream(seed, rep, LEARN)
     )
-    trials = tuple(env.sample_trials(policies, children(substream(seed, rep, EVAL), n)))
-    return TrialBatch(nominal, EXPLORATION_COV, trials)
+    return env.sample_trials(policies, children(substream(seed, rep, EVAL), n))
 
 
 def mc_gradients(env, n, reps, seed):
-    g1 = np.empty((reps, 2))
-    g2 = np.empty((reps, 2))
-    for rep in range(reps):
-        batch = zero_mean_batch(env, n, rep, seed)
-        g1[rep] = estimate_g1(batch, center=False).gradient
-        g2[rep] = estimate_g2(batch, center=False).gradient
-    return g1, g2
+    return replicate_gradients(env, EXPLORATION_COV, n, reps, seed)
 
 
 def test_trial_record_rejects_nonfinite_score():
-    with pytest.raises(ValueError, match="finite"):
-        TrialRecord(np.zeros(2), None, None, float("nan"))
-
-
-def test_trial_line_round_trip():
-    record = TrialRecord(
-        np.array([1.0, -2.5]),
-        np.array([0.125, 3.0, -7.25]),
-        None,
-        -0.7853981633974483,
-        flagged=True,
-    )
-    back = trial_from_line(trial_to_line(record))
-    assert np.array_equal(back.policy, record.policy)
-    assert np.array_equal(back.raw_sensors, record.raw_sensors)
-    assert back.encoded_sensors is None
-    assert back.score == record.score
-    assert back.flagged is True
-
-
-def test_trial_line_rejects_bad_input():
-    with pytest.raises(ValueError, match="unparseable"):
-        trial_from_line("not json")
-    with pytest.raises(ValueError, match="missing field"):
-        trial_from_line('{"policy": [1.0]}')
-    with pytest.raises(ValueError, match="JSON object"):
-        trial_from_line("[1, 2, 3]")
+    # A trial's record is its row in the batch; one non-finite score refuses the batch.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TrialBatch(np.zeros((1, 2)), [bad])
+        with pytest.raises(ValueError, match="finite"):
+            TrialBatch(np.zeros((3, 2)), [0.0, bad, 1.0])
 
 
 def test_batch_validation():
-    trial = TrialRecord(np.zeros(2), None, np.array([1.0]), 0.0)
-    with pytest.raises(ValueError, match="positive definite"):
-        TrialBatch(np.zeros(2), np.zeros((2, 2)), (trial,))
-    short = TrialRecord(np.zeros(1), None, None, 0.0)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        TrialBatch(np.zeros(2), np.eye(2), (short,))
+    with pytest.raises(ValueError, match="one row per trial"):
+        TrialBatch(np.zeros((2, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="one row per trial"):
+        TrialBatch(np.zeros((2, 2)), np.zeros(2), encoded_sensors=np.zeros(2))
+    with pytest.raises(ValueError, match="one entry per trial"):
+        TrialBatch(np.zeros((2, 2)), np.zeros(2), flagged=[True])
+    batch = TrialBatch(
+        np.arange(6.0).reshape(3, 2), np.arange(3.0), raw_sensors=np.eye(3)
+    )
+    assert len(batch) == batch.size == 3
+    assert not batch.flagged.any()
+    with pytest.raises(EstimationError, match="missing encoded sensors"):
+        batch.encoded()
+    picked = batch.rows(np.array([True, False, True]))
+    assert np.array_equal(picked.policies, [[0.0, 1.0], [4.0, 5.0]])
+    assert np.array_equal(picked.raw_sensors, np.eye(3)[[0, 2]])
+    assert picked.encoded_sensors is None
+    assert np.array_equal(batch.rows(slice(1, None)).scores, [1.0, 2.0])
+    encoded = batch.with_encoded(np.ones((3, 1)))
+    assert np.array_equal(encoded.encoded(), np.ones((3, 1)))
+    assert encoded.raw_sensors is batch.raw_sensors
 
 
 def test_estimators_require_enough_samples():
-    trials = tuple(
-        TrialRecord(np.array([float(i), 0.5 * i]), None, np.array([0.1]), float(i))
-        for i in range(3)
-    )
-    batch = TrialBatch(np.zeros(2), np.eye(2), trials)
+    policies = np.array([[float(i), 0.5 * i] for i in range(3)])
+    batch = TrialBatch(policies, np.arange(3.0), encoded_sensors=np.full((3, 1), 0.1))
     with pytest.raises(EstimationError, match="insufficient samples"):
         estimate_g1(batch)
     with pytest.raises(EstimationError, match="insufficient samples"):
@@ -107,11 +88,7 @@ def test_estimators_require_enough_samples():
 def test_g1_exact_on_noiseless_linear_scores():
     rng = substream(21)
     policies = rng.normal(size=(8, 2))
-    trials = tuple(
-        TrialRecord(p, None, None, float(p @ TRUE_GRADIENT) + 2.0) for p in policies
-    )
-    batch = TrialBatch(np.zeros(2), EXPLORATION_COV, trials)
-    estimate = estimate_g1(batch)
+    estimate = estimate_g1(TrialBatch(policies, policies @ TRUE_GRADIENT + 2.0))
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-10)
     assert estimate.offset == pytest.approx(2.0, abs=1e-10)
 
@@ -146,7 +123,7 @@ def test_variance_laws_match_monte_carlo():
     n, d, ds = 12, 2, 2
     g1, g2 = mc_gradients(env, n, reps=4000, seed=11)
     law1 = predicted_variance_g1(EXPLORATION_COV, noise, SENSOR_SLOPE, n, d)
-    law2 = predicted_variance_g2(EXPLORATION_COV, OUTPUT_VARIANCE, n, d, ds)
+    law2 = predicted_variance_g2(EXPLORATION_COV, noise, n, d, ds)
     rel1 = np.linalg.norm(np.cov(g1.T) - law1) / np.linalg.norm(law1)
     rel2 = np.linalg.norm(np.cov(g2.T) - law2) / np.linalg.norm(law2)
     assert rel1 < 0.15
@@ -154,7 +131,7 @@ def test_variance_laws_match_monte_carlo():
 
 
 def test_correlated_world_bias_and_variance_laws():
-    coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
+    coupling = COUPLING
     noise = make_noise(coupling=coupling)
     world = SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, noise)
     env = SyntheticEnv(world, correlated=True)
@@ -169,16 +146,22 @@ def test_correlated_world_bias_and_variance_laws():
     assert np.all(np.abs(g1.mean(axis=0) - TRUE_GRADIENT) < 4.0 * se1)
     assert np.all(np.abs(g2.mean(axis=0) - (TRUE_GRADIENT + bias)) < 4.0 * se2)
 
-    law = predicted_variance_g2_correlated(EXPLORATION_COV, noise, n, d, ds)
+    law = predicted_variance_g2(EXPLORATION_COV, noise, n, d, ds)
     rel = np.linalg.norm(np.cov(g2.T) - law) / np.linalg.norm(law)
     assert rel < 0.15
 
 
 def test_correlated_law_reduces_to_independent_when_uncoupled():
-    noise = make_noise(coupling=np.zeros((2, 2)))
-    law = predicted_variance_g2_correlated(EXPLORATION_COV, noise, 12, 2, 2)
-    plain = predicted_variance_g2(EXPLORATION_COV, OUTPUT_VARIANCE, 12, 2, 2)
-    assert np.allclose(law, plain, atol=1e-12)
+    plain = np.linalg.inv(EXPLORATION_COV) * OUTPUT_VARIANCE / (12 - 2 - 2 - 1)
+    for sensor_cov in (SENSOR_COV, np.zeros((2, 2))):
+        for coupling in (None, np.zeros((2, 2))):
+            noise = NoiseSpec(OUTPUT_VARIANCE, sensor_cov, None, coupling)
+            law = predicted_variance_g2(EXPLORATION_COV, noise, 12, 2, 2)
+            assert np.allclose(law, plain, atol=1e-12)
+    # A singular sensor covariance only matters once the sensors are coupled.
+    coupled = NoiseSpec(OUTPUT_VARIANCE, np.zeros((2, 2)), None, np.eye(2))
+    with pytest.raises(EstimationError, match="degenerate coupling"):
+        predicted_variance_g2(EXPLORATION_COV, coupled, 12, 2, 2)
 
 
 def test_predicted_bias_requires_a_coupling():
@@ -191,9 +174,9 @@ def test_variance_laws_reject_degenerate_dof():
     with pytest.raises(EstimationError, match="variance undefined"):
         predicted_variance_g1(EXPLORATION_COV, noise, SENSOR_SLOPE, 3, 2)
     with pytest.raises(EstimationError, match="variance undefined"):
-        predicted_variance_g2(EXPLORATION_COV, OUTPUT_VARIANCE, 5, 2, 2)
+        predicted_variance_g2(EXPLORATION_COV, noise, 5, 2, 2)
     with pytest.raises(EstimationError, match="variance undefined"):
-        predicted_variance_g2_correlated(EXPLORATION_COV, noise, 5, 2, 2)
+        predicted_variance_g2(EXPLORATION_COV, make_noise(COUPLING), 5, 2, 2)
 
 
 def test_centered_estimators_tolerate_offsets_and_sensor_means():
@@ -208,25 +191,6 @@ def test_centered_estimators_tolerate_offsets_and_sensor_means():
     policies = sample_exploration_policies(
         nominal, EXPLORATION_COV, 10, substream(51, LEARN)
     )
-    trials = tuple(env.sample_trials(policies, children(substream(51, EVAL), 10)))
-    batch = TrialBatch(nominal, EXPLORATION_COV, trials)
+    batch = env.sample_trials(policies, children(substream(51, EVAL), 10))
     estimate = estimate_g2(batch)
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-8)
-
-
-def test_estimates_attach_predicted_variance_when_noise_given():
-    noise = make_noise()
-    world = SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, noise)
-    env = SyntheticEnv(world)
-    batch = zero_mean_batch(env, 12, 0, seed=13)
-    e1 = estimate_g1(batch, noise=noise, sensor_slope=SENSOR_SLOPE)
-    e2 = estimate_g2(batch, noise=noise)
-    assert np.allclose(
-        e1.predicted_variance,
-        predicted_variance_g1(EXPLORATION_COV, noise, SENSOR_SLOPE, 12, 2),
-    )
-    assert np.allclose(
-        e2.predicted_variance,
-        predicted_variance_g2(EXPLORATION_COV, OUTPUT_VARIANCE, 12, 2, 2),
-    )
-    assert e1.residual_variance > e2.residual_variance

@@ -54,6 +54,18 @@ GOLDEN = {
     },
 }
 
+# Criterion 11's variance-check world with policy-coupled sensors: the
+# correlated sampler and the coupled covariance and bias laws.
+COUPLED_CFG = (
+    RERUN_CASES["variance-check"][0]
+    + "synthetic.policy_sensor_coupling = [[0.6, -0.3], [0.2, 0.5]]\n"
+)
+
+COUPLED_GOLDEN = {
+    "variance_report.txt": "ef48f3c1648b3cf956367c33a11746f26edc846e63b5fac42389a921f2c30204",
+    "config_echo.cfg": "a6846e75de9aeed6248e66cd6f08b114859831753cde1c4d115618598ac952e6",
+}
+
 DART_GOLDEN = {
     "learning_curve.csv": "b78719725880b0a65a035355417efee333af505e3ad1a7c7a8ec2be891ac0edf",
     "diagnostics.csv": "3494329f7664780a942fe4026ee4d764d4abd1c8eb7d2d77393e86f15958a942",
@@ -81,6 +93,11 @@ def test_small_configs_keep_their_output_digests(tmp_path, command):
     text, _ = RERUN_CASES[command]
     expected = GOLDEN[command]
     assert _output_digests(tmp_path, command, text, expected) == expected
+
+
+def test_coupled_variance_check_keeps_its_digests(tmp_path):
+    digests = _output_digests(tmp_path, "variance-check", COUPLED_CFG, COUPLED_GOLDEN)
+    assert digests == COUPLED_GOLDEN
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

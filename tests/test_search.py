@@ -100,7 +100,7 @@ class FlaggingEnv:
 
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
-        return [replace(t, flagged=(i % 3 == 0)) for i, t in enumerate(trials)]
+        return replace(trials, flagged=np.arange(len(trials)) % 3 == 0)
 
 
 def test_exploration_samples_match_the_requested_moments():
@@ -303,10 +303,7 @@ class FaultyEnv:
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
         keys = [s.bit_generator.seed_seq.spawn_key[:4] for s in streams]
-        return [
-            replace(t, flagged=True) if key == self.flagged_key else t
-            for t, key in zip(trials, keys)
-        ]
+        return replace(trials, flagged=[key == self.flagged_key for key in keys])
 
 
 def test_faults_stay_with_the_runs_they_hit():
@@ -417,7 +414,7 @@ def test_an_all_flagged_batch_fails_the_step():
 
         def sample_trials(self, policies, streams):
             trials = self.base.sample_trials(policies, streams)
-            return [replace(t, flagged=True) for t in trials]
+            return replace(trials, flagged=np.ones(len(trials), dtype=bool))
 
     env = AllFlagged(SyntheticEnv(noiseless_world()))
     config = base_config()
@@ -442,6 +439,10 @@ def test_search_config_rejects_bad_settings():
         SearchConfig(**base, learning_rate=0.0)
     with pytest.raises(ValueError, match="d x d"):
         SearchConfig(**{**base, "exploration_cov": np.eye(3)})
+    with pytest.raises(ValueError, match="symmetric"):
+        SearchConfig(**{**base, "exploration_cov": np.array([[1.0, 0.5], [0.0, 1.0]])})
+    with pytest.raises(ValueError, match="positive definite"):
+        SearchConfig(**{**base, "exploration_cov": np.diag([1.0, 0.0])})
     with pytest.raises(ValueError, match="trials_per_step"):
         SearchConfig(**{**base, "trials_per_step": 0})
 

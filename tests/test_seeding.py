@@ -6,7 +6,6 @@ from sensorgrad.seeding import (
     EVAL,
     LEARN,
     PRETRAIN,
-    RETRY,
     children,
     psd_sqrt,
     substream,
@@ -14,7 +13,7 @@ from sensorgrad.seeding import (
 
 
 def test_stream_tags_are_distinct():
-    tags = [LEARN, EVAL, RETRY, PRETRAIN, ENCODE]
+    tags = [LEARN, EVAL, PRETRAIN, ENCODE]
     assert len(set(tags)) == len(tags)
 
 

@@ -1,11 +1,6 @@
 import numpy as np
 
-from sensorgrad.envs.synthetic import (
-    SyntheticEnv,
-    SyntheticWorld,
-    correlated_sensor_trial,
-    synthetic_trial,
-)
+from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import NoiseSpec
 from sensorgrad.seeding import children, substream
 
@@ -24,19 +19,23 @@ def make_world(coupling=None, sensor_cov=None, output_variance=0.0, offset=0.0):
     return SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, offset, noise)
 
 
+def one_trial(world, policy, rng, correlated=False):
+    return SyntheticEnv(world, correlated=correlated).sample_trials(policy, [rng])
+
+
 def test_noiseless_trial_follows_the_score_equation():
     coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
     world = make_world(coupling=coupling, offset=-2.0)
     policy = np.array([1.0, 2.0])
-    trial = synthetic_trial(world, policy, substream(61))
+    trial = one_trial(world, policy, substream(61))
     expected_sensed = (
         world.noise.sensor_mean + world.noise.coupling_offset + coupling.T @ policy
     )
-    assert np.allclose(trial.raw_sensors, expected_sensed, atol=1e-12)
+    assert np.allclose(trial.raw_sensors[0], expected_sensed, atol=1e-12)
     expected_score = (
         float(policy @ TRUE_GRADIENT) + float(expected_sensed @ SENSOR_SLOPE) - 2.0
     )
-    assert trial.score == expected_score
+    assert trial.scores[0] == expected_score
     assert np.array_equal(trial.raw_sensors, trial.encoded_sensors)
 
 
@@ -44,21 +43,22 @@ def test_noiseless_correlated_trial_flips_the_coupling_sign():
     coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
     world = make_world(coupling=coupling)
     policy = np.array([1.0, 2.0])
-    trial = correlated_sensor_trial(world, policy, substream(62))
+    trial = one_trial(world, policy, substream(62), correlated=True)
     expected_sensed = (
         world.noise.sensor_mean + world.noise.coupling_offset - coupling.T @ policy
     )
-    assert np.allclose(trial.raw_sensors, expected_sensed, atol=1e-12)
+    assert np.allclose(trial.raw_sensors[0], expected_sensed, atol=1e-12)
     # the score responds to the disturbance (zero here), not the reading
-    assert trial.score == float(policy @ TRUE_GRADIENT)
+    assert trial.scores[0] == float(policy @ TRUE_GRADIENT)
 
 
 def test_score_consistent_with_returned_sensors_under_noise():
     world = make_world(sensor_cov=np.array([[0.3, 0.1], [0.1, 0.2]]))
     policy = np.array([0.4, -1.0])
-    trial = synthetic_trial(world, policy, substream(63))
-    expected = float(policy @ TRUE_GRADIENT) + float(trial.raw_sensors @ SENSOR_SLOPE)
-    assert trial.score == expected
+    trial = one_trial(world, policy, substream(63))
+    sensed = trial.raw_sensors[0]
+    expected = float(policy @ TRUE_GRADIENT) + float(sensed @ SENSOR_SLOPE)
+    assert trial.scores[0] == expected
 
 
 def test_correlated_sensor_mean_tracks_the_policy():
@@ -71,7 +71,7 @@ def test_correlated_sensor_mean_tracks_the_policy():
     trials = env.sample_trials(
         np.tile(policy, (count, 1)), children(substream(64), count)
     )
-    sensed = np.array([t.raw_sensors for t in trials])
+    sensed = trials.raw_sensors
     expected = (
         world.noise.sensor_mean + world.noise.coupling_offset - coupling.T @ policy
     )
@@ -84,13 +84,10 @@ def test_batch_sampling_matches_per_trial_streams():
     env = SyntheticEnv(world)
     policies = substream(65).normal(size=(5, 2))
     batch = env.sample_trials(policies, children(substream(66), 5))
-    singles = [
-        env.sample_trial(policies[i], stream)
-        for i, stream in enumerate(children(substream(66), 5))
-    ]
-    for a, b in zip(batch, singles):
-        assert a.score == b.score
-        assert np.array_equal(a.raw_sensors, b.raw_sensors)
+    for i, stream in enumerate(children(substream(66), 5)):
+        single = env.sample_trials(policies[i], [stream])
+        assert single.scores[0] == batch.scores[i]
+        assert np.array_equal(single.raw_sensors[0], batch.raw_sensors[i])
 
 
 def test_mean_score_matches_the_analytic_value():
@@ -102,7 +99,7 @@ def test_mean_score_matches_the_analytic_value():
     trials = env.sample_trials(
         np.tile(policy, (count, 1)), children(substream(67), count)
     )
-    scores = np.array([t.score for t in trials])
+    scores = trials.scores
     analytic = (
         float(policy @ TRUE_GRADIENT)
         + float(
