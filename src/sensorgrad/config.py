@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class Config:
 
     values: dict
     source: str = "<config>"
-    _read: set = field(default_factory=set, repr=False)
 
     def has(self, key: str) -> bool:
         return key in self.values
@@ -117,7 +116,6 @@ class Config:
         return Config(merged, self.source)
 
     def _fetch(self, key: str, default):
-        self._read.add(key)
         if key in self.values:
             return self.values[key]
         if default is _MISSING:

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs.arm import (
+    KNOTS_PER_JOINT,
     ArmWorld,
+    _knot_times,
     chain_terms,
     commanded_torques,
     dart_trials,
@@ -34,7 +36,6 @@ from .seeding import children, psd_sqrt
 
 __all__ = [
     "DynamicsModel",
-    "ResidualCurve",
     "sample_pretraining_states",
     "fit_dynamics_model",
     "predict_acceleration",
@@ -75,33 +76,6 @@ class DynamicsModel:
         object.__setattr__(self, "joint_count", k)
 
 
-@dataclass(frozen=True)
-class ResidualCurve:
-    """Per-step velocity prediction errors of one trial."""
-
-    values: np.ndarray
-    timestep: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("residual curve must be (steps, joints)")
-        if not np.isfinite(values).all():
-            raise ValueError("residual curve must be finite")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "timestep", float(self.timestep))
-
-    @property
-    def times(self) -> np.ndarray:
-        return (np.arange(self.values.shape[0]) + 1) * self.timestep
-
-
-def _hold_policy(world: ArmWorld) -> np.ndarray:
-    from .envs.arm import KNOTS_PER_JOINT
-
-    return np.repeat(np.array(world.start_posture), KNOTS_PER_JOINT)
-
-
 def sample_pretraining_states(
     world: ArmWorld,
     count: int,
@@ -109,18 +83,19 @@ def sample_pretraining_states(
     *,
     policy_mean=None,
     policy_cov=None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """States likely to be visited, from rollouts of random policies.
 
     Policies are drawn from Normal(policy_mean, policy_cov); defaults
     hold the start posture with mild knot spread.  Rollouts run with the
     world's own torque noise, and the returned states are a uniform
-    subsample (without replacement) of all visited grid states.
+    subsample (without replacement) of all visited grid states, as
+    (angles, velocities) arrays of shape (count, dof).
     """
     if count < 1:
         raise ValueError("count must be positive")
     mean = (
-        _hold_policy(world)
+        np.repeat(np.array(world.start_posture), KNOTS_PER_JOINT)
         if policy_mean is None
         else np.asarray(policy_mean, dtype=float)
     )
@@ -137,31 +112,27 @@ def sample_pretraining_states(
     policy_rng, trial_rng, pick_rng = children(rng, 3)
     policies = mean + policy_rng.standard_normal((rollouts, world.policy_dim)) @ root.T
     trials = dart_trials(world, policies, children(trial_rng, rollouts))
-    pool_q = []
-    pool_v = []
-    for raw in trials.raw_sensors:
-        angles, velocities, _ = split_dart_sensors(world, raw)
-        pool_q.append(angles)
-        pool_v.append(velocities)
-    pool_q = np.concatenate(pool_q, axis=0)
-    pool_v = np.concatenate(pool_v, axis=0)
+    angles, velocities, _ = split_dart_sensors(world, trials.raw_sensors)
+    pool_q = angles.reshape(-1, world.dof)
+    pool_v = velocities.reshape(-1, world.dof)
     total = pool_q.shape[0]
     if count > total:
         raise ValueError(f"cannot draw {count} states from {total} visited")
     picks = pick_rng.choice(total, size=count, replace=False)
-    return [(pool_q[i].copy(), pool_v[i].copy()) for i in picks]
+    return pool_q[picks], pool_v[picks]
 
 
 def fit_dynamics_model(world: ArmWorld, states) -> DynamicsModel:
     """Regress exact inverse-dynamics targets on state features.
 
-    The angle-feature design must be full rank; the angle/velocity
-    design may be rank deficient (all-zero velocities, say), in which
-    case the Coriolis map is the minimum-norm solution, which still
-    reproduces the targets on the sampled subspace.
+    ``states`` is an (angles, velocities) pair of (count, dof) arrays,
+    as :func:`sample_pretraining_states` returns.  The angle-feature
+    design must be full rank; the angle/velocity design may be rank
+    deficient (all-zero velocities, say), in which case the Coriolis map
+    is the minimum-norm solution, which still reproduces the targets on
+    the sampled subspace.
     """
-    angles = np.array([np.asarray(s[0], dtype=float) for s in states])
-    velocities = np.array([np.asarray(s[1], dtype=float) for s in states])
+    angles, velocities = (np.asarray(s, dtype=float) for s in states)
     if angles.ndim != 2 or angles.shape != velocities.shape:
         raise ValueError("states must be (angles, velocities) pairs")
     count, dof = angles.shape
@@ -207,50 +178,48 @@ def fit_dynamics_model(world: ArmWorld, states) -> DynamicsModel:
 def predict_acceleration(model: DynamicsModel, torques, angles, velocities):
     """Model acceleration under commanded torques at observed states.
 
-    Accepts single states or stacked (batch, joints) arrays.
+    Arguments have shape (..., joints); leading axes broadcast.
     """
-    torques = np.asarray(torques, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    single = angles.ndim == 1
-    torques = np.atleast_2d(torques)
-    angles = np.atleast_2d(angles)
-    velocities = np.atleast_2d(velocities)
     k = model.joint_count
     phi1 = quad_features(angles)
-    phi2 = quad_features(np.concatenate([angles, velocities], axis=1))
-    inv_mass = (phi1 @ model.inverse_mass_map).reshape(-1, k, k)
-    accel = (
-        np.einsum("bjl,bl->bj", inv_mass, torques)
+    phi2 = quad_features(np.concatenate([angles, velocities], axis=-1))
+    inv_mass = (phi1 @ model.inverse_mass_map).reshape(angles.shape[:-1] + (k, k))
+    return (
+        np.einsum("...jl,...l->...j", inv_mass, torques)
         + phi1 @ model.gravity_map
         + phi2 @ model.coriolis_map
     )
-    return accel[0] if single else accel
 
 
 def velocity_residuals(
     model: DynamicsModel, angles, velocities, torques, timestep: float
-) -> ResidualCurve:
+) -> np.ndarray:
     """Observed velocity changes minus the model's one-step predictions.
 
     ``angles`` and ``velocities`` are the sensed grid trajectories,
-    shape (steps + 1, joints); ``torques`` are the commanded torques at
-    the step starts, shape (steps, joints).
+    shape (..., steps + 1, joints); ``torques`` are the commanded
+    torques at the step starts, shape (..., steps, joints).  Returns the
+    residuals, shape (..., steps, joints); residual ``k`` belongs to
+    time ``(k + 1) * timestep``.
     """
     angles = np.asarray(angles, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     torques = np.asarray(torques, dtype=float)
-    if angles.ndim != 2 or angles.shape != velocities.shape:
+    if angles.ndim < 2 or angles.shape != velocities.shape:
         raise ValueError("trajectories must be (steps + 1, joints) arrays")
-    if angles.shape[0] < 2:
+    if angles.shape[-2] < 2:
         raise ValueError("trajectory must contain at least two samples")
-    if torques.shape != (angles.shape[0] - 1, angles.shape[1]):
+    steps = angles.shape[-2] - 1
+    if torques.shape != angles.shape[:-2] + (steps, angles.shape[-1]):
         raise ValueError("length mismatch between torques and trajectory")
     predicted = predict_acceleration(
-        model, torques, angles[:-1], velocities[:-1]
+        model, torques, angles[..., :-1, :], velocities[..., :-1, :]
     )
-    values = velocities[1:] - velocities[:-1] - predicted * timestep
-    return ResidualCurve(values=values, timestep=timestep)
+    values = velocities[..., 1:, :] - velocities[..., :-1, :] - predicted * timestep
+    if not np.isfinite(values).all():
+        raise ValueError("residual curve must be finite")
+    return values
 
 
 def spline_basis(world: ArmWorld, times) -> np.ndarray:
@@ -263,34 +232,39 @@ def spline_basis(world: ArmWorld, times) -> np.ndarray:
     """
     from scipy.interpolate import CubicSpline
 
-    from .envs.arm import KNOTS_PER_JOINT
-
-    knot_times = np.linspace(0.0, world.sim_duration, KNOTS_PER_JOINT + 1)
     targets = np.zeros((KNOTS_PER_JOINT + 1, KNOTS_PER_JOINT))
     targets[1:, :] = np.eye(KNOTS_PER_JOINT)
-    spline = CubicSpline(knot_times, targets, axis=0, bc_type="natural")
+    spline = CubicSpline(_knot_times(world), targets, axis=0, bc_type="natural")
     return spline(np.asarray(times, dtype=float))
 
 
 def project_residuals(
-    curve: ResidualCurve, basis: np.ndarray, release_time: float | None = None
+    residuals, basis: np.ndarray, release_time=None
 ) -> np.ndarray:
     """Least-squares coefficients of each joint's curve on the basis.
 
-    Returns the coefficients concatenated joint-major, with the release
-    time appended when given.
+    ``residuals`` has shape (..., steps, joints).  Returns each trial's
+    coefficients concatenated joint-major, with its release time
+    (leading shape of ``residuals``) appended when given.
     """
+    residuals = np.asarray(residuals, dtype=float)
     basis = np.asarray(basis, dtype=float)
-    steps, joints = curve.values.shape
+    if residuals.ndim < 2:
+        raise ValueError("residuals must be (steps, joints) curves")
+    steps, joints = residuals.shape[-2:]
     if basis.shape[0] != steps:
         raise ValueError("basis must be sampled at the curve's timestamps")
     if steps < basis.shape[1]:
         raise ValueError("fewer timesteps than basis functions")
-    coef = np.linalg.lstsq(basis, curve.values, rcond=None)[0]
-    flat = coef.T.reshape(-1)
+    # One solve per trial: a single lstsq over every trial's columns
+    # changes the coefficients in their last bits.
+    curves = residuals.reshape(-1, steps, joints)
+    coef = np.stack([np.linalg.lstsq(basis, c, rcond=None)[0] for c in curves])
+    flat = np.swapaxes(coef, 1, 2).reshape(residuals.shape[:-2] + (-1,))
     if release_time is None:
         return flat
-    return np.concatenate([flat, [float(release_time)]])
+    release = np.asarray(release_time, dtype=float)[..., None]
+    return np.concatenate([flat, release], axis=-1)
 
 
 def encode_dart_batch(
@@ -301,16 +275,11 @@ def encode_dart_batch(
     Encoded layout: spline coefficients of the velocity residual curve,
     joint-major, then the realized release time.
     """
-    grid_times = np.arange(world.grid_steps + 1) * world.timestep
-    basis = None
-    encoded = []
-    for policy, raw in zip(batch.policies, batch.raw()):
-        angles, velocities, release = split_dart_sensors(world, raw)
-        torques = commanded_torques(
-            world, policy, angles[:-1], velocities[:-1], grid_times[:-1]
-        )
-        curve = velocity_residuals(model, angles, velocities, torques, world.timestep)
-        if basis is None:
-            basis = spline_basis(world, curve.times)
-        encoded.append(project_residuals(curve, basis, release))
-    return batch.with_encoded(np.array(encoded))
+    angles, velocities, release = split_dart_sensors(world, batch.raw())
+    times = np.arange(world.grid_steps + 1) * world.timestep
+    torques = commanded_torques(
+        world, batch.policies, angles[:, :-1], velocities[:, :-1], times[:-1]
+    )
+    residuals = velocity_residuals(model, angles, velocities, torques, world.timestep)
+    basis = spline_basis(world, times[1:])
+    return batch.with_encoded(project_residuals(residuals, basis, release))

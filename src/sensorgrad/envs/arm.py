@@ -23,7 +23,7 @@ reconstructed exactly from its policy and its sensor trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -246,17 +246,12 @@ def arm_dynamics(world: ArmWorld, state: ArmState, torques) -> np.ndarray:
         raise ValueError("state and torques must have one entry per joint")
     if not (np.isfinite(angles).all() and np.isfinite(velocities).all()):
         raise ValueError("state must be finite")
-    tensors = _chain_tensors(world)
-    cos_t, sin_t = _angle_terms(angles[None, :])
-    mass = _mass_matrices(tensors, cos_t, sin_t)[0]
+    mass, grav, coriolis = chain_terms(world, angles, velocities)
     try:
-        np.linalg.cholesky(mass)
+        np.linalg.cholesky(mass[0])
     except np.linalg.LinAlgError:
         raise ValueError("inertia matrix is not positive definite") from None
-    grav, coriolis = _force_terms(
-        tensors, cos_t, sin_t, velocities[None, :], world.gravity
-    )
-    return np.linalg.solve(mass, torques + grav[0] + coriolis[0])
+    return np.linalg.solve(mass[0], torques + grav[0] + coriolis[0])
 
 
 def arm_energy(world: ArmWorld, state: ArmState) -> float:
@@ -291,51 +286,61 @@ def _knot_times(world: ArmWorld) -> np.ndarray:
     return np.linspace(0.0, world.sim_duration, KNOTS_PER_JOINT + 1)
 
 
-def _policy_spline(world: ArmWorld, policies: np.ndarray):
-    # policies (B, dof * KNOTS_PER_JOINT), knots joint-major
+def desired_trajectory(world: ArmWorld, policies, times):
+    """Desired joint angles and velocities of policies' tracking splines.
+
+    ``policies`` has shape (..., policy_dim), knots joint-major, and
+    ``times`` shape (steps,); both results have shape (..., steps, dof).
+    One spline serves every policy row.
+    """
     from scipy.interpolate import CubicSpline
 
-    count = policies.shape[0]
-    knots = policies.reshape(count, world.dof, KNOTS_PER_JOINT)
-    values = np.empty((KNOTS_PER_JOINT + 1, count, world.dof))
+    policies = np.asarray(policies, dtype=float)
+    knots = policies.reshape(-1, world.dof, KNOTS_PER_JOINT)
+    values = np.empty((KNOTS_PER_JOINT + 1, knots.shape[0], world.dof))
     values[0] = np.array(world.start_posture)
     values[1:] = np.moveaxis(knots, 2, 0)
-    return CubicSpline(_knot_times(world), values, axis=0, bc_type="natural")
-
-
-def desired_trajectory(world: ArmWorld, policy, times):
-    """Desired joint angles and velocities of a policy's tracking splines."""
-    policy = np.asarray(policy, dtype=float)
-    spline = _policy_spline(world, policy[None, :])
+    spline = CubicSpline(_knot_times(world), values, axis=0, bc_type="natural")
     times = np.asarray(times, dtype=float)
-    return spline(times)[:, 0, :], spline(times, 1)[:, 0, :]
+    shape = policies.shape[:-1] + (times.size, world.dof)
+
+    def rows_first(samples):  # (steps, rows, dof) -> (..., steps, dof)
+        return np.moveaxis(samples, 1, 0).reshape(shape)
+
+    return rows_first(spline(times)), rows_first(spline(times, 1))
 
 
-def commanded_torques(world: ArmWorld, policy, angles, velocities, times):
+def _pd_torques(world: ArmWorld, des_pos, des_vel, angles, velocities):
+    return np.array(world.kp) * (des_pos - angles) + np.array(world.kd) * (
+        des_vel - velocities
+    )
+
+
+def commanded_torques(world: ArmWorld, policies, angles, velocities, times):
     """PD torques the controller commands at the given observed states.
 
     This is the pre-noise torque; it is exactly reconstructible from a
     trial's policy and sensor trajectories because the controller reads
-    the state only at step starts.
+    the state only at step starts.  ``angles`` and ``velocities`` have
+    shape (..., steps, dof), matching the leading axes of ``policies``.
     """
-    des_pos, des_vel = desired_trajectory(world, policy, times)
-    kp = np.array(world.kp)
-    kd = np.array(world.kd)
-    return kp * (des_pos - np.asarray(angles)) + kd * (des_vel - np.asarray(velocities))
+    des_pos, des_vel = desired_trajectory(world, policies, times)
+    return _pd_torques(world, des_pos, des_vel, angles, velocities)
 
 
 def split_dart_sensors(world: ArmWorld, raw):
-    """Unpack a raw sensor vector into (angles, velocities, release_time).
+    """Unpack raw sensors into (angles, velocities, release_time).
 
-    Trajectories have shape (grid_steps + 1, dof), sampled at multiples
-    of the timestep starting at zero.
+    ``raw`` has shape (..., sensor_dim).  Trajectories have shape
+    (..., grid_steps + 1, dof), sampled at multiples of the timestep
+    starting at zero; release times have the leading shape.
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.shape != (world.sensor_dim,):
+    if raw.shape[-1:] != (world.sensor_dim,):
         raise ValueError("length mismatch: raw sensors do not match this world")
     samples = world.grid_steps + 1
-    blocks = raw[:-1].reshape(samples, 2 * world.dof)
-    return blocks[:, : world.dof], blocks[:, world.dof :], float(raw[-1])
+    blocks = raw[..., :-1].reshape(raw.shape[:-1] + (samples, 2 * world.dof))
+    return blocks[..., : world.dof], blocks[..., world.dof :], raw[..., -1]
 
 
 def _rk4_step(world, tensors, angles, velocities, torques, step):
@@ -383,12 +388,8 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
         mult[i, :span] = streams[i].standard_normal((span, dof)) * mult_std
         add[i, :span] = streams[i].standard_normal((span, dof)) * add_std
 
-    spline = _policy_spline(world, policies)
     step_times = np.arange(max_intervals) * dt
-    des_pos = spline(step_times)
-    des_vel = spline(step_times, 1)
-    kp = np.array(world.kp)
-    kd = np.array(world.kd)
+    des_pos, des_vel = desired_trajectory(world, policies, step_times)
 
     angles = np.zeros((count, max_intervals + 1, dof))
     velocities = np.zeros((count, max_intervals + 1, dof))
@@ -398,7 +399,7 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
     for k in range(max_intervals):
         q = angles[:, k]
         v = velocities[:, k]
-        commanded = kp * (des_pos[k] - q) + kd * (des_vel[k] - v)
+        commanded = _pd_torques(world, des_pos[:, k], des_vel[:, k], q, v)
         torques[:, k] = commanded * (1.0 + mult[:, k]) + add[:, k]
         new_q, new_v = _rk4_step(world, tensors, q, v, torques[:, k], dt)
         ok = np.isfinite(new_q).all(axis=1) & np.isfinite(new_v).all(axis=1)

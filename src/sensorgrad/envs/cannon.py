@@ -96,26 +96,18 @@ def cannon_range(control, gravity: float = 9.8):
     return speed**2 * np.sin(2.0 * angle) / gravity
 
 
-def _check_policy(policy: np.ndarray) -> np.ndarray:
-    policy = np.asarray(policy, dtype=float)
-    if policy.shape != (2,):
-        raise ValueError("cannon policy must be (speed, angle)")
-    if not policy[0] > 0.0:
-        raise PolicyDomainError("commanded speed must be positive")
-    if not (0.0 < policy[1] < np.pi / 2.0):
-        raise PolicyDomainError("commanded angle must lie in (0, pi/2)")
-    return policy
-
-
 def _check_policies(policies) -> np.ndarray:
-    """Validate policy rows; the first bad row raises as ``_check_policy`` would."""
+    """Validate policy rows; the first bad row raises, naming its bad control."""
     policies = np.atleast_2d(np.asarray(policies, dtype=float))
     if policies.ndim != 2 or policies.shape[1] != 2:
         raise ValueError("cannon policy must be (speed, angle)")
-    speed, angle = policies[:, 0], policies[:, 1]
-    bad = ~((speed > 0.0) & (0.0 < angle) & (angle < np.pi / 2.0))
+    slow = ~(policies[:, 0] > 0.0)
+    steep = ~((0.0 < policies[:, 1]) & (policies[:, 1] < np.pi / 2.0))
+    bad = slow | steep
     if bad.any():
-        _check_policy(policies[int(np.argmax(bad))])
+        if slow[np.argmax(bad)]:
+            raise PolicyDomainError("commanded speed must be positive")
+        raise PolicyDomainError("commanded angle must lie in (0, pi/2)")
     return policies
 
 
@@ -128,10 +120,10 @@ def cannon_true_value(
     values at nearby policies share randomness and finite differences
     of this function estimate the value gradient with low variance.
     """
-    policy = _check_policy(policy)
+    (policy,) = _check_policies(policy)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((samples, 2)) @ psd_sqrt(world.control_noise_cov).T
-    ranges = cannon_range(policy[None, :] + noise, world.gravity)
+    ranges = cannon_range(policy + noise, world.gravity)
     return float(np.mean(-((ranges - world.target_range) ** 2)))
 
 

@@ -133,9 +133,15 @@ def quad_features(x: np.ndarray) -> np.ndarray:
     z = np.concatenate(
         [np.ones(x.shape[:-1] + (1,)), x], axis=-1
     )
-    k1 = z.shape[-1]
-    rows, cols = np.triu_indices(k1)
-    return z[..., rows] * z[..., cols]
+    rows, cols = np.triu_indices(z.shape[-1])
+    # Features are stored outermost, the layout ``z[..., rows] * z[...,
+    # cols]`` would have: the matmuls downstream round differently on a
+    # C-ordered copy.  Filling one feature at a time skips that
+    # expression's two full-size index temporaries.
+    out = np.empty((rows.size,) + x.shape[:-1])
+    for feature, (r, c) in enumerate(zip(rows, cols)):
+        np.multiply(z[..., r], z[..., c], out=out[feature, ...])
+    return np.moveaxis(out, 0, -1)
 
 
 def quad_feature_count(k: int) -> int:

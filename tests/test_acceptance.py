@@ -327,7 +327,7 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
         residuals = velocity_residuals(
             model, angles, velocities, torques, quiet.timestep
         )
-        model_square += float(np.sum(residuals.values**2))
+        model_square += float(np.sum(residuals**2))
         zero_square += float(np.sum(np.diff(velocities, axis=0) ** 2))
     ratio = float(np.sqrt(model_square / zero_square))
 

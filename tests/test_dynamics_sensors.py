@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sensorgrad.dynamics_sensors import (
-    ResidualCurve,
     encode_dart_batch,
     fit_dynamics_model,
     predict_acceleration,
@@ -31,11 +30,11 @@ def model():
 def test_pretraining_states_are_reproducible_and_bounded():
     a = sample_pretraining_states(WORLD, 50, substream(1, PRETRAIN))
     b = sample_pretraining_states(WORLD, 50, substream(1, PRETRAIN))
-    assert len(a) == 50
-    for (qa, va), (qb, vb) in zip(a, b):
-        assert np.array_equal(qa, qb)
-        assert np.array_equal(va, vb)
-        assert np.isfinite(qa).all() and np.isfinite(va).all()
+    (qa, va), (qb, vb) = a, b
+    assert qa.shape == va.shape == (50, WORLD.dof)
+    assert np.array_equal(qa, qb)
+    assert np.array_equal(va, vb)
+    assert np.isfinite(qa).all() and np.isfinite(va).all()
     with pytest.raises(ValueError, match="positive"):
         sample_pretraining_states(WORLD, 0, substream(1, PRETRAIN))
 
@@ -61,7 +60,7 @@ def test_prediction_tracks_the_exact_dynamics(model):
     rng = substream(4)
     errors = []
     scales = []
-    for q, v in states:
+    for q, v in zip(*states):
         torque = rng.normal(size=3) * 5.0
         exact = arm_dynamics(WORLD, ArmState(q, v, 0.0), torque)
         predicted = predict_acceleration(model, torque, q, v)
@@ -96,10 +95,9 @@ def test_velocity_residuals_vanish_on_model_consistent_motion(model):
         accel = predict_acceleration(model, torques[k], angles[k], velocities[k])
         velocities[k + 1] = velocities[k] + accel * dt
         angles[k + 1] = angles[k] + velocities[k] * dt
-    curve = velocity_residuals(model, angles, velocities, torques, dt)
-    assert curve.values.shape == (steps, 3)
-    assert np.allclose(curve.values, 0.0, atol=1e-12)
-    assert np.allclose(curve.times, (np.arange(steps) + 1) * dt)
+    residuals = velocity_residuals(model, angles, velocities, torques, dt)
+    assert residuals.shape == (steps, 3)
+    assert np.allclose(residuals, 0.0, atol=1e-12)
 
 
 def test_velocity_residuals_validate_shapes(model):
@@ -125,7 +123,7 @@ def test_project_residuals_recovers_planted_coefficients():
     basis = spline_basis(WORLD, times)
     rng = substream(7)
     coefficients = rng.normal(size=(KNOTS_PER_JOINT, 3))
-    curve = ResidualCurve(values=basis @ coefficients, timestep=WORLD.timestep)
+    curve = basis @ coefficients
     flat = project_residuals(curve, basis)
     assert np.allclose(flat, coefficients.T.reshape(-1), atol=1e-10)
     with_release = project_residuals(curve, basis, release_time=0.21)
@@ -142,3 +140,20 @@ def test_encode_dart_batch_layout(model):
     assert np.array_equal(sensors[:, -1], batch.raw_sensors[:, -1])
     again = encode_dart_batch(WORLD, model, batch)
     assert np.array_equal(sensors, again.encoded())
+
+
+def test_encoding_does_not_depend_on_batch_composition(model):
+    # Each trial's sensors must come out bit for bit the same whatever
+    # batch it is encoded in; the regression would otherwise see the
+    # lockstep grouping of runs in its inputs.
+    policy = np.repeat(np.array(WORLD.start_posture), KNOTS_PER_JOINT)
+    policies = policy + 0.05 * substream(9).standard_normal((48, policy.size))
+    batch = dart_trials(WORLD, policies, children(substream(9, 1), 48))
+    whole = encode_dart_batch(WORLD, model, batch).encoded()
+    halves = [batch.rows(slice(None, 24)), batch.rows(slice(24, None))]
+    singles = [batch.rows(slice(i, i + 1)) for i in range(48)]
+    for parts in (halves, singles):
+        stacked = np.concatenate(
+            [encode_dart_batch(WORLD, model, part).encoded() for part in parts]
+        )
+        assert np.array_equal(whole, stacked)
