@@ -21,13 +21,9 @@ import argparse
 import os
 import sys
 
+from . import experiments
 from .config import Config, ConfigError, load_config
-from .experiments import (
-    encode_search_experiment,
-    run_experiment,
-    schema_check,
-    variance_check_experiment,
-)
+from .experiments import COMMANDS, schema_check
 
 __all__ = ["main"]
 
@@ -47,11 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_args(p, threads=False):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if threads:
+        if name == "run":
             p.add_argument(
                 "--threads",
                 type=int,
@@ -60,19 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "always advance in lockstep in one thread, so results and "
                 "speed are the same at any value",
             )
-
-    add_config_args(
-        sub.add_parser("run", help="run a learning-curve experiment"),
-        threads=True,
-    )
-    add_config_args(
-        sub.add_parser(
-            "variance-check", help="validate the estimator covariance laws"
-        )
-    )
-    add_config_args(
-        sub.add_parser("encode-search", help="search for a sensor projection")
-    )
     check = sub.add_parser(
         "schema-check", help="validate the files of an output directory"
     )
@@ -103,60 +87,28 @@ def _resolve_out_dir(args, cfg: Config | None):
     return "sensorgrad_out"
 
 
-def _cmd_run(args) -> int:
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    cfg = _load_config(args)
-    out_dir = _resolve_out_dir(args, cfg)
-    paths = run_experiment(cfg, out_dir)
-    print(f"config hash {cfg.hash()}")
-    for path in paths:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_variance_check(args) -> int:
-    cfg = _load_config(args)
-    out_dir = _resolve_out_dir(args, cfg)
-    lines, ok, paths = variance_check_experiment(cfg, out_dir)
+def _run_command(args) -> int:
+    if args.command == "schema-check":
+        lines, ok = schema_check(_resolve_out_dir(args, None))
+        paths = []
+    else:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError("--threads must be >= 1")
+        cfg = _load_config(args)
+        # By name at call time, so a wrapper bound to the entry point sees it.
+        entry = getattr(experiments, COMMANDS[args.command].entry)
+        lines, ok, paths = entry(cfg, _resolve_out_dir(args, cfg))
     for line in lines:
         print(line)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK if ok else EXIT_THRESHOLD
-
-
-def _cmd_encode_search(args) -> int:
-    cfg = _load_config(args)
-    out_dir = _resolve_out_dir(args, cfg)
-    lines, ok, paths = encode_search_experiment(cfg, out_dir)
-    for line in lines:
-        print(line)
-    for path in paths:
-        print(f"wrote {path}")
-    return EXIT_OK if ok else EXIT_THRESHOLD
-
-
-def _cmd_schema_check(args) -> int:
-    out_dir = _resolve_out_dir(args, None)
-    lines, ok = schema_check(out_dir)
-    for line in lines:
-        print(line)
-    return EXIT_OK if ok else EXIT_THRESHOLD
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "variance-check": _cmd_variance_check,
-    "encode-search": _cmd_encode_search,
-    "schema-check": _cmd_schema_check,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _run_command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

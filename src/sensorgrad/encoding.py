@@ -48,14 +48,12 @@ _LEVERAGE_TOL = 1e-10
 class SensorProjection:
     """A sensor projection with unit-norm columns.
 
-    ``column_norms`` records the column norms of the unnormalized
-    matrix the optimizer produced; ``cost`` and ``cost_trace`` carry
-    the winning restart's leave-one-out cost and its per-iteration
-    history when the projection came from :func:`optimize_projection`.
+    ``cost`` and ``cost_trace`` carry the winning restart's leave-one-out
+    cost and its per-iteration history when the projection came from
+    :func:`optimize_projection`.
     """
 
     matrix: np.ndarray
-    column_norms: np.ndarray
     cost: float | None = None
     cost_trace: tuple[float, ...] | None = None
 
@@ -64,18 +62,6 @@ class SensorProjection:
         if mat.ndim != 2:
             raise ValueError("projection matrix must be 2-d")
         object.__setattr__(self, "matrix", mat)
-        norms = np.asarray(self.column_norms, dtype=float)
-        if norms.shape != (mat.shape[1],):
-            raise ValueError("column_norms must match the column count")
-        object.__setattr__(self, "column_norms", norms)
-
-    @property
-    def raw_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -87,15 +73,12 @@ class EncodingSearchConfig:
     gradient of the leave-one-out cost.  One restart is
     initialized from the principal components of the raw sensors; the
     rest are random orthonormal matrices drawn from ``seed``.
-    ``init_projection``, when given, is tried as an extra warm-start
-    restart.
     """
 
     target_dim: int
     max_iterations: int = 60
     restarts: int = 5
     seed: int = 0
-    init_projection: np.ndarray | None = None
 
     def __post_init__(self):
         if self.target_dim < 0:
@@ -104,11 +87,6 @@ class EncodingSearchConfig:
             raise ValueError("max_iterations must be non-negative")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.init_projection is not None:
-            init = np.asarray(self.init_projection, dtype=float)
-            if init.ndim != 2 or init.shape[1] != self.target_dim:
-                raise ValueError("init_projection must have target_dim columns")
-            object.__setattr__(self, "init_projection", init)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +255,12 @@ def optimize_projection(
     ds = config.target_dim
     if ds == 0:
         cost = loo_cost(batch, np.zeros((raw_dim, 0)), sensors=raw)
-        return SensorProjection(
-            np.zeros((raw_dim, 0)), np.zeros(0), cost=cost, cost_trace=(cost,)
-        )
+        return SensorProjection(np.zeros((raw_dim, 0)), cost=cost, cost_trace=(cost,))
 
     centered = _centered(batch, raw)
     rng = np.random.default_rng(config.seed)
-    inits: list[np.ndarray] = []
-    if config.init_projection is not None:
-        init = np.asarray(config.init_projection, dtype=float)
-        if init.shape != (raw_dim, ds):
-            raise ValueError("init_projection shape mismatch")
-        inits.append(init)
-    inits.append(_pca_init(raw, ds))
-    while len(inits) < config.restarts + (config.init_projection is not None):
+    inits = [_pca_init(raw, ds)]
+    while len(inits) < config.restarts:
         inits.append(_orthonormalized(rng.standard_normal((raw_dim, ds))))
 
     best_flat: np.ndarray | None = None
@@ -329,11 +299,8 @@ def optimize_projection(
             best_flat, best_cost, best_trace = final_x, final_c, trace
     if best_flat is None:
         raise EncodingError("no valid projection found")
-    best = best_flat.reshape(raw_dim, ds)
-    norms = np.linalg.norm(best, axis=0)
-    return SensorProjection(
-        _orthonormalized(best), norms, cost=best_cost, cost_trace=best_trace
-    )
+    best = _orthonormalized(best_flat.reshape(raw_dim, ds))
+    return SensorProjection(best, cost=best_cost, cost_trace=best_trace)
 
 
 def estimate_gradient_encoded(

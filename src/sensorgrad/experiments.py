@@ -7,6 +7,12 @@ conventions: every file starts with a ``# config_hash=`` line tying it
 to the exact configuration, floats are written with ``repr`` so reruns
 are byte-identical, and nothing time- or host-dependent is ever
 written.
+
+Each output file is declared once, as a ``CsvFile`` (typed columns and
+optional trailing columns) or a ``TextFile``, and each config-driven
+command once, in ``COMMANDS``: its config keys, its compute function
+and its file set.  The writers and ``schema_check`` both read these
+declarations; ``diagnostics.csv``'s columns are ``StepRecord``'s fields.
 """
 
 from __future__ import annotations
@@ -14,10 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import os
+from dataclasses import dataclass, replace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .config import Config, ConfigError, canonical_text
+from .config import Config, ConfigError, canonical_text, config_hash, parse_config_text
 from .envs.arm import ArmWorld, DartEnv
 from .envs.cannon import CannonEnv, CannonWorld
 from .envs.synthetic import SyntheticEnv, SyntheticWorld
@@ -33,6 +41,7 @@ from .estimators import (
 from .search import (
     ESTIMATORS,
     SearchConfig,
+    StepRecord,
     check_exploration_cov,
     run_learning_curve,
     sample_exploration_policies,
@@ -41,13 +50,16 @@ from .seeding import ENCODE, EVAL, LEARN, PRETRAIN, children, substream
 
 __all__ = [
     "HASH_PREFIX",
+    "COMMANDS",
     "prepare_out_dir",
     "write_csv",
     "write_text",
     "run_experiment",
     "variance_check",
+    "variance_check_experiment",
     "replicate_gradients",
     "encode_search",
+    "encode_search_experiment",
     "schema_check",
 ]
 
@@ -57,7 +69,11 @@ _DEG2 = (np.pi / 180.0) ** 2
 
 _COMMON_KEYS = {"seed", "output.dir"}
 
-_SEARCH_KEYS = {
+# Config keys each command accepts besides ``_COMMON_KEYS``.
+_RUN_KEYS = {
+    "run.environment",
+    "run.estimators",
+    "run.noise_scales",
     "search.initial_policy",
     "search.trials_per_step",
     "search.exploration_cov",
@@ -70,16 +86,10 @@ _SEARCH_KEYS = {
     "search.encode_trials_per_step",
     "search.encode_max_iterations",
     "search.encode_restarts",
-}
-
-_CANNON_KEYS = {
     "cannon.control_noise_diag",
     "cannon.sensor_noise_diag",
     "cannon.gravity",
     "cannon.target_range",
-}
-
-_DART_KEYS = {
     "dart.torque_mult_std",
     "dart.torque_add_std",
     "dart.release_time_std",
@@ -91,15 +101,7 @@ _DART_KEYS = {
     "dart.pretrain_policy_cov",
 }
 
-RUN_KEYS = (
-    _COMMON_KEYS
-    | {"run.environment", "run.estimators", "run.noise_scales"}
-    | _SEARCH_KEYS
-    | _CANNON_KEYS
-    | _DART_KEYS
-)
-
-VARIANCE_KEYS = _COMMON_KEYS | {
+_VARIANCE_KEYS = {
     "synthetic.true_gradient",
     "synthetic.sensor_slope",
     "synthetic.output_variance",
@@ -110,7 +112,7 @@ VARIANCE_KEYS = _COMMON_KEYS | {
     "variance.replications",
 }
 
-ENCODE_KEYS = _COMMON_KEYS | {
+_ENCODE_KEYS = {
     "encode.raw_dim",
     "encode.samples",
     "encode.target_dim",
@@ -122,23 +124,6 @@ ENCODE_KEYS = _COMMON_KEYS | {
     "encode.restarts",
     "encode.min_cosine",
 }
-
-LEARNING_CURVE_COLUMNS = ("step", "estimator", "mean_value", "std_error", "runs")
-
-DIAGNOSTICS_COLUMNS = (
-    "estimator",
-    "run",
-    "step",
-    "gradient_norm",
-    "loo_cost",
-    "mean_trial_score",
-    "flagged",
-    "retried",
-    "eval_mean",
-    "eval_std_error",
-    "error",
-)
-
 
 # ---------------------------------------------------------------------------
 # output conventions
@@ -211,6 +196,115 @@ def _matrix_lines(label: str, matrix: np.ndarray) -> list:
 
 def _vector_text(vector: np.ndarray) -> str:
     return "[" + ", ".join(repr(float(v)) for v in np.asarray(vector).ravel()) + "]"
+
+
+# ---------------------------------------------------------------------------
+# output files: one declaration each, read by the writers and schema_check
+# ---------------------------------------------------------------------------
+
+
+def _parses(kind: type, cell: str) -> bool:
+    """Whether ``cell`` is how ``format_cell`` writes a value of ``kind``."""
+    if kind is bool:
+        return cell in ("true", "false")
+    try:
+        kind(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class CsvFile:
+    """A CSV output: columns mapped to their kinds, then optional trailing ones.
+
+    ``tail`` names trailing ``float`` columns: a plain name is one optional
+    column (a sweep's ``noise_scale``), a name with ``{}`` is any number of
+    numbered columns (``c{}`` gives ``c0``, ``c1``, ...).  The file's
+    content is (number of trailing columns, rows).
+    """
+
+    name: str
+    columns: dict
+    tail: str | None = None
+
+    def header(self, extra: int = 0) -> list:
+        return [*self.columns] + [self.tail.format(j) for j in range(extra)]
+
+    def write(self, path, cfg_hash: str, content) -> None:
+        extra, rows = content
+        write_csv(path, cfg_hash, self.header(extra), rows)
+
+    def check(self, path, claimed: str) -> str | None:
+        """The first way the file breaks this declaration, or None."""
+        with open(path, "r", encoding="utf-8") as handle:
+            handle.readline()
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                return "missing header row"
+            extra = max(len(header) - len(self.columns), 0)
+            if self.tail is None or ("{}" not in self.tail and header != self.header(1)):
+                extra = 0
+            if header != self.header(extra):
+                return (
+                    f"header {header} does not match the documented schema "
+                    f"{self.header(extra)}"
+                )
+            kinds = [*self.columns.values()] + [float] * extra
+            for row_number, row in enumerate(reader, start=3):
+                if len(row) != len(header):
+                    return f"row {row_number} has {len(row)} cells, expected {len(header)}"
+                for kind, cell, column in zip(kinds, row, header):
+                    if not _parses(kind, cell):
+                        return (
+                            f"row {row_number} column '{column}' holds "
+                            f"unparseable value {cell!r}"
+                        )
+        return None
+
+    def row(self, values: dict, tail: list) -> list:
+        """The cells of ``values`` in column order, then ``tail``."""
+        return [values[name] for name in self.columns] + tail
+
+
+@dataclass(frozen=True)
+class TextFile:
+    """A text output, one line per entry; ``echo`` marks the config echo,
+    whose body must hash to the value its hash line claims."""
+
+    name: str
+    echo: bool = False
+
+    def write(self, path, cfg_hash: str, lines) -> None:
+        write_text(path, cfg_hash, lines)
+
+    def check(self, path, claimed: str) -> str | None:
+        """The first way the file breaks this declaration, or None."""
+        if not self.echo:
+            return None
+        with open(path, "r", encoding="utf-8") as handle:
+            body = "".join(handle.readlines()[1:])
+        try:
+            actual = config_hash(parse_config_text(body, source=self.name))
+        except ConfigError as exc:
+            return f"unparseable config echo: {exc}"
+        if actual != claimed:
+            return f"config echo hashes to {actual[:12]}.. but claims {claimed[:12]}.."
+        return None
+
+
+LEARNING_CURVE = CsvFile(
+    "learning_curve.csv",
+    dict(step=int, estimator=str, mean_value=float, std_error=float, runs=int),
+    tail="noise_scale",
+)
+DIAGNOSTICS = CsvFile("diagnostics.csv", get_type_hints(StepRecord), tail="noise_scale")
+PROJECTION = CsvFile("projection.csv", dict(raw_index=int), tail="c{}")
+ENCODE_TRACE = CsvFile("encode_trace.csv", dict(iteration=int, cost=float))
+VARIANCE_REPORT = TextFile("variance_report.txt")
+ENCODE_REPORT = TextFile("encode_report.txt")
+CONFIG_ECHO = TextFile("config_echo.cfg", echo=True)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +435,14 @@ def _build_environments(cfg: Config):
 
 
 def run_tables(cfg: Config):
-    """Learning-curve and diagnostics tables for a run config.
+    """Learning-curve and diagnostics rows for a run config.
 
-    Returns (learning_header, learning_rows, diag_header, diag_rows,
-    curves) where curves maps (noise_scale, estimator) to the
-    LearningCurve.  A ``noise_scale`` column is appended to both tables
-    only when the sweep has more than one scale, keeping the
-    single-scale schema exactly at its five pinned columns.
+    Returns (tables, curves): tables maps ``learning_curve.csv`` and
+    ``diagnostics.csv`` to their content, and curves maps (noise_scale,
+    estimator) to the LearningCurve.  The ``noise_scale`` column ends
+    both files only when the sweep has more than one scale, keeping the
+    single-scale files at their pinned columns.
     """
-    cfg.check_unknown(RUN_KEYS)
     estimators = cfg.get_str_list("run.estimators")
     if not estimators:
         raise ConfigError(f"{cfg.source}: key 'run.estimators' must be nonempty")
@@ -366,58 +459,43 @@ def run_tables(cfg: Config):
     configs = {name: build_search_config(cfg, name) for name in estimators}
     environments = _build_environments(cfg)
     sweep = len(environments) > 1
-    learning_header = list(LEARNING_CURVE_COLUMNS) + (["noise_scale"] if sweep else [])
-    diag_header = list(DIAGNOSTICS_COLUMNS) + (["noise_scale"] if sweep else [])
     learning_rows = []
     diag_rows = []
     curves = {}
     for scale, env in environments:
+        tail = [scale] if sweep else []
         for estimator in estimators:
             curve = run_learning_curve(env, configs[estimator])
             curves[(scale, estimator)] = curve
-            for step in range(curve.mean_values.shape[0]):
-                row = [
-                    step + 1,
-                    estimator,
-                    float(curve.mean_values[step]),
-                    float(curve.std_errors[step]),
-                    curve.completed_runs,
-                ]
-                if sweep:
-                    row.append(scale)
-                learning_rows.append(row)
+            for step, (mean, error) in enumerate(
+                zip(curve.mean_values, curve.std_errors), start=1
+            ):
+                point = dict(
+                    step=step,
+                    estimator=estimator,
+                    mean_value=mean,
+                    std_error=error,
+                    runs=curve.completed_runs,
+                )
+                learning_rows.append(LEARNING_CURVE.row(point, tail))
             for record in curve.diagnostics:
-                row = [
-                    record.estimator,
-                    record.run,
-                    record.step + 1,
-                    record.gradient_norm,
-                    record.loo_cost,
-                    record.mean_trial_score,
-                    record.flagged_count,
-                    record.retried,
-                    record.eval_mean,
-                    record.eval_std_error,
-                    record.error,
-                ]
-                if sweep:
-                    row.append(scale)
-                diag_rows.append(row)
-    return learning_header, learning_rows, diag_header, diag_rows, curves
+                values = vars(replace(record, step=record.step + 1))
+                diag_rows.append(DIAGNOSTICS.row(values, tail))
+    tables = {
+        LEARNING_CURVE.name: (int(sweep), learning_rows),
+        DIAGNOSTICS.name: (int(sweep), diag_rows),
+    }
+    return tables, curves
 
 
-def run_experiment(cfg: Config, out_dir) -> list:
+def _run_outputs(cfg: Config):
+    tables, _ = run_tables(cfg)
+    return [f"config hash {cfg.hash()}"], True, tables
+
+
+def run_experiment(cfg: Config, out_dir):
     """Execute a run config and write its output files."""
-    learning_header, learning_rows, diag_header, diag_rows, _ = run_tables(cfg)
-    cfg_hash = cfg.hash()
-    prepare_out_dir(out_dir, cfg_hash)
-    curve_path = os.path.join(out_dir, "learning_curve.csv")
-    diag_path = os.path.join(out_dir, "diagnostics.csv")
-    echo_path = os.path.join(out_dir, "config_echo.cfg")
-    write_csv(curve_path, cfg_hash, learning_header, learning_rows)
-    write_csv(diag_path, cfg_hash, diag_header, diag_rows)
-    write_text(echo_path, cfg_hash, canonical_text(cfg.values).splitlines())
-    return [curve_path, diag_path, echo_path]
+    return _execute(COMMANDS["run"], cfg, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +506,20 @@ def run_experiment(cfg: Config, out_dir) -> list:
 def _deviation_in_ses(mean, target, se) -> np.ndarray:
     """|mean - target| in standard errors, tolerating exact estimators."""
     diff = np.abs(mean - target)
-    out = np.empty_like(diff)
-    for i in range(diff.shape[0]):
-        if diff[i] < 1e-9:
-            out[i] = 0.0
-        elif se[i] > 0.0:
-            out[i] = diff[i] / se[i]
-        else:
-            out[i] = np.inf
-    return out
+    ratio = np.divide(diff, se, out=np.full_like(diff, np.inf), where=se > 0.0)
+    return np.where(diff < 1e-9, 0.0, ratio)
 
 
 def variance_check(cfg: Config):
     """Monte Carlo validation of the covariance and bias laws.
 
-    Returns (report lines, ok).  The generative world is zero mean and
-    the estimators run uncentered, the regime where the covariance laws
-    are exact.  Covariance checks use a 10% relative Frobenius limit
-    (empirical norm below 1e-12 when a law predicts exact recovery),
-    mean checks a 3-standard-error limit.
+    Returns (report lines, ok, tables), tables mapping
+    ``variance_report.txt`` to the report lines.  The generative world
+    is zero mean and the estimators run uncentered, the regime where the
+    covariance laws are exact.  Covariance checks use a 10% relative
+    Frobenius limit (empirical norm below 1e-12 when a law predicts
+    exact recovery), mean checks a 3-standard-error limit.
     """
-    cfg.check_unknown(VARIANCE_KEYS)
     a_pi = cfg.get_vector("synthetic.true_gradient")
     a_s = cfg.get_vector("synthetic.sensor_slope")
     s2 = cfg.get_float("synthetic.output_variance")
@@ -530,7 +601,7 @@ def variance_check(cfg: Config):
             "(limit 3): " + ("ok" if dev_ok else "FAIL")
         )
     lines.append("result: " + ("PASS" if ok else "FAIL"))
-    return lines, ok
+    return lines, ok, {VARIANCE_REPORT.name: lines}
 
 
 def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
@@ -556,14 +627,7 @@ def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
 
 def variance_check_experiment(cfg: Config, out_dir):
     """Run the variance check and persist its report."""
-    lines, ok = variance_check(cfg)
-    cfg_hash = cfg.hash()
-    prepare_out_dir(out_dir, cfg_hash)
-    report_path = os.path.join(out_dir, "variance_report.txt")
-    write_text(report_path, cfg_hash, lines)
-    echo_path = os.path.join(out_dir, "config_echo.cfg")
-    write_text(echo_path, cfg_hash, canonical_text(cfg.values).splitlines())
-    return lines, ok, [report_path, echo_path]
+    return _execute(COMMANDS["variance-check"], cfg, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +635,16 @@ def variance_check_experiment(cfg: Config, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def encode_search_tables(cfg: Config):
+def encode_search(cfg: Config):
     """Projection search on a generated raw-sensor problem.
 
-    Returns (report lines, ok, projection rows, trace rows).  With
-    ``encode.planted`` the scores follow a single hidden direction
-    through the raw sensors and the report carries the recovered
-    cosine; otherwise every raw coordinate feeds the score.  The trace
-    has one row per optimizer iteration actually performed.
+    Returns (report lines, ok, tables), tables mapping each output file
+    but the config echo to its content.  With ``encode.planted`` the
+    scores follow a single hidden direction through the raw sensors and
+    the report carries the recovered cosine; otherwise every raw
+    coordinate feeds the score.  The trace has one row per optimizer
+    iteration actually performed.
     """
-    cfg.check_unknown(ENCODE_KEYS)
     raw_dim = cfg.get_int("encode.raw_dim")
     samples = cfg.get_int("encode.samples")
     target_dim = cfg.get_int("encode.target_dim")
@@ -652,135 +716,95 @@ def encode_search_tables(cfg: Config):
             )
     lines.append("result: " + ("PASS" if ok else "FAIL"))
 
-    projection_rows = [
-        [i] + [float(v) for v in projection.matrix[i]] for i in range(raw_dim)
-    ]
-    trace_rows = [
-        [i + 1, float(cost)] for i, cost in enumerate(projection.cost_trace[1:])
-    ]
-    return lines, ok, projection_rows, trace_rows
+    projection_rows = [[i, *row] for i, row in enumerate(projection.matrix)]
+    tables = {
+        PROJECTION.name: (target_dim, projection_rows),
+        ENCODE_TRACE.name: (0, list(enumerate(projection.cost_trace[1:], start=1))),
+        ENCODE_REPORT.name: lines,
+    }
+    return lines, ok, tables
 
 
 def encode_search_experiment(cfg: Config, out_dir):
     """Run the projection search and write its output files."""
-    lines, ok, projection_rows, trace_rows = encode_search_tables(cfg)
-    cfg_hash = cfg.hash()
-    prepare_out_dir(out_dir, cfg_hash)
-    target_dim = len(projection_rows[0]) - 1 if projection_rows else 0
-    projection_path = os.path.join(out_dir, "projection.csv")
-    trace_path = os.path.join(out_dir, "encode_trace.csv")
-    report_path = os.path.join(out_dir, "encode_report.txt")
-    echo_path = os.path.join(out_dir, "config_echo.cfg")
-    write_csv(
-        projection_path,
-        cfg_hash,
-        ["raw_index"] + [f"c{j}" for j in range(target_dim)],
-        projection_rows,
-    )
-    write_csv(trace_path, cfg_hash, ["iteration", "cost"], trace_rows)
-    write_text(report_path, cfg_hash, lines)
-    write_text(echo_path, cfg_hash, canonical_text(cfg.values).splitlines())
-    return lines, ok, [projection_path, trace_path, report_path, echo_path]
+    return _execute(COMMANDS["encode-search"], cfg, out_dir)
 
 
 # ---------------------------------------------------------------------------
-# schema check
+# commands and schema check
 # ---------------------------------------------------------------------------
 
 
-def _int_cell(text: str) -> bool:
-    try:
-        int(text)
-        return True
-    except ValueError:
-        return False
+@dataclass(frozen=True)
+class Command:
+    """One config-driven subcommand, declared once.
+
+    ``help`` is its CLI help and ``keys`` the config keys it accepts
+    besides ``seed`` and ``output.dir``.  ``compute`` maps the config to
+    (stdout lines, ok, tables), tables holding the content of each of
+    ``files`` but the config echo.  ``entry`` names the module-level
+    function that runs the command; the CLI looks it up by name at call
+    time, so a wrapper rebound to that name (the benchmark tracer's)
+    sees every call.
+    """
+
+    entry: str
+    help: str
+    keys: set
+    compute: Callable
+    files: tuple
 
 
-def _float_cell(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
-
-
-_CSV_SCHEMAS = {
-    "learning_curve.csv": (
-        list(LEARNING_CURVE_COLUMNS),
-        [_int_cell, None, _float_cell, _float_cell, _int_cell],
+COMMANDS = {
+    "run": Command(
+        "run_experiment",
+        "run a learning-curve experiment",
+        _RUN_KEYS,
+        _run_outputs,
+        (LEARNING_CURVE, DIAGNOSTICS, CONFIG_ECHO),
     ),
-    "diagnostics.csv": (
-        list(DIAGNOSTICS_COLUMNS),
-        [
-            None,
-            _int_cell,
-            _int_cell,
-            _float_cell,
-            _float_cell,
-            _float_cell,
-            _int_cell,
-            None,
-            _float_cell,
-            _float_cell,
-            None,
-        ],
+    "variance-check": Command(
+        "variance_check_experiment",
+        "validate the estimator covariance laws",
+        _VARIANCE_KEYS,
+        variance_check,
+        (VARIANCE_REPORT, CONFIG_ECHO),
     ),
-    "encode_trace.csv": (["iteration", "cost"], [_int_cell, _float_cell]),
+    "encode-search": Command(
+        "encode_search_experiment",
+        "search for a sensor projection",
+        _ENCODE_KEYS,
+        encode_search,
+        (PROJECTION, ENCODE_TRACE, ENCODE_REPORT, CONFIG_ECHO),
+    ),
 }
 
+_OUTPUT_FILES = {file.name: file for c in COMMANDS.values() for file in c.files}
 
-def _check_csv(path, name: str, problems: list) -> None:
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.startswith(HASH_PREFIX):
-            problems.append(f"{name}: missing config-hash line")
-            return
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            problems.append(f"{name}: missing header row")
-            return
-        if name == "projection.csv":
-            expected = ["raw_index"] + [f"c{j}" for j in range(len(header) - 1)]
-            checks = [_int_cell] + [_float_cell] * (len(header) - 1)
-        else:
-            expected, checks = _CSV_SCHEMAS[name]
-            if header == expected + ["noise_scale"]:
-                expected = expected + ["noise_scale"]
-                checks = checks + [_float_cell]
-        if header != expected:
-            problems.append(
-                f"{name}: header {header} does not match the documented "
-                f"schema {expected}"
-            )
-            return
-        for row_number, row in enumerate(reader, start=3):
-            if len(row) != len(header):
-                problems.append(
-                    f"{name}: row {row_number} has {len(row)} cells, "
-                    f"expected {len(header)}"
-                )
-                return
-            for check, cell, column in zip(checks, row, header):
-                if check is not None and not check(cell):
-                    problems.append(
-                        f"{name}: row {row_number} column '{column}' holds "
-                        f"unparseable value {cell!r}"
-                    )
-                    return
+
+def _execute(command: Command, cfg: Config, out_dir):
+    """Compute ``command`` and write its files: (stdout lines, ok, paths)."""
+    cfg.check_unknown(_COMMON_KEYS | command.keys)
+    lines, ok, tables = command.compute(cfg)
+    tables[CONFIG_ECHO.name] = canonical_text(cfg.values).splitlines()
+    cfg_hash = cfg.hash()
+    prepare_out_dir(out_dir, cfg_hash)
+    paths = []
+    for file in command.files:
+        paths.append(os.path.join(out_dir, file.name))
+        file.write(paths[-1], cfg_hash, tables[file.name])
+    return lines, ok, paths
 
 
 def schema_check(out_dir):
     """Validate the files of one output directory.
 
-    Returns (report lines, ok): every file must carry the config-hash
-    line, all hashes must agree, CSV headers and cell types must match
-    the documented schemas, and the config echo must hash to the value
-    it claims.
+    Returns (report lines, ok): the file names must be exactly one
+    command's declared set, every file must carry the config-hash line,
+    all hashes must agree, each file must match its declaration (CSV
+    headers and cell kinds; the config echo hashes to the value it
+    claims).
     """
-    from .config import parse_config_text, config_hash as hash_of
-
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir} does not exist")
     names = sorted(
@@ -791,6 +815,15 @@ def schema_check(out_dir):
     if not names:
         raise ConfigError(f"output directory {out_dir} holds no files")
     problems = []
+    file_sets = {
+        command: sorted(file.name for file in spec.files)
+        for command, spec in COMMANDS.items()
+    }
+    if names not in file_sets.values():
+        problems.append(
+            f"files {names} are not the output set of one command: "
+            + "; ".join(f"{c} writes {fs}" for c, fs in file_sets.items())
+        )
     hashes = {}
     for name in names:
         path = os.path.join(out_dir, name)
@@ -799,23 +832,10 @@ def schema_check(out_dir):
             problems.append(f"{name}: missing config-hash line")
             continue
         hashes[name] = claimed
-        if name in _CSV_SCHEMAS or name == "projection.csv":
-            _check_csv(path, name, problems)
-        elif name == "config_echo.cfg":
-            with open(path, "r", encoding="utf-8") as handle:
-                body = "".join(handle.readlines()[1:])
-            try:
-                actual = hash_of(parse_config_text(body, source=name))
-            except ConfigError as exc:
-                problems.append(f"{name}: unparseable config echo: {exc}")
-            else:
-                if actual != claimed:
-                    problems.append(
-                        f"{name}: config echo hashes to {actual[:12]}.. but "
-                        f"claims {claimed[:12]}.."
-                    )
-        elif not name.endswith(".txt"):
-            problems.append(f"{name}: not a documented output file")
+        file = _OUTPUT_FILES.get(name)
+        problem = file.check(path, claimed) if file else "not a documented output file"
+        if problem:
+            problems.append(f"{name}: {problem}")
     if len(set(hashes.values())) > 1:
         problems.append(
             "files carry mixed config hashes: "

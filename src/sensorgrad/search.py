@@ -112,15 +112,19 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Diagnostics of one hill-climbing step (or its failure)."""
+    """Diagnostics of one hill-climbing step (or its failure).
 
+    The fields, in order, are the columns of ``diagnostics.csv``, which
+    writes ``step`` 1-based.
+    """
+
+    estimator: str
     run: int
     step: int
-    estimator: str
     gradient_norm: float = float("nan")
     loo_cost: float = float("nan")
     mean_trial_score: float = float("nan")
-    flagged_count: int = 0
+    flagged: int = 0
     retried: bool = False
     eval_mean: float = float("nan")
     eval_std_error: float = float("nan")
@@ -364,7 +368,7 @@ def hill_climb_step(
         gradient_norm=float(np.linalg.norm(estimate.gradient)),
         loo_cost=float("nan") if loo is None else float(loo),
         mean_trial_score=float(np.mean(scores)),
-        flagged_count=flagged,
+        flagged=flagged,
         retried=retried,
     )
     return new_policy, record

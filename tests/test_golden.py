@@ -66,6 +66,16 @@ COUPLED_GOLDEN = {
     "config_echo.cfg": "a6846e75de9aeed6248e66cd6f08b114859831753cde1c4d115618598ac952e6",
 }
 
+# Criterion 11's cannon run swept over two noise scales: both tables gain
+# the trailing ``noise_scale`` column.
+SWEEP_CFG = RERUN_CASES["run"][0] + "run.noise_scales = [1.0, 2.0]\n"
+
+SWEEP_GOLDEN = {
+    "learning_curve.csv": "cece0680bb3215c43b6d9dc3f59699b7959d5031fb28f192dab553cb10ab3ebf",
+    "diagnostics.csv": "7c45aeff99018a2cf4a926804a34db0d159e4143003d2ed59260cb2247b363de",
+    "config_echo.cfg": "d863c3529010ccc26c43b07af77ca9132805b530f649a64cdb2ed95f95498499",
+}
+
 DART_GOLDEN = {
     "learning_curve.csv": "b78719725880b0a65a035355417efee333af505e3ad1a7c7a8ec2be891ac0edf",
     "diagnostics.csv": "3494329f7664780a942fe4026ee4d764d4abd1c8eb7d2d77393e86f15958a942",
@@ -98,6 +108,11 @@ def test_small_configs_keep_their_output_digests(tmp_path, command):
 def test_coupled_variance_check_keeps_its_digests(tmp_path):
     digests = _output_digests(tmp_path, "variance-check", COUPLED_CFG, COUPLED_GOLDEN)
     assert digests == COUPLED_GOLDEN
+
+
+def test_noise_scale_sweep_keeps_its_digests(tmp_path):
+    digests = _output_digests(tmp_path, "run", SWEEP_CFG, SWEEP_GOLDEN)
+    assert digests == SWEEP_GOLDEN
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -125,7 +125,7 @@ def test_fixed_rate_step_moves_by_rate_times_gradient():
     )
     assert np.allclose(new_policy, policy + 0.25 * TRUE_GRADIENT, atol=1e-9)
     assert record.retried is False
-    assert record.flagged_count == 0
+    assert record.flagged == 0
     assert np.isnan(record.loo_cost)
     assert record.gradient_norm == pytest.approx(
         float(np.linalg.norm(TRUE_GRADIENT)), rel=1e-8
@@ -403,7 +403,7 @@ def test_flagged_trials_are_dropped_and_counted():
     new_policy, record = hill_climb_step(
         env, policy, config, substream(5, 0, 0), step_index=0
     )
-    assert record.flagged_count == 6
+    assert record.flagged == 6
     assert np.allclose(new_policy, policy + 0.25 * TRUE_GRADIENT, atol=1e-9)
 
 
