@@ -77,7 +77,7 @@ class EncodingSearchConfig:
 
     target_dim: int
     max_iterations: int = 60
-    restarts: int = 5
+    restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):

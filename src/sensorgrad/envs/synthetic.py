@@ -93,36 +93,60 @@ class SyntheticEnv:
         return np.atleast_2d(np.asarray(policies, dtype=float))
 
     def sample_trials(self, policies, streams) -> TrialBatch:
-        """One trial per policy row, row ``i`` drawing from ``streams[i]``.
+        """One trial per policy row, from per-row streams or one block stream.
 
-        Draw order per trial: the sensor disturbance, then the score
-        noise.  The arithmetic runs row by row, because batched matrix
-        products may round differently and would move output bytes.
+        ``streams`` is either one generator per row, row ``i`` drawing
+        from ``streams[i]``, or a single ``Generator`` from which the
+        whole ``(rows, sensor_dim + 1)`` standard-normal block is drawn.
+        Each row's normals are the sensor disturbance, then the score
+        noise.  Every row is computed by the same elementwise array
+        expression, so its values depend on its policy and normals
+        alone, not on the batch it is drawn in.
         """
         policies = self.check_policies(policies)
-        count = policies.shape[0]
-        if len(streams) != count:
-            raise ValueError("need one stream per policy row")
+        normals = self._normals(streams, policies.shape[0])
         world, noise = self.world, self.world.noise
+        sensor_dim = world.sensor_dim
         coupling = noise.policy_sensor_coupling
         base = noise.sensor_mean + noise.coupling_offset
-        sensed = np.empty((count, world.sensor_dim))
-        scores = np.empty(count)
-        for i, rng in enumerate(streams):
-            policy = policies[i]
-            disturbance = self._root @ rng.standard_normal(world.sensor_dim)
-            shift = coupling.T @ policy if coupling is not None else 0.0
-            score_noise = float(rng.standard_normal()) * self._score_std
-            if self.correlated:
-                sensed[i] = base - shift + disturbance
-                sensor_term = float(disturbance @ world.sensor_slope)
-            else:
-                sensed[i] = base + shift + disturbance
-                sensor_term = float(sensed[i] @ world.sensor_slope)
-            scores[i] = (
-                float(policy @ world.true_gradient)
-                + sensor_term
-                + world.offset
-                + score_noise
-            )
+        disturbance = _row_products(normals[:, :sensor_dim], self._root.T)
+        shift = _row_products(policies, coupling) if coupling is not None else 0.0
+        score_noise = normals[:, sensor_dim] * self._score_std
+        if self.correlated:
+            sensed = base - shift + disturbance
+            sensor_term = _row_products(disturbance, world.sensor_slope)
+        else:
+            sensed = base + shift + disturbance
+            sensor_term = _row_products(sensed, world.sensor_slope)
+        scores = (
+            _row_products(policies, world.true_gradient)
+            + sensor_term
+            + world.offset
+            + score_noise
+        )
         return TrialBatch(policies, scores, sensed, sensed)
+
+    def _normals(self, streams, count: int) -> np.ndarray:
+        """The ``(count, sensor_dim + 1)`` standard-normal block of a batch."""
+        width = self.world.sensor_dim + 1
+        if isinstance(streams, np.random.Generator):
+            return streams.standard_normal((count, width))
+        if len(streams) != count:
+            raise ValueError("need one stream per policy row")
+        block = np.empty((count, width))
+        for row, rng in zip(block, streams):
+            rng.standard_normal(out=row)
+        return block
+
+
+def _row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix``, summed term by term in a fixed order.
+
+    BLAS products round a row differently depending on how many rows
+    share the call; elementwise products and sums do not, so every
+    output row is a function of its input row alone.
+    """
+    out = np.zeros((rows.shape[0],) + matrix.shape[1:])
+    for j in range(matrix.shape[0]):
+        out += np.multiply.outer(rows[:, j], matrix[j])
+    return out

@@ -46,7 +46,7 @@ from .search import (
     run_learning_curve,
     sample_exploration_policies,
 )
-from .seeding import ENCODE, EVAL, LEARN, PRETRAIN, children, substream
+from .seeding import ENCODE, EVAL, LEARN, PRETRAIN, VARIANCE, substream
 
 __all__ = [
     "HASH_PREFIX",
@@ -364,10 +364,28 @@ def build_arm_world(cfg: Config) -> ArmWorld:
     )
 
 
+# Optional search keys, each named after the ``SearchConfig`` field it
+# sets; an absent key leaves that field's default.
+_SEARCH_OPTIONS = {
+    "step_rule": Config.get_str,
+    "learning_rate": Config.get_float,
+    "eval_trials_per_point": Config.get_int,
+    "encoding_dim": Config.get_int,
+    "encode_trials_per_step": Config.get_int,
+    "encode_max_iterations": Config.get_int,
+    "encode_restarts": Config.get_int,
+}
+
+
 def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
     initial = cfg.get_vector("search.initial_policy")
     cov = cfg.get_cov("search.exploration_cov")
     try:
+        options = {
+            name: read(cfg, f"search.{name}")
+            for name, read in _SEARCH_OPTIONS.items()
+            if cfg.has(f"search.{name}")
+        }
         return SearchConfig(
             initial_policy=initial,
             trials_per_step=cfg.get_int("search.trials_per_step"),
@@ -376,13 +394,7 @@ def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
             runs=cfg.get_int("search.runs"),
             seed=cfg.get_int("seed"),
             estimator=estimator,
-            step_rule=cfg.get_str("search.step_rule", "normalized"),
-            learning_rate=cfg.get_float("search.learning_rate", 0.1),
-            eval_trials_per_point=cfg.get_int("search.eval_trials_per_point", 20),
-            encoding_dim=cfg.get_int("search.encoding_dim", 1),
-            encode_trials_per_step=cfg.get_int("search.encode_trials_per_step", 0),
-            encode_max_iterations=cfg.get_int("search.encode_max_iterations", 60),
-            encode_restarts=cfg.get_int("search.encode_restarts", 3),
+            **options,
         )
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid search settings: {exc}") from exc
@@ -502,6 +514,12 @@ def run_experiment(cfg: Config, out_dir):
 # variance check
 # ---------------------------------------------------------------------------
 
+# Replications whose rows are drawn together: a memory bound, not a
+# setting.  The draws do not depend on it; the sampler is elementwise,
+# and the test suite pins that the policies' BLAS product rounds each
+# row alike at chunk sizes 7, 512 and 1,300.
+REPLICATION_CHUNK = 512
+
 
 def _deviation_in_ses(mean, target, se) -> np.ndarray:
     """|mean - target| in standard errors, tolerating exact estimators."""
@@ -607,21 +625,30 @@ def variance_check(cfg: Config):
 def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
     """Both estimators on ``reps`` independent zero-mean batches of ``n`` trials.
 
-    Replication ``rep`` draws its policies around the zero policy from
-    ``substream(seed, rep, LEARN)`` and its trials from children of
-    ``substream(seed, rep, EVAL)``; both estimators run uncentered.
-    Returns the (reps, d) arrays of g1 and g2 gradients.
+    The policies, drawn around the zero policy, come from one stream,
+    ``substream(seed, VARIANCE, LEARN)``, and the trial noise from
+    another, ``substream(seed, VARIANCE, EVAL)``; replication ``r``
+    takes rows ``[r*n, (r+1)*n)`` of both.  The rows are drawn
+    ``REPLICATION_CHUNK`` replications at a time, read on from the same
+    two generators, which bounds memory without changing a bit.  Both
+    estimators run uncentered.  Returns the (reps, d) arrays of g1 and
+    g2 gradients.
     """
     nominal = np.zeros(env.policy_dim)
+    policy_rng = substream(seed, VARIANCE, LEARN)
+    noise_rng = substream(seed, VARIANCE, EVAL)
     g1_draws = np.empty((reps, env.policy_dim))
     g2_draws = np.empty((reps, env.policy_dim))
-    for rep in range(reps):
+    for first in range(0, reps, REPLICATION_CHUNK):
+        count = min(REPLICATION_CHUNK, reps - first)
         policies = sample_exploration_policies(
-            nominal, exploration_cov, n, substream(seed, rep, LEARN)
+            nominal, exploration_cov, count * n, policy_rng
         )
-        batch = env.sample_trials(policies, children(substream(seed, rep, EVAL), n))
-        g1_draws[rep] = estimate_g1(batch, center=False).gradient
-        g2_draws[rep] = estimate_g2(batch, center=False).gradient
+        trials = env.sample_trials(policies, noise_rng)
+        for i in range(count):
+            batch = trials.rows(slice(i * n, (i + 1) * n))
+            g1_draws[first + i] = estimate_g1(batch, center=False).gradient
+            g2_draws[first + i] = estimate_g2(batch, center=False).gradient
     return g1_draws, g2_draws
 
 
@@ -686,8 +713,10 @@ def encode_search(cfg: Config):
 
     search = EncodingSearchConfig(
         target_dim=target_dim,
-        max_iterations=cfg.get_int("encode.max_iterations", 60),
-        restarts=cfg.get_int("encode.restarts", 3),
+        max_iterations=cfg.get_int(
+            "encode.max_iterations", EncodingSearchConfig.max_iterations
+        ),
+        restarts=cfg.get_int("encode.restarts", EncodingSearchConfig.restarts),
         seed=search_seed,
     )
     projection = optimize_projection(batch, search)

@@ -22,17 +22,17 @@ count.  Path layout used by the experiment harness:
     (PRETRAIN,)             dynamics pretraining: children(., 3) for the
                             rollout policies, rollouts and state picks
     (ENCODE, 0|1)           encode-search problem data and search seed
-    (rep, LEARN|EVAL)       variance-check replication: its policies,
-                            and one child of EVAL per trial
+    (VARIANCE, LEARN|EVAL)  variance check: one stream of exploration
+                            draws and one of trial noise, each read as a
+                            fixed-width standard-normal block in which
+                            replication r takes rows [r*n, (r+1)*n)
 
-Paths are untagged integer tuples, so addresses can coincide.  The
-encode-search data stream (ENCODE, 0) = (4, 0) is the policy stream of
-variance-check replication 4.  Within one dart run, the first
-pretraining rollout's stream (PRETRAIN, 1, 0) is run 3's step-1
-learning stream (3, 1, LEARN); the rollout only draws from it and the
-step only spawns children from it, so no number is used twice.  Leading
-every path with a domain tag would rule such overlaps out by
-construction.
+Paths are untagged integer tuples, so addresses can coincide.  Within
+one dart run, the first pretraining rollout's stream (PRETRAIN, 1, 0)
+is run 3's step-1 learning stream (3, 1, LEARN); the rollout only draws
+from it and the step only spawns children from it, so no number is used
+twice.  Leading every path with a domain tag would rule such overlaps
+out by construction.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ LEARN = 0
 EVAL = 1
 PRETRAIN = 3
 ENCODE = 4
+VARIANCE = 5
 
 
 def substream(root_seed: int, *path: int) -> np.random.Generator:

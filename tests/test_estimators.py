@@ -12,6 +12,7 @@ from sensorgrad.estimators import (
     predicted_variance_g1,
     predicted_variance_g2,
 )
+from sensorgrad import experiments
 from sensorgrad.experiments import replicate_gradients
 from sensorgrad.search import sample_exploration_policies
 from sensorgrad.seeding import EVAL, LEARN, children, substream
@@ -149,6 +150,38 @@ def test_correlated_world_bias_and_variance_laws():
     law = predicted_variance_g2(EXPLORATION_COV, noise, n, d, ds)
     rel = np.linalg.norm(np.cov(g2.T) - law) / np.linalg.norm(law)
     assert rel < 0.15
+
+
+def block_worlds():
+    """The plain and the coupled variance-check world."""
+    plain = SyntheticEnv(SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, make_noise()))
+    coupled_noise = make_noise(coupling=COUPLING)
+    coupled = SyntheticEnv(
+        SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, coupled_noise), correlated=True
+    )
+    return {"plain": plain, "coupled": coupled}
+
+
+@pytest.mark.parametrize("world", ["plain", "coupled"])
+def test_replications_are_the_leading_rows_of_a_longer_check(world):
+    env = block_worlds()[world]
+    reps = experiments.REPLICATION_CHUNK + 37
+    short = mc_gradients(env, 12, reps, seed=71)
+    long = mc_gradients(env, 12, 2 * reps, seed=71)
+    for few, many in zip(short, long):
+        assert np.array_equal(few, many[:reps])
+
+
+@pytest.mark.parametrize("world", ["plain", "coupled"])
+def test_replications_do_not_depend_on_the_chunk_size(monkeypatch, world):
+    env = block_worlds()[world]
+    results = []
+    for chunk in (7, 512, 1300):
+        monkeypatch.setattr(experiments, "REPLICATION_CHUNK", chunk)
+        results.append(mc_gradients(env, 12, 600, seed=72))
+    for g1, g2 in results[1:]:
+        assert np.array_equal(g1, results[0][0])
+        assert np.array_equal(g2, results[0][1])
 
 
 def test_correlated_law_reduces_to_independent_when_uncoupled():

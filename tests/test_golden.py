@@ -43,7 +43,7 @@ GOLDEN = {
         "config_echo.cfg": "789db86c6071b0b2d2cb614d9fb68c9955a217ebf3c17e80107380731ffdb9a1",
     },
     "variance-check": {
-        "variance_report.txt": "0a8c0286f7a9f3724a59af6dfedca8c151c9dde8eafcb85a96a3e8f1892f321c",
+        "variance_report.txt": "7d804e0fe3e18b4e466d50fc723dbc3cd659c3d6159ca239768d411694cd235b",
         "config_echo.cfg": "80d42f00446b01046903404250c6f7cb034bb8c457a6ad63f7583139e3a52d72",
     },
     "encode-search": {
@@ -62,7 +62,7 @@ COUPLED_CFG = (
 )
 
 COUPLED_GOLDEN = {
-    "variance_report.txt": "ef48f3c1648b3cf956367c33a11746f26edc846e63b5fac42389a921f2c30204",
+    "variance_report.txt": "3a1d0ef35461e69f66f969c479f02092f12aca08762739357a87a8f0cf5f14c3",
     "config_echo.cfg": "a6846e75de9aeed6248e66cd6f08b114859831753cde1c4d115618598ac952e6",
 }
 

@@ -6,6 +6,7 @@ from sensorgrad.seeding import (
     EVAL,
     LEARN,
     PRETRAIN,
+    VARIANCE,
     children,
     psd_sqrt,
     substream,
@@ -13,7 +14,7 @@ from sensorgrad.seeding import (
 
 
 def test_stream_tags_are_distinct():
-    tags = [LEARN, EVAL, PRETRAIN, ENCODE]
+    tags = [LEARN, EVAL, PRETRAIN, ENCODE, VARIANCE]
     assert len(set(tags)) == len(tags)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import NoiseSpec
-from sensorgrad.seeding import children, substream
+from sensorgrad.seeding import children, psd_sqrt, substream
 
 TRUE_GRADIENT = np.array([1.5, -0.7])
 SENSOR_SLOPE = np.array([0.8, -1.2])
@@ -88,6 +89,52 @@ def test_batch_sampling_matches_per_trial_streams():
         single = env.sample_trials(policies[i], [stream])
         assert single.scores[0] == batch.scores[i]
         assert np.array_equal(single.raw_sensors[0], batch.raw_sensors[i])
+
+
+def reference_trial(env, policy, rng):
+    """One trial computed row by row with BLAS products: the sampler's reference."""
+    world, noise = env.world, env.world.noise
+    disturbance = psd_sqrt(noise.sensor_cov) @ rng.standard_normal(world.sensor_dim)
+    score_noise = float(rng.standard_normal()) * np.sqrt(noise.output_variance)
+    shift = noise.policy_sensor_coupling.T @ policy
+    base = noise.sensor_mean + noise.coupling_offset
+    if env.correlated:
+        sensed = base - shift + disturbance
+        sensor_term = float(disturbance @ world.sensor_slope)
+    else:
+        sensed = base + shift + disturbance
+        sensor_term = float(sensed @ world.sensor_slope)
+    score = float(policy @ world.true_gradient) + sensor_term + world.offset
+    return score + score_noise, sensed
+
+
+@pytest.mark.parametrize("correlated", [False, True], ids=["plain", "correlated"])
+def test_rows_do_not_depend_on_the_batch_they_are_drawn_in(correlated):
+    coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
+    sensor_cov = np.array([[0.2, -0.05], [-0.05, 0.4]])
+    world = make_world(coupling=coupling, sensor_cov=sensor_cov, output_variance=0.09)
+    env = SyntheticEnv(world, correlated=correlated)
+    policies = substream(68).normal(size=(48, 2))
+    whole = env.sample_trials(policies, children(substream(69), 48))
+    # Same normals as the row-by-row reference; only the rounding may differ.
+    for i, rng in enumerate(children(substream(69), 48)):
+        score, sensed = reference_trial(env, policies[i], rng)
+        assert whole.scores[i] == pytest.approx(score, rel=1e-12, abs=1e-12)
+        assert np.allclose(whole.raw_sensors[i], sensed, rtol=1e-12, atol=1e-12)
+    for size in (1, 2, 12):
+        streams = children(substream(69), 48)
+        for first in range(0, 48, size):
+            rows = slice(first, first + size)
+            part = env.sample_trials(policies[rows], streams[rows])
+            assert np.array_equal(part.scores, whole.scores[rows])
+            assert np.array_equal(part.raw_sensors, whole.raw_sensors[rows])
+    # One block generator: consecutive batches read on through the same block.
+    block = env.sample_trials(policies, substream(70))
+    rng = substream(70)
+    for first in range(0, 48, 12):
+        part = env.sample_trials(policies[first : first + 12], rng)
+        assert np.array_equal(part.scores, block.scores[first : first + 12])
+        assert np.array_equal(part.raw_sensors, block.raw_sensors[first : first + 12])
 
 
 def test_mean_score_matches_the_analytic_value():
