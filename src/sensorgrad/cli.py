@@ -77,10 +77,13 @@ def _load_config(args) -> Config:
 
 
 def _resolve_out_dir(args, cfg: Config | None):
+    # Read even when --out wins, so that the key counts as read.
+    has_dir = cfg is not None and cfg.has("output.dir")
+    configured = cfg.get_str("output.dir") if has_dir else None
     if getattr(args, "out", None):
         return args.out
-    if cfg is not None and cfg.has("output.dir"):
-        return cfg.get_str("output.dir")
+    if configured is not None:
+        return configured
     env = os.environ.get(_OUT_ENV)
     if env:
         return env

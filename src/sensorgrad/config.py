@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,13 +98,17 @@ class Config:
 
     Accessors raise :class:`ConfigError` naming the key (and the source
     file) on missing required keys or type mismatches, so command-line
-    failures point at the offending field.
+    failures point at the offending field.  ``read`` records every key
+    that ``has`` or an accessor was asked for; :meth:`check_unknown`
+    rejects the keys no reader asked for.
     """
 
     values: dict
     source: str = "<config>"
+    read: set = field(default_factory=set, compare=False, repr=False)
 
     def has(self, key: str) -> bool:
+        self.read.add(key)
         return key in self.values
 
     def hash(self) -> str:
@@ -116,6 +120,7 @@ class Config:
         return Config(merged, self.source)
 
     def _fetch(self, key: str, default):
+        self.read.add(key)
         if key in self.values:
             return self.values[key]
         if default is _MISSING:
@@ -196,9 +201,9 @@ class Config:
             return self.get_matrix(key, default)
         return np.diag(self.get_vector(key, default))
 
-    def check_unknown(self, allowed) -> None:
-        """Reject keys outside ``allowed`` (catches typos early)."""
-        unknown = sorted(set(self.values) - set(allowed))
+    def check_unknown(self) -> None:
+        """Reject keys no reader has read (catches typos); call it before any work."""
+        unknown = sorted(set(self.values) - self.read)
         if unknown:
             raise ConfigError(
                 f"{self.source}: unknown key '{unknown[0]}'"

@@ -41,7 +41,7 @@ def _default_control_noise() -> np.ndarray:
 
 def _default_sensor_noise() -> np.ndarray:
     # read noise well below the actuation noise it reports
-    return np.diag([0.01, (0.2 * _DEG) ** 2]).copy()
+    return np.diag([0.01, 0.04 * _DEG**2]).copy()
 
 
 @dataclass(frozen=True)

@@ -61,22 +61,23 @@ class SyntheticWorld:
 class SyntheticEnv:
     """Trial sampler over a :class:`SyntheticWorld`.
 
+    The sensor disturbance is zero mean with covariance ``sensor_cov``.
     With ``correlated=False`` the score is driven by the *observed*
-    sensor value: ``s ~ N(coupling' policy + coupling_offset +
-    sensor_mean, sensor_cov)`` and ``f = policy @ true_gradient + s @
-    sensor_slope + offset + w``.  The joint regression then recovers the
-    score equation's own policy coefficient exactly, coupled or not.
+    sensor value: ``s ~ N(coupling' policy, sensor_cov)`` and ``f =
+    policy @ true_gradient + s @ sensor_slope + offset + w``.  The joint
+    regression then recovers the score equation's own policy coefficient
+    exactly, coupled or not.
 
     With ``correlated=True`` the sensor reading leaks the policy while
     the score responds only to the policy-independent disturbance:
     ``f = policy @ true_gradient + disturbance @ sensor_slope + offset +
-    w`` and ``s = sensor_mean + coupling_offset - coupling' policy +
-    disturbance``.  Substituting the disturbance out shows the joint
-    regression's policy coefficient is ``true_gradient + coupling @
-    sensor_slope``: the joint estimator is biased by exactly the
-    coupling term, which :func:`~sensorgrad.estimators.predicted_bias_g2`
-    predicts, while the policy-only regression remains unbiased for the
-    value gradient (the disturbance is independent of the policy).
+    w`` and ``s = disturbance - coupling' policy``.  Substituting the
+    disturbance out shows the joint regression's policy coefficient is
+    ``true_gradient + coupling @ sensor_slope``: the joint estimator is
+    biased by exactly the coupling term, which
+    :func:`~sensorgrad.estimators.predicted_bias_g2` predicts, while the
+    policy-only regression remains unbiased for the value gradient (the
+    disturbance is independent of the policy).
 
     The raw and the encoded sensors are both the reading ``s``.
     """
@@ -108,15 +109,14 @@ class SyntheticEnv:
         world, noise = self.world, self.world.noise
         sensor_dim = world.sensor_dim
         coupling = noise.policy_sensor_coupling
-        base = noise.sensor_mean + noise.coupling_offset
         disturbance = _row_products(normals[:, :sensor_dim], self._root.T)
         shift = _row_products(policies, coupling) if coupling is not None else 0.0
         score_noise = normals[:, sensor_dim] * self._score_std
         if self.correlated:
-            sensed = base - shift + disturbance
+            sensed = disturbance - shift
             sensor_term = _row_products(disturbance, world.sensor_slope)
         else:
-            sensed = base + shift + disturbance
+            sensed = shift + disturbance
             sensor_term = _row_products(sensed, world.sensor_slope)
         scores = (
             _row_products(policies, world.true_gradient)

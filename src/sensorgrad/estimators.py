@@ -191,17 +191,14 @@ class NoiseSpec:
     """Known noise structure of a (synthetic) score model.
 
     ``output_variance`` is the direct score noise variance.
-    ``sensor_cov``/``sensor_mean`` describe the policy-independent
-    sensor disturbance.  ``policy_sensor_coupling`` (d x d_s) and
-    ``coupling_offset`` describe how much of the sensor reading is
-    predictable from the policy.
+    ``sensor_cov`` is the covariance of the zero-mean, policy-independent
+    sensor disturbance.  ``policy_sensor_coupling`` (d x d_s) describes
+    how much of the sensor reading is predictable from the policy.
     """
 
     output_variance: float
     sensor_cov: np.ndarray
-    sensor_mean: np.ndarray | None = None
     policy_sensor_coupling: np.ndarray | None = None
-    coupling_offset: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "output_variance", float(self.output_variance))
@@ -209,23 +206,12 @@ class NoiseSpec:
             raise ValueError("output variance must be non-negative")
         cov = _as_square(self.sensor_cov, "sensor_cov")
         object.__setattr__(self, "sensor_cov", cov)
-        ds = cov.shape[0]
-        mean = self.sensor_mean
-        mean = np.zeros(ds) if mean is None else _as_vector(mean, "sensor_mean")
-        if mean.shape[0] != ds:
-            raise ValueError("sensor_mean dimension mismatch")
-        object.__setattr__(self, "sensor_mean", mean)
         coup = self.policy_sensor_coupling
         if coup is not None:
             coup = np.asarray(coup, dtype=float)
-            if coup.ndim != 2 or coup.shape[1] != ds:
+            if coup.ndim != 2 or coup.shape[1] != cov.shape[0]:
                 raise ValueError("policy_sensor_coupling must be d x d_s")
             object.__setattr__(self, "policy_sensor_coupling", coup)
-        off = self.coupling_offset
-        off = np.zeros(ds) if off is None else _as_vector(off, "coupling_offset")
-        if off.shape[0] != ds:
-            raise ValueError("coupling_offset dimension mismatch")
-        object.__setattr__(self, "coupling_offset", off)
 
     @property
     def sensor_dim(self) -> int:

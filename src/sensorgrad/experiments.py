@@ -10,9 +10,14 @@ written.
 
 Each output file is declared once, as a ``CsvFile`` (typed columns and
 optional trailing columns) or a ``TextFile``, and each config-driven
-command once, in ``COMMANDS``: its config keys, its compute function
-and its file set.  The writers and ``schema_check`` both read these
-declarations; ``diagnostics.csv``'s columns are ``StepRecord``'s fields.
+command once, in ``COMMANDS``: its compute function and its file set.
+The writers and ``schema_check`` both read these declarations;
+``diagnostics.csv``'s columns are ``StepRecord``'s fields.
+
+A command accepts exactly the config keys that its readers read: each
+compute function reads and validates all of its keys, then calls
+``Config.check_unknown`` before any trial, pretraining, replication or
+search runs.
 """
 
 from __future__ import annotations
@@ -66,64 +71,6 @@ __all__ = [
 HASH_PREFIX = "# config_hash="
 
 _DEG2 = (np.pi / 180.0) ** 2
-
-_COMMON_KEYS = {"seed", "output.dir"}
-
-# Config keys each command accepts besides ``_COMMON_KEYS``.
-_RUN_KEYS = {
-    "run.environment",
-    "run.estimators",
-    "run.noise_scales",
-    "search.initial_policy",
-    "search.trials_per_step",
-    "search.exploration_cov",
-    "search.steps",
-    "search.runs",
-    "search.learning_rate",
-    "search.step_rule",
-    "search.eval_trials_per_point",
-    "search.encoding_dim",
-    "search.encode_trials_per_step",
-    "search.encode_max_iterations",
-    "search.encode_restarts",
-    "cannon.control_noise_diag",
-    "cannon.sensor_noise_diag",
-    "cannon.gravity",
-    "cannon.target_range",
-    "dart.torque_mult_std",
-    "dart.torque_add_std",
-    "dart.release_time_std",
-    "dart.kp",
-    "dart.kd",
-    "dart.start_posture",
-    "dart.target_position",
-    "dart.pretrain_states",
-    "dart.pretrain_policy_cov",
-}
-
-_VARIANCE_KEYS = {
-    "synthetic.true_gradient",
-    "synthetic.sensor_slope",
-    "synthetic.output_variance",
-    "synthetic.sensor_cov",
-    "synthetic.exploration_cov",
-    "synthetic.policy_sensor_coupling",
-    "variance.trials_per_batch",
-    "variance.replications",
-}
-
-_ENCODE_KEYS = {
-    "encode.raw_dim",
-    "encode.samples",
-    "encode.target_dim",
-    "encode.policy_dim",
-    "encode.signal_scale",
-    "encode.noise_std",
-    "encode.planted",
-    "encode.max_iterations",
-    "encode.restarts",
-    "encode.min_cosine",
-}
 
 # ---------------------------------------------------------------------------
 # output conventions
@@ -312,29 +259,30 @@ CONFIG_ECHO = TextFile("config_echo.cfg", echo=True)
 # ---------------------------------------------------------------------------
 
 
-def _require_psd_diag(cfg: Config, key: str, size: int) -> np.ndarray:
+def _speed_angle_cov(cfg: Config, key: str) -> np.ndarray:
+    """A (speed, angle) covariance from its diagonal, the angle in degrees^2."""
     diag = cfg.get_vector(key)
-    if diag.shape[0] != size:
-        raise ConfigError(f"{cfg.source}: key '{key}' must have {size} entries")
+    if diag.shape[0] != 2:
+        raise ConfigError(f"{cfg.source}: key '{key}' must have 2 entries")
     if np.any(diag < 0.0):
         raise ConfigError(f"{cfg.source}: key '{key}' entries must be nonnegative")
-    return diag
+    return np.diag([diag[0], diag[1] * _DEG2])
 
 
 def build_cannon_world(cfg: Config) -> CannonWorld:
-    """Cannon world from config; angle variances are given in degrees^2."""
-    control = _require_psd_diag(cfg, "cannon.control_noise_diag", 2)
-    sensor = cfg.get_vector("cannon.sensor_noise_diag", np.array([0.01, 0.04]))
-    if sensor.shape[0] != 2 or np.any(sensor < 0.0):
-        raise ConfigError(
-            f"{cfg.source}: key 'cannon.sensor_noise_diag' must be two "
-            "nonnegative entries"
-        )
+    """Cannon world from config; an absent optional key keeps the
+    ``CannonWorld`` default."""
+    defaults = CannonWorld()
+    sensor_key = "cannon.sensor_noise_diag"
     return CannonWorld(
-        control_noise_cov=np.diag([control[0], control[1] * _DEG2]),
-        sensor_noise_cov=np.diag([sensor[0], sensor[1] * _DEG2]),
-        gravity=cfg.get_float("cannon.gravity", 9.8),
-        target_range=cfg.get_float("cannon.target_range", 400.0 / 9.8),
+        control_noise_cov=_speed_angle_cov(cfg, "cannon.control_noise_diag"),
+        sensor_noise_cov=(
+            _speed_angle_cov(cfg, sensor_key)
+            if cfg.has(sensor_key)
+            else defaults.sensor_noise_cov
+        ),
+        gravity=cfg.get_float("cannon.gravity", defaults.gravity),
+        target_range=cfg.get_float("cannon.target_range", defaults.target_range),
     )
 
 
@@ -378,40 +326,38 @@ _SEARCH_OPTIONS = {
 
 
 def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
-    initial = cfg.get_vector("search.initial_policy")
-    cov = cfg.get_cov("search.exploration_cov")
+    options = {
+        name: read(cfg, f"search.{name}")
+        for name, read in _SEARCH_OPTIONS.items()
+        if cfg.has(f"search.{name}")
+    }
+    settings = dict(
+        initial_policy=cfg.get_vector("search.initial_policy"),
+        trials_per_step=cfg.get_int("search.trials_per_step"),
+        exploration_cov=cfg.get_cov("search.exploration_cov"),
+        steps=cfg.get_int("search.steps"),
+        runs=cfg.get_int("search.runs"),
+        seed=cfg.get_int("seed"),
+        estimator=estimator,
+        **options,
+    )
     try:
-        options = {
-            name: read(cfg, f"search.{name}")
-            for name, read in _SEARCH_OPTIONS.items()
-            if cfg.has(f"search.{name}")
-        }
-        return SearchConfig(
-            initial_policy=initial,
-            trials_per_step=cfg.get_int("search.trials_per_step"),
-            exploration_cov=cov,
-            steps=cfg.get_int("search.steps"),
-            runs=cfg.get_int("search.runs"),
-            seed=cfg.get_int("seed"),
-            estimator=estimator,
-            **options,
-        )
+        return SearchConfig(**settings)
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid search settings: {exc}") from exc
 
 
-def _build_environments(cfg: Config):
-    """Environment per noise scale, pretraining the dart model if needed."""
+def _read_environments(cfg: Config):
+    """Read the environment keys; returns a function that builds the
+    environment per noise scale, pretraining the dart model if needed."""
     environment = cfg.get_str("run.environment")
     scales = [float(s) for s in cfg.get_vector("run.noise_scales", np.array([1.0]))]
     if not scales:
         raise ConfigError(f"{cfg.source}: key 'run.noise_scales' must be nonempty")
     if environment == "cannon":
         world = build_cannon_world(cfg)
-        return [(scale, CannonEnv(world, noise_scale=scale)) for scale in scales]
+        return lambda: [(s, CannonEnv(world, noise_scale=s)) for s in scales]
     if environment == "dart":
-        from .dynamics_sensors import fit_dynamics_model, sample_pretraining_states
-
         if scales != [1.0]:
             raise ConfigError(
                 f"{cfg.source}: key 'run.noise_scales' applies to the cannon "
@@ -426,15 +372,21 @@ def _build_environments(cfg: Config):
             )
         count = cfg.get_int("dart.pretrain_states", 2000)
         spread = cfg.get_float("dart.pretrain_policy_cov", 0.01)
-        states = sample_pretraining_states(
-            world,
-            count,
-            substream(cfg.get_int("seed"), PRETRAIN),
-            policy_mean=initial,
-            policy_cov=spread * np.eye(world.policy_dim),
-        )
-        model = fit_dynamics_model(world, states)
-        return [(1.0, DartEnv(world, model))]
+        seed = cfg.get_int("seed")
+
+        def pretrained():
+            from .dynamics_sensors import fit_dynamics_model, sample_pretraining_states
+
+            states = sample_pretraining_states(
+                world,
+                count,
+                substream(seed, PRETRAIN),
+                policy_mean=initial,
+                policy_cov=spread * np.eye(world.policy_dim),
+            )
+            return [(1.0, DartEnv(world, fit_dynamics_model(world, states)))]
+
+        return pretrained
     raise ConfigError(
         f"{cfg.source}: key 'run.environment' must be cannon or dart, "
         f"got {environment!r}"
@@ -466,10 +418,10 @@ def run_tables(cfg: Config):
             )
     if len(set(estimators)) != len(estimators):
         raise ConfigError(f"{cfg.source}: key 'run.estimators' repeats an entry")
-    # Bad search settings, such as a singular exploration covariance, fail
-    # here, before the dart pretraining simulates anything.
     configs = {name: build_search_config(cfg, name) for name in estimators}
-    environments = _build_environments(cfg)
+    build_environments = _read_environments(cfg)
+    cfg.check_unknown()
+    environments = build_environments()
     sweep = len(environments) > 1
     learning_rows = []
     diag_rows = []
@@ -555,6 +507,11 @@ def variance_check(cfg: Config):
         raise ConfigError(f"{cfg.source}: key 'variance.replications' must be >= 2")
     d = a_pi.shape[0]
     ds = a_s.shape[0]
+    if n < d + ds + 2:
+        raise ConfigError(
+            f"{cfg.source}: key 'variance.trials_per_batch' must be at least "
+            f"d + d_s + 2 = {d + ds + 2}"
+        )
     coupled = coupling is not None and bool(np.any(coupling != 0.0))
     try:
         noise = NoiseSpec(
@@ -564,6 +521,7 @@ def variance_check(cfg: Config):
         check_exploration_cov(sigma_e, d)
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid synthetic world: {exc}") from exc
+    cfg.check_unknown()
     env = SyntheticEnv(world, correlated=coupled)
     g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
 
@@ -672,6 +630,8 @@ def encode_search(cfg: Config):
     coordinate feeds the score.  The trace has one row per optimizer
     iteration actually performed.
     """
+    from .encoding import EncodingSearchConfig, optimize_projection
+
     raw_dim = cfg.get_int("encode.raw_dim")
     samples = cfg.get_int("encode.samples")
     target_dim = cfg.get_int("encode.target_dim")
@@ -679,11 +639,16 @@ def encode_search(cfg: Config):
     signal_scale = cfg.get_float("encode.signal_scale", 2.0)
     noise_std = cfg.get_float("encode.noise_std", 0.1)
     planted = cfg.get_bool("encode.planted", True)
+    # The cosine limit exists only for a planted direction.
+    has_floor = planted and cfg.has("encode.min_cosine")
+    floor = cfg.get_float("encode.min_cosine") if has_floor else None
+    max_iterations = cfg.get_int(
+        "encode.max_iterations", EncodingSearchConfig.max_iterations
+    )
+    restarts = cfg.get_int("encode.restarts", EncodingSearchConfig.restarts)
     seed = cfg.get_int("seed")
-    if raw_dim < 1 or samples < 1 or policy_dim < 1:
-        raise ConfigError(
-            f"{cfg.source}: encode dimensions and sample count must be positive"
-        )
+    if raw_dim < 1 or policy_dim < 1:
+        raise ConfigError(f"{cfg.source}: encode dimensions must be positive")
     if not 0 <= target_dim <= raw_dim:
         raise ConfigError(
             f"{cfg.source}: key 'encode.target_dim' must lie in [0, raw_dim]"
@@ -693,6 +658,21 @@ def encode_search(cfg: Config):
             f"{cfg.source}: key 'encode.target_dim' must be >= 1 when a "
             "direction is planted"
         )
+    if samples < policy_dim + target_dim + 3:
+        raise ConfigError(
+            f"{cfg.source}: key 'encode.samples' must be at least policy_dim + "
+            f"target_dim + 3 = {policy_dim + target_dim + 3} for leave-one-out fits"
+        )
+    try:
+        search = EncodingSearchConfig(
+            target_dim=target_dim,
+            max_iterations=max_iterations,
+            restarts=restarts,
+            seed=int(substream(seed, ENCODE, 1).integers(0, 2**32)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.source}: invalid encode settings: {exc}") from exc
+    cfg.check_unknown()
 
     data_rng = substream(seed, ENCODE, 0)
     a_pi = data_rng.normal(size=policy_dim)
@@ -707,19 +687,7 @@ def encode_search(cfg: Config):
         slopes = data_rng.normal(size=raw_dim)
         sensor_part = raw @ slopes
     scores = policies @ a_pi + sensor_part + noise_std * data_rng.normal(size=samples)
-    batch = TrialBatch(policies, scores, raw, raw)
-    search_seed = int(substream(seed, ENCODE, 1).integers(0, 2**32))
-    from .encoding import EncodingSearchConfig, optimize_projection
-
-    search = EncodingSearchConfig(
-        target_dim=target_dim,
-        max_iterations=cfg.get_int(
-            "encode.max_iterations", EncodingSearchConfig.max_iterations
-        ),
-        restarts=cfg.get_int("encode.restarts", EncodingSearchConfig.restarts),
-        seed=search_seed,
-    )
-    projection = optimize_projection(batch, search)
+    projection = optimize_projection(TrialBatch(policies, scores, raw, raw), search)
 
     initial_cost = float(projection.cost_trace[0])
     iterations = len(projection.cost_trace) - 1
@@ -736,8 +704,7 @@ def encode_search(cfg: Config):
         overlap = projection.matrix.T @ direction
         cosine = float(np.linalg.norm(overlap))
         lines.append(f"cosine_to_planted {cosine!r}")
-        if cfg.has("encode.min_cosine"):
-            floor = cfg.get_float("encode.min_cosine")
+        if floor is not None:
             cos_ok = cosine >= floor
             ok = ok and cos_ok
             lines.append(
@@ -768,18 +735,16 @@ def encode_search_experiment(cfg: Config, out_dir):
 class Command:
     """One config-driven subcommand, declared once.
 
-    ``help`` is its CLI help and ``keys`` the config keys it accepts
-    besides ``seed`` and ``output.dir``.  ``compute`` maps the config to
-    (stdout lines, ok, tables), tables holding the content of each of
-    ``files`` but the config echo.  ``entry`` names the module-level
-    function that runs the command; the CLI looks it up by name at call
-    time, so a wrapper rebound to that name (the benchmark tracer's)
-    sees every call.
+    ``help`` is its CLI help.  ``compute`` maps the config to (stdout
+    lines, ok, tables), tables holding the content of each of ``files``
+    but the config echo; it refuses, before any work, a key it does not
+    read.  ``entry`` names the module-level function that runs the
+    command; the CLI looks it up by name at call time, so a wrapper
+    rebound to that name (the benchmark tracer's) sees every call.
     """
 
     entry: str
     help: str
-    keys: set
     compute: Callable
     files: tuple
 
@@ -788,21 +753,18 @@ COMMANDS = {
     "run": Command(
         "run_experiment",
         "run a learning-curve experiment",
-        _RUN_KEYS,
         _run_outputs,
         (LEARNING_CURVE, DIAGNOSTICS, CONFIG_ECHO),
     ),
     "variance-check": Command(
         "variance_check_experiment",
         "validate the estimator covariance laws",
-        _VARIANCE_KEYS,
         variance_check,
         (VARIANCE_REPORT, CONFIG_ECHO),
     ),
     "encode-search": Command(
         "encode_search_experiment",
         "search for a sensor projection",
-        _ENCODE_KEYS,
         encode_search,
         (PROJECTION, ENCODE_TRACE, ENCODE_REPORT, CONFIG_ECHO),
     ),
@@ -813,7 +775,6 @@ _OUTPUT_FILES = {file.name: file for c in COMMANDS.values() for file in c.files}
 
 def _execute(command: Command, cfg: Config, out_dir):
     """Compute ``command`` and write its files: (stdout lines, ok, paths)."""
-    cfg.check_unknown(_COMMON_KEYS | command.keys)
     lines, ok, tables = command.compute(cfg)
     tables[CONFIG_ECHO.name] = canonical_text(cfg.values).splitlines()
     cfg_hash = cfg.hash()

@@ -106,6 +106,10 @@ class SearchConfig:
             raise ValueError("encoding_dim must be nonnegative")
         if self.encode_trials_per_step < 0:
             raise ValueError("encode_trials_per_step must be nonnegative")
+        if self.encode_max_iterations < 0:
+            raise ValueError("encode_max_iterations must be nonnegative")
+        if self.encode_restarts < 1:
+            raise ValueError("encode_restarts must be at least 1")
         object.__setattr__(self, "initial_policy", policy)
         object.__setattr__(self, "exploration_cov", cov)
 

@@ -8,9 +8,15 @@ from pathlib import Path
 import pytest
 
 import sensorgrad
+from sensorgrad import dynamics_sensors, encoding
 from sensorgrad.cli import main
+from sensorgrad.config import Config, load_config
+from sensorgrad.envs.arm import DartEnv
 from sensorgrad.envs.cannon import CannonEnv
 from sensorgrad.envs.synthetic import SyntheticEnv
+from test_golden import DART_CFG
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 RUN_CFG = """\
 seed = 7
@@ -109,28 +115,132 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
     )
 
 
-SINGULAR_COV_CASES = {
-    "run": RUN_CFG.replace("[0.25, 0.0025]", "[0.25, 0.0]"),
-    "variance-check": VARIANCE_CFG.replace(
-        "[[0.5, 0.1], [0.1, 0.3]]", "[[0.5, 0.5], [0.5, 0.5]]"
+ENCODING_RUN_CFG = RUN_CFG.replace(
+    '["ignore_sensors", "with_sensors"]', '["with_encoding"]'
+)
+
+# (command, config text, text the error must hold): each must exit 2
+# before any trial, pretraining, replication or search runs.
+BAD_SETTING_CASES = {
+    "run-singular-cov": (
+        "run",
+        RUN_CFG.replace("[0.25, 0.0025]", "[0.25, 0.0]"),
+        "exploration covariance must be positive definite",
+    ),
+    "variance-check-singular-cov": (
+        "variance-check",
+        VARIANCE_CFG.replace("[[0.5, 0.1], [0.1, 0.3]]", "[[0.5, 0.5], [0.5, 0.5]]"),
+        "exploration covariance must be positive definite",
+    ),
+    "dart-unknown-key": (
+        "run",
+        DART_CFG + "dart.pretrain_state = 200\n",
+        "unknown key 'dart.pretrain_state'",
+    ),
+    "cannon-run-dart-key": (
+        "run",
+        RUN_CFG + "dart.kp = [1.0, 1.0, 1.0]\n",
+        "unknown key 'dart.kp'",
+    ),
+    "dart-run-cannon-key": (
+        "run",
+        DART_CFG + "cannon.gravity = 9.8\n",
+        "unknown key 'cannon.gravity'",
+    ),
+    "cannon-encode-restarts": (
+        "run",
+        ENCODING_RUN_CFG + "search.encode_restarts = 0\n",
+        "encode_restarts must be at least 1",
+    ),
+    "cannon-encode-max-iterations": (
+        "run",
+        ENCODING_RUN_CFG + "search.encode_max_iterations = -1\n",
+        "encode_max_iterations must be nonnegative",
+    ),
+    "dart-encode-restarts": (
+        "run",
+        DART_CFG.replace("search.encode_restarts = 2", "search.encode_restarts = 0"),
+        "encode_restarts must be at least 1",
+    ),
+    "encode-restarts": (
+        "encode-search",
+        ENCODE_CFG.replace("encode.restarts = 2", "encode.restarts = 0"),
+        "invalid encode settings: restarts must be at least 1",
+    ),
+    "encode-max-iterations": (
+        "encode-search",
+        ENCODE_CFG.replace("encode.max_iterations = 25", "encode.max_iterations = -1"),
+        "invalid encode settings: max_iterations must be non-negative",
+    ),
+    "encode-samples": (
+        "encode-search",
+        ENCODE_CFG.replace("encode.samples = 40", "encode.samples = 5"),
+        "key 'encode.samples' must be at least",
+    ),
+    "encode-unplanted-min-cosine": (
+        "encode-search",
+        ENCODE_CFG.replace("encode.planted = true", "encode.planted = false"),
+        "unknown key 'encode.min_cosine'",
+    ),
+    "variance-batch-5": (
+        "variance-check",
+        VARIANCE_CFG.replace("trials_per_batch = 12", "trials_per_batch = 5"),
+        "key 'variance.trials_per_batch' must be at least",
+    ),
+    "variance-batch-0": (
+        "variance-check",
+        VARIANCE_CFG.replace("trials_per_batch = 12", "trials_per_batch = 0"),
+        "key 'variance.trials_per_batch' must be at least",
     ),
 }
 
 
-@pytest.mark.parametrize("command", sorted(SINGULAR_COV_CASES))
-def test_a_singular_exploration_covariance_is_a_config_error(
-    tmp_path, capsys, monkeypatch, command
-):
-    def no_trials(self, policies, streams):
-        raise AssertionError("a trial was simulated")
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every trial sampler, the dart pretraining and the projection
+    search raise: work that runs ends the command with exit 3, not 2."""
 
-    # A simulated trial would end the command with exit 3, not 2.
-    monkeypatch.setattr(CannonEnv, "sample_trials", no_trials)
-    monkeypatch.setattr(SyntheticEnv, "sample_trials", no_trials)
-    cfg = write_cfg(tmp_path, SINGULAR_COV_CASES[command])
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for env in (CannonEnv, DartEnv, SyntheticEnv):
+        monkeypatch.setattr(env, "sample_trials", work)
+    monkeypatch.setattr(dynamics_sensors, "sample_pretraining_states", work)
+    monkeypatch.setattr(encoding, "optimize_projection", work)
+
+
+@pytest.mark.parametrize("case", list(BAD_SETTING_CASES))
+def test_a_bad_setting_is_a_config_error_before_any_work(
+    tmp_path, capsys, no_work, case
+):
+    command, text, message = BAD_SETTING_CASES[case]
+    cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "exploration covariance must be positive definite" in err
+    assert message in capsys.readouterr().err
+
+
+class _Checked(BaseException):
+    """Raised in place of the work once a config passes the key check."""
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda path: path.name
+)
+def test_every_shipped_config_passes_the_key_check(
+    tmp_path, monkeypatch, no_work, path
+):
+    check = Config.check_unknown
+
+    def check_then_stop(self):
+        check(self)
+        raise _Checked
+
+    monkeypatch.setattr(Config, "check_unknown", check_then_stop)
+    commands = {"run": "run", "variance": "variance-check", "encode": "encode-search"}
+    sections = {key.split(".")[0] for key in load_config(path).values}
+    (command,) = [commands[section] for section in sections if section in commands]
+    with pytest.raises(_Checked):
+        main([command, "--config", str(path), "--out", str(tmp_path / "out")])
 
 
 def test_a_seedless_config_needs_the_seed_flag(tmp_path, capsys):

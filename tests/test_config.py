@@ -142,9 +142,36 @@ def test_with_value_returns_a_new_config():
 def test_unknown_keys_are_named():
     config = Config({"a": 1, "zz": 2, "mm": 3}, source="job.cfg")
     config_ok = Config({"a": 1})
-    config_ok.check_unknown({"a", "b"})
+    config_ok.get_int("a")
+    config_ok.has("b")
+    config_ok.check_unknown()
+    config.get_int("a")
     with pytest.raises(ConfigError, match=r"unknown key 'mm' \(and 1 more\)"):
-        config.check_unknown({"a"})
+        config.check_unknown()
+
+
+def test_has_and_every_accessor_record_the_keys_they_read():
+    config = Config(
+        {"flag": True, "n": 3, "v": [1.0], "cov": [1.0, 2.0], "extra": 0},
+        source="job.cfg",
+    )
+    assert config.read == set()
+    config.has("flag")
+    config.get_int("n")
+    config.get_cov("cov")
+    config.get_vector("v", np.zeros(1))
+    config.get_float("absent", 0.5)
+    with pytest.raises(ConfigError, match="missing required key 'gone'"):
+        config.get_str("gone")
+    with pytest.raises(ConfigError, match="must be a string"):
+        config.get_str("n")
+    assert config.read == {"flag", "n", "cov", "v", "absent", "gone"}
+    with pytest.raises(ConfigError, match=r"job.cfg: unknown key 'extra'$"):
+        config.check_unknown()
+    # A derived config starts its own record.
+    assert config.with_value("extra", 1).read == set()
+    config.get_int("extra")
+    config.check_unknown()
 
 
 def test_load_config_reads_files_and_reports_read_failures(tmp_path):

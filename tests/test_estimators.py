@@ -188,11 +188,11 @@ def test_correlated_law_reduces_to_independent_when_uncoupled():
     plain = np.linalg.inv(EXPLORATION_COV) * OUTPUT_VARIANCE / (12 - 2 - 2 - 1)
     for sensor_cov in (SENSOR_COV, np.zeros((2, 2))):
         for coupling in (None, np.zeros((2, 2))):
-            noise = NoiseSpec(OUTPUT_VARIANCE, sensor_cov, None, coupling)
+            noise = NoiseSpec(OUTPUT_VARIANCE, sensor_cov, coupling)
             law = predicted_variance_g2(EXPLORATION_COV, noise, 12, 2, 2)
             assert np.allclose(law, plain, atol=1e-12)
     # A singular sensor covariance only matters once the sensors are coupled.
-    coupled = NoiseSpec(OUTPUT_VARIANCE, np.zeros((2, 2)), None, np.eye(2))
+    coupled = NoiseSpec(OUTPUT_VARIANCE, np.zeros((2, 2)), np.eye(2))
     with pytest.raises(EstimationError, match="degenerate coupling"):
         predicted_variance_g2(EXPLORATION_COV, coupled, 12, 2, 2)
 
@@ -213,17 +213,17 @@ def test_variance_laws_reject_degenerate_dof():
 
 
 def test_centered_estimators_tolerate_offsets_and_sensor_means():
-    noise = NoiseSpec(
-        output_variance=0.0,
-        sensor_cov=SENSOR_COV,
-        sensor_mean=np.array([3.0, -1.0]),
-    )
+    noise = NoiseSpec(output_variance=0.0, sensor_cov=SENSOR_COV)
     world = SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, -4.0, noise)
     env = SyntheticEnv(world)
     nominal = np.array([2.0, -1.5])
     policies = sample_exploration_policies(
         nominal, EXPLORATION_COV, 10, substream(51, LEARN)
     )
-    batch = env.sample_trials(policies, children(substream(51, EVAL), 10))
+    trials = env.sample_trials(policies, children(substream(51, EVAL), 10))
+    # Shift the readings to a nonzero mean; the score follows its sensors.
+    mean = np.array([3.0, -1.0])
+    sensed = trials.raw_sensors + mean
+    batch = TrialBatch(policies, trials.scores + mean @ SENSOR_SLOPE, sensed, sensed)
     estimate = estimate_g2(batch)
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-8)

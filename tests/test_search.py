@@ -445,6 +445,10 @@ def test_search_config_rejects_bad_settings():
         SearchConfig(**{**base, "exploration_cov": np.diag([1.0, 0.0])})
     with pytest.raises(ValueError, match="trials_per_step"):
         SearchConfig(**{**base, "trials_per_step": 0})
+    with pytest.raises(ValueError, match="encode_restarts"):
+        SearchConfig(**base, encode_restarts=0)
+    with pytest.raises(ValueError, match="encode_max_iterations"):
+        SearchConfig(**base, encode_max_iterations=-1)
 
 
 def test_uninformative_sensors_give_no_systematic_edge():

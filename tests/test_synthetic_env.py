@@ -13,9 +13,7 @@ def make_world(coupling=None, sensor_cov=None, output_variance=0.0, offset=0.0):
     noise = NoiseSpec(
         output_variance=output_variance,
         sensor_cov=np.zeros((2, 2)) if sensor_cov is None else sensor_cov,
-        sensor_mean=np.array([0.5, -0.25]),
         policy_sensor_coupling=coupling,
-        coupling_offset=np.array([0.1, 0.2]),
     )
     return SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, offset, noise)
 
@@ -24,17 +22,22 @@ def one_trial(world, policy, rng, correlated=False):
     return SyntheticEnv(world, correlated=correlated).sample_trials(policy, [rng])
 
 
+def ordered_dot(u, v) -> float:
+    """``u @ v`` summed term by term in order, as the sampler sums it."""
+    return sum(float(a) * float(b) for a, b in zip(u, v))
+
+
 def test_noiseless_trial_follows_the_score_equation():
     coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
     world = make_world(coupling=coupling, offset=-2.0)
     policy = np.array([1.0, 2.0])
     trial = one_trial(world, policy, substream(61))
-    expected_sensed = (
-        world.noise.sensor_mean + world.noise.coupling_offset + coupling.T @ policy
-    )
+    expected_sensed = np.array([ordered_dot(policy, column) for column in coupling.T])
     assert np.allclose(trial.raw_sensors[0], expected_sensed, atol=1e-12)
     expected_score = (
-        float(policy @ TRUE_GRADIENT) + float(expected_sensed @ SENSOR_SLOPE) - 2.0
+        ordered_dot(policy, TRUE_GRADIENT)
+        + ordered_dot(expected_sensed, SENSOR_SLOPE)
+        - 2.0
     )
     assert trial.scores[0] == expected_score
     assert np.array_equal(trial.raw_sensors, trial.encoded_sensors)
@@ -45,9 +48,7 @@ def test_noiseless_correlated_trial_flips_the_coupling_sign():
     world = make_world(coupling=coupling)
     policy = np.array([1.0, 2.0])
     trial = one_trial(world, policy, substream(62), correlated=True)
-    expected_sensed = (
-        world.noise.sensor_mean + world.noise.coupling_offset - coupling.T @ policy
-    )
+    expected_sensed = -coupling.T @ policy
     assert np.allclose(trial.raw_sensors[0], expected_sensed, atol=1e-12)
     # the score responds to the disturbance (zero here), not the reading
     assert trial.scores[0] == float(policy @ TRUE_GRADIENT)
@@ -73,9 +74,7 @@ def test_correlated_sensor_mean_tracks_the_policy():
         np.tile(policy, (count, 1)), children(substream(64), count)
     )
     sensed = trials.raw_sensors
-    expected = (
-        world.noise.sensor_mean + world.noise.coupling_offset - coupling.T @ policy
-    )
+    expected = -coupling.T @ policy
     se = sensed.std(axis=0, ddof=1) / np.sqrt(count)
     assert np.all(np.abs(sensed.mean(axis=0) - expected) < 4.0 * se)
 
@@ -97,12 +96,11 @@ def reference_trial(env, policy, rng):
     disturbance = psd_sqrt(noise.sensor_cov) @ rng.standard_normal(world.sensor_dim)
     score_noise = float(rng.standard_normal()) * np.sqrt(noise.output_variance)
     shift = noise.policy_sensor_coupling.T @ policy
-    base = noise.sensor_mean + noise.coupling_offset
     if env.correlated:
-        sensed = base - shift + disturbance
+        sensed = disturbance - shift
         sensor_term = float(disturbance @ world.sensor_slope)
     else:
-        sensed = base + shift + disturbance
+        sensed = shift + disturbance
         sensor_term = float(sensed @ world.sensor_slope)
     score = float(policy @ world.true_gradient) + sensor_term + world.offset
     return score + score_noise, sensed
@@ -147,12 +145,6 @@ def test_mean_score_matches_the_analytic_value():
         np.tile(policy, (count, 1)), children(substream(67), count)
     )
     scores = trials.scores
-    analytic = (
-        float(policy @ TRUE_GRADIENT)
-        + float(
-            (world.noise.sensor_mean + world.noise.coupling_offset) @ SENSOR_SLOPE
-        )
-        + 1.0
-    )
+    analytic = float(policy @ TRUE_GRADIENT) + 1.0
     se = scores.std(ddof=1) / np.sqrt(count)
     assert abs(scores.mean() - analytic) < 4.0 * se
