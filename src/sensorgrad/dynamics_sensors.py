@@ -17,7 +17,7 @@ sensed trajectories, and the realized release time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def sample_pretraining_states(
     policy_rng, trial_rng, pick_rng = children(rng, 3)
     policies = mean + policy_rng.standard_normal((rollouts, world.policy_dim)) @ root.T
     trials = dart_trials(world, policies, children(trial_rng, rollouts))
-    angles, velocities, _ = split_dart_sensors(world, trials.raw_sensors)
+    angles, velocities, _ = split_dart_sensors(world, trials.sensors)
     pool_q = angles.reshape(-1, world.dof)
     pool_v = velocities.reshape(-1, world.dof)
     total = pool_q.shape[0]
@@ -270,16 +270,16 @@ def project_residuals(
 def encode_dart_batch(
     world: ArmWorld, model: DynamicsModel, batch: TrialBatch
 ) -> TrialBatch:
-    """The batch with residual-projection sensors for every trial.
+    """The batch with its trajectory sensors replaced by residual features.
 
     Encoded layout: spline coefficients of the velocity residual curve,
     joint-major, then the realized release time.
     """
-    angles, velocities, release = split_dart_sensors(world, batch.raw())
+    angles, velocities, release = split_dart_sensors(world, batch.sensor_matrix())
     times = np.arange(world.grid_steps + 1) * world.timestep
     torques = commanded_torques(
         world, batch.policies, angles[:, :-1], velocities[:, :-1], times[:-1]
     )
     residuals = velocity_residuals(model, angles, velocities, torques, world.timestep)
     basis = spline_basis(world, times[1:])
-    return batch.with_encoded(project_residuals(residuals, basis, release))
+    return replace(batch, sensors=project_residuals(residuals, basis, release))

@@ -16,7 +16,7 @@ so the returned projection is orthonormalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -94,28 +94,10 @@ class EncodingSearchConfig:
 # ---------------------------------------------------------------------------
 
 
-def _raw_sensor_matrix(batch: TrialBatch, sensors: np.ndarray | None) -> np.ndarray:
-    if sensors is None:
-        return batch.raw()
-    sensors = np.asarray(sensors, dtype=float)
-    if sensors.ndim != 2 or sensors.shape[0] != batch.size:
-        raise ValueError("sensor matrix must have one row per trial")
-    return sensors
-
-
-def _projection_matrix(projection) -> np.ndarray:
-    if isinstance(projection, SensorProjection):
-        return projection.matrix
-    mat = np.asarray(projection, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("projection matrix must be 2-d")
-    return mat
-
-
-def _centered(batch: TrialBatch, raw: np.ndarray):
-    """Centered policies, scores and raw sensors of a batch."""
-    pols, scores = batch.policies, batch.scores
-    return pols - pols.mean(axis=0), scores - scores.mean(), raw - raw.mean(axis=0)
+def _centered(batch: TrialBatch):
+    """Centered policies, scores and sensors of a batch."""
+    pols, scores, sens = batch.policies, batch.scores, batch.sensor_matrix()
+    return pols - pols.mean(axis=0), scores - scores.mean(), sens - sens.mean(axis=0)
 
 
 def _loo_cost_and_grad(
@@ -162,12 +144,7 @@ def _loo_cost_and_grad(
     return float(press @ press), sens_c.T @ g
 
 
-def loo_cost(
-    batch: TrialBatch,
-    projection,
-    *,
-    sensors: np.ndarray | None = None,
-) -> float:
+def loo_cost(batch: TrialBatch, projection: np.ndarray) -> float:
     """Leave-one-out cost of a sensor projection.
 
     For each trial i the joint regression (policies and projected
@@ -177,19 +154,12 @@ def loo_cost(
     hat-matrix identity, which agrees with literally deleting and
     refitting row by row.
 
-    ``sensors`` overrides the per-trial raw payload with an explicit
-    (n, raw_dim) matrix, e.g. features derived from the payload.
-
     Requires ``n >= d + target_dim + 3`` so every held-out fit still
     satisfies the joint regression's own sample-size precondition.
     Raises :class:`EncodingError` naming the offending trial when some
     held-out fit is rank deficient.
     """
-    b = _projection_matrix(projection)
-    raw = _raw_sensor_matrix(batch, sensors)
-    if raw.shape[1] != b.shape[0]:
-        raise ValueError("projection rows must match the raw sensor dimension")
-    cost, _ = _loo_cost_and_grad(*_centered(batch, raw), b)
+    cost, _ = _loo_cost_and_grad(*_centered(batch), projection)
     return cost
 
 
@@ -237,10 +207,7 @@ def _search_cost_and_grad(flat, pols_c, y, sens_c) -> tuple[float, np.ndarray]:
 
 
 def optimize_projection(
-    batch: TrialBatch,
-    config: EncodingSearchConfig,
-    *,
-    sensors: np.ndarray | None = None,
+    batch: TrialBatch, config: EncodingSearchConfig
 ) -> SensorProjection:
     """Minimize the leave-one-out cost over projection entries.
 
@@ -250,14 +217,14 @@ def optimize_projection(
     ``max_iterations=0`` the best initialization is returned unchanged
     (up to orthonormalization).
     """
-    raw = _raw_sensor_matrix(batch, sensors)
+    raw = batch.sensor_matrix()
     raw_dim = raw.shape[1]
     ds = config.target_dim
     if ds == 0:
-        cost = loo_cost(batch, np.zeros((raw_dim, 0)), sensors=raw)
+        cost = loo_cost(batch, np.zeros((raw_dim, 0)))
         return SensorProjection(np.zeros((raw_dim, 0)), cost=cost, cost_trace=(cost,))
 
-    centered = _centered(batch, raw)
+    centered = _centered(batch)
     rng = np.random.default_rng(config.seed)
     inits = [_pca_init(raw, ds)]
     while len(inits) < config.restarts:
@@ -269,7 +236,7 @@ def optimize_projection(
     for start in inits:
         x0 = start.ravel().copy()
         try:
-            c0 = loo_cost(batch, start, sensors=raw)
+            c0 = loo_cost(batch, start)
         except _REJECTED:
             c0 = np.inf
         if not np.isfinite(c0):
@@ -304,20 +271,12 @@ def optimize_projection(
 
 
 def estimate_gradient_encoded(
-    batch: TrialBatch,
-    projection,
-    *,
-    sensors: np.ndarray | None = None,
+    batch: TrialBatch, projection: np.ndarray
 ) -> GradientEstimate:
     """Joint gradient estimate using projected sensors.
 
-    Projects the raw sensors (or the supplied ``sensors`` matrix)
-    through the projection and runs the joint regression.  The gradient
-    depends on the projection only through its column space.
+    Projects the batch's sensors through the projection matrix and runs
+    the joint regression.  The gradient depends on the projection only
+    through its column space.
     """
-    b = _projection_matrix(projection)
-    raw = _raw_sensor_matrix(batch, sensors)
-    if raw.shape[1] != b.shape[0]:
-        raise ValueError("projection rows must match the raw sensor dimension")
-    encoded_batch = batch.with_encoded(raw @ b)
-    return estimate_g2(encoded_batch)
+    return estimate_g2(replace(batch, sensors=batch.sensor_matrix() @ projection))

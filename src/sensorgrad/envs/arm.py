@@ -4,7 +4,7 @@ The policy is a set of desired-angle spline knots per joint.  A PD
 controller tracks the resulting joint trajectories under multiplicative
 and additive torque noise, the dart leaves the fingertip at a noisy
 release time, flies ballistically to a wall plane, and the score is the
-negative squared vertical miss.  Raw sensors are the joint angle and
+negative squared vertical miss.  The sensors are the joint angle and
 velocity trajectories on the integration grid plus the realized release
 time.
 
@@ -22,6 +22,7 @@ reconstructed exactly from its policy and its sensor trajectories.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -365,8 +366,15 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
 
     Per-trial draw order: release time, then the multiplicative torque
     noise array, then the additive array, so a trial's randomness does
-    not depend on what else is in the batch.
+    not depend on what else is in the batch.  The batched linear algebra
+    rounds a lone row differently from the same row among others, so a
+    one-row call simulates its row beside a copy of it (drawing from a
+    copy of its stream) and keeps the first.
     """
+    if policies.shape[0] == 1:
+        pair = np.repeat(policies, 2, axis=0)
+        twin = _simulate_batch(world, pair, [streams[0], copy.deepcopy(streams[0])])
+        return twin.rows(slice(0, 1))
     tensors = _chain_tensors(world)
     count, dof = policies.shape[0], world.dof
     dt = world.timestep
@@ -441,7 +449,7 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
             flight = gap / velocity[0]
             hit_y = position[1] + velocity[1] * flight - 0.5 * world.gravity * flight**2
             scores[i] = -((hit_y - target_y) ** 2)
-    return TrialBatch(policies, scores, raw_sensors=raw, flagged=flagged)
+    return TrialBatch(policies, scores, raw, flagged)
 
 
 def _check_policies(world: ArmWorld, policies) -> np.ndarray:
@@ -471,9 +479,10 @@ def dart_trials(world: ArmWorld, policies, streams) -> TrialBatch:
 class DartEnv:
     """Trial sampler for the dart task.
 
-    When built with a fitted dynamics model, ``encode_batch`` attaches
-    residual-projection sensors to trial batches; without one, batches
-    pass through unchanged and only the policy-only estimator applies.
+    When built with a fitted dynamics model, ``encode_batch`` replaces a
+    batch's trajectory sensors with residual-projection features;
+    without one, batches pass through unchanged and only the
+    policy-only estimator applies.
     """
 
     def __init__(self, world: ArmWorld | None = None, model=None):

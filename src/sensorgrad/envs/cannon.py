@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..estimators import PolicyDomainError, TrialBatch
-from ..seeding import psd_sqrt
+from ..seeding import normal_rows, psd_sqrt, row_products
 
 __all__ = [
     "CannonWorld",
@@ -150,19 +150,15 @@ class CannonEnv:
         """One shot per policy row, row ``i`` drawing from ``streams[i]``.
 
         Draw order per trial: actuation noise, then sensor read noise.
-        The raw and the encoded sensors are both the sensed actuation
-        error.
+        The sensors are the sensed actuation error.  Every row is
+        computed by the same elementwise array expression, so its values
+        do not depend on the batch it is drawn in.
         """
         policies = _check_policies(policies)
-        count = policies.shape[0]
-        if len(streams) != count:
-            raise ValueError("need one stream per policy row")
-        actuation = np.empty((count, 2))
-        read = np.empty((count, 2))
-        for i, rng in enumerate(streams):
-            actuation[i] = self._control_root @ rng.standard_normal(2)
-            read[i] = self._sensor_root @ rng.standard_normal(2)
+        normals = normal_rows(streams, policies.shape[0], 4)
+        actuation = row_products(normals[:, :2], self._control_root.T)
+        read = row_products(normals[:, 2:], self._sensor_root.T)
         ranges = cannon_range(policies + actuation, self.world.gravity)
         sensed = actuation + read
         scores = -((ranges - self.world.target_range) ** 2)
-        return TrialBatch(policies, scores, sensed, sensed)
+        return TrialBatch(policies, scores, sensed)

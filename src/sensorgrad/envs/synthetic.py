@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..estimators import NoiseSpec, TrialBatch
-from ..seeding import psd_sqrt
+from ..seeding import normal_rows, psd_sqrt, row_products
 
 __all__ = [
     "SyntheticWorld",
@@ -77,9 +77,8 @@ class SyntheticEnv:
     biased by exactly the coupling term, which
     :func:`~sensorgrad.estimators.predicted_bias_g2` predicts, while the
     policy-only regression remains unbiased for the value gradient (the
-    disturbance is independent of the policy).
-
-    The raw and the encoded sensors are both the reading ``s``.
+    disturbance is independent of the policy).  The sensors are the
+    reading ``s``.
     """
 
     def __init__(self, world: SyntheticWorld, *, correlated: bool = False):
@@ -105,48 +104,23 @@ class SyntheticEnv:
         alone, not on the batch it is drawn in.
         """
         policies = self.check_policies(policies)
-        normals = self._normals(streams, policies.shape[0])
         world, noise = self.world, self.world.noise
         sensor_dim = world.sensor_dim
+        normals = normal_rows(streams, policies.shape[0], sensor_dim + 1)
         coupling = noise.policy_sensor_coupling
-        disturbance = _row_products(normals[:, :sensor_dim], self._root.T)
-        shift = _row_products(policies, coupling) if coupling is not None else 0.0
+        disturbance = row_products(normals[:, :sensor_dim], self._root.T)
+        shift = row_products(policies, coupling) if coupling is not None else 0.0
         score_noise = normals[:, sensor_dim] * self._score_std
         if self.correlated:
             sensed = disturbance - shift
-            sensor_term = _row_products(disturbance, world.sensor_slope)
+            sensor_term = row_products(disturbance, world.sensor_slope)
         else:
             sensed = shift + disturbance
-            sensor_term = _row_products(sensed, world.sensor_slope)
+            sensor_term = row_products(sensed, world.sensor_slope)
         scores = (
-            _row_products(policies, world.true_gradient)
+            row_products(policies, world.true_gradient)
             + sensor_term
             + world.offset
             + score_noise
         )
-        return TrialBatch(policies, scores, sensed, sensed)
-
-    def _normals(self, streams, count: int) -> np.ndarray:
-        """The ``(count, sensor_dim + 1)`` standard-normal block of a batch."""
-        width = self.world.sensor_dim + 1
-        if isinstance(streams, np.random.Generator):
-            return streams.standard_normal((count, width))
-        if len(streams) != count:
-            raise ValueError("need one stream per policy row")
-        block = np.empty((count, width))
-        for row, rng in zip(block, streams):
-            rng.standard_normal(out=row)
-        return block
-
-
-def _row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``rows @ matrix``, summed term by term in a fixed order.
-
-    BLAS products round a row differently depending on how many rows
-    share the call; elementwise products and sums do not, so every
-    output row is a function of its input row alone.
-    """
-    out = np.zeros((rows.shape[0],) + matrix.shape[1:])
-    for j in range(matrix.shape[0]):
-        out += np.multiply.outer(rows[:, j], matrix[j])
-    return out
+        return TrialBatch(policies, scores, sensed)

@@ -28,7 +28,7 @@ covariance runs slightly above the laws (denominator smaller by one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,19 +112,18 @@ class TrialBatch:
     """Executed trials as arrays, one row per trial.
 
     ``policies`` (n, d) holds the policies tried and ``scores`` (n,)
-    what they scored.  ``raw_sensors`` (n, m) is the environment's
-    native payload (may be long, e.g. sampled trajectories);
-    ``encoded_sensors`` (n, k) is the low-dimensional reading handed to
-    the regression estimators.  Either may be absent.  ``flagged`` (n,)
-    marks failed trials (non-finite simulation state), which the search
-    layer keeps out of regression batches; it defaults to all False.
-    Shapes and finite scores are checked once, on construction.
+    what they scored.  ``sensors`` (n, m) is the batch's one sensor
+    reading: an environment fills it with its payload (may be long,
+    e.g. sampled trajectories), and a stage that re-encodes it returns
+    a copy with the field replaced.  It may be absent.  ``flagged``
+    (n,) marks failed trials (non-finite simulation state), which the
+    search layer keeps out of regression batches; it defaults to all
+    False.  Shapes and finite scores are checked once, on construction.
     """
 
     policies: np.ndarray
     scores: np.ndarray
-    raw_sensors: np.ndarray | None = None
-    encoded_sensors: np.ndarray | None = None
+    sensors: np.ndarray | None = None
     flagged: np.ndarray | None = None
 
     def __post_init__(self):
@@ -134,10 +133,8 @@ class TrialBatch:
             raise ValueError("trial score must be finite")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "policies", _as_rows(self.policies, "policies", n))
-        for name in ("raw_sensors", "encoded_sensors"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _as_rows(value, name, n))
+        if self.sensors is not None:
+            object.__setattr__(self, "sensors", _as_rows(self.sensors, "sensors", n))
         flagged = np.zeros(n, dtype=bool) if self.flagged is None else self.flagged
         flagged = np.asarray(flagged, dtype=bool)
         if flagged.shape != (n,):
@@ -157,33 +154,16 @@ class TrialBatch:
 
     def rows(self, index) -> "TrialBatch":
         """The trials at ``index``: a slice, a boolean mask or row numbers."""
-
-        def pick(arr):
-            return None if arr is None else arr[index]
-
+        sensors = None if self.sensors is None else self.sensors[index]
         return TrialBatch(
-            self.policies[index],
-            self.scores[index],
-            pick(self.raw_sensors),
-            pick(self.encoded_sensors),
-            self.flagged[index],
+            self.policies[index], self.scores[index], sensors, self.flagged[index]
         )
 
-    def encoded(self) -> np.ndarray:
-        """The encoded sensors; raises EstimationError when there are none."""
-        if self.encoded_sensors is None:
-            raise EstimationError("missing encoded sensors")
-        return self.encoded_sensors
-
-    def raw(self) -> np.ndarray:
-        """The raw sensors; raises EstimationError when there are none."""
-        if self.raw_sensors is None:
-            raise EstimationError("missing raw sensors")
-        return self.raw_sensors
-
-    def with_encoded(self, encoded: np.ndarray) -> "TrialBatch":
-        """Copy of the batch with its encoded sensors replaced."""
-        return replace(self, encoded_sensors=encoded)
+    def sensor_matrix(self) -> np.ndarray:
+        """The sensors; raises EstimationError when there are none."""
+        if self.sensors is None:
+            raise EstimationError("missing sensors")
+        return self.sensors
 
 
 @dataclass(frozen=True)
@@ -285,13 +265,13 @@ def estimate_g1(batch: TrialBatch, *, center: bool = True) -> GradientEstimate:
 def estimate_g2(batch: TrialBatch, *, center: bool = True) -> GradientEstimate:
     """Gradient from the joint regression on policies and sensors.
 
-    Fits scores against ``[policies, encoded sensors]``; the first d
+    Fits scores against ``[policies, sensors]``; the first d
     coefficients are the gradient estimate, the rest the sensor
     coefficients.  Requires ``n >= d + d_s + 2``.
     """
     if batch.size == 0:
         raise EstimationError("empty batch")
-    return _fit(batch, batch.encoded(), center)
+    return _fit(batch, batch.sensor_matrix(), center)
 
 
 # ---------------------------------------------------------------------------

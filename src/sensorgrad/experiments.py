@@ -313,11 +313,15 @@ def build_arm_world(cfg: Config) -> ArmWorld:
 
 
 # Optional search keys, each named after the ``SearchConfig`` field it
-# sets; an absent key leaves that field's default.
+# sets; an absent key leaves that field's default.  The encoding keys
+# are read only for the encoding estimator, so elsewhere they are
+# unknown.
 _SEARCH_OPTIONS = {
     "step_rule": Config.get_str,
     "learning_rate": Config.get_float,
     "eval_trials_per_point": Config.get_int,
+}
+_ENCODE_OPTIONS = {
     "encoding_dim": Config.get_int,
     "encode_trials_per_step": Config.get_int,
     "encode_max_iterations": Config.get_int,
@@ -326,9 +330,12 @@ _SEARCH_OPTIONS = {
 
 
 def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
+    readers = dict(_SEARCH_OPTIONS)
+    if estimator == "with_encoding":
+        readers.update(_ENCODE_OPTIONS)
     options = {
         name: read(cfg, f"search.{name}")
-        for name, read in _SEARCH_OPTIONS.items()
+        for name, read in readers.items()
         if cfg.has(f"search.{name}")
     }
     settings = dict(
@@ -687,7 +694,7 @@ def encode_search(cfg: Config):
         slopes = data_rng.normal(size=raw_dim)
         sensor_part = raw @ slopes
     scores = policies @ a_pi + sensor_part + noise_std * data_rng.normal(size=samples)
-    projection = optimize_projection(TrialBatch(policies, scores, raw, raw), search)
+    projection = optimize_projection(TrialBatch(policies, scores, raw), search)
 
     initial_cost = float(projection.cost_trace[0])
     iterations = len(projection.cost_trace) - 1

@@ -55,7 +55,6 @@ class OlsFit:
     column_means_x: np.ndarray
     mean_y: float
     residuals: np.ndarray
-    singular_values: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -109,7 +108,7 @@ def ols(x: np.ndarray, y: np.ndarray, *, center: bool = True) -> OlsFit:
         yc = y
 
     if p == 0:
-        return OlsFit(np.zeros(0), means_x, mean_y, yc.copy(), np.zeros(0))
+        return OlsFit(np.zeros(0), means_x, mean_y, yc.copy())
 
     coef, _, rank, svals = np.linalg.lstsq(xc, yc, rcond=None)
     smax = float(svals[0]) if svals.size else 0.0
@@ -117,7 +116,7 @@ def ols(x: np.ndarray, y: np.ndarray, *, center: bool = True) -> OlsFit:
     if rank < p or smin <= 0.0 or smax / smin > RANK_RATIO_LIMIT:
         raise RegressionError("rank deficient design")
     residuals = yc - xc @ coef
-    return OlsFit(coef, means_x, mean_y, residuals, svals)
+    return OlsFit(coef, means_x, mean_y, residuals)
 
 
 def quad_features(x: np.ndarray) -> np.ndarray:

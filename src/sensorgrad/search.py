@@ -206,18 +206,18 @@ def _estimate(
     )
     if search_batch is None:
         search_batch = batch
-    search_feats = search_batch.encoded()
+    search_feats = search_batch.sensor_matrix()
     # Feature scales differ by orders of magnitude; standardized
     # coordinates keep the projection search well conditioned.
     center = search_feats.mean(axis=0)
     spread = search_feats.std(axis=0)
     spread = np.where(spread > 1e-12, spread, 1.0)
-    projection = optimize_projection(
-        search_batch, encode_config, sensors=(search_feats - center) / spread
-    )
-    estimate = estimate_gradient_encoded(
-        batch, projection, sensors=(batch.encoded() - center) / spread
-    )
+
+    def standardized(trials: TrialBatch) -> TrialBatch:
+        return replace(trials, sensors=(trials.sensor_matrix() - center) / spread)
+
+    projection = optimize_projection(standardized(search_batch), encode_config)
+    estimate = estimate_gradient_encoded(standardized(batch), projection.matrix)
     return estimate, projection.cost
 
 
@@ -306,7 +306,7 @@ def _sample_blocks(env, blocks) -> list:
 
 
 def _kept_batch(env, config: SearchConfig, trials: TrialBatch) -> TrialBatch:
-    """The unflagged trials, with the env's encoded sensors."""
+    """The unflagged trials, with the sensors the env encodes them to."""
     batch = trials.rows(~trials.flagged)
     if not batch.size:
         raise EstimationError("insufficient samples: every trial was flagged")

@@ -72,6 +72,36 @@ def children(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(ss) for ss in seq.spawn(count)]
 
 
+def normal_rows(streams, count: int, width: int) -> np.ndarray:
+    """The ``(count, width)`` standard-normal block of a batch.
+
+    ``streams`` is either one generator per row, row ``i`` drawn from
+    ``streams[i]``, or a single ``Generator`` the whole block is drawn
+    from.
+    """
+    if isinstance(streams, np.random.Generator):
+        return streams.standard_normal((count, width))
+    if len(streams) != count:
+        raise ValueError("need one stream per policy row")
+    block = np.empty((count, width))
+    for row, rng in zip(block, streams):
+        rng.standard_normal(out=row)
+    return block
+
+
+def row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix``, summed term by term in a fixed order.
+
+    BLAS products round a row differently depending on how many rows
+    share the call; elementwise products and sums do not, so every
+    output row is a function of its input row alone.
+    """
+    out = np.zeros((rows.shape[0],) + matrix.shape[1:])
+    for j in range(matrix.shape[0]):
+        out += np.multiply.outer(rows[:, j], matrix[j])
+    return out
+
+
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive semidefinite matrix.
 

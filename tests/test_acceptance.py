@@ -158,7 +158,7 @@ def test_criterion_03_perfect_sensors_recover_the_gradient_exactly():
             size=(2, 2)
         )
         scores = policies @ a_pi + sensors @ a_s + offset
-        batch = TrialBatch(policies, scores, sensors, sensors)
+        batch = TrialBatch(policies, scores, sensors)
         gradient = estimate_g2(batch).gradient
         worst = max(worst, float(np.max(np.abs(gradient - a_pi))))
     _verdict(
@@ -318,7 +318,7 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
     assert not trials.flagged.any()
     model_square = 0.0
     zero_square = 0.0
-    for policy, raw in zip(trials.policies, trials.raw_sensors):
+    for policy, raw in zip(trials.policies, trials.sensors):
         angles, velocities, _ = split_dart_sensors(quiet, raw)
         times = np.arange(angles.shape[0]) * quiet.timestep
         torques = commanded_torques(
@@ -339,7 +339,7 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
     residual_scores = (
         batch.scores - estimate.offset - batch.policies @ estimate.gradient
     )
-    encoded = encode_dart_batch(world, model, batch).encoded()
+    encoded = encode_dart_batch(world, model, batch).sensors
     correlations = [
         abs(float(np.corrcoef(encoded[:, j], residual_scores)[0, 1]))
         for j in range(encoded.shape[1])

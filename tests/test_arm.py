@@ -18,6 +18,10 @@ from sensorgrad.envs.arm import (
 from sensorgrad.seeding import children, substream
 
 HOLD_POLICY = np.repeat([1.9, 2.0, 0.6], KNOTS_PER_JOINT)
+# The throwing posture of configs/dart_search.cfg: its trials score.
+THROW_POLICY = np.array(
+    [1.6196, 1.52648, 1.08784, 1.63504, 1.084, 0.48032, 0.45472, 0.12, -0.11944]
+)
 
 
 def rk4(world, angles, velocities, torques, dt):
@@ -110,7 +114,7 @@ def test_desired_trajectory_interpolates_the_knots():
 
 def test_trial_sensors_unpack_consistently():
     world = ArmWorld()
-    raw = dart_trial(world, HOLD_POLICY, substream(103)).raw_sensors[0]
+    raw = dart_trial(world, HOLD_POLICY, substream(103)).sensors[0]
     angles, velocities, release = split_dart_sensors(world, raw)
     assert angles.shape == (world.grid_steps + 1, 3)
     assert velocities.shape == angles.shape
@@ -127,12 +131,26 @@ def test_trials_are_deterministic():
     a = dart_trial(world, HOLD_POLICY, substream(104))
     b = dart_trial(world, HOLD_POLICY, substream(104))
     assert np.array_equal(a.scores, b.scores)
-    assert np.array_equal(a.raw_sensors, b.raw_sensors)
+    assert np.array_equal(a.sensors, b.sensors)
     policies = np.tile(HOLD_POLICY, (3, 1))
     batch_a = dart_trials(world, policies, children(substream(105), 3))
     batch_b = dart_trials(world, policies, children(substream(105), 3))
     assert np.array_equal(batch_a.scores, batch_b.scores)
-    assert np.array_equal(batch_a.raw_sensors, batch_b.raw_sensors)
+    assert np.array_equal(batch_a.sensors, batch_b.sensors)
+
+
+@pytest.mark.parametrize("size", [2, 7, 12, 48])
+def test_a_one_trial_call_matches_its_row_in_a_batch(size):
+    world = ArmWorld()
+    noise = 0.05 * substream(109).standard_normal((size, world.policy_dim))
+    policies = THROW_POLICY + noise
+    batch = dart_trials(world, policies, children(substream(109, size), size))
+    for i, rng in enumerate(children(substream(109, size), size)):
+        single = dart_trial(world, policies[i], rng)
+        assert np.array_equal(single.scores, batch.scores[i : i + 1])
+        assert np.array_equal(single.sensors, batch.sensors[i : i + 1])
+        assert np.array_equal(single.flagged, batch.flagged[i : i + 1])
+    assert not batch.flagged.all()
 
 
 def test_score_is_continuous_in_the_policy():
@@ -154,5 +172,5 @@ def test_env_exposes_the_policy_dimension_and_passthrough_encoding():
     env = DartEnv()
     assert env.policy_dim == 9
     batch = env.sample_trials(HOLD_POLICY, [substream(108)])
-    assert batch.raw_sensors.shape == (1, env.world.sensor_dim)
+    assert batch.sensors.shape == (1, env.world.sensor_dim)
     assert env.encode_batch(batch) is batch

@@ -9,7 +9,7 @@ from sensorgrad.envs.cannon import (
 )
 from sensorgrad.estimators import PolicyDomainError, estimate_g1, estimate_g2
 from sensorgrad.search import sample_exploration_policies
-from sensorgrad.seeding import children, substream
+from sensorgrad.seeding import children, psd_sqrt, substream
 
 QUIET = CannonWorld(
     control_noise_cov=np.zeros((2, 2)), sensor_noise_cov=np.zeros((2, 2))
@@ -37,7 +37,7 @@ def test_noise_free_scores_are_closed_form():
     trial = env.sample_trials(policy, [substream(70)])
     miss = 16.0**2 / 9.8 - 400.0 / 9.8
     assert trial.scores[0] == pytest.approx(-(miss**2))
-    assert np.allclose(trial.raw_sensors, 0.0)
+    assert np.allclose(trial.sensors, 0.0)
 
 
 def test_policy_domain_is_enforced():
@@ -68,7 +68,7 @@ def test_sensors_report_the_actuation_error_exactly():
         np.array([16.0, np.pi / 4]), np.diag([0.25, 0.0025]), 20, substream(72)
     )
     trials = env.sample_trials(policies, children(substream(73), 20))
-    executed = trials.policies + trials.raw_sensors
+    executed = trials.policies + trials.sensors
     expected = -((cannon_range(executed) - world.target_range) ** 2)
     assert trials.scores == pytest.approx(expected, rel=1e-12)
 
@@ -90,13 +90,55 @@ def test_env_noise_scale_matches_scaled_world():
     )
 
 
+CORRELATED = CannonWorld(
+    control_noise_cov=np.array([[1.0, 0.02], [0.02, 0.0012]]),
+    sensor_noise_cov=np.array([[0.01, -0.0001], [-0.0001, 0.00002]]),
+)
+
+
+def per_row_reference(env, policies, streams):
+    """Scores and sensors of a sampler that draws each row as ``root @ z``."""
+    control_root = psd_sqrt(env.world.control_noise_cov)
+    sensor_root = psd_sqrt(env.world.sensor_noise_cov)
+    actuation, read = np.empty(policies.shape), np.empty(policies.shape)
+    for i, rng in enumerate(streams):
+        actuation[i] = control_root @ rng.standard_normal(2)
+        read[i] = sensor_root @ rng.standard_normal(2)
+    ranges = cannon_range(policies + actuation, env.world.gravity)
+    return -((ranges - env.world.target_range) ** 2), actuation + read
+
+
 def test_trials_are_reproducible():
-    env = CannonEnv()
-    policies = np.tile(np.array([16.0, np.pi / 4]), (6, 1))
-    a = env.sample_trials(policies, children(substream(74), 6))
-    b = env.sample_trials(policies, children(substream(74), 6))
+    # With diagonal covariances, as configs give them, no bit moves.
+    for world, exact in ((CannonWorld(), True), (CORRELATED, False)):
+        for size in (1, 2, 12, 48):
+            env = CannonEnv(world, noise_scale=2.0)
+            check_batch_against_per_row_draws(env, size, exact)
+
+
+def check_batch_against_per_row_draws(env, size, exact):
+    policies = sample_exploration_policies(
+        np.array([16.0, np.pi / 4]), np.diag([0.25, 0.0025]), size, substream(74)
+    )
+    a = env.sample_trials(policies, children(substream(74, 1), size))
+    b = env.sample_trials(policies, children(substream(74, 1), size))
     assert np.array_equal(a.scores, b.scores)
-    assert np.array_equal(a.raw_sensors, b.raw_sensors)
+    assert np.array_equal(a.sensors, b.sensors)
+    for i, rng in enumerate(children(substream(74, 1), size)):
+        single = env.sample_trials(policies[i], [rng])
+        assert np.array_equal(single.scores, a.scores[i : i + 1])
+        assert np.array_equal(single.sensors, a.sensors[i : i + 1])
+    scores, sensors = per_row_reference(
+        env, policies, children(substream(74, 1), size)
+    )
+    if exact:
+        assert np.array_equal(a.scores, scores)
+        assert np.array_equal(a.sensors, sensors)
+    else:
+        # A BLAS matrix-vector product rounds differently from the
+        # sampler's term-by-term sums, so the last bit may move.
+        assert np.allclose(a.sensors, sensors, rtol=1e-15, atol=1e-15)
+        assert np.allclose(a.scores, scores, rtol=1e-12, atol=1e-9)
 
 
 def test_true_value_is_deterministic_and_exact_when_quiet():

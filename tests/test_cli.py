@@ -157,6 +157,11 @@ BAD_SETTING_CASES = {
         ENCODING_RUN_CFG + "search.encode_max_iterations = -1\n",
         "encode_max_iterations must be nonnegative",
     ),
+    "cannon-smoke-encode-key-without-encoding": (
+        "run",
+        (CONFIG_DIR / "cannon_smoke.cfg").read_text() + "search.encode_restarts = 3\n",
+        "unknown key 'search.encode_restarts'",
+    ),
     "dart-encode-restarts": (
         "run",
         DART_CFG.replace("search.encode_restarts = 2", "search.encode_restarts = 0"),

@@ -135,11 +135,11 @@ def test_encode_dart_batch_layout(model):
     policy = np.repeat(np.array(WORLD.start_posture), KNOTS_PER_JOINT)
     batch = dart_trials(WORLD, np.tile(policy, (4, 1)), children(substream(8), 4))
     encoded = encode_dart_batch(WORLD, model, batch)
-    sensors = encoded.encoded()
+    sensors = encoded.sensors
     assert sensors.shape == (4, KNOTS_PER_JOINT * 3 + 1)
-    assert np.array_equal(sensors[:, -1], batch.raw_sensors[:, -1])
+    assert np.array_equal(sensors[:, -1], batch.sensors[:, -1])
     again = encode_dart_batch(WORLD, model, batch)
-    assert np.array_equal(sensors, again.encoded())
+    assert np.array_equal(sensors, again.sensors)
 
 
 def test_encoding_does_not_depend_on_batch_composition(model):
@@ -149,11 +149,11 @@ def test_encoding_does_not_depend_on_batch_composition(model):
     policy = np.repeat(np.array(WORLD.start_posture), KNOTS_PER_JOINT)
     policies = policy + 0.05 * substream(9).standard_normal((48, policy.size))
     batch = dart_trials(WORLD, policies, children(substream(9, 1), 48))
-    whole = encode_dart_batch(WORLD, model, batch).encoded()
+    whole = encode_dart_batch(WORLD, model, batch).sensors
     halves = [batch.rows(slice(None, 24)), batch.rows(slice(24, None))]
     singles = [batch.rows(slice(i, i + 1)) for i in range(48)]
     for parts in (halves, singles):
         stacked = np.concatenate(
-            [encode_dart_batch(WORLD, model, part).encoded() for part in parts]
+            [encode_dart_batch(WORLD, model, part).sensors for part in parts]
         )
         assert np.array_equal(whole, stacked)

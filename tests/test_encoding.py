@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from sensorgrad.encoding import (
     EncodingError,
     EncodingSearchConfig,
-    SensorProjection,
     _centered,
     _loo_cost_and_grad,
     _search_cost_and_grad,
@@ -37,14 +38,14 @@ def planted_batch(seed, n=50, raw_dim=10, signal=2.0, noise_std=0.1):
         + signal * (raw @ direction)
         + noise_std * rng.normal(size=n)
     )
-    return TrialBatch(policies, scores, raw, raw), direction
+    return TrialBatch(policies, scores, raw), direction
 
 
 def brute_force_loo(batch, matrix):
     """Delete one row, refit, and score its held-out prediction."""
     pols = batch.policies
     scores = batch.scores
-    design = np.concatenate([pols, batch.raw() @ matrix], axis=1)
+    design = np.concatenate([pols, batch.sensors @ matrix], axis=1)
     total = 0.0
     for i in range(design.shape[0]):
         keep = np.arange(design.shape[0]) != i
@@ -60,7 +61,7 @@ def random_batch(seed, n, d, raw_dim):
     raw = rng.normal(size=(n, raw_dim))
     scores = policies @ rng.normal(size=d) + raw @ rng.normal(size=raw_dim)
     scores = scores + rng.normal(size=n)
-    return TrialBatch(policies, scores, raw, raw)
+    return TrialBatch(policies, scores, raw)
 
 
 def central_difference(fun, b, step=1e-6):
@@ -93,7 +94,7 @@ def loo_problems(draw):
 @given(loo_problems())
 def test_analytic_gradient_matches_central_differences(problem):
     batch, b = problem
-    centered = _centered(batch, batch.raw())
+    centered = _centered(batch)
     try:
         cost, grad = _loo_cost_and_grad(*centered, b)
     except EncodingError:
@@ -115,7 +116,7 @@ def test_analytic_gradient_matches_central_differences(problem):
 def test_kernel_cost_equals_loo_cost_and_delete_and_refit(problem):
     batch, b = problem
     try:
-        cost, _ = _loo_cost_and_grad(*_centered(batch, batch.raw()), b)
+        cost, _ = _loo_cost_and_grad(*_centered(batch), b)
     except EncodingError:
         assume(False)
     assert cost == loo_cost(batch, b)
@@ -148,23 +149,23 @@ def test_loo_cost_rejects_rank_deficient_projection():
 
 
 def rejection_case(name):
-    """(batch, projection, sensors) for a named leave-one-out case."""
+    """(batch, projection) for a named leave-one-out case."""
     few, _ = planted_batch(83, n=6, raw_dim=4)
     batch, _ = planted_batch(84, n=30, raw_dim=6)
     if name == "too_few_samples":
-        return few, np.eye(4)[:, :2], few.raw()
+        return few, np.eye(4)[:, :2]
     if name == "one_column_fewer":
-        return few, np.eye(4)[:, :1], few.raw()
+        return few, np.eye(4)[:, :1]
     if name == "rank_deficient":
         repeated = np.zeros((6, 2))
         repeated[0, :] = 1.0
-        return batch, repeated, batch.raw()
+        return batch, repeated
     if name == "leverage_one":
         # A raw channel that is nonzero at one trial only gives it leverage 1.
         spike = np.zeros((30, 6))
         spike[0, 0] = 1.0
-        return batch, np.eye(6)[:, :1], spike
-    return batch, substream(85).normal(size=(6, 2)), batch.raw()
+        return replace(batch, sensors=spike), np.eye(6)[:, :1]
+    return batch, substream(85).normal(size=(6, 2))
 
 
 @pytest.mark.parametrize(
@@ -178,15 +179,15 @@ def rejection_case(name):
     ],
 )
 def test_search_rejects_exactly_where_loo_cost_raises(name, rejected):
-    batch, matrix, raw = rejection_case(name)
-    cost, grad = _search_cost_and_grad(matrix.ravel(), *_centered(batch, raw))
+    batch, matrix = rejection_case(name)
+    cost, grad = _search_cost_and_grad(matrix.ravel(), *_centered(batch))
     if rejected:
         with pytest.raises((EncodingError, EstimationError)):
-            loo_cost(batch, matrix, sensors=raw)
+            loo_cost(batch, matrix)
         assert cost == np.inf
         assert not grad.any()
     else:
-        assert cost == loo_cost(batch, matrix, sensors=raw)
+        assert cost == loo_cost(batch, matrix)
 
 
 def test_optimize_projection_recovers_planted_direction():
@@ -235,9 +236,8 @@ def test_optimize_projection_is_deterministic():
 def test_estimate_gradient_encoded_matches_manual_encoding():
     batch, _ = planted_batch(91, raw_dim=6)
     matrix = substream(92).normal(size=(6, 2))
-    projection = SensorProjection(matrix)
-    via_projection = estimate_gradient_encoded(batch, projection)
-    manual = estimate_g2(batch.with_encoded(batch.raw() @ matrix))
+    via_projection = estimate_gradient_encoded(batch, matrix)
+    manual = estimate_g2(replace(batch, sensors=batch.sensors @ matrix))
     assert np.allclose(via_projection.gradient, manual.gradient, atol=1e-12)
     assert np.allclose(
         via_projection.sensor_coefficients, manual.sensor_coefficients, atol=1e-12

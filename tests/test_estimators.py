@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,29 +59,28 @@ def test_batch_validation():
     with pytest.raises(ValueError, match="one row per trial"):
         TrialBatch(np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ValueError, match="one row per trial"):
-        TrialBatch(np.zeros((2, 2)), np.zeros(2), encoded_sensors=np.zeros(2))
+        TrialBatch(np.zeros((2, 2)), np.zeros(2), sensors=np.zeros(2))
     with pytest.raises(ValueError, match="one entry per trial"):
         TrialBatch(np.zeros((2, 2)), np.zeros(2), flagged=[True])
-    batch = TrialBatch(
-        np.arange(6.0).reshape(3, 2), np.arange(3.0), raw_sensors=np.eye(3)
-    )
+    batch = TrialBatch(np.arange(6.0).reshape(3, 2), np.arange(3.0), np.eye(3))
     assert len(batch) == batch.size == 3
     assert not batch.flagged.any()
-    with pytest.raises(EstimationError, match="missing encoded sensors"):
-        batch.encoded()
+    unsensed = replace(batch, sensors=None)
+    with pytest.raises(EstimationError, match="missing sensors"):
+        unsensed.sensor_matrix()
     picked = batch.rows(np.array([True, False, True]))
     assert np.array_equal(picked.policies, [[0.0, 1.0], [4.0, 5.0]])
-    assert np.array_equal(picked.raw_sensors, np.eye(3)[[0, 2]])
-    assert picked.encoded_sensors is None
+    assert np.array_equal(picked.sensors, np.eye(3)[[0, 2]])
+    assert unsensed.rows(np.array([True, False, True])).sensors is None
     assert np.array_equal(batch.rows(slice(1, None)).scores, [1.0, 2.0])
-    encoded = batch.with_encoded(np.ones((3, 1)))
-    assert np.array_equal(encoded.encoded(), np.ones((3, 1)))
-    assert encoded.raw_sensors is batch.raw_sensors
+    encoded = replace(batch, sensors=np.ones((3, 1)))
+    assert np.array_equal(encoded.sensor_matrix(), np.ones((3, 1)))
+    assert encoded.policies is batch.policies
 
 
 def test_estimators_require_enough_samples():
     policies = np.array([[float(i), 0.5 * i] for i in range(3)])
-    batch = TrialBatch(policies, np.arange(3.0), encoded_sensors=np.full((3, 1), 0.1))
+    batch = TrialBatch(policies, np.arange(3.0), np.full((3, 1), 0.1))
     with pytest.raises(EstimationError, match="insufficient samples"):
         estimate_g1(batch)
     with pytest.raises(EstimationError, match="insufficient samples"):
@@ -223,7 +224,7 @@ def test_centered_estimators_tolerate_offsets_and_sensor_means():
     trials = env.sample_trials(policies, children(substream(51, EVAL), 10))
     # Shift the readings to a nonzero mean; the score follows its sensors.
     mean = np.array([3.0, -1.0])
-    sensed = trials.raw_sensors + mean
-    batch = TrialBatch(policies, trials.scores + mean @ SENSOR_SLOPE, sensed, sensed)
+    sensed = trials.sensors + mean
+    batch = TrialBatch(policies, trials.scores + mean @ SENSOR_SLOPE, sensed)
     estimate = estimate_g2(batch)
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-8)

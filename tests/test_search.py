@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sensorgrad.envs.arm import ArmWorld, DartEnv
 from sensorgrad.envs.cannon import CannonEnv, CannonWorld, cannon_true_value
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import EstimationError, NoiseSpec, PolicyDomainError
@@ -212,6 +213,21 @@ PREFIX_CASES = {
             learning_rate=0.05,
         ),
     ),
+    "dart": (
+        lambda: DartEnv(ArmWorld()),
+        dict(
+            # The throwing posture of configs/dart_search.cfg.
+            initial_policy=np.array(
+                [1.6196, 1.52648, 1.08784, 1.63504, 1.084]
+                + [0.48032, 0.45472, 0.12, -0.11944]
+            ),
+            exploration_cov=0.002 * np.eye(9),
+            trials_per_step=12,
+            estimator="ignore_sensors",
+            step_rule="normalized",
+            learning_rate=0.03,
+        ),
+    ),
     "synthetic": (
         lambda: SyntheticEnv(informative_sensor_world()),
         dict(
@@ -229,7 +245,8 @@ PREFIX_CASES = {
 @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
 def test_a_run_does_not_depend_on_the_runs_beside_it(case):
     make_env, settings = PREFIX_CASES[case]
-    config = base_config(steps=3, runs=2, seed=17, trials_per_step=10, **settings)
+    settings = {"trials_per_step": 10, **settings}
+    config = base_config(steps=3, runs=2, seed=17, **settings)
     few = run_learning_curve(make_env(), config)
     many = run_learning_curve(make_env(), replace(config, runs=5))
     assert few.run_indices == (0, 1) and many.run_indices == (0, 1, 2, 3, 4)
@@ -239,6 +256,20 @@ def test_a_run_does_not_depend_on_the_runs_beside_it(case):
     assert repr(few.diagnostics) == repr(prefix)
     again = run_learning_curve(make_env(), config)
     assert repr(few.diagnostics) == repr(again.diagnostics)
+
+
+def test_a_lone_dart_run_matches_the_same_run_in_a_lockstep_batch():
+    # With one evaluation trial per point a lone run evaluates in one-row
+    # simulator calls, which must round as the shared two-row call does.
+    # Rounding moves only some scores, so the run evaluates four points.
+    make_env, settings = PREFIX_CASES["dart"]
+    config = base_config(steps=4, runs=1, seed=18, eval_trials_per_point=1, **settings)
+    alone = run_learning_curve(make_env(), config)
+    paired = run_learning_curve(make_env(), replace(config, runs=2))
+    assert alone.run_indices == (0,) and paired.run_indices == (0, 1)
+    assert np.array_equal(alone.run_values[0], paired.run_values[0])
+    prefix = tuple(r for r in paired.diagnostics if r.run == 0)
+    assert repr(alone.diagnostics) == repr(prefix)
 
 
 def _stepped_alone(env, config, run):

@@ -33,14 +33,13 @@ def test_noiseless_trial_follows_the_score_equation():
     policy = np.array([1.0, 2.0])
     trial = one_trial(world, policy, substream(61))
     expected_sensed = np.array([ordered_dot(policy, column) for column in coupling.T])
-    assert np.allclose(trial.raw_sensors[0], expected_sensed, atol=1e-12)
+    assert np.allclose(trial.sensors[0], expected_sensed, atol=1e-12)
     expected_score = (
         ordered_dot(policy, TRUE_GRADIENT)
         + ordered_dot(expected_sensed, SENSOR_SLOPE)
         - 2.0
     )
     assert trial.scores[0] == expected_score
-    assert np.array_equal(trial.raw_sensors, trial.encoded_sensors)
 
 
 def test_noiseless_correlated_trial_flips_the_coupling_sign():
@@ -49,7 +48,7 @@ def test_noiseless_correlated_trial_flips_the_coupling_sign():
     policy = np.array([1.0, 2.0])
     trial = one_trial(world, policy, substream(62), correlated=True)
     expected_sensed = -coupling.T @ policy
-    assert np.allclose(trial.raw_sensors[0], expected_sensed, atol=1e-12)
+    assert np.allclose(trial.sensors[0], expected_sensed, atol=1e-12)
     # the score responds to the disturbance (zero here), not the reading
     assert trial.scores[0] == float(policy @ TRUE_GRADIENT)
 
@@ -58,7 +57,7 @@ def test_score_consistent_with_returned_sensors_under_noise():
     world = make_world(sensor_cov=np.array([[0.3, 0.1], [0.1, 0.2]]))
     policy = np.array([0.4, -1.0])
     trial = one_trial(world, policy, substream(63))
-    sensed = trial.raw_sensors[0]
+    sensed = trial.sensors[0]
     expected = float(policy @ TRUE_GRADIENT) + float(sensed @ SENSOR_SLOPE)
     assert trial.scores[0] == expected
 
@@ -73,7 +72,7 @@ def test_correlated_sensor_mean_tracks_the_policy():
     trials = env.sample_trials(
         np.tile(policy, (count, 1)), children(substream(64), count)
     )
-    sensed = trials.raw_sensors
+    sensed = trials.sensors
     expected = -coupling.T @ policy
     se = sensed.std(axis=0, ddof=1) / np.sqrt(count)
     assert np.all(np.abs(sensed.mean(axis=0) - expected) < 4.0 * se)
@@ -87,7 +86,7 @@ def test_batch_sampling_matches_per_trial_streams():
     for i, stream in enumerate(children(substream(66), 5)):
         single = env.sample_trials(policies[i], [stream])
         assert single.scores[0] == batch.scores[i]
-        assert np.array_equal(single.raw_sensors[0], batch.raw_sensors[i])
+        assert np.array_equal(single.sensors[0], batch.sensors[i])
 
 
 def reference_trial(env, policy, rng):
@@ -118,21 +117,21 @@ def test_rows_do_not_depend_on_the_batch_they_are_drawn_in(correlated):
     for i, rng in enumerate(children(substream(69), 48)):
         score, sensed = reference_trial(env, policies[i], rng)
         assert whole.scores[i] == pytest.approx(score, rel=1e-12, abs=1e-12)
-        assert np.allclose(whole.raw_sensors[i], sensed, rtol=1e-12, atol=1e-12)
+        assert np.allclose(whole.sensors[i], sensed, rtol=1e-12, atol=1e-12)
     for size in (1, 2, 12):
         streams = children(substream(69), 48)
         for first in range(0, 48, size):
             rows = slice(first, first + size)
             part = env.sample_trials(policies[rows], streams[rows])
             assert np.array_equal(part.scores, whole.scores[rows])
-            assert np.array_equal(part.raw_sensors, whole.raw_sensors[rows])
+            assert np.array_equal(part.sensors, whole.sensors[rows])
     # One block generator: consecutive batches read on through the same block.
     block = env.sample_trials(policies, substream(70))
     rng = substream(70)
     for first in range(0, 48, 12):
         part = env.sample_trials(policies[first : first + 12], rng)
         assert np.array_equal(part.scores, block.scores[first : first + 12])
-        assert np.array_equal(part.raw_sensors, block.raw_sensors[first : first + 12])
+        assert np.array_equal(part.sensors, block.sensors[first : first + 12])
 
 
 def test_mean_score_matches_the_analytic_value():
