@@ -256,10 +256,7 @@ def project_residuals(
         raise ValueError("basis must be sampled at the curve's timestamps")
     if steps < basis.shape[1]:
         raise ValueError("fewer timesteps than basis functions")
-    # One solve per trial: a single lstsq over every trial's columns
-    # changes the coefficients in their last bits.
-    curves = residuals.reshape(-1, steps, joints)
-    coef = np.stack([np.linalg.lstsq(basis, c, rcond=None)[0] for c in curves])
+    coef = np.linalg.pinv(basis) @ residuals.reshape(-1, steps, joints)
     flat = np.swapaxes(coef, 1, 2).reshape(residuals.shape[:-2] + (-1,))
     if release_time is None:
         return flat

@@ -8,22 +8,24 @@ negative squared vertical miss.  The sensors are the joint angle and
 velocity trajectories on the integration grid plus the realized release
 time.
 
-Dynamics use the rigid-rod chain model in relative joint coordinates.
-All angle-dependent terms reduce to fixed coefficient tensors contracted
-against cos/sin of the cumulative angles, which makes the inertia
-matrix, gravity vector, and Coriolis vector exact and cheap to evaluate
-for a whole batch of trials at once.
+Dynamics use the rigid-rod chain model in relative joint coordinates,
+with the Coriolis vector in Christoffel-symbol form (Spong, Hutchinson &
+Vidyasagar, *Robot Modeling and Control*, 2006, the dynamics chapter).
+Fixed per-world maps take the products cos(θc − θm) and sin(θc − θm) of
+the cumulative angles θ to the inertia matrix and the Christoffel
+symbols, so a batch's exact dynamics are a few matrix products.
 
-Integration is fixed-step RK4.  The commanded torque is recomputed once
-per step from the state at the step start and held for the step, and the
-noise draws perturb that held torque, so a trial's torque sequence can be
-reconstructed exactly from its policy and its sensor trajectories.
+Integration is fixed-step RK4 over the whole batch; the release is one
+more batched step, each trial's of its own partial length.  The
+commanded torque is recomputed once per step from the state at the step
+start and held for the step, and the noise draws perturb that held
+torque, so a trial's torque sequence can be reconstructed exactly from
+its policy and its sensor trajectories.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -146,13 +148,12 @@ class ArmState(NamedTuple):
 
 
 class _ChainTensors(NamedTuple):
-    reach: np.ndarray  # reach[i, c]: distance along link c contributing to COM i
-    mass_quad: np.ndarray  # [j, l, c, m] for the inertia matrix
-    mass_quad_step: np.ndarray  # [p, j, l, c, m] for dM/dq_p
+    """Angle-free maps of one world's chain dynamics, as :func:`_dynamics` applies them."""
+
+    mass_map: np.ndarray  # [(c, m), (j, l)]
     rot_inertia: np.ndarray  # [j, l] angular-rate block
-    grav_weight: np.ndarray  # [j, c] mass-weighted reach
-    lengths: np.ndarray
-    masses: np.ndarray
+    coriolis_map: np.ndarray  # [(c, m), (j, p, l)] Christoffel symbols
+    gravity_map: np.ndarray  # [c, j]
 
 
 @lru_cache(maxsize=None)
@@ -172,52 +173,49 @@ def _chain_tensors(world: ArmWorld) -> _ChainTensors:
         for j in range(dof):
             for c in range(j, i + 1):
                 coef[i, j, c] = reach[i, c]
-    mass_quad = np.einsum("i,ijc,ilm->jlcm", masses, coef, coef)
-    step = (np.arange(dof)[:, None] >= np.arange(dof)[None, :]).astype(float)
-    mass_quad_step = (
-        mass_quad[None] * (step.T[:, None, None, :, None] - step.T[:, None, None, None, :])
-    )
+    # M_jl = sum_cm quad[j, l, c, m] cos(θc − θm) + rot_inertia[j, l]
+    quad = np.einsum("i,ijc,ilm->jlcm", masses, coef, coef)
+    # ∂θc/∂q_p = [p <= c], so ∂M_jl/∂q_p = -sum_cm rate[p, j, l, c, m] sin(θc − θm)
+    lead = (np.arange(dof)[:, None] <= np.arange(dof)[None, :]).astype(float)
+    rate = quad[None] * (lead[:, None, None, :, None] - lead[:, None, None, None, :])
+    # c_j = -sum_pl (∂M_jl/∂q_p - ½ ∂M_pl/∂q_j) v_p v_l
+    christoffel = np.swapaxes(rate, 0, 1) - 0.5 * rate  # [j, p, l, c, m]
     lower = (np.arange(dof)[None, :] <= np.arange(dof)[:, None]).astype(float)
     rot_inertia = np.einsum("i,ij,il->jl", inertias, lower, lower)
     grav_weight = np.einsum("i,ijc->jc", masses, coef)
     return _ChainTensors(
-        reach, mass_quad, mass_quad_step, rot_inertia, grav_weight, lengths, masses
+        mass_map=quad.transpose(2, 3, 0, 1).reshape(dof * dof, dof * dof),
+        rot_inertia=rot_inertia,
+        coriolis_map=christoffel.transpose(3, 4, 0, 1, 2).reshape(dof * dof, dof**3),
+        gravity_map=-world.gravity * grav_weight.T,
     )
 
 
-def _angle_terms(angles: np.ndarray):
-    theta = np.cumsum(angles, axis=-1)
-    return np.cos(theta), np.sin(theta)
+def _dynamics(tensors: _ChainTensors, angles, velocities):
+    """Inertia matrices, gravity and Coriolis vectors of (rows, dof) states."""
+    rows, dof = angles.shape
+    theta = np.cumsum(angles, axis=1)
+    turn = np.empty((rows, dof), dtype=complex)
+    turn.real, turn.imag = np.cos(theta), np.sin(theta)
+    # e^{iθc} e^{-iθm} = cos(θc − θm) + i sin(θc − θm)
+    diff = (turn[:, :, None] * turn.conj()[:, None, :]).reshape(rows, dof * dof)
+    cos_t, cos_diff, sin_diff = turn.real, diff.real, diff.imag
+    mass = (cos_diff @ tensors.mass_map).reshape(rows, dof, dof) + tensors.rot_inertia
+    vv = (velocities[:, :, None] * velocities[:, None, :]).reshape(rows, dof * dof, 1)
+    christoffel = (sin_diff @ tensors.coriolis_map).reshape(rows, dof, dof * dof)
+    coriolis = (christoffel @ vv)[..., 0]
+    grav = cos_t @ tensors.gravity_map
+    return mass, grav, coriolis
 
 
-def _mass_matrices(tensors: _ChainTensors, cos_t, sin_t) -> np.ndarray:
-    cos_diff = cos_t[:, :, None] * cos_t[:, None, :] + sin_t[:, :, None] * sin_t[:, None, :]
-    return np.einsum("jlcm,bcm->bjl", tensors.mass_quad, cos_diff) + tensors.rot_inertia
-
-
-def _force_terms(tensors: _ChainTensors, cos_t, sin_t, velocities, gravity):
-    sin_diff = sin_t[:, :, None] * cos_t[:, None, :] - cos_t[:, :, None] * sin_t[:, None, :]
-    mass_rate = -np.einsum("pjlcm,bcm->bpjl", tensors.mass_quad_step, sin_diff)
-    vv = velocities[:, :, None] * velocities[:, None, :]
-    coriolis = -np.einsum("bpjl,bpl->bj", mass_rate, vv) + 0.5 * np.einsum(
-        "bjpl,bpl->bj", mass_rate, vv
-    )
-    grav = -gravity * np.einsum("jc,bc->bj", tensors.grav_weight, cos_t)
-    return grav, coriolis
-
-
-def _accelerations(world: ArmWorld, tensors, angles, velocities, torques) -> np.ndarray:
-    cos_t, sin_t = _angle_terms(angles)
-    mass = _mass_matrices(tensors, cos_t, sin_t)
-    grav, coriolis = _force_terms(tensors, cos_t, sin_t, velocities, world.gravity)
+def _accelerations(tensors: _ChainTensors, angles, velocities, torques) -> np.ndarray:
+    mass, grav, coriolis = _dynamics(tensors, angles, velocities)
     rhs = torques + grav + coriolis
-    bad = ~(
-        np.isfinite(mass).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-    )
-    if bad.any():
-        mass = mass.copy()
-        rhs = rhs.copy()
-        mass[bad] = np.eye(world.dof)
+    if not (np.isfinite(mass).all() and np.isfinite(rhs).all()):
+        # A diverged row must not make the batched solve raise: it
+        # solves a harmless system and comes out NaN.
+        bad = ~(np.isfinite(mass).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1))
+        mass[bad] = np.eye(angles.shape[1])
         rhs[bad] = np.nan
     return np.linalg.solve(mass, rhs[..., None])[..., 0]
 
@@ -230,11 +228,7 @@ def chain_terms(world: ArmWorld, angles, velocities):
     """
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
-    tensors = _chain_tensors(world)
-    cos_t, sin_t = _angle_terms(angles)
-    mass = _mass_matrices(tensors, cos_t, sin_t)
-    grav, coriolis = _force_terms(tensors, cos_t, sin_t, velocities, world.gravity)
-    return mass, grav, coriolis
+    return _dynamics(_chain_tensors(world), angles, velocities)
 
 
 def arm_dynamics(world: ArmWorld, state: ArmState, torques) -> np.ndarray:
@@ -257,28 +251,27 @@ def arm_dynamics(world: ArmWorld, state: ArmState, torques) -> np.ndarray:
 
 def arm_energy(world: ArmWorld, state: ArmState) -> float:
     """Kinetic plus gravitational energy, potential zero at shoulder height."""
-    tensors = _chain_tensors(world)
-    angles = np.asarray(state.joint_angles, dtype=float)[None, :]
+    angles = np.asarray(state.joint_angles, dtype=float)
     velocities = np.asarray(state.joint_velocities, dtype=float)
-    cos_t, sin_t = _angle_terms(angles)
-    mass = _mass_matrices(tensors, cos_t, sin_t)[0]
-    kinetic = 0.5 * float(velocities @ mass @ velocities)
-    heights = np.einsum("c,c->", tensors.grav_weight[0], sin_t[0])
-    return kinetic + world.gravity * float(heights)
+    mass, _, _ = chain_terms(world, angles, velocities)
+    kinetic = 0.5 * float(velocities @ mass[0] @ velocities)
+    # gravity_map[c, 0] = -g w_c, and the potential is g sum_c w_c sin θc.
+    gravity_first = _chain_tensors(world).gravity_map[:, 0]
+    return kinetic - float(np.sin(np.cumsum(angles)) @ gravity_first)
 
 
 def fingertip_state(world: ArmWorld, angles, velocities):
-    """World-frame fingertip position and velocity for one configuration."""
-    angles = np.asarray(angles, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    theta = np.cumsum(angles)
-    omega = np.cumsum(velocities)
+    """World-frame fingertip positions and velocities (..., 2) of (..., dof) states."""
+    theta = np.cumsum(np.asarray(angles, dtype=float), axis=-1)
+    omega = np.cumsum(np.asarray(velocities, dtype=float), axis=-1)
     lengths = np.array(world.lengths)
-    position = np.array(world.shoulder_position) + np.array(
-        [lengths @ np.cos(theta), lengths @ np.sin(theta)]
+    reach_x = lengths * np.cos(theta)
+    reach_y = lengths * np.sin(theta)
+    position = np.array(world.shoulder_position) + np.stack(
+        [reach_x.sum(axis=-1), reach_y.sum(axis=-1)], axis=-1
     )
-    velocity = np.array(
-        [-(lengths * np.sin(theta)) @ omega, (lengths * np.cos(theta)) @ omega]
+    velocity = np.stack(
+        [-(reach_y * omega).sum(axis=-1), (reach_x * omega).sum(axis=-1)], axis=-1
     )
     return position, velocity
 
@@ -344,21 +337,19 @@ def split_dart_sensors(world: ArmWorld, raw):
     return blocks[..., : world.dof], blocks[..., world.dof :], raw[..., -1]
 
 
-def _rk4_step(world, tensors, angles, velocities, torques, step):
-    def accel(a, v):
-        return _accelerations(world, tensors, a, v, torques)
+def _rk4_step(tensors, states, torques, step):
+    """RK4 step of (rows, 2 dof) angle-velocity states; step: scalar or (rows, 1)."""
+    dof = states.shape[1] // 2
 
-    k1v = accel(angles, velocities)
-    k1a = velocities
-    k2a = velocities + 0.5 * step * k1v
-    k2v = accel(angles + 0.5 * step * k1a, k2a)
-    k3a = velocities + 0.5 * step * k2v
-    k3v = accel(angles + 0.5 * step * k2a, k3a)
-    k4a = velocities + step * k3v
-    k4v = accel(angles + step * k3a, k4a)
-    new_angles = angles + (step / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    new_velocities = velocities + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return new_angles, new_velocities
+    def rate(y):
+        accel = _accelerations(tensors, y[:, :dof], y[:, dof:], torques)
+        return np.concatenate([y[:, dof:], accel], axis=1)
+
+    k1 = rate(states)
+    k2 = rate(states + 0.5 * step * k1)
+    k3 = rate(states + 0.5 * step * k2)
+    k4 = rate(states + step * k3)
+    return states + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatch:
@@ -366,10 +357,10 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
 
     Per-trial draw order: release time, then the multiplicative torque
     noise array, then the additive array, so a trial's randomness does
-    not depend on what else is in the batch.  The batched linear algebra
-    rounds a lone row differently from the same row among others, so a
-    one-row call simulates its row beside a copy of it (drawing from a
-    copy of its stream) and keeps the first.
+    not depend on what else is in the batch.  The batched matrix
+    products round a lone row differently from the same row among
+    others, so a one-row call simulates its row beside a copy of it
+    (drawing from a copy of its stream) and keeps the first.
     """
     if policies.shape[0] == 1:
         pair = np.repeat(policies, 2, axis=0)
@@ -381,11 +372,11 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
     grid = world.grid_steps
 
     release_times = np.empty(count)
-    intervals = np.empty(count, dtype=int)
     for i in range(count):
         draw = world.sim_duration + world.release_time_std * streams[i].standard_normal()
         release_times[i] = max(float(draw), 0.0)
-        intervals[i] = max(grid, int(math.floor(release_times[i] / dt)) + 1)
+    k_rel = np.floor(release_times / dt).astype(int)  # last grid step before release
+    intervals = np.maximum(grid, k_rel + 1)
     max_intervals = int(intervals.max())
     mult = np.zeros((count, max_intervals, dof))
     add = np.zeros((count, max_intervals, dof))
@@ -399,57 +390,45 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
     step_times = np.arange(max_intervals) * dt
     des_pos, des_vel = desired_trajectory(world, policies, step_times)
 
-    angles = np.zeros((count, max_intervals + 1, dof))
-    velocities = np.zeros((count, max_intervals + 1, dof))
+    # states[:, k] holds the joint angles, then the joint velocities, at step k.
+    states = np.zeros((count, max_intervals + 1, 2 * dof))
     torques = np.zeros((count, max_intervals, dof))
-    angles[:, 0] = np.array(world.start_posture)
+    states[:, 0, :dof] = np.array(world.start_posture)
     alive = np.ones(count, dtype=bool)
     for k in range(max_intervals):
-        q = angles[:, k]
-        v = velocities[:, k]
+        y = states[:, k]
+        q, v = y[:, :dof], y[:, dof:]
         commanded = _pd_torques(world, des_pos[:, k], des_vel[:, k], q, v)
         torques[:, k] = commanded * (1.0 + mult[:, k]) + add[:, k]
-        new_q, new_v = _rk4_step(world, tensors, q, v, torques[:, k], dt)
-        ok = np.isfinite(new_q).all(axis=1) & np.isfinite(new_v).all(axis=1)
+        new = _rk4_step(tensors, y, torques[:, k], dt)
+        ok = np.isfinite(new).all(axis=1)
         active = alive & (k < intervals)
-        write = active & ok
-        alive = alive & (ok | ~active)
-        angles[:, k + 1] = np.where(write[:, None], new_q, q)
-        velocities[:, k + 1] = np.where(write[:, None], new_v, v)
+        alive &= ok | ~active
+        states[:, k + 1] = np.where((active & ok)[:, None], new, y)
 
-    sensor_blocks = np.concatenate(
-        [angles[:, : grid + 1], velocities[:, : grid + 1]], axis=2
-    ).reshape(count, (grid + 1) * 2 * dof)
+    sensor_blocks = states[:, : grid + 1].reshape(count, (grid + 1) * 2 * dof)
     raw = np.concatenate([sensor_blocks, release_times[:, None]], axis=1)
 
-    scores = np.full(count, FLAGGED_SCORE)
-    flagged = ~alive
+    # Release: every row (at least two, so none rounds as a lone row)
+    # takes its partial step from the grid state before its release time.
+    partial = (release_times - k_rel * dt)[:, None]
+    rows = np.arange(count)
+    released = _rk4_step(tensors, states[rows, k_rel], torques[rows, k_rel], partial)
+    position, velocity = fingertip_state(world, released[:, :dof], released[:, dof:])
     target_x, target_y = world.target_position
-    for i in np.flatnonzero(alive):
-        k_rel = int(math.floor(release_times[i] / dt))
-        partial = release_times[i] - k_rel * dt
-        q_rel, v_rel = _rk4_step(
-            world,
-            tensors,
-            angles[i, k_rel][None, :],
-            velocities[i, k_rel][None, :],
-            torques[i, k_rel][None, :],
-            partial,
-        )
-        position, velocity = fingertip_state(world, q_rel[0], v_rel[0])
-        gap = target_x - position[0]
-        degenerate = (
-            not (np.isfinite(position).all() and np.isfinite(velocity).all())
-            or velocity[0] <= _TINY_FORWARD_SPEED
-            or gap < 0.0
-        )
-        if degenerate:
-            flagged[i] = True
-        else:
-            flight = gap / velocity[0]
-            hit_y = position[1] + velocity[1] * flight - 0.5 * world.gravity * flight**2
-            scores[i] = -((hit_y - target_y) ** 2)
-    return TrialBatch(policies, scores, raw, flagged)
+    gap = target_x - position[:, 0]
+    finite = np.isfinite(position).all(axis=1) & np.isfinite(velocity).all(axis=1)
+    forward = (velocity[:, 0] > _TINY_FORWARD_SPEED) & (gap >= 0.0)
+    throws = alive & finite & forward
+    flight = gap[throws] / velocity[throws, 0]
+    hit_y = (
+        position[throws, 1]
+        + velocity[throws, 1] * flight
+        - 0.5 * world.gravity * flight**2
+    )
+    scores = np.full(count, FLAGGED_SCORE)
+    scores[throws] = -((hit_y - target_y) ** 2)
+    return TrialBatch(policies, scores, raw, ~throws)
 
 
 def _check_policies(world: ArmWorld, policies) -> np.ndarray:

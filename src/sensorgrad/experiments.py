@@ -51,7 +51,7 @@ from .search import (
     run_learning_curve,
     sample_exploration_policies,
 )
-from .seeding import ENCODE, EVAL, LEARN, PRETRAIN, VARIANCE, substream
+from .seeding import ENCODE, EVAL, LEARN, PRETRAIN, VARIANCE, psd_sqrt, substream
 
 __all__ = [
     "HASH_PREFIX",
@@ -604,10 +604,11 @@ def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
     noise_rng = substream(seed, VARIANCE, EVAL)
     g1_draws = np.empty((reps, env.policy_dim))
     g2_draws = np.empty((reps, env.policy_dim))
+    root = psd_sqrt(exploration_cov)
     for first in range(0, reps, REPLICATION_CHUNK):
         count = min(REPLICATION_CHUNK, reps - first)
         policies = sample_exploration_policies(
-            nominal, exploration_cov, count * n, policy_rng
+            nominal, exploration_cov, count * n, policy_rng, root=root
         )
         trials = env.sample_trials(policies, noise_rng)
         for i in range(count):

@@ -23,7 +23,7 @@ other runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class SearchConfig:
     encode_trials_per_step: int = 0
     encode_max_iterations: int = 60
     encode_restarts: int = 3
+    # psd_sqrt(exploration_cov), derived once for every draw of the search.
+    exploration_root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         policy = np.asarray(self.initial_policy, dtype=float)
@@ -112,6 +114,7 @@ class SearchConfig:
             raise ValueError("encode_restarts must be at least 1")
         object.__setattr__(self, "initial_policy", policy)
         object.__setattr__(self, "exploration_cov", cov)
+        object.__setattr__(self, "exploration_root", psd_sqrt(cov))
 
 
 @dataclass(frozen=True)
@@ -166,12 +169,19 @@ def check_exploration_cov(cov, dim: int) -> None:
         raise ValueError("exploration covariance must be positive definite")
 
 
-def sample_exploration_policies(policy, exploration_cov, count, rng) -> np.ndarray:
-    """Draw ``count`` policies i.i.d. from Normal(policy, exploration_cov)."""
+def sample_exploration_policies(
+    policy, exploration_cov, count, rng, *, root=None
+) -> np.ndarray:
+    """Draw ``count`` policies i.i.d. from Normal(policy, exploration_cov).
+
+    ``root`` is ``psd_sqrt(exploration_cov)``, for a caller that draws
+    from the same covariance repeatedly and has computed it once.
+    """
     policy = np.asarray(policy, dtype=float)
     if count < 1:
         raise ValueError("count must be positive")
-    root = psd_sqrt(exploration_cov)
+    if root is None:
+        root = psd_sqrt(exploration_cov)
     draws = rng.standard_normal((count, policy.shape[0]))
     return policy + draws @ root.T
 
@@ -243,21 +253,21 @@ def _draw_attempt(policy, config: SearchConfig, rng) -> _Attempt:
 
     Each call takes fresh children of ``rng``, so a retry draws anew.
     """
+    def explore(count, stream):
+        return sample_exploration_policies(
+            policy, config.exploration_cov, count, stream, root=config.exploration_root
+        )
+
     explore_rng, trial_rng, encode_rng = children(rng, 3)
     count = config.trials_per_step
-    policies = sample_exploration_policies(
-        policy, config.exploration_cov, count, explore_rng
-    )
+    policies = explore(count, explore_rng)
     streams = children(trial_rng, count)
     search_count = 0
     seed_rng = encode_rng
     if config.estimator == "with_encoding" and config.encode_trials_per_step > 0:
         enc_explore_rng, enc_trial_rng, seed_rng = children(encode_rng, 3)
         search_count = config.encode_trials_per_step
-        search_policies = sample_exploration_policies(
-            policy, config.exploration_cov, search_count, enc_explore_rng
-        )
-        policies = np.concatenate([policies, search_policies])
+        policies = np.concatenate([policies, explore(search_count, enc_explore_rng)])
         streams += children(enc_trial_rng, search_count)
     encode_seed = int(seed_rng.integers(0, 2**32))
     return _Attempt(policies, streams, search_count, encode_seed)
@@ -320,13 +330,20 @@ def _estimate_attempt(env, config: SearchConfig, attempt: _Attempt):
         raise attempt.outcome
     split = len(attempt.streams) - attempt.search_count
     trials = attempt.outcome.rows(slice(None, split))
-    batch = _kept_batch(env, config, trials)
-    search_batch = None
-    if attempt.search_count:
-        search = attempt.outcome.rows(slice(split, None))
-        search_batch = _kept_batch(env, config, search)
-    estimate, loo = _estimate(batch, config, attempt.encode_seed, search_batch)
-    return estimate, loo, trials.scores, int(trials.flagged.sum())
+    flagged = int(trials.flagged.sum())
+    try:
+        batch = _kept_batch(env, config, trials)
+        search_batch = None
+        if attempt.search_count:
+            search = attempt.outcome.rows(slice(split, None))
+            search_batch = _kept_batch(env, config, search)
+        estimate, loo = _estimate(batch, config, attempt.encode_seed, search_batch)
+    except _RECOVERABLE as err:
+        # Flagging is a common cause of too few samples: the failed
+        # step's diagnostics row reports it.
+        err.flagged = flagged
+        raise
+    return estimate, loo, trials.scores, flagged
 
 
 def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_index: int):
@@ -420,7 +437,13 @@ def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
 
     def fail(run, step, err):
         records[run].append(
-            StepRecord(run=run, step=step, estimator=config.estimator, error=str(err))
+            StepRecord(
+                run=run,
+                step=step,
+                estimator=config.estimator,
+                flagged=getattr(err, "flagged", 0),
+                error=str(err),
+            )
         )
         failures[run] = (run, step, str(err))
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorgrad.envs.arm import (
+    FLAGGED_SCORE,
     KNOTS_PER_JOINT,
     ArmState,
     ArmWorld,
@@ -92,6 +95,77 @@ def test_inertia_matrices_are_symmetric_positive_definite():
     assert eigenvalues.min() > 0.0
 
 
+def chain_world(lengths, masses) -> ArmWorld:
+    """A chain of rods with placeholder controller and noise settings."""
+    dof = len(lengths)
+    return ArmWorld(
+        lengths=lengths,
+        masses=masses,
+        kp=(1.0,) * dof,
+        kd=(0.1,) * dof,
+        torque_mult_std=(0.0,) * dof,
+        torque_add_std=(0.0,) * dof,
+        start_posture=(0.0,) * dof,
+    )
+
+
+@st.composite
+def chain_states(draw):
+    """(world, angles, velocities) for a random chain of 1 to 4 links."""
+    dof = draw(st.integers(1, 4))
+
+    def vector(low, high):
+        values = st.floats(low, high, allow_nan=False, allow_infinity=False)
+        return np.array(draw(st.lists(values, min_size=dof, max_size=dof)))
+
+    world = chain_world(tuple(vector(0.1, 1.0)), tuple(vector(0.2, 3.0)))
+    return world, vector(-np.pi, np.pi), vector(-5.0, 5.0)
+
+
+def inertia(world, angles):
+    return chain_terms(world, angles, np.zeros_like(angles))[0][0]
+
+
+def inertia_derivatives(world, angles, step=1e-6):
+    """``out[p] = dM/dq_p`` by central differences of the inertia matrix."""
+    out = []
+    for shift in np.eye(angles.size) * step:
+        plus, minus = inertia(world, angles + shift), inertia(world, angles - shift)
+        out.append((plus - minus) / (2.0 * step))
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_states())
+def test_coriolis_vector_follows_from_the_inertia_matrix(case):
+    # Lagrange's equations: c_j = -sum_pl (dM_jl/dq_p - dM_pl/dq_j / 2) v_p v_l.
+    world, angles, velocities = case
+    mass, _, coriolis = chain_terms(world, angles, velocities)
+    rate = inertia_derivatives(world, angles)
+    expected = -np.einsum("pjl,p,l->j", rate, velocities, velocities) + 0.5 * np.einsum(
+        "jpl,p,l->j", rate, velocities, velocities
+    )
+    # The differences round at about eps * |M| / step per entry; a wrong
+    # Christoffel factor misses by 1e-5 * scale or more.
+    scale = np.abs(mass).max() * (1.0 + velocities @ velocities)
+    assert np.abs(coriolis[0] - expected).max() <= 1e-8 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_states())
+def test_coriolis_power_is_half_the_inertia_rate(case):
+    # v . c = -v' (dM/dt) v / 2, with dM/dt the derivative along v.
+    world, angles, velocities = case
+    mass, _, coriolis = chain_terms(world, angles, velocities)
+    step = 1e-6
+    plus = inertia(world, angles + step * velocities)
+    minus = inertia(world, angles - step * velocities)
+    mass_rate = (plus - minus) / (2.0 * step)
+    expected = -0.5 * velocities @ mass_rate @ velocities
+    scale = np.abs(mass).max() * (1.0 + velocities @ velocities)
+    assert abs(velocities @ coriolis[0] - expected) <= 1e-8 * scale
+
+
 def test_fingertip_state_of_a_straight_arm():
     world = ArmWorld()
     position, velocity = fingertip_state(
@@ -100,6 +174,15 @@ def test_fingertip_state_of_a_straight_arm():
     total = sum(world.lengths)
     assert np.allclose(position, [total, 0.0], atol=1e-12)
     assert np.allclose(velocity, [0.0, 2.0 * total], atol=1e-12)
+    # Leading axes are batch axes: each row is its own configuration.
+    rng = substream(112)
+    angles, velocities = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+    positions, rates = fingertip_state(world, angles, velocities)
+    assert positions.shape == rates.shape == (2, 4, 2)
+    for index in np.ndindex(2, 4):
+        one = fingertip_state(world, angles[index], velocities[index])
+        assert np.array_equal(one[0], positions[index])
+        assert np.array_equal(one[1], rates[index])
 
 
 def test_desired_trajectory_interpolates_the_knots():
@@ -151,6 +234,39 @@ def test_a_one_trial_call_matches_its_row_in_a_batch(size):
         assert np.array_equal(single.sensors, batch.sensors[i : i + 1])
         assert np.array_equal(single.flagged, batch.flagged[i : i + 1])
     assert not batch.flagged.all()
+
+
+def test_chunked_calls_match_one_call_bit_for_bit():
+    world = ArmWorld()
+    count = 96
+    policies = THROW_POLICY + 0.05 * substream(110).standard_normal(
+        (count, world.policy_dim)
+    )
+    whole = dart_trials(world, policies, children(substream(110, 1), count))
+    assert not whole.flagged.all()
+    for size in (2, 7, 12, 48):
+        streams = children(substream(110, 1), count)
+        parts = [
+            dart_trials(world, policies[i : i + size], streams[i : i + size])
+            for i in range(0, count, size)
+        ]
+        for field in ("scores", "sensors", "flagged"):
+            stacked = np.concatenate([getattr(part, field) for part in parts])
+            assert np.array_equal(stacked, getattr(whole, field)), (size, field)
+
+
+def test_a_diverging_trial_is_flagged_and_leaves_its_batch_alone():
+    world = ArmWorld()
+    policies = np.stack([THROW_POLICY, 100.0 * THROW_POLICY, THROW_POLICY + 0.01])
+    streams = children(substream(111), 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = dart_trials(world, policies, streams)
+    assert batch.flagged.tolist() == [False, True, False]
+    assert batch.scores[1] == FLAGGED_SCORE
+    assert np.isfinite(batch.sensors).all()
+    calm = dart_trials(world, policies[[0, 2]], children(substream(111), 3)[::2])
+    assert np.array_equal(calm.scores, batch.scores[[0, 2]])
+    assert np.array_equal(calm.sensors, batch.sensors[[0, 2]])
 
 
 def test_score_is_continuous_in_the_policy():

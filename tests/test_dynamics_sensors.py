@@ -150,10 +150,9 @@ def test_encoding_does_not_depend_on_batch_composition(model):
     policies = policy + 0.05 * substream(9).standard_normal((48, policy.size))
     batch = dart_trials(WORLD, policies, children(substream(9, 1), 48))
     whole = encode_dart_batch(WORLD, model, batch).sensors
-    halves = [batch.rows(slice(None, 24)), batch.rows(slice(24, None))]
-    singles = [batch.rows(slice(i, i + 1)) for i in range(48)]
-    for parts in (halves, singles):
+    for size in (1, 2, 12, 48):
+        parts = [batch.rows(slice(i, i + size)) for i in range(0, 48, size)]
         stacked = np.concatenate(
             [encode_dart_batch(WORLD, model, part).sensors for part in parts]
         )
-        assert np.array_equal(whole, stacked)
+        assert np.array_equal(whole, stacked), size

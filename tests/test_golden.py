@@ -77,8 +77,8 @@ SWEEP_GOLDEN = {
 }
 
 DART_GOLDEN = {
-    "learning_curve.csv": "b78719725880b0a65a035355417efee333af505e3ad1a7c7a8ec2be891ac0edf",
-    "diagnostics.csv": "3494329f7664780a942fe4026ee4d764d4abd1c8eb7d2d77393e86f15958a942",
+    "learning_curve.csv": "f07cb57fc0b20e090e005e3254b181a72a60cd77bbbd680a410f19ad77085ff5",
+    "diagnostics.csv": "a783b994d0b1d85a55eb267327b96fb9276c9d3c043bb17e87dbc4d6bbae7648",
     "config_echo.cfg": "68b25d4b83d0b92dd574dfd5347e2b9900feafbf59cd3b29fc488bc45f9b9195",
 }
 

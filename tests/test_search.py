@@ -453,6 +453,20 @@ def test_an_all_flagged_batch_fails_the_step():
         hill_climb_step(env, config.initial_policy, config, substream(5, 0, 0))
 
 
+def test_a_step_that_flagging_fails_reports_its_flagged_trials():
+    # The dart arm held at its start posture throws few darts forward:
+    # most trials are flagged, too few remain for the regression, and
+    # the failed step's row must say how many were flagged.
+    _, settings = PREFIX_CASES["dart"]
+    settings = {**settings, "initial_policy": np.repeat([1.9, 2.0, 0.6], 3)}
+    config = base_config(steps=1, runs=1, seed=16, eval_trials_per_point=2, **settings)
+    curve = run_learning_curve(DartEnv(ArmWorld()), config)
+    (record,) = curve.diagnostics
+    assert curve.failed_runs and record.error.startswith("insufficient samples")
+    assert record.flagged > 0
+    assert f"n={config.trials_per_step - record.flagged} <" in record.error
+
+
 def test_search_config_rejects_bad_settings():
     base = dict(
         initial_policy=np.zeros(2),
