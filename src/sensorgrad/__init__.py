@@ -7,10 +7,18 @@ explain and tightens the estimate.  The package provides the two
 estimators and their variance laws, a leave-one-out search over sensor
 projections, simulated tasks to run them on, a learned-dynamics sensor
 pipeline for the arm task, a hill-climbing driver, and a command-line
-experiment harness.
+experiment harness.  Importing it does not load scipy: the projection
+search and the arm's spline fits import it on their first call.
 """
 
 from .config import Config, ConfigError, config_hash, load_config, parse_config_text
+from .encoding import (
+    EncodingSearchConfig,
+    SensorProjection,
+    estimate_gradient_encoded,
+    loo_cost,
+    optimize_projection,
+)
 from .estimators import (
     EncodingError,
     EstimationError,
@@ -67,20 +75,3 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The projection search needs scipy; it loads on first use, so commands
-# that never search (cannon runs, variance checks) do not import scipy.
-_ENCODING_NAMES = {
-    "EncodingSearchConfig",
-    "SensorProjection",
-    "estimate_gradient_encoded",
-    "loo_cost",
-    "optimize_projection",
-}
-
-
-def __getattr__(name):
-    if name in _ENCODING_NAMES:
-        from . import encoding
-
-        return getattr(encoding, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "SettingError",
     "Config",
     "parse_config_text",
     "load_config",
@@ -38,6 +39,14 @@ _MISSING = object()
 
 class ConfigError(ValueError):
     """Raised for unparseable, incomplete, or contradictory configs."""
+
+
+class SettingError(ValueError):
+    """A settings object refused its field ``field``: ``problem`` says why."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .config import SettingError
 from .estimators import (
     EncodingError,
     EstimationError,
@@ -82,11 +82,11 @@ class EncodingSearchConfig:
 
     def __post_init__(self):
         if self.target_dim < 0:
-            raise ValueError("target_dim must be non-negative")
+            raise SettingError("target_dim", "must be nonnegative")
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
+            raise SettingError("max_iterations", "must be nonnegative")
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise SettingError("restarts", "must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,16 @@ def _pca_init(raw: np.ndarray, target_dim: int) -> np.ndarray:
     for j in range(count, target_dim):
         init[j % raw.shape[1], j] = 1.0
     return _orthonormalized(init)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first search.
+
+    scipy is slow to import, so importing this module does not load it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 # Failures that make the search reject a projection as infinitely costly.

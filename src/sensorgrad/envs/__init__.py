@@ -1,11 +1,10 @@
 """Simulated tasks producing trial batches."""
 
-from .arm import ArmState, ArmWorld, DartEnv, dart_trial, dart_trials
+from .arm import ArmWorld, DartEnv, dart_trial, dart_trials
 from .cannon import CannonEnv, CannonWorld, cannon_range, cannon_true_value
 from .synthetic import SyntheticEnv, SyntheticWorld
 
 __all__ = [
-    "ArmState",
     "ArmWorld",
     "DartEnv",
     "dart_trial",

@@ -36,11 +36,8 @@ from ..estimators import TrialBatch
 
 __all__ = [
     "ArmWorld",
-    "ArmState",
     "KNOTS_PER_JOINT",
     "FLAGGED_SCORE",
-    "arm_dynamics",
-    "arm_energy",
     "chain_terms",
     "fingertip_state",
     "desired_trajectory",
@@ -141,12 +138,6 @@ class ArmWorld:
         return (self.grid_steps + 1) * 2 * self.dof + 1
 
 
-class ArmState(NamedTuple):
-    joint_angles: np.ndarray
-    joint_velocities: np.ndarray
-    time: float
-
-
 class _ChainTensors(NamedTuple):
     """Angle-free maps of one world's chain dynamics, as :func:`_dynamics` applies them."""
 
@@ -229,35 +220,6 @@ def chain_terms(world: ArmWorld, angles, velocities):
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
     return _dynamics(_chain_tensors(world), angles, velocities)
-
-
-def arm_dynamics(world: ArmWorld, state: ArmState, torques) -> np.ndarray:
-    """Joint accelerations solving ``m(x) a = tau + g(x) + c(x, v)``."""
-    angles = np.asarray(state.joint_angles, dtype=float)
-    velocities = np.asarray(state.joint_velocities, dtype=float)
-    torques = np.asarray(torques, dtype=float)
-    expected = (world.dof,)
-    if angles.shape != expected or velocities.shape != expected or torques.shape != expected:
-        raise ValueError("state and torques must have one entry per joint")
-    if not (np.isfinite(angles).all() and np.isfinite(velocities).all()):
-        raise ValueError("state must be finite")
-    mass, grav, coriolis = chain_terms(world, angles, velocities)
-    try:
-        np.linalg.cholesky(mass[0])
-    except np.linalg.LinAlgError:
-        raise ValueError("inertia matrix is not positive definite") from None
-    return np.linalg.solve(mass[0], torques + grav[0] + coriolis[0])
-
-
-def arm_energy(world: ArmWorld, state: ArmState) -> float:
-    """Kinetic plus gravitational energy, potential zero at shoulder height."""
-    angles = np.asarray(state.joint_angles, dtype=float)
-    velocities = np.asarray(state.joint_velocities, dtype=float)
-    mass, _, _ = chain_terms(world, angles, velocities)
-    kinetic = 0.5 * float(velocities @ mass[0] @ velocities)
-    # gravity_map[c, 0] = -g w_c, and the potential is g sum_c w_c sin θc.
-    gravity_first = _chain_tensors(world).gravity_map[:, 0]
-    return kinetic - float(np.sin(np.cumsum(angles)) @ gravity_first)
 
 
 def fingertip_state(world: ArmWorld, angles, velocities):
@@ -395,25 +357,33 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
     torques = np.zeros((count, max_intervals, dof))
     states[:, 0, :dof] = np.array(world.start_posture)
     alive = np.ones(count, dtype=bool)
+    # A row that diverged or has ended keeps its held state in ``states``
+    # and takes each remaining step, unforced, from the start posture at
+    # rest: the result is discarded, and it cannot overflow again.
+    rest = states[:, 0].copy()
     for k in range(max_intervals):
-        y = states[:, k]
+        active = alive & (k < intervals)
+        y = np.where(active[:, None], states[:, k], rest)
         q, v = y[:, :dof], y[:, dof:]
         commanded = _pd_torques(world, des_pos[:, k], des_vel[:, k], q, v)
         torques[:, k] = commanded * (1.0 + mult[:, k]) + add[:, k]
+        torques[~active, k] = 0.0
         new = _rk4_step(tensors, y, torques[:, k], dt)
         ok = np.isfinite(new).all(axis=1)
-        active = alive & (k < intervals)
         alive &= ok | ~active
-        states[:, k + 1] = np.where((active & ok)[:, None], new, y)
+        states[:, k + 1] = np.where((active & ok)[:, None], new, states[:, k])
 
     sensor_blocks = states[:, : grid + 1].reshape(count, (grid + 1) * 2 * dof)
     raw = np.concatenate([sensor_blocks, release_times[:, None]], axis=1)
 
     # Release: every row (at least two, so none rounds as a lone row)
-    # takes its partial step from the grid state before its release time.
+    # takes its partial step from the grid state before its release time,
+    # a dead row from the placeholder.
     partial = (release_times - k_rel * dt)[:, None]
     rows = np.arange(count)
-    released = _rk4_step(tensors, states[rows, k_rel], torques[rows, k_rel], partial)
+    start = np.where(alive[:, None], states[rows, k_rel], rest)
+    torque = np.where(alive[:, None], torques[rows, k_rel], 0.0)
+    released = _rk4_step(tensors, start, torque, partial)
     position, velocity = fingertip_state(world, released[:, :dof], released[:, dof:])
     target_x, target_y = world.target_position
     gap = target_x - position[:, 0]
@@ -480,6 +450,7 @@ class DartEnv:
     def encode_batch(self, batch):
         if self.model is None:
             return batch
+        # Imported here: dynamics_sensors imports this module.
         from ..dynamics_sensors import encode_dart_batch
 
         return encode_dart_batch(self.world, self.model, batch)

@@ -17,7 +17,8 @@ The writers and ``schema_check`` both read these declarations;
 A command accepts exactly the config keys that its readers read: each
 compute function reads and validates all of its keys, then calls
 ``Config.check_unknown`` before any trial, pretraining, replication or
-search runs.
+search runs.  A value that a settings object refuses is reported under
+its key: ``key 'encode.restarts' must be at least 1``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,16 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .config import Config, ConfigError, canonical_text, config_hash, parse_config_text
+from .config import (
+    Config,
+    ConfigError,
+    SettingError,
+    canonical_text,
+    config_hash,
+    parse_config_text,
+)
+from .dynamics_sensors import fit_dynamics_model, sample_pretraining_states
+from .encoding import EncodingSearchConfig, optimize_projection
 from .envs.arm import ArmWorld, DartEnv
 from .envs.cannon import CannonEnv, CannonWorld
 from .envs.synthetic import SyntheticEnv, SyntheticWorld
@@ -312,46 +322,64 @@ def build_arm_world(cfg: Config) -> ArmWorld:
     )
 
 
-# Optional search keys, each named after the ``SearchConfig`` field it
-# sets; an absent key leaves that field's default.  The encoding keys
-# are read only for the encoding estimator, so elsewhere they are
-# unknown.
+# The config key and reader of each settings field, by field name: the
+# builders read the keys through these tables and name a refused field
+# by its key.  An absent optional key leaves the field's default.
+_SEARCH_KEYS = {
+    "initial_policy": ("search.initial_policy", Config.get_vector),
+    "trials_per_step": ("search.trials_per_step", Config.get_int),
+    "exploration_cov": ("search.exploration_cov", Config.get_cov),
+    "steps": ("search.steps", Config.get_int),
+    "runs": ("search.runs", Config.get_int),
+    "seed": ("seed", Config.get_int),
+}
 _SEARCH_OPTIONS = {
-    "step_rule": Config.get_str,
-    "learning_rate": Config.get_float,
-    "eval_trials_per_point": Config.get_int,
+    "step_rule": ("search.step_rule", Config.get_str),
+    "learning_rate": ("search.learning_rate", Config.get_float),
+    "eval_trials_per_point": ("search.eval_trials_per_point", Config.get_int),
 }
-_ENCODE_OPTIONS = {
-    "encoding_dim": Config.get_int,
-    "encode_trials_per_step": Config.get_int,
-    "encode_max_iterations": Config.get_int,
-    "encode_restarts": Config.get_int,
+# Read only for the encoding estimator, so elsewhere they are unknown: a
+# ``SearchConfig`` field, then the fields of its ``EncodingSearchConfig``.
+_SEARCH_ENCODE_OPTIONS = {
+    "encode_trials_per_step": ("search.encode_trials_per_step", Config.get_int),
 }
+_RUN_ENCODING_OPTIONS = {
+    "target_dim": ("search.encoding_dim", Config.get_int),
+    "max_iterations": ("search.encode_max_iterations", Config.get_int),
+    "restarts": ("search.encode_restarts", Config.get_int),
+}
+# encode-search's optional ``EncodingSearchConfig`` fields.
+_ENCODE_SEARCH_OPTIONS = {
+    "max_iterations": ("encode.max_iterations", Config.get_int),
+    "restarts": ("encode.restarts", Config.get_int),
+}
+
+
+def _options(cfg: Config, table: dict) -> dict:
+    """The values of the keys in ``table`` that ``cfg`` sets, by field."""
+    return {name: read(cfg, key) for name, (key, read) in table.items() if cfg.has(key)}
+
+
+def _settings(cfg: Config, table: dict, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a field it refuses named by its key in ``table``."""
+    try:
+        return make(*args, **kwargs)
+    except SettingError as exc:
+        key, _ = table[exc.field]
+        raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
 
 
 def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
-    readers = dict(_SEARCH_OPTIONS)
+    settings = {name: read(cfg, key) for name, (key, read) in _SEARCH_KEYS.items()}
+    settings.update(_options(cfg, _SEARCH_OPTIONS))
     if estimator == "with_encoding":
-        readers.update(_ENCODE_OPTIONS)
-    options = {
-        name: read(cfg, f"search.{name}")
-        for name, read in readers.items()
-        if cfg.has(f"search.{name}")
-    }
-    settings = dict(
-        initial_policy=cfg.get_vector("search.initial_policy"),
-        trials_per_step=cfg.get_int("search.trials_per_step"),
-        exploration_cov=cfg.get_cov("search.exploration_cov"),
-        steps=cfg.get_int("search.steps"),
-        runs=cfg.get_int("search.runs"),
-        seed=cfg.get_int("seed"),
-        estimator=estimator,
-        **options,
-    )
-    try:
-        return SearchConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: invalid search settings: {exc}") from exc
+        settings.update(_options(cfg, _SEARCH_ENCODE_OPTIONS))
+        encoding = _options(cfg, _RUN_ENCODING_OPTIONS)
+        settings["encoding"] = _settings(
+            cfg, _RUN_ENCODING_OPTIONS, replace, SearchConfig.encoding, **encoding
+        )
+    table = {**_SEARCH_KEYS, **_SEARCH_OPTIONS, **_SEARCH_ENCODE_OPTIONS}
+    return _settings(cfg, table, SearchConfig, estimator=estimator, **settings)
 
 
 def _read_environments(cfg: Config):
@@ -382,8 +410,6 @@ def _read_environments(cfg: Config):
         seed = cfg.get_int("seed")
 
         def pretrained():
-            from .dynamics_sensors import fit_dynamics_model, sample_pretraining_states
-
             states = sample_pretraining_states(
                 world,
                 count,
@@ -525,9 +551,13 @@ def variance_check(cfg: Config):
             output_variance=s2, sensor_cov=sigma_s, policy_sensor_coupling=coupling
         )
         world = SyntheticWorld(a_pi, a_s, 0.0, noise)
-        check_exploration_cov(sigma_e, d)
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid synthetic world: {exc}") from exc
+    try:
+        check_exploration_cov(sigma_e, d)
+    except SettingError as exc:
+        key = "synthetic.exploration_cov"
+        raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
     cfg.check_unknown()
     env = SyntheticEnv(world, correlated=coupled)
     g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
@@ -638,8 +668,6 @@ def encode_search(cfg: Config):
     coordinate feeds the score.  The trace has one row per optimizer
     iteration actually performed.
     """
-    from .encoding import EncodingSearchConfig, optimize_projection
-
     raw_dim = cfg.get_int("encode.raw_dim")
     samples = cfg.get_int("encode.samples")
     target_dim = cfg.get_int("encode.target_dim")
@@ -650,10 +678,7 @@ def encode_search(cfg: Config):
     # The cosine limit exists only for a planted direction.
     has_floor = planted and cfg.has("encode.min_cosine")
     floor = cfg.get_float("encode.min_cosine") if has_floor else None
-    max_iterations = cfg.get_int(
-        "encode.max_iterations", EncodingSearchConfig.max_iterations
-    )
-    restarts = cfg.get_int("encode.restarts", EncodingSearchConfig.restarts)
+    options = _options(cfg, _ENCODE_SEARCH_OPTIONS)
     seed = cfg.get_int("seed")
     if raw_dim < 1 or policy_dim < 1:
         raise ConfigError(f"{cfg.source}: encode dimensions must be positive")
@@ -671,15 +696,14 @@ def encode_search(cfg: Config):
             f"{cfg.source}: key 'encode.samples' must be at least policy_dim + "
             f"target_dim + 3 = {policy_dim + target_dim + 3} for leave-one-out fits"
         )
-    try:
-        search = EncodingSearchConfig(
-            target_dim=target_dim,
-            max_iterations=max_iterations,
-            restarts=restarts,
-            seed=int(substream(seed, ENCODE, 1).integers(0, 2**32)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: invalid encode settings: {exc}") from exc
+    search = _settings(
+        cfg,
+        _ENCODE_SEARCH_OPTIONS,
+        EncodingSearchConfig,
+        target_dim=target_dim,
+        seed=int(substream(seed, ENCODE, 1).integers(0, 2**32)),
+        **options,
+    )
     cfg.check_unknown()
 
     data_rng = substream(seed, ENCODE, 0)

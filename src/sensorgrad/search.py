@@ -27,6 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import SettingError
+from .encoding import (
+    EncodingSearchConfig,
+    estimate_gradient_encoded,
+    optimize_projection,
+)
 from .estimators import (
     EncodingError,
     EstimationError,
@@ -62,11 +68,15 @@ _RECOVERABLE = (EstimationError, EncodingError, RegressionError, PolicyDomainErr
 class SearchConfig:
     """Everything one hill-climbing experiment needs besides the env.
 
-    ``encode_trials_per_step`` > 0 gives the projection search its own
-    fresh trial batch of that size each step, drawn around the same
-    nominal policy; the gradient still comes from the learning batch.
-    At 0 the search reuses the learning batch, which then has to
-    satisfy the leave-one-out sample-size precondition itself.
+    ``encoding`` holds the projection search's settings for the
+    encoding estimator; each step searches with its seed replaced by one
+    drawn from the step's own stream.  ``encode_trials_per_step`` > 0
+    gives the search its own fresh trial batch of that size each step,
+    drawn around the same nominal policy; the gradient still comes from
+    the learning batch.  At 0 the search reuses the learning batch,
+    which then has to satisfy the leave-one-out sample-size
+    precondition itself.  A refused setting raises :class:`SettingError`
+    naming its field.
     """
 
     initial_policy: np.ndarray
@@ -79,10 +89,8 @@ class SearchConfig:
     step_rule: str = "normalized"
     learning_rate: float = 0.1
     eval_trials_per_point: int = 20
-    encoding_dim: int = 1
     encode_trials_per_step: int = 0
-    encode_max_iterations: int = 60
-    encode_restarts: int = 3
+    encoding: EncodingSearchConfig = EncodingSearchConfig(target_dim=1)
     # psd_sqrt(exploration_cov), derived once for every draw of the search.
     exploration_root: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -90,28 +98,21 @@ class SearchConfig:
         policy = np.asarray(self.initial_policy, dtype=float)
         cov = np.asarray(self.exploration_cov, dtype=float)
         if policy.ndim != 1:
-            raise ValueError("initial policy must be a vector")
+            raise SettingError("initial_policy", "must be a vector")
         check_exploration_cov(cov, policy.shape[0])
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator: {self.estimator}")
-        if self.step_rule not in _STEP_RULES:
-            raise ValueError(f"unknown step rule: {self.step_rule}")
+        for name, allowed in (("estimator", ESTIMATORS), ("step_rule", _STEP_RULES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                choices = ", ".join(allowed)
+                raise SettingError(name, f"must be one of {choices}, got {value!r}")
         if not self.learning_rate > 0.0:
-            raise ValueError("learning rate must be positive")
-        if self.trials_per_step < 1:
-            raise ValueError("trials_per_step must be positive")
-        if self.steps < 0 or self.runs < 1:
-            raise ValueError("steps must be nonnegative and runs positive")
-        if self.eval_trials_per_point < 1:
-            raise ValueError("eval_trials_per_point must be positive")
-        if self.encoding_dim < 0:
-            raise ValueError("encoding_dim must be nonnegative")
-        if self.encode_trials_per_step < 0:
-            raise ValueError("encode_trials_per_step must be nonnegative")
-        if self.encode_max_iterations < 0:
-            raise ValueError("encode_max_iterations must be nonnegative")
-        if self.encode_restarts < 1:
-            raise ValueError("encode_restarts must be at least 1")
+            raise SettingError("learning_rate", "must be positive")
+        for name in ("trials_per_step", "runs", "eval_trials_per_point"):
+            if getattr(self, name) < 1:
+                raise SettingError(name, "must be positive")
+        for name in ("steps", "encode_trials_per_step"):
+            if getattr(self, name) < 0:
+                raise SettingError(name, "must be nonnegative")
         object.__setattr__(self, "initial_policy", policy)
         object.__setattr__(self, "exploration_cov", cov)
         object.__setattr__(self, "exploration_root", psd_sqrt(cov))
@@ -156,17 +157,17 @@ class LearningCurve:
 
 
 def check_exploration_cov(cov, dim: int) -> None:
-    """Raise ValueError unless ``cov`` is a symmetric positive definite
-    ``dim`` x ``dim`` matrix."""
+    """Raise :class:`SettingError` for field ``exploration_cov`` unless
+    ``cov`` is a symmetric positive definite ``dim`` x ``dim`` matrix."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (dim, dim):
-        raise ValueError("exploration covariance must be d x d")
+        raise SettingError("exploration_cov", "must be d x d")
     if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-9 * max(
         1.0, np.max(np.abs(cov), initial=0.0)
     ):
-        raise ValueError("exploration covariance must be symmetric")
+        raise SettingError("exploration_cov", "must be symmetric")
     if dim and np.linalg.eigvalsh(cov)[0] <= 0.0:
-        raise ValueError("exploration covariance must be positive definite")
+        raise SettingError("exploration_cov", "must be positive definite")
 
 
 def sample_exploration_policies(
@@ -202,18 +203,6 @@ def _estimate(
         return estimate_g1(batch), None
     if config.estimator == "with_sensors":
         return estimate_g2(batch), None
-    from .encoding import (
-        EncodingSearchConfig,
-        estimate_gradient_encoded,
-        optimize_projection,
-    )
-
-    encode_config = EncodingSearchConfig(
-        target_dim=config.encoding_dim,
-        max_iterations=config.encode_max_iterations,
-        restarts=config.encode_restarts,
-        seed=encode_seed,
-    )
     if search_batch is None:
         search_batch = batch
     search_feats = search_batch.sensor_matrix()
@@ -226,7 +215,9 @@ def _estimate(
     def standardized(trials: TrialBatch) -> TrialBatch:
         return replace(trials, sensors=(trials.sensor_matrix() - center) / spread)
 
-    projection = optimize_projection(standardized(search_batch), encode_config)
+    projection = optimize_projection(
+        standardized(search_batch), replace(config.encoding, seed=encode_seed)
+    )
     estimate = estimate_gradient_encoded(standardized(batch), projection.matrix)
     return estimate, projection.cost
 
@@ -435,13 +426,14 @@ def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
     records = [[] for _ in range(config.runs)]
     failures = {}
 
-    def fail(run, step, err):
+    def fail(run, step, err, retried):
         records[run].append(
             StepRecord(
                 run=run,
                 step=step,
                 estimator=config.estimator,
                 flagged=getattr(err, "flagged", 0),
+                retried=retried,
                 error=str(err),
             )
         )
@@ -462,7 +454,9 @@ def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
                     env, policies[run], config, rng, step_index=step, first=attempt
                 )
             except _RECOVERABLE as err:
-                fail(run, step, err)
+                # hill_climb_step retries a failed step once, so an
+                # error that escapes it is the retry's.
+                fail(run, step, err, retried=True)
             else:
                 stepped.append((run, record))
         eval_rngs = [substream(config.seed, run, step, EVAL) for run, _ in stepped]
@@ -473,7 +467,7 @@ def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
         outcomes = _sample_blocks(env, blocks)
         for (run, record), rng, outcome in zip(stepped, eval_rngs, outcomes):
             if isinstance(outcome, Exception):
-                fail(run, step, outcome)
+                fail(run, step, outcome, record.retried)
                 continue
             mean, std_error = evaluate_policy(
                 env, policies[run], count, rng, trials=outcome

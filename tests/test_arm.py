@@ -1,16 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arm_oracle import ArmState, arm_dynamics, arm_energy
 from sensorgrad.envs.arm import (
     FLAGGED_SCORE,
     KNOTS_PER_JOINT,
-    ArmState,
     ArmWorld,
     DartEnv,
-    arm_dynamics,
-    arm_energy,
     chain_terms,
     dart_trial,
     dart_trials,
@@ -259,8 +259,13 @@ def test_a_diverging_trial_is_flagged_and_leaves_its_batch_alone():
     world = ArmWorld()
     policies = np.stack([THROW_POLICY, 100.0 * THROW_POLICY, THROW_POLICY + 0.01])
     streams = children(substream(111), 3)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The diverging row overflows on the step where it diverges, then
+    # takes its remaining steps from a finite placeholder.  Stepped from
+    # its held state instead, it raised 422 warnings here.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         batch = dart_trials(world, policies, streams)
+    assert len(caught) <= 4, [str(w.message) for w in caught]
     assert batch.flagged.tolist() == [False, True, False]
     assert batch.scores[1] == FLAGGED_SCORE
     assert np.isfinite(batch.sensors).all()

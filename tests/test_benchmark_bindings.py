@@ -30,7 +30,12 @@ EXPECTED_SPANS = {
         "estimators.fit",
         "seeding.substream",
     },
-    "encode-search": {"experiments.io"},
+    "encode-search": {
+        "experiments.io",
+        "encoding.search",
+        "encoding.minimize",
+        "encoding.loo_cost",
+    },
 }
 
 

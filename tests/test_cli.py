@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sensorgrad
-from sensorgrad import dynamics_sensors, encoding
+from sensorgrad import experiments, search
 from sensorgrad.cli import main
 from sensorgrad.config import Config, load_config
 from sensorgrad.envs.arm import DartEnv
@@ -125,12 +125,12 @@ BAD_SETTING_CASES = {
     "run-singular-cov": (
         "run",
         RUN_CFG.replace("[0.25, 0.0025]", "[0.25, 0.0]"),
-        "exploration covariance must be positive definite",
+        "key 'search.exploration_cov' must be positive definite",
     ),
     "variance-check-singular-cov": (
         "variance-check",
         VARIANCE_CFG.replace("[[0.5, 0.1], [0.1, 0.3]]", "[[0.5, 0.5], [0.5, 0.5]]"),
-        "exploration covariance must be positive definite",
+        "key 'synthetic.exploration_cov' must be positive definite",
     ),
     "dart-unknown-key": (
         "run",
@@ -150,12 +150,22 @@ BAD_SETTING_CASES = {
     "cannon-encode-restarts": (
         "run",
         ENCODING_RUN_CFG + "search.encode_restarts = 0\n",
-        "encode_restarts must be at least 1",
+        "key 'search.encode_restarts' must be at least 1",
     ),
     "cannon-encode-max-iterations": (
         "run",
         ENCODING_RUN_CFG + "search.encode_max_iterations = -1\n",
-        "encode_max_iterations must be nonnegative",
+        "key 'search.encode_max_iterations' must be nonnegative",
+    ),
+    "run-steps": (
+        "run",
+        RUN_CFG.replace("search.steps = 2", "search.steps = -1"),
+        "key 'search.steps' must be nonnegative",
+    ),
+    "run-runs": (
+        "run",
+        RUN_CFG.replace("search.runs = 2", "search.runs = 0"),
+        "key 'search.runs' must be positive",
     ),
     "cannon-smoke-encode-key-without-encoding": (
         "run",
@@ -165,17 +175,17 @@ BAD_SETTING_CASES = {
     "dart-encode-restarts": (
         "run",
         DART_CFG.replace("search.encode_restarts = 2", "search.encode_restarts = 0"),
-        "encode_restarts must be at least 1",
+        "key 'search.encode_restarts' must be at least 1",
     ),
     "encode-restarts": (
         "encode-search",
         ENCODE_CFG.replace("encode.restarts = 2", "encode.restarts = 0"),
-        "invalid encode settings: restarts must be at least 1",
+        "key 'encode.restarts' must be at least 1",
     ),
     "encode-max-iterations": (
         "encode-search",
         ENCODE_CFG.replace("encode.max_iterations = 25", "encode.max_iterations = -1"),
-        "invalid encode settings: max_iterations must be non-negative",
+        "key 'encode.max_iterations' must be nonnegative",
     ),
     "encode-samples": (
         "encode-search",
@@ -203,15 +213,17 @@ BAD_SETTING_CASES = {
 @pytest.fixture
 def no_work(monkeypatch):
     """Make every trial sampler, the dart pretraining and the projection
-    search raise: work that runs ends the command with exit 3, not 2."""
+    search raise, where the commands bind them: work that runs ends the
+    command with exit 3, not 2."""
 
     def work(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
     for env in (CannonEnv, DartEnv, SyntheticEnv):
         monkeypatch.setattr(env, "sample_trials", work)
-    monkeypatch.setattr(dynamics_sensors, "sample_pretraining_states", work)
-    monkeypatch.setattr(encoding, "optimize_projection", work)
+    monkeypatch.setattr(experiments, "sample_pretraining_states", work)
+    for module in (experiments, search):
+        monkeypatch.setattr(module, "optimize_projection", work)
 
 
 @pytest.mark.parametrize("case", list(BAD_SETTING_CASES))
@@ -378,9 +390,16 @@ def test_missing_config_flag_is_a_usage_error(capsys):
 def test_importing_the_cli_leaves_scipy_unloaded():
     # A fresh interpreter: this test process has imported scipy already.
     code = (
-        "import sys, sensorgrad.cli\n"
-        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+        "import importlib, pkgutil, sys, sensorgrad.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by the cli'\n"
         "import sensorgrad\n"
+        "path, prefix = sensorgrad.__path__, 'sensorgrad.'\n"
+        "names = [m.name for m in pkgutil.walk_packages(path, prefix)]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "wanted = ['encoding', 'dynamics_sensors', 'search', 'experiments']\n"
+        "assert {prefix + n for n in wanted + ['envs.arm']} <= set(names), names\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by a sensorgrad module'\n"
         "assert callable(sensorgrad.loo_cost)\n"
         "assert issubclass(sensorgrad.EncodingError, ValueError)\n"
         "import sensorgrad.encoding\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arm_oracle import ArmState, arm_dynamics
 from sensorgrad.dynamics_sensors import (
     encode_dart_batch,
     fit_dynamics_model,
@@ -52,8 +53,6 @@ def test_fit_explains_the_sampled_dynamics(model):
 
 
 def test_prediction_tracks_the_exact_dynamics(model):
-    from sensorgrad.envs.arm import ArmState, arm_dynamics
-
     states = sample_pretraining_states(
         WORLD, 100, substream(3, PRETRAIN), policy_cov=NARROW_POLICY_COV
     )

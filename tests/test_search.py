@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sensorgrad.config import SettingError
+from sensorgrad.encoding import EncodingSearchConfig
 from sensorgrad.envs.arm import ArmWorld, DartEnv
 from sensorgrad.envs.cannon import CannonEnv, CannonWorld, cannon_true_value
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
@@ -235,8 +237,7 @@ PREFIX_CASES = {
             exploration_cov=0.25 * np.eye(2),
             estimator="with_encoding",
             encode_trials_per_step=12,
-            encode_max_iterations=10,
-            encode_restarts=1,
+            encoding=EncodingSearchConfig(target_dim=1, max_iterations=10, restarts=1),
         ),
     ),
 }
@@ -309,18 +310,23 @@ class FaultyEnv:
     policy, derived from the run's seed path the way the search derives
     it.  ``flagged`` (run, step): that run's first learning batch comes
     back all flagged, recognised by its trial streams' seed path.
-    ``broken_eval``: a policy whose evaluation batch fails the domain
-    check.
+    ``hopeless`` (run, step): that run's first learning batch and its
+    retry both come back all flagged.  ``broken_eval``: a policy whose
+    evaluation batch fails the domain check.
     """
 
-    def __init__(self, config, policies, infeasible, flagged, broken_eval):
+    def __init__(self, config, policies, infeasible, flagged, hopeless, broken_eval):
         self.base = SyntheticEnv(junk_sensor_world())
         run, step = infeasible
         explore_rng = children(substream(config.seed, run, step, LEARN), 3)[0]
         self.infeasible_row = sample_exploration_policies(
             policies[run][step - 1], config.exploration_cov, 1, explore_rng
         )[0]
-        self.flagged_key = (*flagged, LEARN, 1)
+        # A step's first attempt draws its trial streams from child 1 of
+        # the step stream, its retry from child 4.
+        self.flagged_keys = {
+            (*flagged, LEARN, 1), (*hopeless, LEARN, 1), (*hopeless, LEARN, 4)
+        }
         self.broken_eval = broken_eval
 
     def check_policies(self, policies):
@@ -334,12 +340,12 @@ class FaultyEnv:
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
         keys = [s.bit_generator.seed_seq.spawn_key[:4] for s in streams]
-        return replace(trials, flagged=[key == self.flagged_key for key in keys])
+        return replace(trials, flagged=[key in self.flagged_keys for key in keys])
 
 
 def test_faults_stay_with_the_runs_they_hit():
     config = base_config(
-        steps=4, runs=5, seed=23, estimator="with_sensors", eval_trials_per_point=5
+        steps=4, runs=6, seed=23, estimator="with_sensors", eval_trials_per_point=5
     )
     clean = run_learning_curve(SyntheticEnv(junk_sensor_world()), config)
     policies = [
@@ -347,12 +353,13 @@ def test_faults_stay_with_the_runs_they_hit():
         for run in range(config.runs)
     ]
     env = FaultyEnv(
-        config, policies, infeasible=(1, 2), flagged=(2, 1),
+        config, policies, infeasible=(1, 2), flagged=(2, 1), hopeless=(5, 2),
         broken_eval=policies[3][1],
     )
     faulty = run_learning_curve(env, config)
     error = "policy left the feasible set"
-    assert faulty.failed_runs == ((3, 1, error),)
+    flagged_error = "insufficient samples: every trial was flagged"
+    assert faulty.failed_runs == ((3, 1, error), (5, 2, flagged_error))
     assert faulty.run_indices == (0, 1, 2, 4)
     before, after = _records_by_run(clean), _records_by_run(faulty)
     for run in (0, 4):
@@ -369,6 +376,14 @@ def test_faults_stay_with_the_runs_they_hit():
     assert repr(after[3][:1]) == repr(before[3][:1])
     assert after[3][1:] == [
         StepRecord(run=3, step=1, estimator="with_sensors", error=error)
+    ]
+    # A step whose retry fails too ends the run with the retry's error.
+    assert repr(after[5][:2]) == repr(before[5][:2])
+    assert after[5][2:] == [
+        StepRecord(
+            run=5, step=2, estimator="with_sensors", flagged=8, retried=True,
+            error=flagged_error,
+        )
     ]
 
 
@@ -478,9 +493,9 @@ def test_search_config_rejects_bad_settings():
     )
     with pytest.raises(ValueError, match="estimator"):
         SearchConfig(**base, estimator="scores_only")
-    with pytest.raises(ValueError, match="step rule"):
+    with pytest.raises(ValueError, match="step_rule"):
         SearchConfig(**base, step_rule="adam")
-    with pytest.raises(ValueError, match="learning rate"):
+    with pytest.raises(ValueError, match="learning_rate"):
         SearchConfig(**base, learning_rate=0.0)
     with pytest.raises(ValueError, match="d x d"):
         SearchConfig(**{**base, "exploration_cov": np.eye(3)})
@@ -490,10 +505,16 @@ def test_search_config_rejects_bad_settings():
         SearchConfig(**{**base, "exploration_cov": np.diag([1.0, 0.0])})
     with pytest.raises(ValueError, match="trials_per_step"):
         SearchConfig(**{**base, "trials_per_step": 0})
-    with pytest.raises(ValueError, match="encode_restarts"):
-        SearchConfig(**base, encode_restarts=0)
-    with pytest.raises(ValueError, match="encode_max_iterations"):
-        SearchConfig(**base, encode_max_iterations=-1)
+    with pytest.raises(SettingError, match="steps must be nonnegative"):
+        SearchConfig(**{**base, "steps": -1})
+    with pytest.raises(SettingError, match="runs must be positive"):
+        SearchConfig(**{**base, "runs": 0})
+    with pytest.raises(SettingError, match="restarts must be at least 1"):
+        SearchConfig(**base, encoding=EncodingSearchConfig(target_dim=1, restarts=0))
+    with pytest.raises(SettingError, match="max_iterations must be nonnegative"):
+        SearchConfig(
+            **base, encoding=EncodingSearchConfig(target_dim=1, max_iterations=-1)
+        )
 
 
 def test_uninformative_sensors_give_no_systematic_edge():
@@ -529,9 +550,7 @@ def test_encoding_estimator_steps_and_reports_projection_cost():
         trials_per_step=10,
         exploration_cov=0.25 * np.eye(2),
         estimator="with_encoding",
-        encoding_dim=1,
-        encode_max_iterations=20,
-        encode_restarts=2,
+        encoding=EncodingSearchConfig(target_dim=1, max_iterations=20, restarts=2),
         seed=31,
     )
     policy = config.initial_policy
