@@ -7,9 +7,17 @@ explain and tightens the estimate.  The package provides the two
 estimators and their variance laws, a leave-one-out search over sensor
 projections, simulated tasks to run them on, a learned-dynamics sensor
 pipeline for the arm task, a hill-climbing driver, and a command-line
-experiment harness.  Importing it does not load scipy: the projection
-search and the arm's spline fits import it on their first call.
+experiment harness.  BLAS runs in one thread, as every run does, unless
+the environment sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``.
 """
+
+import os
+
+# Before the first import that loads numpy: BLAS reads these once.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 from .config import Config, ConfigError, config_hash, load_config, parse_config_text
 from .encoding import (

@@ -24,7 +24,7 @@ import numpy as np
 from .envs.arm import (
     KNOTS_PER_JOINT,
     ArmWorld,
-    _knot_times,
+    _knot_basis,
     chain_terms,
     commanded_torques,
     dart_trials,
@@ -230,12 +230,7 @@ def spline_basis(world: ArmWorld, times) -> np.ndarray:
     sampled at the given times.  Columns match the per-joint layout of
     the policy vector.
     """
-    from scipy.interpolate import CubicSpline
-
-    targets = np.zeros((KNOTS_PER_JOINT + 1, KNOTS_PER_JOINT))
-    targets[1:, :] = np.eye(KNOTS_PER_JOINT)
-    spline = CubicSpline(_knot_times(world), targets, axis=0, bc_type="natural")
-    return spline(np.asarray(times, dtype=float))
+    return _knot_basis(world, times)[0][:, 1:]
 
 
 def project_residuals(

@@ -17,6 +17,7 @@ so the returned projection is orthonormalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,14 +191,76 @@ def _pca_init(raw: np.ndarray, target_dim: int) -> np.ndarray:
     return _orthonormalized(init)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first search.
+class MinimizeResult(NamedTuple):
+    """Where :func:`minimize` stopped: the point, its cost, the iterations taken."""
 
-    scipy is slow to import, so importing this module does not load it.
+    x: np.ndarray
+    fun: float
+    nit: int
+
+
+# Armijo sufficient-decrease constant, the backtracking cap, the gradient
+# size (largest entry) at which the search stops, and the predicted
+# decrease, relative to the cost, below which rounding hides any progress.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
+_GTOL = 1e-10
+_RESOLUTION = 1e-15
+
+
+def minimize(fun, x0, max_iterations: int, callback=None) -> MinimizeResult:
+    """BFGS with Armijo backtracking (Nocedal & Wright, 2006, ch. 3 and 6).
+
+    ``fun(x)`` returns the cost and its gradient.  A trial point must
+    lower the cost by the Armijo margin; one whose cost is not finite
+    fails, so the step backtracks.  The inverse-Hessian estimate starts
+    as the identity (steps then cut to at most 1 in every entry), is
+    rescaled by y^T s / y^T y at the first update, and skips any update
+    with y^T s <= 0.  Stops after ``max_iterations`` accepted steps, when
+    the gradient's largest entry is at most 1e-10, when the predicted
+    decrease is below the cost's rounding, or when backtracking finds no
+    decrease.  ``callback(cost)`` sees each accepted step's cost.  With a
+    finite cost at ``x0`` the result's cost is finite and never above it.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
+    x = np.array(x0, dtype=float)
+    cost, grad = fun(x)
+    inverse = np.eye(x.size)
+    scaled = False
+    nit = 0
+    while nit < max_iterations and np.isfinite(cost):
+        largest = np.max(np.abs(grad), initial=0.0)
+        if largest <= _GTOL:
+            break
+        direction = -(inverse @ grad)
+        slope = float(grad @ direction)
+        if -slope <= _RESOLUTION * abs(cost):
+            break
+        step = 1.0 if scaled else min(1.0, 1.0 / largest)
+        for _ in range(_MAX_HALVINGS):
+            trial = x + step * direction
+            trial_cost, trial_grad = fun(trial)
+            if trial_cost < cost and trial_cost <= cost + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = trial - x, trial_grad - grad
+        x, cost, grad = trial, trial_cost, trial_grad
+        nit += 1
+        if callback is not None:
+            callback(cost)
+        sy = float(y @ s)
+        if sy <= 0.0:
+            continue
+        if not scaled:
+            inverse *= sy / float(y @ y)
+            scaled = True
+        rho = 1.0 / sy
+        hy = inverse @ y
+        inverse += (rho * rho * float(y @ hy) + rho) * np.outer(s, s) - rho * (
+            np.outer(hy, s) + np.outer(s, hy)
+        )
+    return MinimizeResult(x, float(cost), nit)
 
 
 # Failures that make the search reject a projection as infinitely costly.
@@ -205,8 +268,8 @@ _REJECTED = (EncodingError, EstimationError, np.linalg.LinAlgError)
 
 
 def _search_cost_and_grad(flat, pols_c, y, sens_c) -> tuple[float, np.ndarray]:
-    """:func:`_loo_cost_and_grad` over the flattened projection, as BFGS
-    sees it; a rejected projection costs infinity."""
+    """:func:`_loo_cost_and_grad` over the flattened projection, as
+    :func:`minimize` sees it; a rejected projection costs infinity."""
     try:
         cost, grad = _loo_cost_and_grad(
             pols_c, y, sens_c, flat.reshape(sens_c.shape[1], -1)
@@ -244,36 +307,18 @@ def optimize_projection(
     best_cost = np.inf
     best_trace: tuple[float, ...] | None = None
     for start in inits:
-        x0 = start.ravel().copy()
         try:
-            c0 = loo_cost(batch, start)
+            trace = [loo_cost(batch, start)]
         except _REJECTED:
-            c0 = np.inf
-        if not np.isfinite(c0):
             continue
-        if config.max_iterations == 0:
-            final_x, final_c, trace = x0, c0, (c0,)
-        else:
-            trace_list = [c0]
-
-            def record(intermediate_result) -> None:
-                trace_list.append(float(intermediate_result.fun))
-
-            result = minimize(
-                _search_cost_and_grad,
-                x0,
-                args=centered,
-                method="BFGS",
-                jac=True,
-                callback=record,
-                options={"maxiter": config.max_iterations, "gtol": 1e-10},
-            )
-            final_x, final_c = result.x, float(result.fun)
-            if not np.isfinite(final_c) or c0 < final_c:
-                final_x, final_c = x0, c0
-            trace = tuple(trace_list)
-        if final_c < best_cost:
-            best_flat, best_cost, best_trace = final_x, final_c, trace
+        result = minimize(
+            lambda flat: _search_cost_and_grad(flat, *centered),
+            start.ravel(),
+            config.max_iterations,
+            callback=trace.append,
+        )
+        if result.fun < best_cost:
+            best_flat, best_cost, best_trace = result.x, result.fun, tuple(trace)
     if best_flat is None:
         raise EncodingError("no valid projection found")
     best = _orthonormalized(best_flat.reshape(raw_dim, ds))

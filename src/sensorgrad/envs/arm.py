@@ -238,8 +238,35 @@ def fingertip_state(world: ArmWorld, angles, velocities):
     return position, velocity
 
 
-def _knot_times(world: ArmWorld) -> np.ndarray:
-    return np.linspace(0.0, world.sim_duration, KNOTS_PER_JOINT + 1)
+def _knot_basis(world: ArmWorld, times):
+    """Cardinal natural cubic splines on the policy's knot times, and their slopes.
+
+    Column j of both (steps, knots + 1) results is the natural cubic
+    spline that is 1 at knot j (knot 0 is the start at time zero) and 0
+    at the others, sampled at ``times``; times past the last knot extend
+    its end piece.  The knots' second derivatives solve the tridiagonal
+    continuity system (de Boor, *A Practical Guide to Splines*, 1978).
+    """
+    unit = np.eye(KNOTS_PER_JOINT + 1)
+    knots = np.linspace(0.0, world.sim_duration, KNOTS_PER_JOINT + 1)
+    h = np.diff(knots)
+    inner = h[1:-1]
+    system = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(inner, 1) + np.diag(inner, -1)
+    jumps = 6.0 * np.diff(np.diff(unit, axis=0) / h[:, None], axis=0)
+    curvature = np.zeros_like(unit)
+    curvature[1:-1] = np.linalg.solve(system, jumps)
+
+    times = np.asarray(times, dtype=float)
+    piece = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, h.size - 1)
+    width = h[piece, None]
+    left = (knots[piece + 1] - times)[:, None]
+    right = (times - knots[piece])[:, None]
+    m0, m1 = curvature[piece], curvature[piece + 1]
+    c0 = unit[piece] / width - m0 * width / 6.0
+    c1 = unit[piece + 1] / width - m1 * width / 6.0
+    values = (m0 * left**3 + m1 * right**3) / (6.0 * width) + c0 * left + c1 * right
+    slopes = (m1 * right**2 - m0 * left**2) / (2.0 * width) + c1 - c0
+    return values, slopes
 
 
 def desired_trajectory(world: ArmWorld, policies, times):
@@ -247,23 +274,21 @@ def desired_trajectory(world: ArmWorld, policies, times):
 
     ``policies`` has shape (..., policy_dim), knots joint-major, and
     ``times`` shape (steps,); both results have shape (..., steps, dof).
-    One spline serves every policy row.
+    The knot basis is applied term by term, so a row's trajectory does
+    not depend on the rows beside it.
     """
-    from scipy.interpolate import CubicSpline
-
     policies = np.asarray(policies, dtype=float)
-    knots = policies.reshape(-1, world.dof, KNOTS_PER_JOINT)
-    values = np.empty((KNOTS_PER_JOINT + 1, knots.shape[0], world.dof))
-    values[0] = np.array(world.start_posture)
-    values[1:] = np.moveaxis(knots, 2, 0)
-    spline = CubicSpline(_knot_times(world), values, axis=0, bc_type="natural")
-    times = np.asarray(times, dtype=float)
-    shape = policies.shape[:-1] + (times.size, world.dof)
+    knots = policies.reshape(policies.shape[:-1] + (1, world.dof, KNOTS_PER_JOINT))
+    start = np.array(world.start_posture)
 
-    def rows_first(samples):  # (steps, rows, dof) -> (..., steps, dof)
-        return np.moveaxis(samples, 1, 0).reshape(shape)
+    def combine(basis):  # sum over knots of basis column j times knot value j
+        total = basis[:, :1] * start
+        for j in range(KNOTS_PER_JOINT):
+            total = total + basis[:, j + 1, None] * knots[..., j]
+        return total
 
-    return rows_first(spline(times)), rows_first(spline(times, 1))
+    values, slopes = _knot_basis(world, times)
+    return combine(values), combine(slopes)
 
 
 def _pd_torques(world: ArmWorld, des_pos, des_vel, angles, velocities):

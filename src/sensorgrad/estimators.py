@@ -153,11 +153,16 @@ class TrialBatch:
         return self.policies.shape[1]
 
     def rows(self, index) -> "TrialBatch":
-        """The trials at ``index``: a slice, a boolean mask or row numbers."""
-        sensors = None if self.sensors is None else self.sensors[index]
-        return TrialBatch(
-            self.policies[index], self.scores[index], sensors, self.flagged[index]
-        )
+        """The trials at ``index``: a slice, a boolean mask or row numbers.
+
+        The rows were checked when this batch was built, so the slices
+        are not checked again.
+        """
+        picked = object.__new__(TrialBatch)
+        for name in ("policies", "scores", "sensors", "flagged"):
+            value = getattr(self, name)
+            object.__setattr__(picked, name, None if value is None else value[index])
+        return picked
 
     def sensor_matrix(self) -> np.ndarray:
         """The sensors; raises EstimationError when there are none."""

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from arm_oracle import ArmState, arm_dynamics, arm_energy
+from sensorgrad.dynamics_sensors import spline_basis
 from sensorgrad.envs.arm import (
     FLAGGED_SCORE,
     KNOTS_PER_JOINT,
@@ -193,6 +195,46 @@ def test_desired_trajectory_interpolates_the_knots():
     assert np.allclose(positions[0], world.start_posture, atol=1e-12)
     knots = policy.reshape(world.dof, KNOTS_PER_JOINT)
     assert np.allclose(positions[1:], knots.T, atol=1e-12)
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    duration=st.floats(0.5, 2.0),
+    knots=st.lists(unit, min_size=9, max_size=9),
+    start=st.lists(unit, min_size=3, max_size=3),
+    fractions=st.lists(st.floats(0.0, 1.25), min_size=1, max_size=40),
+)
+def test_the_knot_splines_match_scipys_natural_cubic_spline(
+    duration, knots, start, fractions
+):
+    # Unit-scale knot times and values, times up to a quarter past the end.
+    world = ArmWorld(sim_duration=duration, start_posture=start)
+    knot_times = np.linspace(0.0, duration, KNOTS_PER_JOINT + 1)
+    times = duration * np.array(fractions)
+    cardinal = CubicSpline(knot_times, np.eye(KNOTS_PER_JOINT + 1), bc_type="natural")
+    basis = spline_basis(world, times)
+    assert np.allclose(basis, cardinal(times)[:, 1:], rtol=0, atol=1e-12)
+    values = np.vstack([start, np.reshape(knots, (3, KNOTS_PER_JOINT)).T])
+    spline = CubicSpline(knot_times, values, bc_type="natural")
+    positions, rates = desired_trajectory(world, np.array(knots), times)
+    assert np.allclose(positions, spline(times), rtol=0, atol=1e-12)
+    assert np.allclose(rates, spline(times, 1), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 50), row=st.integers(0, 49), seed=st.integers(0, 2**32 - 1))
+def test_a_rows_desired_trajectory_does_not_depend_on_its_batch(size, row, seed):
+    world = ArmWorld()
+    row = row % size
+    policies = HOLD_POLICY + 0.3 * np.random.default_rng(seed).normal(size=(size, 9))
+    times = np.arange(world.grid_steps + 25) * world.timestep
+    batch = desired_trajectory(world, policies, times)
+    alone = desired_trajectory(world, policies[row], times)
+    assert np.array_equal(alone[0], batch[0][row])
+    assert np.array_equal(alone[1], batch[1][row])
 
 
 def test_trial_sensors_unpack_consistently():

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output files, determinism."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -387,7 +388,35 @@ def test_missing_config_flag_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def _fresh_interpreter(code, env):
+    """Run ``code`` in a new interpreter that imports this checkout's sensorgrad."""
+    package_root = str(Path(sensorgrad.__file__).resolve().parents[1])
+    env = dict(env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def _imports_scipy(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            return True
+    return False
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
+    sources = sorted(Path(sensorgrad.__file__).parent.rglob("*.py"))
+    assert [path.name for path in sources if _imports_scipy(path)] == []
     # A fresh interpreter: this test process has imported scipy already.
     code = (
         "import importlib, pkgutil, sys, sensorgrad.cli\n"
@@ -405,13 +434,22 @@ def test_importing_the_cli_leaves_scipy_unloaded():
         "import sensorgrad.encoding\n"
         "assert sensorgrad.encoding.EncodingError is sensorgrad.EncodingError\n"
     )
-    package_root = str(Path(sensorgrad.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
+    result = _fresh_interpreter(code, os.environ)
     assert result.returncode == 0, result.stderr
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "openblas-2"])
+def test_importing_sensorgrad_runs_blas_in_one_thread_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os, sensorgrad\n"
+        f"print(*(os.environ[name] for name in {BLAS_THREAD_VARIABLES!r}))\n"
+    )
+    result = _fresh_interpreter(code, env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [preset or "1", "1", "1"]

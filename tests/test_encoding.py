@@ -13,6 +13,7 @@ from sensorgrad.encoding import (
     _search_cost_and_grad,
     estimate_gradient_encoded,
     loo_cost,
+    minimize,
     optimize_projection,
 )
 from sensorgrad.estimators import (
@@ -188,6 +189,73 @@ def test_search_rejects_exactly_where_loo_cost_raises(name, rejected):
         assert not grad.any()
     else:
         assert cost == loo_cost(batch, matrix)
+
+
+@st.composite
+def spd_quadratics(draw):
+    """A random SPD matrix (eigenvalues 0.1 to 10), a minimizer and a start."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    hessian = (basis * rng.uniform(0.1, 10.0, size=dim)) @ basis.T
+    return hessian, rng.normal(size=dim), rng.normal(scale=3.0, size=dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spd_quadratics())
+def test_minimize_reaches_the_minimizer_of_an_spd_quadratic(problem):
+    # The minimum cost is 0.  A minimum cost f* hides decreases below
+    # about 1e-16 |f*|, which stops any line search about
+    # sqrt(1e-16 |f*| / 0.1) from the minimizer, 1e-7 at |f*| = 10.
+    hessian, minimizer, start = problem
+
+    def quadratic(x):
+        gap = x - minimizer
+        return 0.5 * gap @ hessian @ gap, hessian @ gap
+
+    result = minimize(quadratic, start, 200)
+    assert np.abs(result.x - minimizer).max() <= 1e-8
+    assert result.nit < 200
+
+
+@settings(max_examples=100, deadline=None)
+@given(spd_quadratics())
+def test_minimize_never_returns_a_rejected_point(problem):
+    # The minimizer is pushed outside the unit ball, where the cost is
+    # infinite; the search starts inside it.
+    hessian, minimizer, start = problem
+    center = minimizer * (2.0 / float(np.linalg.norm(minimizer)))
+    start = 0.9 * start / max(1.0, float(np.linalg.norm(start)))
+
+    def fenced(x):
+        if x @ x > 1.0:
+            return np.inf, np.zeros_like(x)
+        gap = x - center
+        return 0.5 * gap @ hessian @ gap, hessian @ gap
+
+    result = minimize(fenced, start, 50)
+    assert np.isfinite(result.fun)
+    assert result.x @ result.x <= 1.0
+    assert result.fun <= fenced(start)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_minimize_takes_at_most_max_iterations_steps(max_iterations, seed):
+    start = np.random.default_rng(seed).normal(scale=2.0, size=2)
+
+    def rosenbrock(x):
+        a, b = x
+        cost = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        grad = [-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]
+        return cost, np.array(grad)
+
+    costs = []
+    result = minimize(rosenbrock, start, max_iterations, callback=costs.append)
+    assert result.nit <= max_iterations
+    assert len(costs) == result.nit
+    assert costs == sorted(costs, reverse=True)
+    assert result.fun == (costs[-1] if costs else rosenbrock(start)[0])
 
 
 def test_optimize_projection_recovers_planted_direction():

@@ -78,6 +78,27 @@ def test_batch_validation():
     assert encoded.policies is batch.policies
 
 
+@pytest.mark.parametrize(
+    "index",
+    [np.array([True, False, True, True]), slice(1, 3), np.array([3, 0, 2])],
+    ids=["mask", "slice", "indices"],
+)
+def test_rows_equal_a_batch_built_from_the_sliced_arrays(index):
+    rng = np.random.default_rng(12)
+    policies, scores = rng.normal(size=(4, 2)), rng.normal(size=4)
+    sensors, flagged = rng.normal(size=(4, 3)), np.array([False, True, False, True])
+    picked = TrialBatch(policies, scores, sensors, flagged).rows(index)
+    built = TrialBatch(policies[index], scores[index], sensors[index], flagged[index])
+    assert len(picked) == len(built)
+    for name in ("policies", "scores", "sensors", "flagged"):
+        got, want = getattr(picked, name), getattr(built, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert TrialBatch(policies, scores).rows(index).sensors is None
+    with pytest.raises(ValueError, match="trial score must be finite"):
+        TrialBatch(policies[index], np.full(len(built), np.nan))
+
+
 def test_estimators_require_enough_samples():
     policies = np.array([[float(i), 0.5 * i] for i in range(3)])
     batch = TrialBatch(policies, np.arange(3.0), np.full((3, 1), 0.1))

@@ -5,14 +5,18 @@ claims to leave the numbers alone keeps every digest here, and a change
 that alters numbers (a new optimizer gradient, a new random-stream
 layout) says so and updates the affected digests once.  Floating-point
 results can differ in the last digit across BLAS builds, so the digests
-hold for one numpy/scipy install (recorded with numpy 2.4.6 and scipy
-1.17.1 on x86-64).
+hold for one numpy install (recorded with numpy 2.4.6 on x86-64).
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sensorgrad
 from sensorgrad.cli import main
 from test_acceptance import RERUN_CASES
 
@@ -47,9 +51,9 @@ GOLDEN = {
         "config_echo.cfg": "80d42f00446b01046903404250c6f7cb034bb8c457a6ad63f7583139e3a52d72",
     },
     "encode-search": {
-        "projection.csv": "94548aeccd793daab765d308f2dc45f061c14881bba8fbf8df3435959a192f22",
-        "encode_trace.csv": "c0b8eb3a3e639e84dffa65a1f2a756157d2590e161426ec17d0857c3b51db5c8",
-        "encode_report.txt": "53abd6c57e011bc297f486852a1dce88dc65cf4ad0cdbdbc3138f5bcb8a701e9",
+        "projection.csv": "9b131dad8c0b172d90ca35c3db5da2622dda0150edf175644dd26093c8eb7c22",
+        "encode_trace.csv": "7aacd6417763f963034a927e8dde34a6d38ad0fe0af1b802f36d89dda0ca6168",
+        "encode_report.txt": "d10285e5514650e3e5617d599b0858bb64542adef3d95be0a14b63545a525ed7",
         "config_echo.cfg": "67db15e540a098958f187596704c05b7a72c91cfe264fe3e87463363aa217e86",
     },
 }
@@ -77,8 +81,8 @@ SWEEP_GOLDEN = {
 }
 
 DART_GOLDEN = {
-    "learning_curve.csv": "f07cb57fc0b20e090e005e3254b181a72a60cd77bbbd680a410f19ad77085ff5",
-    "diagnostics.csv": "a783b994d0b1d85a55eb267327b96fb9276c9d3c043bb17e87dbc4d6bbae7648",
+    "learning_curve.csv": "988eab15d95164567246a61ae5ec85ff316742be3be4ac3816f2ea2982aab890",
+    "diagnostics.csv": "7c7302c2f7c642f789ce31fba3a0573e4fb51a71ce61629aefee093e08d02e17",
     "config_echo.cfg": "68b25d4b83d0b92dd574dfd5347e2b9900feafbf59cd3b29fc488bc45f9b9195",
 }
 
@@ -120,4 +124,26 @@ def test_tiny_dart_run_keeps_its_digests_at_any_thread_count(tmp_path, threads):
     digests = _output_digests(
         tmp_path, "run", DART_CFG, DART_GOLDEN, "--threads", threads
     )
+    assert digests == DART_GOLDEN
+
+
+def test_tiny_dart_run_keeps_its_digests_on_two_blas_threads(tmp_path):
+    # A fresh interpreter: BLAS reads its thread count once, when loaded.
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(DART_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    env = {k: v for k, v in os.environ.items() if k != "SENSORGRAD_OUT"}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sensorgrad.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    argv = [sys.executable, "-m", "sensorgrad.cli", "run"]
+    argv += ["--config", str(cfg), "--out", str(out)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in DART_GOLDEN
+    }
     assert digests == DART_GOLDEN
