@@ -7,17 +7,21 @@ explain and tightens the estimate.  The package provides the two
 estimators and their variance laws, a leave-one-out search over sensor
 projections, simulated tasks to run them on, a learned-dynamics sensor
 pipeline for the arm task, a hill-climbing driver, and a command-line
-experiment harness.  BLAS runs in one thread, as every run does, unless
-the environment sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
-``MKL_NUM_THREADS``.
+experiment harness.  Imported before numpy, it runs BLAS in one thread,
+as every run does, unless the environment sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``.  Imported after numpy, it
+leaves all three as they are: BLAS has already chosen its threads, and
+the variables would only reach child processes.
 """
 
 import os
+import sys
 
 # Before the first import that loads numpy: BLAS reads these once.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-del _name
+if "numpy" not in sys.modules:
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
+    del _name
 
 from .config import Config, ConfigError, config_hash, load_config, parse_config_text
 from .encoding import (

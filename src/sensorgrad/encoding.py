@@ -29,7 +29,7 @@ from .estimators import (
     TrialBatch,
     estimate_g2,
 )
-from .linreg import RANK_RATIO_LIMIT
+from .linreg import rank_deficient
 
 __all__ = [
     "EncodingError",
@@ -127,7 +127,7 @@ def _loo_cost_and_grad(
         )
     design = np.concatenate([pols_c, sens_c @ b], axis=1)
     u, svals, vt = np.linalg.svd(design, full_matrices=False)
-    if svals[0] <= 0.0 or svals[-1] <= 0.0 or svals[0] / svals[-1] > RANK_RATIO_LIMIT:
+    if rank_deficient(svals):
         raise EncodingError("rank deficient design")
     coef = vt.T @ ((u.T @ y) / svals)
     resid = y - design @ coef
@@ -171,8 +171,6 @@ def loo_cost(batch: TrialBatch, projection: np.ndarray) -> float:
 
 def _orthonormalized(mat: np.ndarray) -> np.ndarray:
     """QR-orthonormalize columns with a deterministic sign convention."""
-    if mat.shape[1] == 0:
-        return mat.copy()
     q, r = np.linalg.qr(mat)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
@@ -293,10 +291,6 @@ def optimize_projection(
     raw = batch.sensor_matrix()
     raw_dim = raw.shape[1]
     ds = config.target_dim
-    if ds == 0:
-        cost = loo_cost(batch, np.zeros((raw_dim, 0)))
-        return SensorProjection(np.zeros((raw_dim, 0)), cost=cost, cost_trace=(cost,))
-
     centered = _centered(batch)
     rng = np.random.default_rng(config.seed)
     inits = [_pca_init(raw, ds)]

@@ -224,33 +224,27 @@ class GradientEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _fit(
-    batch: TrialBatch, sensors: np.ndarray | None, center: bool
-) -> GradientEstimate:
-    """Regress scores on policies, and on ``sensors`` when given."""
-    n, d = batch.size, batch.policy_dim
-    ds = 0 if sensors is None else sensors.shape[1]
-    if n < d + ds + 2:
-        need, what = ("d+2", "policy") if sensors is None else ("d+d_s+2", "joint")
+def _fit(batch: TrialBatch, joint: bool, center: bool) -> GradientEstimate:
+    """Regress scores on policies, and on the sensors when ``joint``."""
+    design = batch.policies
+    if joint:
+        design = np.concatenate([design, batch.sensor_matrix()], axis=1)
+    n, p = design.shape
+    if n < p + 2:
+        need, what = ("d+d_s+2", "joint") if joint else ("d+2", "policy")
         raise EstimationError(
-            f"insufficient samples: n={n} < {need}={d + ds + 2} for the {what} "
+            f"insufficient samples: n={n} < {need}={p + 2} for the {what} "
             "regression"
         )
-    design = batch.policies
-    if sensors is not None:
-        design = np.concatenate([design, sensors], axis=1)
     try:
-        fit = ols(design, batch.scores, center=center)
+        coef, offset, rss = ols(design, batch.scores, center=center)
     except RegressionError as exc:
-        if "rank deficient" in str(exc):
-            raise EstimationError("degenerate exploration") from exc
-        raise
-    dof = n - d - ds - 1
-    rss = float(fit.residuals @ fit.residuals)
+        raise EstimationError("degenerate exploration") from exc
+    dof, d = n - p - 1, batch.policy_dim
     return GradientEstimate(
-        gradient=fit.coefficients[:d],
-        sensor_coefficients=None if sensors is None else fit.coefficients[d:],
-        offset=float(fit.mean_y - fit.column_means_x @ fit.coefficients),
+        gradient=coef[:d],
+        sensor_coefficients=coef[d:] if joint else None,
+        offset=offset,
         residual_variance=rss / dof if dof > 0 else None,
     )
 
@@ -262,9 +256,7 @@ def estimate_g1(batch: TrialBatch, *, center: bool = True) -> GradientEstimate:
     Sensor-driven score noise stays in the residual, inflating the
     estimator's covariance accordingly.
     """
-    if batch.size == 0:
-        raise EstimationError("empty batch")
-    return _fit(batch, None, center)
+    return _fit(batch, False, center)
 
 
 def estimate_g2(batch: TrialBatch, *, center: bool = True) -> GradientEstimate:
@@ -274,9 +266,7 @@ def estimate_g2(batch: TrialBatch, *, center: bool = True) -> GradientEstimate:
     coefficients are the gradient estimate, the rest the sensor
     coefficients.  Requires ``n >= d + d_s + 2``.
     """
-    if batch.size == 0:
-        raise EstimationError("empty batch")
-    return _fit(batch, batch.sensor_matrix(), center)
+    return _fit(batch, True, center)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,12 @@
 """Least-squares primitives shared by the gradient estimators.
 
-Centering, ordinary least squares through an orthogonal decomposition,
-and quadratic feature expansion.  All regressions in the package go
-through :func:`ols` so that rank handling and the centered-offset
-convention live in one place.
+Ordinary least squares with an explicit offset, the rank rule every
+regression in the package applies, and quadratic feature expansion.
+Both gradient estimators fit through :func:`ols`, so centering and rank
+handling live in one place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,105 +16,43 @@ RANK_RATIO_LIMIT = 1e10
 
 
 class RegressionError(ValueError):
-    """Raised when a least-squares problem is ill posed."""
+    """Raised when a least-squares design is rank deficient."""
 
 
-def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract column means from a design matrix.
-
-    Parameters
-    ----------
-    x : (n, p) array
-
-    Returns
-    -------
-    centered : (n, p) array with zero column means
-    means : (p,) array of the subtracted means
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise RegressionError("design must be a 2-d array")
-    if x.shape[0] == 0:
-        raise RegressionError("empty batch")
-    means = x.mean(axis=0)
-    return x - means, means
+def rank_deficient(svals: np.ndarray) -> bool:
+    """Whether a design's singular values (descending, at least one) mark
+    it rank deficient: the smallest is not positive, or the largest over
+    the smallest exceeds ``RANK_RATIO_LIMIT``."""
+    return svals[-1] <= 0.0 or svals[0] / svals[-1] > RANK_RATIO_LIMIT
 
 
-@dataclass(frozen=True)
-class OlsFit:
-    """Result of a centered least-squares fit.
-
-    Predictions for a new row ``x`` are ``(x - column_means_x) @
-    coefficients + mean_y``.  ``residuals`` are orthogonal to the
-    centered design columns.
-    """
-
-    coefficients: np.ndarray
-    column_means_x: np.ndarray
-    mean_y: float
-    residuals: np.ndarray
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x - self.column_means_x) @ self.coefficients + self.mean_y
-
-
-def ols(x: np.ndarray, y: np.ndarray, *, center: bool = True) -> OlsFit:
-    """Least squares of ``y`` on ``x`` with an explicit offset.
+def ols(
+    x: np.ndarray, y: np.ndarray, *, center: bool = True
+) -> tuple[np.ndarray, float, float]:
+    """Least squares of scores ``y`` (n,) on a design ``x`` (n, p).
 
     With ``center=True`` (the default) both sides are centered within
     the batch and the offset is carried separately; no column of ones
     is ever added.  With ``center=False`` the data are taken as already
-    centered (a zero-mean generative setting) and the fit goes through
-    the origin; the recorded means are zero.
+    centered (a zero-mean generative setting), the fit goes through the
+    origin and the offset is 0.  The caller guarantees n >= p + 1.
 
-    The solve uses an SVD.  A singular-value ratio above
-    ``RANK_RATIO_LIMIT`` raises ``RegressionError("rank deficient
-    design")``.
-
-    Raises
-    ------
-    RegressionError
-        "empty batch" for n = 0, "length mismatch" when x and y
-        disagree on n, "insufficient samples" when n < p + 1.
+    Returns the coefficients (p,), the offset and the residual sum of
+    squares.  A zero-width design (p = 0) fits the offset alone.  The
+    solve is one ``np.linalg.lstsq`` call; a design of numerical rank
+    below p, or one that fails :func:`rank_deficient`, raises
+    ``RegressionError("rank deficient design")``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise RegressionError("design must be a 2-d array")
-    if y.ndim != 1:
-        raise RegressionError("response must be a 1-d array")
-    n, p = x.shape
-    if n == 0:
-        raise RegressionError("empty batch")
-    if y.shape[0] != n:
-        raise RegressionError("length mismatch between design and response")
-    if n < p + 1:
-        raise RegressionError(
-            f"insufficient samples: n={n} rows cannot fit p={p} coefficients "
-            "plus an offset"
-        )
-
     if center:
-        xc, means_x = center_columns(x)
+        means_x = x.mean(axis=0)
         mean_y = float(y.mean())
-        yc = y - mean_y
-    else:
-        xc = x
-        means_x = np.zeros(p)
-        mean_y = 0.0
-        yc = y
-
-    if p == 0:
-        return OlsFit(np.zeros(0), means_x, mean_y, yc.copy())
-
-    coef, _, rank, svals = np.linalg.lstsq(xc, yc, rcond=None)
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    if rank < p or smin <= 0.0 or smax / smin > RANK_RATIO_LIMIT:
+        x, y = x - means_x, y - mean_y
+    coef, _, rank, svals = np.linalg.lstsq(x, y, rcond=None)
+    if rank < x.shape[1] or (svals.size and rank_deficient(svals)):
         raise RegressionError("rank deficient design")
-    residuals = yc - xc @ coef
-    return OlsFit(coef, means_x, mean_y, residuals)
+    residuals = y - x @ coef
+    offset = float(mean_y - means_x @ coef) if center else 0.0
+    return coef, offset, float(residuals @ residuals)
 
 
 def quad_features(x: np.ndarray) -> np.ndarray:

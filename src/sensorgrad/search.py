@@ -42,7 +42,6 @@ from .estimators import (
     estimate_g1,
     estimate_g2,
 )
-from .linreg import RegressionError
 from .seeding import EVAL, LEARN, children, psd_sqrt, substream
 
 __all__ = [
@@ -61,7 +60,7 @@ ESTIMATORS = ("ignore_sensors", "with_sensors", "with_encoding")
 
 _STEP_RULES = ("normalized", "fixed_rate")
 
-_RECOVERABLE = (EstimationError, EncodingError, RegressionError, PolicyDomainError)
+_RECOVERABLE = (EstimationError, EncodingError, PolicyDomainError)
 
 
 @dataclass(frozen=True)

@@ -441,15 +441,27 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "openblas-2"])
-def test_importing_sensorgrad_runs_blas_in_one_thread_unless_set(preset):
+@pytest.mark.parametrize(
+    "preset, imports, expected",
+    [
+        (None, "sensorgrad", ["1", "1", "1"]),
+        ("2", "sensorgrad", ["2", "1", "1"]),
+        # Numpy's BLAS has chosen its threads already: nothing is set, so
+        # child processes do not inherit a value this process never ran on.
+        (None, "numpy, sensorgrad", ["unset", "unset", "unset"]),
+    ],
+    ids=["unset", "openblas-2", "numpy-first"],
+)
+def test_importing_sensorgrad_runs_blas_in_one_thread_unless_set(
+    preset, imports, expected
+):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     code = (
-        "import os, sensorgrad\n"
-        f"print(*(os.environ[name] for name in {BLAS_THREAD_VARIABLES!r}))\n"
+        f"import os, {imports}\n"
+        f"print(*(os.environ.get(name, 'unset') for name in {BLAS_THREAD_VARIABLES!r}))\n"
     )
     result = _fresh_interpreter(code, env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == [preset or "1", "1", "1"]
+    assert result.stdout.split() == expected

@@ -50,8 +50,8 @@ def brute_force_loo(batch, matrix):
     total = 0.0
     for i in range(design.shape[0]):
         keep = np.arange(design.shape[0]) != i
-        fit = ols(design[keep], scores[keep])
-        total += float((scores[i] - fit.predict(design[i])) ** 2)
+        coef, offset, _ = ols(design[keep], scores[keep])
+        total += float((scores[i] - design[i] @ coef - offset) ** 2)
     return total
 
 
@@ -290,6 +290,17 @@ def test_optimize_projection_zero_iterations_keeps_the_best_init():
     projection = optimize_projection(batch, config)
     assert len(projection.cost_trace) == 1
     assert projection.cost == pytest.approx(projection.cost_trace[0])
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_optimize_projection_to_zero_columns_costs_the_sensor_free_fit(restarts):
+    batch, _ = planted_batch(90, raw_dim=4)
+    config = EncodingSearchConfig(target_dim=0, max_iterations=10, restarts=restarts)
+    projection = optimize_projection(batch, config)
+    cost = loo_cost(batch, np.zeros((4, 0)))
+    assert projection.matrix.shape == (4, 0)
+    assert projection.cost == cost
+    assert projection.cost_trace == (cost,)
 
 
 def test_optimize_projection_is_deterministic():

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import (
@@ -249,3 +251,51 @@ def test_centered_estimators_tolerate_offsets_and_sensor_means():
     batch = TrialBatch(policies, trials.scores + mean @ SENSOR_SLOPE, sensed)
     estimate = estimate_g2(batch)
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-8)
+
+
+@st.composite
+def full_rank_batches(draw):
+    """A batch of random policies, sensors and scores with n >= d + d_s + 2."""
+    d = draw(st.integers(1, 4))
+    ds = draw(st.integers(0, 4))
+    n = d + ds + 2 + draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.normal(scale=5.0, size=d + ds + 1)
+    policies = rng.normal(size=(n, d)) + shift[:d]
+    sensors = rng.normal(size=(n, ds)) + shift[d:-1]
+    return TrialBatch(policies, rng.normal(size=n) + shift[-1], sensors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(full_rank_batches(), st.booleans(), st.booleans())
+def test_estimators_match_a_least_squares_fit_with_a_column_of_ones(
+    batch, joint, center
+):
+    design = batch.policies
+    if joint:
+        design = np.concatenate([design, batch.sensors], axis=1)
+    n, p = design.shape
+    assume(np.linalg.cond(design - design.mean(axis=0)) < 1e6)
+    # Centered fits carry an offset: the reference adds a column of ones.
+    # Uncentered fits go through the origin.
+    reference = np.concatenate([design, np.ones((n, 1))], axis=1) if center else design
+    coef, _, _, _ = np.linalg.lstsq(reference, batch.scores, rcond=None)
+    residuals = batch.scores - reference @ coef
+    offset = coef[p] if center else 0.0
+    estimate = (estimate_g2 if joint else estimate_g1)(batch, center=center)
+    d = batch.policy_dim
+    assert np.allclose(estimate.gradient, coef[:d], rtol=1e-10, atol=1e-10)
+    if joint:
+        assert np.allclose(
+            estimate.sensor_coefficients, coef[d:p], rtol=1e-10, atol=1e-10
+        )
+    else:
+        assert estimate.sensor_coefficients is None
+    assert estimate.offset == pytest.approx(offset, rel=1e-10, abs=1e-10)
+    dof = n - p - 1
+    if dof > 0:
+        assert estimate.residual_variance == pytest.approx(
+            residuals @ residuals / dof, rel=1e-10, abs=1e-10
+        )
+    else:
+        assert estimate.residual_variance is None

@@ -2,51 +2,48 @@ import numpy as np
 import pytest
 
 from sensorgrad.linreg import (
+    RANK_RATIO_LIMIT,
     RegressionError,
-    center_columns,
     ols,
     quad_feature_count,
     quad_features,
+    rank_deficient,
 )
 from sensorgrad.seeding import substream
-
-
-def test_center_columns_removes_means():
-    rng = substream(1)
-    x = rng.normal(size=(30, 4)) + np.array([5.0, -3.0, 0.0, 2.0])
-    centered, means = center_columns(x)
-    assert np.allclose(centered.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(x - means, centered)
 
 
 def test_ols_recovers_affine_model_exactly():
     rng = substream(2)
     x = rng.normal(size=(20, 3))
     coef = np.array([1.5, -2.0, 0.25])
-    y = x @ coef + 4.0
-    fit = ols(x, y)
-    assert np.allclose(fit.coefficients, coef, atol=1e-10)
-    assert np.allclose(fit.predict(x), y, atol=1e-10)
-    assert np.allclose(fit.residuals, 0.0, atol=1e-10)
+    fitted, offset, rss = ols(x, x @ coef + 4.0)
+    assert np.allclose(fitted, coef, atol=1e-10)
+    assert offset == pytest.approx(4.0, abs=1e-10)
+    assert rss == pytest.approx(0.0, abs=1e-18)
 
 
 def test_ols_residuals_orthogonal_to_centered_design():
     rng = substream(3)
     x = rng.normal(size=(40, 3))
     y = x @ np.array([1.0, 0.5, -1.0]) + rng.normal(size=40)
-    fit = ols(x, y)
-    centered, _ = center_columns(x)
-    assert np.allclose(centered.T @ fit.residuals, 0.0, atol=1e-9)
+    coef, offset, rss = ols(x, y)
+    residuals = y - x @ coef - offset
+    assert np.allclose((x - x.mean(axis=0)).T @ residuals, 0.0, atol=1e-9)
+    assert abs(residuals.sum()) <= 1e-9
+    assert rss == pytest.approx(residuals @ residuals, rel=1e-12)
 
 
 def test_ols_uncentered_fits_through_the_origin():
     rng = substream(4)
     x = rng.normal(size=(15, 2))
     coef = np.array([2.0, -1.0])
-    fit = ols(x, x @ coef, center=False)
-    assert np.allclose(fit.coefficients, coef, atol=1e-10)
-    assert fit.mean_y == 0.0
-    assert np.array_equal(fit.column_means_x, np.zeros(2))
+    fitted, offset, _ = ols(x, x @ coef + 3.0, center=False)
+    assert offset == 0.0
+    reference = np.linalg.lstsq(x, x @ coef + 3.0, rcond=None)[0]
+    assert np.allclose(fitted, reference, atol=1e-12)
+    fitted, _, rss = ols(x, x @ coef, center=False)
+    assert np.allclose(fitted, coef, atol=1e-10)
+    assert rss == pytest.approx(0.0, abs=1e-18)
 
 
 def test_ols_centered_and_uncentered_agree_on_centered_data():
@@ -55,31 +52,49 @@ def test_ols_centered_and_uncentered_agree_on_centered_data():
     x = x - x.mean(axis=0)
     y = x @ np.array([0.3, -0.8, 1.1]) + rng.normal(size=25)
     y = y - y.mean()
-    a = ols(x, y)
-    b = ols(x, y, center=False)
-    assert np.allclose(a.coefficients, b.coefficients, atol=1e-10)
+    a, a_offset, a_rss = ols(x, y)
+    b, b_offset, b_rss = ols(x, y, center=False)
+    assert np.allclose(a, b, atol=1e-10)
+    assert a_offset == pytest.approx(b_offset, abs=1e-12)
+    assert a_rss == pytest.approx(b_rss, rel=1e-10)
 
 
 def test_ols_error_messages():
-    x = np.zeros((0, 2))
-    with pytest.raises(RegressionError, match="empty batch"):
-        ols(x, np.zeros(0))
-    with pytest.raises(RegressionError, match="length mismatch"):
-        ols(np.zeros((4, 2)), np.zeros(5))
-    with pytest.raises(RegressionError, match="insufficient samples"):
-        ols(np.zeros((2, 2)), np.zeros(2))
     rng = substream(6)
     base = rng.normal(size=(10, 1))
-    dup = np.concatenate([base, base], axis=1)
-    with pytest.raises(RegressionError, match="rank deficient design"):
-        ols(dup, rng.normal(size=10))
+    y = rng.normal(size=10)
+    duplicated = np.concatenate([base, base], axis=1)
+    zero_column = np.concatenate([base, np.zeros((10, 1))], axis=1)
+    for x in (duplicated, zero_column):
+        for center in (True, False):
+            with pytest.raises(RegressionError, match="rank deficient design"):
+                ols(x, y, center=center)
 
 
 def test_ols_zero_width_design():
     y = np.array([1.0, 3.0, 5.0])
-    fit = ols(np.zeros((3, 0)), y)
-    assert fit.mean_y == pytest.approx(3.0)
-    assert np.allclose(fit.residuals, y - 3.0)
+    coef, offset, rss = ols(np.zeros((3, 0)), y)
+    assert coef.shape == (0,)
+    assert offset == 3.0
+    assert rss == 8.0
+    coef, offset, rss = ols(np.zeros((3, 0)), y, center=False)
+    assert (coef.shape, offset, rss) == ((0,), 0.0, 35.0)
+
+
+@pytest.mark.parametrize(
+    "svals, deficient",
+    [
+        ([2.0, 1.0], False),
+        ([RANK_RATIO_LIMIT, 1.0], False),
+        ([RANK_RATIO_LIMIT * 1.01, 1.0], True),
+        ([1.0, 0.0], True),
+        ([0.0, 0.0], True),
+        ([1.0, np.nan], False),
+        ([np.nan, 1.0], False),
+    ],
+)
+def test_rank_rule(svals, deficient):
+    assert bool(rank_deficient(np.array(svals))) is deficient
 
 
 def test_quad_feature_count_matches_features():
