@@ -10,7 +10,7 @@ policy:
 Closed-form covariance laws for both estimators (the joint one with or
 without policy-coupled sensors) and the coupling bias of the joint
 estimator are provided alongside.  Every estimator works on one
-:class:`TrialBatch`, the arrays of a batch of executed trials.
+:class:`TrialBatch`, the arrays of a batch (or a stack) of trials.
 
 Centering conventions
 ---------------------
@@ -100,9 +100,9 @@ def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_rows(value, name: str, n: int) -> np.ndarray:
+def _as_rows(value, name: str, lead: tuple) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != n:
+    if arr.shape[:-1] != lead:
         raise ValueError(f"{name} must hold one row per trial")
     return arr
 
@@ -119,6 +119,9 @@ class TrialBatch:
     (n,) marks failed trials (non-finite simulation state), which the
     search layer keeps out of regression batches; it defaults to all
     False.  Shapes and finite scores are checked once, on construction.
+    A stack of r batches leads every field with a replication axis
+    (policies (r, n, d), scores (r, n), ...), fitted in one call; ``size``
+    and :meth:`rows` count and pick trials within each replication.
     """
 
     policies: np.ndarray
@@ -127,17 +130,19 @@ class TrialBatch:
     flagged: np.ndarray | None = None
 
     def __post_init__(self):
-        scores = _as_vector(self.scores, "scores")
-        n = scores.shape[0]
+        scores = np.asarray(self.scores, dtype=float)
+        if scores.ndim not in (1, 2):
+            raise ValueError("scores must be (n,), or (r, n) for a stack")
         if not np.isfinite(scores).all():
             raise ValueError("trial score must be finite")
+        lead = scores.shape
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "policies", _as_rows(self.policies, "policies", n))
+        object.__setattr__(self, "policies", _as_rows(self.policies, "policies", lead))
         if self.sensors is not None:
-            object.__setattr__(self, "sensors", _as_rows(self.sensors, "sensors", n))
-        flagged = np.zeros(n, dtype=bool) if self.flagged is None else self.flagged
+            object.__setattr__(self, "sensors", _as_rows(self.sensors, "sensors", lead))
+        flagged = np.zeros(lead, dtype=bool) if self.flagged is None else self.flagged
         flagged = np.asarray(flagged, dtype=bool)
-        if flagged.shape != (n,):
+        if flagged.shape != lead:
             raise ValueError("flagged must hold one entry per trial")
         object.__setattr__(self, "flagged", flagged)
 
@@ -146,11 +151,11 @@ class TrialBatch:
 
     @property
     def size(self) -> int:
-        return self.scores.shape[0]
+        return self.scores.shape[-1]
 
     @property
     def policy_dim(self) -> int:
-        return self.policies.shape[1]
+        return self.policies.shape[-1]
 
     def rows(self, index) -> "TrialBatch":
         """The trials at ``index``: a slice, a boolean mask or row numbers.
@@ -159,9 +164,10 @@ class TrialBatch:
         are not checked again.
         """
         picked = object.__new__(TrialBatch)
+        at = (slice(None),) * (self.scores.ndim - 1) + (index,)
         for name in ("policies", "scores", "sensors", "flagged"):
             value = getattr(self, name)
-            object.__setattr__(picked, name, None if value is None else value[index])
+            object.__setattr__(picked, name, None if value is None else value[at])
         return picked
 
     def sensor_matrix(self) -> np.ndarray:
@@ -210,13 +216,14 @@ class GradientEstimate:
     ``sensor_coefficients`` is None for the sensor-free estimator.
     ``residual_variance`` is the sample estimate of the score noise
     variance (residual mean square on the fit's remaining degrees of
-    freedom), None when no degree of freedom is left.
+    freedom), None when no degree of freedom is left.  From a stacked
+    batch every field keeps the leading replication axis.
     """
 
     gradient: np.ndarray
     sensor_coefficients: np.ndarray | None
-    offset: float
-    residual_variance: float | None = None
+    offset: float | np.ndarray
+    residual_variance: float | np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +235,8 @@ def _fit(batch: TrialBatch, joint: bool, center: bool) -> GradientEstimate:
     """Regress scores on policies, and on the sensors when ``joint``."""
     design = batch.policies
     if joint:
-        design = np.concatenate([design, batch.sensor_matrix()], axis=1)
-    n, p = design.shape
+        design = np.concatenate([design, batch.sensor_matrix()], axis=-1)
+    n, p = design.shape[-2:]
     if n < p + 2:
         need, what = ("d+d_s+2", "joint") if joint else ("d+2", "policy")
         raise EstimationError(
@@ -242,8 +249,8 @@ def _fit(batch: TrialBatch, joint: bool, center: bool) -> GradientEstimate:
         raise EstimationError("degenerate exploration") from exc
     dof, d = n - p - 1, batch.policy_dim
     return GradientEstimate(
-        gradient=coef[:d],
-        sensor_coefficients=coef[d:] if joint else None,
+        gradient=coef[..., :d],
+        sensor_coefficients=coef[..., d:] if joint else None,
         offset=offset,
         residual_variance=rss / dof if dof > 0 else None,
     )

@@ -499,10 +499,9 @@ def run_experiment(cfg: Config, out_dir):
 # variance check
 # ---------------------------------------------------------------------------
 
-# Replications whose rows are drawn together: a memory bound, not a
-# setting.  The draws do not depend on it; the sampler is elementwise,
-# and the test suite pins that the policies' BLAS product rounds each
-# row alike at chunk sizes 7, 512 and 1,300.
+# Replications drawn and fitted together: a memory bound on the rows and
+# on the stacked SVD, not a setting.  The gradients do not depend on it;
+# the test suite pins the same bits at chunk sizes 1, 7, 512 and 1,300.
 REPLICATION_CHUNK = 512
 
 
@@ -625,9 +624,10 @@ def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
     another, ``substream(seed, VARIANCE, EVAL)``; replication ``r``
     takes rows ``[r*n, (r+1)*n)`` of both.  The rows are drawn
     ``REPLICATION_CHUNK`` replications at a time, read on from the same
-    two generators, which bounds memory without changing a bit.  Both
-    estimators run uncentered.  Returns the (reps, d) arrays of g1 and
-    g2 gradients.
+    two generators, which bounds memory without changing a bit.  Each
+    chunk is reshaped to a stacked (count, n, ...) batch and fitted by
+    one uncentered call of each estimator.  Returns the (reps, d) arrays
+    of g1 and g2 gradients.
     """
     nominal = np.zeros(env.policy_dim)
     policy_rng = substream(seed, VARIANCE, LEARN)
@@ -641,10 +641,13 @@ def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
             nominal, exploration_cov, count * n, policy_rng, root=root
         )
         trials = env.sample_trials(policies, noise_rng)
-        for i in range(count):
-            batch = trials.rows(slice(i * n, (i + 1) * n))
-            g1_draws[first + i] = estimate_g1(batch, center=False).gradient
-            g2_draws[first + i] = estimate_g2(batch, center=False).gradient
+        stack = TrialBatch(
+            trials.policies.reshape(count, n, -1),
+            trials.scores.reshape(count, n),
+            trials.sensors.reshape(count, n, -1),
+        )
+        g1_draws[first : first + count] = estimate_g1(stack, center=False).gradient
+        g2_draws[first : first + count] = estimate_g2(stack, center=False).gradient
     return g1_draws, g2_draws
 
 

@@ -3,7 +3,7 @@
 Ordinary least squares with an explicit offset, the rank rule every
 regression in the package applies, and quadratic feature expansion.
 Both gradient estimators fit through :func:`ols`, so centering and rank
-handling live in one place.
+handling live in one place; it fits a whole stack of designs at once.
 """
 
 from __future__ import annotations
@@ -19,40 +19,47 @@ class RegressionError(ValueError):
     """Raised when a least-squares design is rank deficient."""
 
 
-def rank_deficient(svals: np.ndarray) -> bool:
-    """Whether a design's singular values (descending, at least one) mark
-    it rank deficient: the smallest is not positive, or the largest over
-    the smallest exceeds ``RANK_RATIO_LIMIT``."""
-    return svals[-1] <= 0.0 or svals[0] / svals[-1] > RANK_RATIO_LIMIT
+def rank_deficient(svals: np.ndarray) -> np.ndarray:
+    """Per design, whether its singular values (..., k), descending with
+    k >= 1, mark it rank deficient: the smallest is not positive, or the
+    largest exceeds ``RANK_RATIO_LIMIT`` times the smallest (NaN: no)."""
+    largest, smallest = svals[..., 0], svals[..., -1]
+    return (smallest <= 0.0) | (largest > RANK_RATIO_LIMIT * smallest)
 
 
 def ols(
     x: np.ndarray, y: np.ndarray, *, center: bool = True
-) -> tuple[np.ndarray, float, float]:
-    """Least squares of scores ``y`` (n,) on a design ``x`` (n, p).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares of scores ``y`` (..., n) on designs ``x`` (..., n, p).
 
-    With ``center=True`` (the default) both sides are centered within
-    the batch and the offset is carried separately; no column of ones
-    is ever added.  With ``center=False`` the data are taken as already
+    Leading axes index independent fits, solved by one ``np.linalg.svd``
+    call; a 2-D design is a stack of one, and no element's numbers depend
+    on the rest of its stack.  With ``center=True`` (the default) both
+    sides are centered within each design and the offset is carried
+    separately.  With ``center=False`` the data are taken as already
     centered (a zero-mean generative setting), the fit goes through the
     origin and the offset is 0.  The caller guarantees n >= p + 1.
 
-    Returns the coefficients (p,), the offset and the residual sum of
-    squares.  A zero-width design (p = 0) fits the offset alone.  The
-    solve is one ``np.linalg.lstsq`` call; a design of numerical rank
-    below p, or one that fails :func:`rank_deficient`, raises
+    Returns the coefficients (..., p), offsets (...) and residual sums
+    of squares (...).  A zero-width design (p = 0) fits the offset alone.
+    One design failing :func:`rank_deficient` fails the whole call with
     ``RegressionError("rank deficient design")``.
     """
     if center:
-        means_x = x.mean(axis=0)
-        mean_y = float(y.mean())
-        x, y = x - means_x, y - mean_y
-    coef, _, rank, svals = np.linalg.lstsq(x, y, rcond=None)
-    if rank < x.shape[1] or (svals.size and rank_deficient(svals)):
+        means_x = x.mean(axis=-2)
+        mean_y = y.mean(axis=-1)
+        x, y = x - means_x[..., None, :], y - mean_y[..., None]
+    u, svals, vt = np.linalg.svd(x, full_matrices=False)
+    if svals.shape[-1] and rank_deficient(svals).any():
         raise RegressionError("rank deficient design")
-    residuals = y - x @ coef
-    offset = float(mean_y - means_x @ coef) if center else 0.0
-    return coef, offset, float(residuals @ residuals)
+    # coef = V diag(1/s) U^T y, one pair of products per design.
+    weights = (y[..., None, :] @ u)[..., 0, :] / svals
+    coef = (weights[..., None, :] @ vt)[..., 0, :]
+    residuals = y - (x @ coef[..., :, None])[..., 0]
+    offset = np.zeros(y.shape[:-1])[()]
+    if center:
+        offset = mean_y - (means_x * coef).sum(axis=-1)
+    return coef, offset, (residuals * residuals).sum(axis=-1)
 
 
 def quad_features(x: np.ndarray) -> np.ndarray:

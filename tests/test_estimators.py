@@ -19,7 +19,7 @@ from sensorgrad.estimators import (
 from sensorgrad import experiments
 from sensorgrad.experiments import replicate_gradients
 from sensorgrad.search import sample_exploration_policies
-from sensorgrad.seeding import EVAL, LEARN, children, substream
+from sensorgrad.seeding import EVAL, LEARN, VARIANCE, children, substream
 
 TRUE_GRADIENT = np.array([1.5, -0.7])
 SENSOR_SLOPE = np.array([0.8, -1.2])
@@ -200,12 +200,65 @@ def test_replications_are_the_leading_rows_of_a_longer_check(world):
 def test_replications_do_not_depend_on_the_chunk_size(monkeypatch, world):
     env = block_worlds()[world]
     results = []
-    for chunk in (7, 512, 1300):
+    for chunk in (1, 7, 512, 1300):
         monkeypatch.setattr(experiments, "REPLICATION_CHUNK", chunk)
         results.append(mc_gradients(env, 12, 600, seed=72))
     for g1, g2 in results[1:]:
         assert np.array_equal(g1, results[0][0])
         assert np.array_equal(g2, results[0][1])
+
+
+@pytest.mark.parametrize("world", ["plain", "coupled"])
+def test_stacked_replications_equal_one_fit_per_replication(world):
+    env = block_worlds()[world]
+    n, reps, seed = 12, 40, 73
+    g1, g2 = mc_gradients(env, n, reps, seed)
+    # The same draws as replicate_gradients, then one 2-D batch each.
+    policies = sample_exploration_policies(
+        np.zeros(2), EXPLORATION_COV, n * reps, substream(seed, VARIANCE, LEARN)
+    )
+    trials = env.sample_trials(policies, substream(seed, VARIANCE, EVAL))
+    for r in range(reps):
+        batch = trials.rows(slice(r * n, (r + 1) * n))
+        assert np.array_equal(estimate_g1(batch, center=False).gradient, g1[r])
+        assert np.array_equal(estimate_g2(batch, center=False).gradient, g2[r])
+
+
+def test_stacked_batch_shape_checks():
+    rng = np.random.default_rng(13)
+    policies, scores = rng.normal(size=(3, 5, 2)), rng.normal(size=(3, 5))
+    sensors = rng.normal(size=(3, 5, 1))
+    with pytest.raises(ValueError, match="one row per trial"):
+        TrialBatch(policies[:2], scores)
+    with pytest.raises(ValueError, match="one row per trial"):
+        TrialBatch(policies, scores, sensors[:2])
+    with pytest.raises(ValueError, match="one row per trial"):
+        TrialBatch(policies[0], scores)
+    with pytest.raises(ValueError, match="one entry per trial"):
+        TrialBatch(policies, scores, sensors, flagged=np.zeros(5, dtype=bool))
+    with pytest.raises(ValueError, match="scores must be"):
+        TrialBatch(policies[None], scores[None])
+    stack = TrialBatch(policies, scores, sensors)
+    assert (len(stack), stack.size, stack.policy_dim) == (5, 5, 2)
+    assert stack.flagged.shape == (3, 5) and not stack.flagged.any()
+    # rows picks the same trials of every replication.
+    picked = stack.rows(np.array([True, False, True, True, False]))
+    assert np.array_equal(picked.policies, policies[:, [0, 2, 3]])
+    assert np.array_equal(picked.scores, scores[:, [0, 2, 3]])
+    assert np.array_equal(picked.sensors, sensors[:, [0, 2, 3]])
+    for center in (True, False):
+        g1 = estimate_g1(stack, center=center)
+        g2 = estimate_g2(stack, center=center)
+        assert g1.gradient.shape == g2.gradient.shape == (3, 2)
+        assert g1.sensor_coefficients is None
+        assert g2.sensor_coefficients.shape == (3, 1)
+        assert np.shape(g2.offset) == np.shape(g2.residual_variance) == (3,)
+        for r in range(3):
+            batch = TrialBatch(policies[r], scores[r], sensors[r])
+            alone = estimate_g2(batch, center=center)
+            assert np.array_equal(alone.gradient, g2.gradient[r])
+            assert alone.offset == g2.offset[r]
+            assert alone.residual_variance == g2.residual_variance[r]
 
 
 def test_correlated_law_reduces_to_independent_when_uncoupled():

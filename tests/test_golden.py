@@ -42,12 +42,12 @@ dart.pretrain_states = 200
 
 GOLDEN = {
     "run": {
-        "learning_curve.csv": "d1f4336af7afe2976405b25a883d137c0b93a21d953d9ea2af75b09317475d2a",
-        "diagnostics.csv": "b93c710c7d652ff55edc8064f78ae4783efeb7f06c2c7f270a33df1fe6eceb53",
+        "learning_curve.csv": "849f31df0245ff9cbe2050561366099c199f0e0deb20ca1cab0fdc6a1d6777c2",
+        "diagnostics.csv": "575ac350dbfc5932ff658f583bf1b42ba6b5fcbffb3d6f8869e475904e0f437b",
         "config_echo.cfg": "789db86c6071b0b2d2cb614d9fb68c9955a217ebf3c17e80107380731ffdb9a1",
     },
     "variance-check": {
-        "variance_report.txt": "7d804e0fe3e18b4e466d50fc723dbc3cd659c3d6159ca239768d411694cd235b",
+        "variance_report.txt": "024d59a2baf8ebf116d62a9ae78516b26f7575d9e6dedcba6a1ffeb339120bd3",
         "config_echo.cfg": "80d42f00446b01046903404250c6f7cb034bb8c457a6ad63f7583139e3a52d72",
     },
     "encode-search": {
@@ -66,7 +66,7 @@ COUPLED_CFG = (
 )
 
 COUPLED_GOLDEN = {
-    "variance_report.txt": "3a1d0ef35461e69f66f969c479f02092f12aca08762739357a87a8f0cf5f14c3",
+    "variance_report.txt": "9f68cd6ed8cad280d5eeb2c84af69534da11a5b49c68860913d6f6a9a5b0cb0b",
     "config_echo.cfg": "a6846e75de9aeed6248e66cd6f08b114859831753cde1c4d115618598ac952e6",
 }
 
@@ -75,14 +75,14 @@ COUPLED_GOLDEN = {
 SWEEP_CFG = RERUN_CASES["run"][0] + "run.noise_scales = [1.0, 2.0]\n"
 
 SWEEP_GOLDEN = {
-    "learning_curve.csv": "cece0680bb3215c43b6d9dc3f59699b7959d5031fb28f192dab553cb10ab3ebf",
-    "diagnostics.csv": "7c45aeff99018a2cf4a926804a34db0d159e4143003d2ed59260cb2247b363de",
+    "learning_curve.csv": "015439b1e3a4025df68fef161c9fc10af7e97dbc8ac0fc4819833118231b9ea4",
+    "diagnostics.csv": "8b263f64f1612994e49eff1826cf582a6171278cb954480fbfb7b96b7599f6b9",
     "config_echo.cfg": "d863c3529010ccc26c43b07af77ca9132805b530f649a64cdb2ed95f95498499",
 }
 
 DART_GOLDEN = {
-    "learning_curve.csv": "988eab15d95164567246a61ae5ec85ff316742be3be4ac3816f2ea2982aab890",
-    "diagnostics.csv": "7c7302c2f7c642f789ce31fba3a0573e4fb51a71ce61629aefee093e08d02e17",
+    "learning_curve.csv": "b1aa1f0fb3d15f668d7e5473fb83f1d7a6548d07ce44f29d2849fd46c4af046c",
+    "diagnostics.csv": "b799e7368f7492815da7428adfa3c2788755aae97eaddf695a4d083c590172f7",
     "config_echo.cfg": "68b25d4b83d0b92dd574dfd5347e2b9900feafbf59cd3b29fc488bc45f9b9195",
 }
 

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from sensorgrad.estimators import EstimationError, TrialBatch, estimate_g1, estimate_g2
 from sensorgrad.linreg import (
     RANK_RATIO_LIMIT,
     RegressionError,
@@ -81,20 +86,106 @@ def test_ols_zero_width_design():
     assert (coef.shape, offset, rss) == ((0,), 0.0, 35.0)
 
 
-@pytest.mark.parametrize(
-    "svals, deficient",
-    [
-        ([2.0, 1.0], False),
-        ([RANK_RATIO_LIMIT, 1.0], False),
-        ([RANK_RATIO_LIMIT * 1.01, 1.0], True),
-        ([1.0, 0.0], True),
-        ([0.0, 0.0], True),
-        ([1.0, np.nan], False),
-        ([np.nan, 1.0], False),
-    ],
-)
+RANK_CASES = [
+    ([2.0, 1.0], False),
+    ([RANK_RATIO_LIMIT, 1.0], False),
+    ([RANK_RATIO_LIMIT * 1.01, 1.0], True),
+    ([1.0, 0.0], True),
+    ([0.0, 0.0], True),
+    ([1.0, np.nan], False),
+    ([np.nan, 1.0], False),
+]
+
+
+@pytest.mark.parametrize("svals, deficient", RANK_CASES)
 def test_rank_rule(svals, deficient):
     assert bool(rank_deficient(np.array(svals))) is deficient
+
+
+def test_rank_rule_on_a_stack_of_singular_values():
+    svals = np.array([case for case, _ in RANK_CASES])
+    expected = np.array([deficient for _, deficient in RANK_CASES])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flags = rank_deficient(svals)
+        assert np.array_equal(rank_deficient(svals.reshape(7, 1, 2)), flags[:, None])
+    assert flags.dtype == bool and np.array_equal(flags, expected)
+
+
+@st.composite
+def design_stacks(draw):
+    """A stack of r random designs (r, n, p) with scores (r, n), n <= 14."""
+    r = draw(st.integers(1, 6))
+    p = draw(st.integers(0, 5))
+    n = draw(st.integers(p + 2, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.normal(scale=3.0, size=p + 1)
+    x = rng.normal(size=(r, n, p)) + shift[:p]
+    y = rng.normal(size=(r, n)) + shift[p]
+    return x, y
+
+
+def well_conditioned(x, center):
+    """Whether every design of a stack, as the fit sees it, has a
+    condition number below 1e6 (zero-width designs always do)."""
+    if center:
+        x = x - x.mean(axis=-2, keepdims=True)
+    return x.shape[-1] == 0 or bool((np.linalg.cond(x) < 1e6).all())
+
+
+def _reference_fit(x, y, center):
+    """One design through ``np.linalg.lstsq``, with a column of ones
+    standing in for the offset when centered."""
+    n, p = x.shape
+    design = np.concatenate([x, np.ones((n, 1))], axis=1) if center else x
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    residuals = y - design @ coef
+    return coef[:p], coef[p] if center else 0.0, residuals @ residuals
+
+
+@settings(max_examples=150, deadline=None)
+@given(design_stacks(), st.booleans())
+def test_stacked_ols_matches_lstsq_on_every_element(stack, center):
+    x, y = stack
+    assume(well_conditioned(x, center))
+    coef, offset, rss = ols(x, y, center=center)
+    r, _, p = x.shape
+    assert (coef.shape, offset.shape, rss.shape) == ((r, p), (r,), (r,))
+    for i in range(r):
+        want_coef, want_offset, want_rss = _reference_fit(x[i], y[i], center)
+        assert np.allclose(coef[i], want_coef, rtol=1e-10, atol=1e-10)
+        assert offset[i] == pytest.approx(want_offset, rel=1e-10, abs=1e-10)
+        assert rss[i] == pytest.approx(want_rss, rel=1e-10, abs=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(design_stacks(), st.booleans())
+def test_stacked_ols_does_not_depend_on_the_stack(stack, center):
+    x, y = stack
+    assume(well_conditioned(x, center))
+    stacked = ols(x, y, center=center)
+    for i in range(x.shape[0]):
+        # Alone: a stack of one, and the same design as a 2-D array.
+        for alone in (x[i : i + 1], y[i : i + 1]), (x[i], y[i]):
+            for got, want in zip(ols(*alone, center=center), stacked):
+                assert np.array_equal(np.reshape(got, want[i].shape), want[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(design_stacks(), st.booleans(), st.data())
+def test_one_rank_deficient_element_fails_the_stack(stack, center, data):
+    x, y = stack
+    assume(x.shape[2] >= 2)
+    bad = data.draw(st.integers(0, x.shape[0] - 1))
+    x = x.copy()
+    x[bad, :, 1] = x[bad, :, 0]
+    with pytest.raises(RegressionError, match="rank deficient design"):
+        ols(x, y, center=center)
+    # Through the estimators: the duplicated column is a policy column.
+    batch = TrialBatch(x, y, np.ones((*y.shape, 0)))
+    for estimate in (estimate_g1, estimate_g2):
+        with pytest.raises(EstimationError, match="degenerate exploration"):
+            estimate(batch, center=center)
 
 
 def test_quad_feature_count_matches_features():
