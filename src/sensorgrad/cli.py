@@ -73,6 +73,8 @@ def _load_config(args) -> Config:
             f"{cfg.source}: missing required key 'seed' (set it in the "
             "config or pass --seed)"
         )
+    if cfg.get_int("seed") < 0:
+        raise ConfigError(f"{cfg.source}: key 'seed' must be nonnegative")
     return cfg
 
 

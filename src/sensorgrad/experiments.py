@@ -53,6 +53,7 @@ from .estimators import (
     predicted_variance_g1,
     predicted_variance_g2,
 )
+from .linreg import quad_feature_count
 from .search import (
     ESTIMATORS,
     SearchConfig,
@@ -280,45 +281,10 @@ def _speed_angle_cov(cfg: Config, key: str) -> np.ndarray:
 
 
 def build_cannon_world(cfg: Config) -> CannonWorld:
-    """Cannon world from config; an absent optional key keeps the
-    ``CannonWorld`` default."""
-    defaults = CannonWorld()
-    sensor_key = "cannon.sensor_noise_diag"
+    """Cannon world from config: the task constants are the ``CannonWorld``
+    defaults, the actuation noise is ``cannon.control_noise_diag``."""
     return CannonWorld(
-        control_noise_cov=_speed_angle_cov(cfg, "cannon.control_noise_diag"),
-        sensor_noise_cov=(
-            _speed_angle_cov(cfg, sensor_key)
-            if cfg.has(sensor_key)
-            else defaults.sensor_noise_cov
-        ),
-        gravity=cfg.get_float("cannon.gravity", defaults.gravity),
-        target_range=cfg.get_float("cannon.target_range", defaults.target_range),
-    )
-
-
-def build_arm_world(cfg: Config) -> ArmWorld:
-    defaults = ArmWorld()
-    def triple(key, fallback):
-        value = cfg.get_vector(key, np.array(fallback))
-        if value.shape[0] != 3:
-            raise ConfigError(f"{cfg.source}: key '{key}' must have 3 entries")
-        return tuple(float(v) for v in value)
-
-    target = cfg.get_vector("dart.target_position", np.array(defaults.target_position))
-    if target.shape[0] != 2:
-        raise ConfigError(
-            f"{cfg.source}: key 'dart.target_position' must have 2 entries"
-        )
-    return ArmWorld(
-        kp=triple("dart.kp", defaults.kp),
-        kd=triple("dart.kd", defaults.kd),
-        torque_mult_std=triple("dart.torque_mult_std", defaults.torque_mult_std),
-        torque_add_std=triple("dart.torque_add_std", defaults.torque_add_std),
-        release_time_std=cfg.get_float(
-            "dart.release_time_std", defaults.release_time_std
-        ),
-        start_posture=triple("dart.start_posture", defaults.start_posture),
-        target_position=tuple(float(v) for v in target),
+        control_noise_cov=_speed_angle_cov(cfg, "cannon.control_noise_diag")
     )
 
 
@@ -389,6 +355,10 @@ def _read_environments(cfg: Config):
     scales = [float(s) for s in cfg.get_vector("run.noise_scales", np.array([1.0]))]
     if not scales:
         raise ConfigError(f"{cfg.source}: key 'run.noise_scales' must be nonempty")
+    if min(scales) < 0.0:
+        raise ConfigError(
+            f"{cfg.source}: key 'run.noise_scales' entries must be nonnegative"
+        )
     if environment == "cannon":
         world = build_cannon_world(cfg)
         return lambda: [(s, CannonEnv(world, noise_scale=s)) for s in scales]
@@ -398,7 +368,7 @@ def _read_environments(cfg: Config):
                 f"{cfg.source}: key 'run.noise_scales' applies to the cannon "
                 "environment only"
             )
-        world = build_arm_world(cfg)
+        world = ArmWorld()
         initial = cfg.get_vector("search.initial_policy")
         if initial.shape[0] != world.policy_dim:
             raise ConfigError(
@@ -406,7 +376,17 @@ def _read_environments(cfg: Config):
                 f"{world.policy_dim} entries for the dart environment"
             )
         count = cfg.get_int("dart.pretrain_states", 2000)
+        fewest = quad_feature_count(2 * world.dof) + 2
+        if count < fewest:
+            raise ConfigError(
+                f"{cfg.source}: key 'dart.pretrain_states' must be at least "
+                f"{fewest} to fit the dynamics model"
+            )
         spread = cfg.get_float("dart.pretrain_policy_cov", 0.01)
+        if spread < 0.0:
+            raise ConfigError(
+                f"{cfg.source}: key 'dart.pretrain_policy_cov' must be nonnegative"
+            )
         seed = cfg.get_int("seed")
 
         def pretrained():

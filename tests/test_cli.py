@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,13 +141,13 @@ BAD_SETTING_CASES = {
     ),
     "cannon-run-dart-key": (
         "run",
-        RUN_CFG + "dart.kp = [1.0, 1.0, 1.0]\n",
-        "unknown key 'dart.kp'",
+        RUN_CFG + "dart.pretrain_states = 2000\n",
+        "unknown key 'dart.pretrain_states'",
     ),
     "dart-run-cannon-key": (
         "run",
-        DART_CFG + "cannon.gravity = 9.8\n",
-        "unknown key 'cannon.gravity'",
+        DART_CFG + "cannon.control_noise_diag = [1.0, 4.0]\n",
+        "unknown key 'cannon.control_noise_diag'",
     ),
     "cannon-encode-restarts": (
         "run",
@@ -208,7 +209,60 @@ BAD_SETTING_CASES = {
         VARIANCE_CFG.replace("trials_per_batch = 12", "trials_per_batch = 0"),
         "key 'variance.trials_per_batch' must be at least",
     ),
+    "run-negative-seed": (
+        "run",
+        RUN_CFG.replace("seed = 7", "seed = -1"),
+        "key 'seed' must be nonnegative",
+    ),
+    "variance-negative-seed": (
+        "variance-check",
+        VARIANCE_CFG.replace("seed = 11", "seed = -1"),
+        "key 'seed' must be nonnegative",
+    ),
+    "encode-negative-seed": (
+        "encode-search",
+        ENCODE_CFG.replace("seed = 5", "seed = -1"),
+        "key 'seed' must be nonnegative",
+    ),
+    "cannon-negative-noise-scale": (
+        "run",
+        RUN_CFG + "run.noise_scales = [1.0, -2.0]\n",
+        "key 'run.noise_scales' entries must be nonnegative",
+    ),
+    "dart-pretrain-states": (
+        "run",
+        DART_CFG.replace("dart.pretrain_states = 200", "dart.pretrain_states = 29"),
+        "key 'dart.pretrain_states' must be at least 30",
+    ),
+    "dart-pretrain-policy-cov": (
+        "run",
+        DART_CFG + "dart.pretrain_policy_cov = -0.01\n",
+        "key 'dart.pretrain_policy_cov' must be nonnegative",
+    ),
 }
+
+# The task constants of the cannon and the arm are the world defaults:
+# their old keys, set here to those defaults, are unknown in the run of
+# their own environment.
+REMOVED_WORLD_KEYS = {
+    "cannon.sensor_noise_diag": "[0.01, 0.04]",
+    "cannon.gravity": "9.8",
+    "cannon.target_range": "40.816326530612244",
+    "dart.kp": "[300.0, 70.0, 3.3]",
+    "dart.kd": "[14.0, 3.2, 0.15]",
+    "dart.torque_mult_std": "[0.2, 0.2, 0.2]",
+    "dart.torque_add_std": "[0.5, 0.5, 0.5]",
+    "dart.release_time_std": "0.01",
+    "dart.start_posture": "[1.9, 2.0, 0.6]",
+    "dart.target_position": "[2.44, 0.0]",
+}
+for key, value in REMOVED_WORLD_KEYS.items():
+    base = RUN_CFG if key.startswith("cannon.") else DART_CFG
+    BAD_SETTING_CASES[f"removed-{key}"] = (
+        "run",
+        base + f"{key} = {value}\n",
+        f"unknown key '{key}'",
+    )
 
 
 @pytest.fixture
@@ -237,28 +291,65 @@ def test_a_bad_setting_is_a_config_error_before_any_work(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [("run", RUN_CFG), ("variance-check", VARIANCE_CFG), ("encode-search", ENCODE_CFG)],
+    ids=["run", "variance-check", "encode-search"],
+)
+def test_a_negative_seed_flag_is_a_config_error_before_any_work(
+    tmp_path, capsys, no_work, command, text
+):
+    cfg = write_cfg(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out, "--seed", "-1"]) == 2
+    assert "key 'seed' must be nonnegative" in capsys.readouterr().err
+
+
 class _Checked(BaseException):
     """Raised in place of the work once a config passes the key check."""
 
 
-@pytest.mark.parametrize(
-    "path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda path: path.name
-)
-def test_every_shipped_config_passes_the_key_check(
-    tmp_path, monkeypatch, no_work, path
-):
+@pytest.fixture
+def stop_at_key_check(monkeypatch, no_work):
+    """Stop a command once its config passes the key check; returns the
+    list that gets the keys read from each config that passed."""
     check = Config.check_unknown
+    keys_read = []
 
     def check_then_stop(self):
         check(self)
+        keys_read.append(set(self.read))
         raise _Checked
 
     monkeypatch.setattr(Config, "check_unknown", check_then_stop)
+    return keys_read
+
+
+def _run_to_the_key_check(path, out):
     commands = {"run": "run", "variance": "variance-check", "encode": "encode-search"}
     sections = {key.split(".")[0] for key in load_config(path).values}
     (command,) = [commands[section] for section in sections if section in commands]
     with pytest.raises(_Checked):
-        main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        main([command, "--config", str(path), "--out", str(out)])
+
+
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_every_shipped_config_passes_the_key_check(tmp_path, stop_at_key_check, path):
+    _run_to_the_key_check(path, tmp_path / "out")
+
+
+def test_the_readme_lists_the_keys_the_shipped_configs_read(
+    tmp_path, stop_at_key_check
+):
+    for path in SHIPPED_CONFIGS:
+        _run_to_the_key_check(path, tmp_path / path.stem)
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Keys by subcommand", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([a-z_]+\.[a-z_]+|seed)`", section))
+    assert set().union(*stop_at_key_check) == listed
 
 
 def test_a_seedless_config_needs_the_seed_flag(tmp_path, capsys):
