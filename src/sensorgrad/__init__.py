@@ -48,8 +48,6 @@ from .search import (
     LearningCurve,
     SearchConfig,
     StepRecord,
-    evaluate_policy,
-    hill_climb_step,
     run_learning_curve,
     sample_exploration_policies,
 )
@@ -79,8 +77,6 @@ __all__ = [
     "LearningCurve",
     "SearchConfig",
     "StepRecord",
-    "evaluate_policy",
-    "hill_climb_step",
     "run_learning_curve",
     "sample_exploration_policies",
 ]

@@ -176,8 +176,6 @@ class Config:
 
     def get_vector(self, key: str, default=_MISSING) -> np.ndarray:
         value = self._fetch(key, default)
-        if isinstance(value, np.ndarray):
-            return value
         if not isinstance(value, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
         ):
@@ -187,8 +185,6 @@ class Config:
     def get_matrix(self, key: str, default=_MISSING) -> np.ndarray:
         """A JSON array of equal-length number rows, as a 2-d array."""
         value = self._fetch(key, default)
-        if isinstance(value, np.ndarray):
-            return value
         ok = isinstance(value, list) and value and all(
             isinstance(row, list)
             and row
@@ -204,8 +200,6 @@ class Config:
     def get_cov(self, key: str, default=_MISSING) -> np.ndarray:
         """A covariance: either a full matrix or a flat diagonal list."""
         value = self._fetch(key, default)
-        if isinstance(value, np.ndarray):
-            return value if value.ndim == 2 else np.diag(value)
         if isinstance(value, list) and value and isinstance(value[0], list):
             return self.get_matrix(key, default)
         return np.diag(self.get_vector(key, default))

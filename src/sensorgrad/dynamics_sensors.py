@@ -32,7 +32,8 @@ from .envs.arm import (
 )
 from .estimators import TrialBatch
 from .linreg import quad_feature_count, quad_features
-from .seeding import children, psd_sqrt
+from .search import sample_exploration_policies
+from .seeding import children
 
 __all__ = [
     "DynamicsModel",
@@ -106,11 +107,10 @@ def sample_pretraining_states(
         if policy_cov is None
         else np.asarray(policy_cov, dtype=float)
     )
-    root = psd_sqrt(cov)
     states_per_rollout = world.grid_steps + 1
     rollouts = max(2, -(-count // max(states_per_rollout // 5, 1)))
     policy_rng, trial_rng, pick_rng = children(rng, 3)
-    policies = mean + policy_rng.standard_normal((rollouts, world.policy_dim)) @ root.T
+    policies = sample_exploration_policies(mean, cov, rollouts, policy_rng)
     trials = dart_trials(world, policies, children(trial_rng, rollouts))
     angles, velocities, _ = split_dart_sensors(world, trials.sensors)
     pool_q = angles.reshape(-1, world.dof)

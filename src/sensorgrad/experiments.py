@@ -352,7 +352,7 @@ def _read_environments(cfg: Config):
     """Read the environment keys; returns a function that builds the
     environment per noise scale, pretraining the dart model if needed."""
     environment = cfg.get_str("run.environment")
-    scales = [float(s) for s in cfg.get_vector("run.noise_scales", np.array([1.0]))]
+    scales = [float(s) for s in cfg.get_vector("run.noise_scales", [1.0])]
     if not scales:
         raise ConfigError(f"{cfg.source}: key 'run.noise_scales' must be nonempty")
     if min(scales) < 0.0:

@@ -16,9 +16,10 @@ until their nominal policies diverge.
 An environment provides ``sample_trials(policies, streams)``, one trial
 per policy row drawn from its own stream, and ``check_policies(policies)``,
 which raises :class:`PolicyDomainError` for a row outside its domain
-without drawing anything.  The check lets :func:`run_learning_curve`
-keep one run's infeasible batch out of the env call it shares with the
-other runs.
+without drawing anything.  :func:`run_learning_curve` is the only code
+that simulates: a step's first attempts share one env call, its retries
+share one more, and the check keeps one run's infeasible batch out of
+the call it shares with the other runs.
 """
 
 from __future__ import annotations
@@ -221,21 +222,19 @@ def _estimate(
     return estimate, projection.cost
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Attempt:
-    """One run's draws for one try at a step, and what simulating them gave.
+    """One run's draws for one try at a step.
 
     ``policies`` and ``streams`` hold the learning batch followed by the
     projection search's own batch of ``search_count`` trials (0 when the
-    search reuses the learning batch).  ``outcome`` is the simulated
-    trials, or the recoverable error the simulation raised.
+    search reuses the learning batch).
     """
 
     policies: np.ndarray
     streams: list
     search_count: int
     encode_seed: int
-    outcome: TrialBatch | Exception | None = None
 
 
 def _draw_attempt(policy, config: SearchConfig, rng) -> _Attempt:
@@ -261,12 +260,6 @@ def _draw_attempt(policy, config: SearchConfig, rng) -> _Attempt:
         streams += children(enc_trial_rng, search_count)
     encode_seed = int(seed_rng.integers(0, 2**32))
     return _Attempt(policies, streams, search_count, encode_seed)
-
-
-def _simulated_attempt(env, policy, config: SearchConfig, rng) -> _Attempt:
-    attempt = _draw_attempt(policy, config, rng)
-    attempt.outcome = env.sample_trials(attempt.policies, attempt.streams)
-    return attempt
 
 
 def _sample_blocks(env, blocks) -> list:
@@ -315,27 +308,6 @@ def _kept_batch(env, config: SearchConfig, trials: TrialBatch) -> TrialBatch:
     return batch
 
 
-def _estimate_attempt(env, config: SearchConfig, attempt: _Attempt):
-    if isinstance(attempt.outcome, Exception):
-        raise attempt.outcome
-    split = len(attempt.streams) - attempt.search_count
-    trials = attempt.outcome.rows(slice(None, split))
-    flagged = int(trials.flagged.sum())
-    try:
-        batch = _kept_batch(env, config, trials)
-        search_batch = None
-        if attempt.search_count:
-            search = attempt.outcome.rows(slice(split, None))
-            search_batch = _kept_batch(env, config, search)
-        estimate, loo = _estimate(batch, config, attempt.encode_seed, search_batch)
-    except _RECOVERABLE as err:
-        # Flagging is a common cause of too few samples: the failed
-        # step's diagnostics row reports it.
-        err.flagged = flagged
-        raise
-    return estimate, loo, trials.scores, flagged
-
-
 def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_index: int):
     gradient = estimate.gradient
     if config.step_rule == "fixed_rate":
@@ -348,62 +320,56 @@ def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_i
 
 
 def hill_climb_step(
-    env, policy, config: SearchConfig, rng, *, step_index: int = 0, first=None
+    env, policy, config: SearchConfig, attempt: _Attempt, outcome, step_index: int
 ):
-    """One gradient step from ``policy``; returns (new policy, record).
+    """One gradient step from ``policy`` on one simulated attempt.
 
-    Flagged trials are dropped before estimation.  An estimator failure
-    (rank deficiency, too few surviving trials) is retried once with
-    fresh exploration samples from the same stream, then propagated.
-
-    ``first`` is the step's first attempt when the caller has already
-    drawn it from ``rng`` and simulated it, as the lockstep driver does
-    for all runs at once; by default the step draws and simulates it.
+    ``outcome`` is what simulating ``attempt`` gave: its trials, or the
+    recoverable error the simulation raised, which is re-raised.
+    Flagged trials are dropped before estimation; an estimator failure
+    (rank deficiency, too few surviving trials) raises with ``flagged``
+    set to the learning batch's flagged count.  The step neither
+    simulates nor retries: :func:`run_learning_curve` does both.
+    Returns (new policy, record).
     """
-    policy = np.asarray(policy, dtype=float)
-    retried = False
+    if isinstance(outcome, Exception):
+        raise outcome
+    split = len(attempt.streams) - attempt.search_count
+    trials = outcome.rows(slice(None, split))
+    flagged = int(trials.flagged.sum())
     try:
-        if first is None:
-            first = _simulated_attempt(env, policy, config, rng)
-        estimate, loo, scores, flagged = _estimate_attempt(env, config, first)
-    except _RECOVERABLE:
-        retried = True
-        estimate, loo, scores, flagged = _estimate_attempt(
-            env, config, _simulated_attempt(env, policy, config, rng)
-        )
-    new_policy = _apply_rule(policy, estimate, config, step_index)
+        batch = _kept_batch(env, config, trials)
+        search_batch = None
+        if attempt.search_count:
+            search_batch = _kept_batch(env, config, outcome.rows(slice(split, None)))
+        estimate, loo = _estimate(batch, config, attempt.encode_seed, search_batch)
+    except _RECOVERABLE as err:
+        # Flagging is a common cause of too few samples: the failed
+        # step's diagnostics row reports it.
+        err.flagged = flagged
+        raise
     record = StepRecord(
         run=-1,
         step=step_index,
         estimator=config.estimator,
         gradient_norm=float(np.linalg.norm(estimate.gradient)),
         loo_cost=float("nan") if loo is None else float(loo),
-        mean_trial_score=float(np.mean(scores)),
+        mean_trial_score=float(np.mean(trials.scores)),
         flagged=flagged,
-        retried=retried,
     )
-    return new_policy, record
+    return _apply_rule(policy, estimate, config, step_index), record
 
 
-def evaluate_policy(env, policy, count: int, rng, *, trials=None):
-    """Mean and standard error of ``count`` fresh trial scores at ``policy``.
+def evaluate_policy(scores):
+    """Mean and standard error of a policy's evaluation trial scores.
 
     Flagged trials count like any other (their penalty score is part of
-    the policy's value).  The standard error is None when count is 1.
-    ``trials`` are the ``count`` trials when the caller has already
-    simulated them on ``children(rng, count)``, as the lockstep driver
-    does for all runs at once.
+    the policy's value).  The standard error is None for one score.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    if trials is None:
-        policy = np.asarray(policy, dtype=float)
-        trials = env.sample_trials(np.tile(policy, (count, 1)), children(rng, count))
-    scores = trials.scores
     mean = float(np.mean(scores))
-    if count == 1:
+    if len(scores) == 1:
         return mean, None
-    return mean, float(np.std(scores, ddof=1) / np.sqrt(count))
+    return mean, float(np.std(scores, ddof=1) / np.sqrt(len(scores)))
 
 
 def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
@@ -411,13 +377,12 @@ def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
 
     All runs advance in lockstep: at each step the first-attempt
     learning batches of every live run go through one env call, each
-    run then estimates and steps on its own (retrying alone when it
-    must), and the evaluation batches of the runs that stepped go
-    through a second env call.  Every run draws from its own
-    seed-derived streams, so a run's values do not depend on the other
-    runs.  A run that hits a propagated step error is recorded in
-    ``failed_runs``, drops out of later steps, and is excluded from the
-    aggregates.
+    run then estimates and steps on its own, a step's retries share one
+    env call, and the evaluation batches of the runs that stepped go
+    through another.  Every run draws from its own seed-derived
+    streams, so a run's values do not depend on the other runs.  A run
+    whose retry fails too is recorded in ``failed_runs``, drops out of
+    later steps, and is excluded from the aggregates.
     """
     count = config.eval_trials_per_point
     policies = [config.initial_policy] * config.runs
@@ -440,42 +405,43 @@ def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
 
     for step in range(config.steps):
         live = [run for run in range(config.runs) if run not in failures]
-        rngs = [substream(config.seed, run, step, LEARN) for run in live]
-        attempts = [
-            _draw_attempt(policies[run], config, rng) for run, rng in zip(live, rngs)
-        ]
-        outcomes = _sample_blocks(env, [(a.policies, a.streams) for a in attempts])
+        pending = [(run, substream(config.seed, run, step, LEARN)) for run in live]
         stepped = []
-        for run, rng, attempt, outcome in zip(live, rngs, attempts, outcomes):
-            attempt.outcome = outcome
-            try:
-                policies[run], record = hill_climb_step(
-                    env, policies[run], config, rng, step_index=step, first=attempt
-                )
-            except _RECOVERABLE as err:
-                # hill_climb_step retries a failed step once, so an
-                # error that escapes it is the retry's.
-                fail(run, step, err, retried=True)
-            else:
-                stepped.append((run, record))
+        for retried in (False, True):
+            # A retry draws the next children of the same step stream.
+            attempts = [_draw_attempt(policies[run], config, rng) for run, rng in pending]
+            outcomes = _sample_blocks(env, [(a.policies, a.streams) for a in attempts])
+            failed = []
+            for (run, rng), attempt, outcome in zip(pending, attempts, outcomes):
+                try:
+                    policies[run], record = hill_climb_step(
+                        env, policies[run], config, attempt, outcome, step
+                    )
+                except _RECOVERABLE as err:
+                    if retried:
+                        fail(run, step, err, retried=True)
+                    else:
+                        failed.append((run, rng))
+                else:
+                    stepped.append((run, replace(record, run=run, retried=retried)))
+            pending = failed
+        # Retried runs rejoin in run order, as if none had retried.
+        stepped.sort(key=lambda item: item[0])
         eval_rngs = [substream(config.seed, run, step, EVAL) for run, _ in stepped]
         blocks = [
             (np.tile(policies[run], (count, 1)), children(rng, count))
             for (run, _), rng in zip(stepped, eval_rngs)
         ]
         outcomes = _sample_blocks(env, blocks)
-        for (run, record), rng, outcome in zip(stepped, eval_rngs, outcomes):
+        for (run, record), outcome in zip(stepped, outcomes):
             if isinstance(outcome, Exception):
                 fail(run, step, outcome, record.retried)
                 continue
-            mean, std_error = evaluate_policy(
-                env, policies[run], count, rng, trials=outcome
-            )
+            mean, std_error = evaluate_policy(outcome.scores)
             values[run, step] = mean
             records[run].append(
                 replace(
                     record,
-                    run=run,
                     eval_mean=mean,
                     eval_std_error=float("nan") if std_error is None else std_error,
                 )

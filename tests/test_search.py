@@ -13,8 +13,10 @@ from sensorgrad.envs.cannon import CannonEnv, CannonWorld, cannon_true_value
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import EstimationError, NoiseSpec, PolicyDomainError
 from sensorgrad.search import (
+    _RECOVERABLE,
     SearchConfig,
     StepRecord,
+    _draw_attempt,
     evaluate_policy,
     hill_climb_step,
     run_learning_curve,
@@ -71,12 +73,38 @@ def base_config(**overrides) -> SearchConfig:
     return SearchConfig(**settings)
 
 
+def step_alone(env, policy, config, rng, step_index=0):
+    """One step of one run outside the lockstep driver (the test oracle).
+
+    Draws an attempt from ``rng`` and simulates it in its own env call,
+    then retries once with the next draws of the same stream.
+    """
+
+    def attempt():
+        drawn = _draw_attempt(policy, config, rng)
+        try:
+            env.check_policies(drawn.policies)
+            outcome = env.sample_trials(drawn.policies, drawn.streams)
+        except _RECOVERABLE as err:
+            outcome = err
+        return hill_climb_step(env, policy, config, drawn, outcome, step_index)
+
+    try:
+        return attempt()
+    except _RECOVERABLE:
+        new_policy, record = attempt()
+        return new_policy, replace(record, retried=True)
+
+
 class FlakyEnv:
     """Delegates to a base env, failing the first ``failures`` batch calls."""
 
     def __init__(self, base, failures: int):
         self.base = base
         self.remaining = failures
+
+    def check_policies(self, policies):
+        return self.base.check_policies(policies)
 
     def sample_trials(self, policies, streams):
         if self.remaining > 0:
@@ -101,6 +129,9 @@ class FlaggingEnv:
     def __init__(self, base):
         self.base = base
 
+    def check_policies(self, policies):
+        return self.base.check_policies(policies)
+
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
         return replace(trials, flagged=np.arange(len(trials)) % 3 == 0)
@@ -123,7 +154,7 @@ def test_fixed_rate_step_moves_by_rate_times_gradient():
     env = SyntheticEnv(noiseless_world())
     config = base_config()
     policy = config.initial_policy
-    new_policy, record = hill_climb_step(
+    new_policy, record = step_alone(
         env, policy, config, substream(5, 0, 0), step_index=0
     )
     assert np.allclose(new_policy, policy + 0.25 * TRUE_GRADIENT, atol=1e-9)
@@ -139,8 +170,8 @@ def test_normalized_steps_shrink_like_inverse_square_root():
     env = SyntheticEnv(noiseless_world())
     config = base_config(step_rule="normalized", learning_rate=0.1)
     policy = config.initial_policy
-    first, _ = hill_climb_step(env, policy, config, substream(7, 0), step_index=0)
-    fourth, _ = hill_climb_step(env, policy, config, substream(7, 1), step_index=3)
+    first, _ = step_alone(env, policy, config, substream(7, 0), step_index=0)
+    fourth, _ = step_alone(env, policy, config, substream(7, 1), step_index=3)
     assert np.linalg.norm(first - policy) == pytest.approx(0.1, rel=1e-12)
     assert np.linalg.norm(fourth - policy) == pytest.approx(0.05, rel=1e-12)
     direction = (first - policy) / np.linalg.norm(first - policy)
@@ -158,7 +189,7 @@ def test_zero_gradient_leaves_the_policy_in_place():
     )
     config = base_config(step_rule="normalized")
     policy = config.initial_policy
-    new_policy, record = hill_climb_step(
+    new_policy, record = step_alone(
         SyntheticEnv(flat), policy, config, substream(9, 0), step_index=0
     )
     assert np.array_equal(new_policy, policy)
@@ -179,7 +210,7 @@ def test_hill_climbing_improves_the_cannon_policy():
     policy = config.initial_policy
     start = cannon_true_value(env.world, policy, seed=99)
     for step in range(3):
-        policy, _ = hill_climb_step(
+        policy, _ = step_alone(
             env, policy, config, substream(13, 0, step, 0), step_index=step
         )
     assert cannon_true_value(env.world, policy, seed=99) > start
@@ -274,21 +305,28 @@ def test_a_lone_dart_run_matches_the_same_run_in_a_lockstep_batch():
 
 
 def _stepped_alone(env, config, run):
-    """Policies and evaluations of one run stepped without the lockstep driver."""
+    """Policies and step records of one run stepped without the lockstep
+    driver, each evaluation simulated in its own env call."""
     policy = config.initial_policy
-    stepped, means = [], []
+    count = config.eval_trials_per_point
+    stepped, records = [], []
     for step in range(config.steps):
-        policy, _ = hill_climb_step(
-            env, policy, config, substream(config.seed, run, step, LEARN),
-            step_index=step,
+        policy, record = step_alone(
+            env, policy, config, substream(config.seed, run, step, LEARN), step
         )
-        mean, _ = evaluate_policy(
-            env, policy, config.eval_trials_per_point,
-            substream(config.seed, run, step, EVAL),
-        )
+        streams = children(substream(config.seed, run, step, EVAL), count)
+        trials = env.sample_trials(np.tile(policy, (count, 1)), streams)
+        mean, std_error = evaluate_policy(trials.scores)
         stepped.append(policy)
-        means.append(mean)
-    return stepped, means
+        records.append(
+            replace(
+                record,
+                run=run,
+                eval_mean=mean,
+                eval_std_error=float("nan") if std_error is None else std_error,
+            )
+        )
+    return stepped, records
 
 
 def test_lockstep_runs_match_runs_stepped_alone():
@@ -297,9 +335,11 @@ def test_lockstep_runs_match_runs_stepped_alone():
         steps=3, runs=3, seed=19, estimator="with_sensors", eval_trials_per_point=5
     )
     curve = run_learning_curve(env, config)
+    by_run = _records_by_run(curve)
     for run in range(config.runs):
-        _, means = _stepped_alone(env, config, run)
-        assert np.array_equal(curve.run_values[run], means)
+        _, records = _stepped_alone(env, config, run)
+        assert np.array_equal(curve.run_values[run], [r.eval_mean for r in records])
+        assert repr(by_run[run]) == repr(records)
 
 
 class FaultyEnv:
@@ -312,7 +352,8 @@ class FaultyEnv:
     back all flagged, recognised by its trial streams' seed path.
     ``hopeless`` (run, step): that run's first learning batch and its
     retry both come back all flagged.  ``broken_eval``: a policy whose
-    evaluation batch fails the domain check.
+    evaluation batch fails the domain check.  ``calls`` logs, per
+    simulator call, the seed paths (run, step, kind, child) of its streams.
     """
 
     def __init__(self, config, policies, infeasible, flagged, hopeless, broken_eval):
@@ -328,6 +369,7 @@ class FaultyEnv:
             (*flagged, LEARN, 1), (*hopeless, LEARN, 1), (*hopeless, LEARN, 4)
         }
         self.broken_eval = broken_eval
+        self.calls = []
 
     def check_policies(self, policies):
         policies = self.base.check_policies(policies)
@@ -340,23 +382,32 @@ class FaultyEnv:
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
         keys = [s.bit_generator.seed_seq.spawn_key[:4] for s in streams]
+        self.calls.append(set(keys))
         return replace(trials, flagged=[key in self.flagged_keys for key in keys])
 
 
-def test_faults_stay_with_the_runs_they_hit():
-    config = base_config(
-        steps=4, runs=6, seed=23, estimator="with_sensors", eval_trials_per_point=5
-    )
-    clean = run_learning_curve(SyntheticEnv(junk_sensor_world()), config)
+FAULT_CONFIG = dict(
+    steps=4, runs=6, seed=23, estimator="with_sensors", eval_trials_per_point=5
+)
+
+
+def _faulty_env(config):
+    """Runs 1 and 5 retry at step 2, run 2 at step 1; run 5's retry fails
+    and run 3's step-1 evaluation fails the domain check."""
     policies = [
         _stepped_alone(SyntheticEnv(junk_sensor_world()), config, run)[0]
         for run in range(config.runs)
     ]
-    env = FaultyEnv(
+    return FaultyEnv(
         config, policies, infeasible=(1, 2), flagged=(2, 1), hopeless=(5, 2),
         broken_eval=policies[3][1],
     )
-    faulty = run_learning_curve(env, config)
+
+
+def test_faults_stay_with_the_runs_they_hit():
+    config = base_config(**FAULT_CONFIG)
+    clean = run_learning_curve(SyntheticEnv(junk_sensor_world()), config)
+    faulty = run_learning_curve(_faulty_env(config), config)
     error = "policy left the feasible set"
     flagged_error = "insufficient samples: every trial was flagged"
     assert faulty.failed_runs == ((3, 1, error), (5, 2, flagged_error))
@@ -387,22 +438,36 @@ def test_faults_stay_with_the_runs_they_hit():
     ]
 
 
+def test_a_steps_retries_share_one_env_call():
+    config = base_config(**FAULT_CONFIG)
+    env = _faulty_env(config)
+    faulty = run_learning_curve(env, config)
+    # A retry draws its trial streams from child 4 of the step stream.
+    retry_calls = [keys for keys in env.calls if (1, 2, LEARN, 4) in keys]
+    assert len(retry_calls) == 1
+    assert {key[0] for key in retry_calls[0]} == {1, 5}
+    assert all(key[1:] == (2, LEARN, 4) for key in retry_calls[0])
+    after = _records_by_run(faulty)
+    for run in (1, 2):
+        _, records = _stepped_alone(env, config, run)
+        assert repr(after[run]) == repr(records)
+        index = faulty.run_indices.index(run)
+        assert np.array_equal(faulty.run_values[index], [r.eval_mean for r in records])
+    # Run 5's retry fails alone as it fails in the shared call.
+    _, records = _stepped_alone(env, replace(config, steps=2), 5)
+    assert repr(after[5][:2]) == repr(records)
+    with pytest.raises(EstimationError, match="every trial was flagged") as err:
+        _stepped_alone(env, config, 5)
+    assert after[5][2].flagged == err.value.flagged == 8
+
+
 def test_policy_evaluation_reports_mean_and_spread():
-    quiet = CannonWorld(
-        control_noise_cov=np.zeros((2, 2)), sensor_noise_cov=np.zeros((2, 2))
-    )
-    env = CannonEnv(quiet)
-    policy = np.array([16.0, np.pi / 4.0])
-    expected = -((16.0**2 / 9.8 - 400.0 / 9.8) ** 2)
-    mean, std_error = evaluate_policy(env, policy, 6, substream(21))
-    assert mean == pytest.approx(expected, rel=1e-12)
-    # identical scores; the residual is np.std rounding, not spread
-    assert std_error == pytest.approx(0.0, abs=1e-10)
-    single_mean, single_se = evaluate_policy(env, policy, 1, substream(22))
-    assert single_mean == pytest.approx(expected, rel=1e-12)
-    assert single_se is None
-    with pytest.raises(ValueError, match="positive"):
-        evaluate_policy(env, policy, 0, substream(23))
+    mean, std_error = evaluate_policy(np.array([1.0, 2.0, 3.0, 6.0]))
+    assert mean == 3.0
+    assert std_error == pytest.approx(np.sqrt(14.0 / 3.0) / 2.0, rel=1e-12)
+    mean, std_error = evaluate_policy(np.full(6, -2.5))
+    assert (mean, std_error) == (-2.5, 0.0)
+    assert evaluate_policy(np.array([-4.0])) == (-4.0, None)
 
 
 def test_single_evaluation_trial_records_no_spread():
@@ -417,7 +482,7 @@ def test_one_transient_failure_is_retried():
     env = FlakyEnv(SyntheticEnv(noiseless_world()), failures=1)
     config = base_config()
     policy = config.initial_policy
-    new_policy, record = hill_climb_step(
+    new_policy, record = step_alone(
         env, policy, config, substream(5, 0, 0), step_index=0
     )
     assert record.retried is True
@@ -428,7 +493,7 @@ def test_a_second_failure_propagates():
     env = FlakyEnv(SyntheticEnv(noiseless_world()), failures=2)
     config = base_config()
     with pytest.raises(EstimationError, match="transient"):
-        hill_climb_step(env, config.initial_policy, config, substream(5, 0, 0))
+        step_alone(env, config.initial_policy, config, substream(5, 0, 0))
 
 
 def test_failed_runs_are_recorded_not_raised():
@@ -446,7 +511,7 @@ def test_flagged_trials_are_dropped_and_counted():
     env = FlaggingEnv(SyntheticEnv(noiseless_world()))
     config = base_config(trials_per_step=16)
     policy = config.initial_policy
-    new_policy, record = hill_climb_step(
+    new_policy, record = step_alone(
         env, policy, config, substream(5, 0, 0), step_index=0
     )
     assert record.flagged == 6
@@ -458,6 +523,9 @@ def test_an_all_flagged_batch_fails_the_step():
         def __init__(self, base):
             self.base = base
 
+        def check_policies(self, policies):
+            return self.base.check_policies(policies)
+
         def sample_trials(self, policies, streams):
             trials = self.base.sample_trials(policies, streams)
             return replace(trials, flagged=np.ones(len(trials), dtype=bool))
@@ -465,7 +533,7 @@ def test_an_all_flagged_batch_fails_the_step():
     env = AllFlagged(SyntheticEnv(noiseless_world()))
     config = base_config()
     with pytest.raises(EstimationError, match="flagged"):
-        hill_climb_step(env, config.initial_policy, config, substream(5, 0, 0))
+        step_alone(env, config.initial_policy, config, substream(5, 0, 0))
 
 
 def test_a_step_that_flagging_fails_reports_its_flagged_trials():
@@ -554,13 +622,13 @@ def test_encoding_estimator_steps_and_reports_projection_cost():
         seed=31,
     )
     policy = config.initial_policy
-    new_policy, record = hill_climb_step(
+    new_policy, record = step_alone(
         env, policy, config, substream(31, 0, 0), step_index=0
     )
     assert np.isfinite(record.loo_cost)
     assert np.all(np.isfinite(new_policy))
     dedicated = replace(config, encode_trials_per_step=12)
-    other_policy, other_record = hill_climb_step(
+    other_policy, other_record = step_alone(
         env, policy, dedicated, substream(31, 0, 0), step_index=0
     )
     assert np.isfinite(other_record.loo_cost)
