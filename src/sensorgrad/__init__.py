@@ -45,7 +45,6 @@ from .estimators import (
 )
 from .search import (
     ESTIMATORS,
-    LearningCurve,
     SearchConfig,
     StepRecord,
     run_learning_curve,
@@ -74,7 +73,6 @@ __all__ = [
     "predicted_variance_g1",
     "predicted_variance_g2",
     "ESTIMATORS",
-    "LearningCurve",
     "SearchConfig",
     "StepRecord",
     "run_learning_curve",

@@ -10,15 +10,14 @@ Exit codes: 0 success, 1 a check ran and failed its threshold,
 2 configuration error (unparseable config, unknown or missing keys,
 bad values, unusable output directory), 3 unexpected runtime failure.
 
-The output directory is taken from ``--out`` when given, else the
-config key ``output.dir``, else the ``SENSORGRAD_OUT`` environment
-variable, else ``sensorgrad_out`` under the working directory.
+The output directory is ``--out`` when given, else ``sensorgrad_out``
+under the working directory.  A command checks it before any work and
+creates it only to write its files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import experiments
@@ -32,8 +31,6 @@ EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_OUT_ENV = "SENSORGRAD_OUT"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
         if name == "run":
             p.add_argument(
@@ -57,10 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "always advance in lockstep in one thread, so results and "
                 "speed are the same at any value",
             )
-    check = sub.add_parser(
-        "schema-check", help="validate the files of an output directory"
-    )
-    check.add_argument("--out", help="output directory to validate")
+    sub.add_parser("schema-check", help="validate the files of an output directory")
+    for p in sub.choices.values():
+        p.add_argument("--out", default="sensorgrad_out", help="output directory")
     return parser
 
 
@@ -78,23 +73,9 @@ def _load_config(args) -> Config:
     return cfg
 
 
-def _resolve_out_dir(args, cfg: Config | None):
-    # Read even when --out wins, so that the key counts as read.
-    has_dir = cfg is not None and cfg.has("output.dir")
-    configured = cfg.get_str("output.dir") if has_dir else None
-    if getattr(args, "out", None):
-        return args.out
-    if configured is not None:
-        return configured
-    env = os.environ.get(_OUT_ENV)
-    if env:
-        return env
-    return "sensorgrad_out"
-
-
 def _run_command(args) -> int:
     if args.command == "schema-check":
-        lines, ok = schema_check(_resolve_out_dir(args, None))
+        lines, ok = schema_check(args.out)
         paths = []
     else:
         if getattr(args, "threads", 1) < 1:
@@ -102,7 +83,7 @@ def _run_command(args) -> int:
         cfg = _load_config(args)
         # By name at call time, so a wrapper bound to the entry point sees it.
         entry = getattr(experiments, COMMANDS[args.command].entry)
-        lines, ok, paths = entry(cfg, _resolve_out_dir(args, cfg))
+        lines, ok, paths = entry(cfg, args.out)
     for line in lines:
         print(line)
     for path in paths:

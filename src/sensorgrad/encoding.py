@@ -284,13 +284,16 @@ def optimize_projection(
 
     Runs a BFGS search with the analytic leave-one-out gradient from
     each restart and returns the best projection found, columns
-    orthonormalized.  Ties go to the earliest restart.  With
+    orthonormalized.  Ties go to the earliest restart.  A ``target_dim``
+    above the raw sensor width raises :class:`EncodingError`.  With
     ``max_iterations=0`` the best initialization is returned unchanged
     (up to orthonormalization).
     """
     raw = batch.sensor_matrix()
     raw_dim = raw.shape[1]
     ds = config.target_dim
+    if ds > raw_dim:
+        raise EncodingError(f"target_dim {ds} exceeds the {raw_dim} raw sensors")
     centered = _centered(batch)
     rng = np.random.default_rng(config.seed)
     inits = [_pca_init(raw, ds)]

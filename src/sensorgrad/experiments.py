@@ -12,7 +12,9 @@ Each output file is declared once, as a ``CsvFile`` (typed columns and
 optional trailing columns) or a ``TextFile``, and each config-driven
 command once, in ``COMMANDS``: its compute function and its file set.
 The writers and ``schema_check`` both read these declarations;
-``diagnostics.csv``'s columns are ``StepRecord``'s fields.
+``diagnostics.csv``'s columns are ``StepRecord``'s fields, and
+``learning_curve.csv`` is aggregated from the same records.  A command
+checks its output directory before any work and creates it to write.
 
 A command accepts exactly the config keys that its readers read: each
 compute function reads and validates all of its keys, then calls
@@ -111,9 +113,15 @@ def _file_hash_line(path) -> str | None:
 
 
 def prepare_out_dir(out_dir, cfg_hash: str):
-    """Create the output directory; refuse one holding other-config files."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name in sorted(os.listdir(out_dir)):
+    """Refuse, by ``ConfigError``, an output directory that is neither
+    absent (it is created to write) nor holding this config's files only."""
+    try:
+        names = sorted(os.listdir(out_dir))
+    except OSError as exc:
+        if out_dir and isinstance(exc, FileNotFoundError):
+            return
+        raise ConfigError(f"unusable output directory {out_dir}: {exc}") from exc
+    for name in names:
         path = os.path.join(out_dir, name)
         if not os.path.isfile(path):
             continue
@@ -124,7 +132,6 @@ def prepare_out_dir(out_dir, cfg_hash: str):
                 f"config (found hash {existing[:12]}.., expected "
                 f"{cfg_hash[:12]}..): refusing to mix results"
             )
-    return out_dir
 
 
 def write_csv(path, cfg_hash: str, header, rows) -> None:
@@ -348,9 +355,10 @@ def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
     return _settings(cfg, table, SearchConfig, estimator=estimator, **settings)
 
 
-def _read_environments(cfg: Config):
-    """Read the environment keys; returns a function that builds the
-    environment per noise scale, pretraining the dart model if needed."""
+def _read_environments(cfg: Config, configs: dict):
+    """Read the environment keys and check the search configs against the
+    environment; returns a function that builds the environment per
+    noise scale, pretraining the dart model if needed."""
     environment = cfg.get_str("run.environment")
     scales = [float(s) for s in cfg.get_vector("run.noise_scales", [1.0])]
     if not scales:
@@ -361,20 +369,20 @@ def _read_environments(cfg: Config):
         )
     if environment == "cannon":
         world = build_cannon_world(cfg)
-        return lambda: [(s, CannonEnv(world, noise_scale=s)) for s in scales]
-    if environment == "dart":
+        # A (speed, angle) policy; the sensors read its actuation error.
+        policy_dim = width = 2
+        build = lambda: [(s, CannonEnv(world, noise_scale=s)) for s in scales]
+    elif environment == "dart":
         if scales != [1.0]:
             raise ConfigError(
                 f"{cfg.source}: key 'run.noise_scales' applies to the cannon "
                 "environment only"
             )
         world = ArmWorld()
+        # The estimators see the encoded sensors: one residual spline
+        # coefficient per policy knot, then the release time.
+        policy_dim, width = world.policy_dim, world.policy_dim + 1
         initial = cfg.get_vector("search.initial_policy")
-        if initial.shape[0] != world.policy_dim:
-            raise ConfigError(
-                f"{cfg.source}: key 'search.initial_policy' must have "
-                f"{world.policy_dim} entries for the dart environment"
-            )
         count = cfg.get_int("dart.pretrain_states", 2000)
         fewest = quad_feature_count(2 * world.dof) + 2
         if count < fewest:
@@ -389,7 +397,7 @@ def _read_environments(cfg: Config):
             )
         seed = cfg.get_int("seed")
 
-        def pretrained():
+        def build():
             states = sample_pretraining_states(
                 world,
                 count,
@@ -399,11 +407,23 @@ def _read_environments(cfg: Config):
             )
             return [(1.0, DartEnv(world, fit_dynamics_model(world, states)))]
 
-        return pretrained
-    raise ConfigError(
-        f"{cfg.source}: key 'run.environment' must be cannon or dart, "
-        f"got {environment!r}"
-    )
+    else:
+        raise ConfigError(
+            f"{cfg.source}: key 'run.environment' must be cannon or dart, "
+            f"got {environment!r}"
+        )
+    for config in configs.values():
+        if config.initial_policy.shape[0] != policy_dim:
+            raise ConfigError(
+                f"{cfg.source}: key 'search.initial_policy' must have "
+                f"{policy_dim} entries for the {environment} environment"
+            )
+        if config.estimator == "with_encoding" and config.encoding.target_dim > width:
+            raise ConfigError(
+                f"{cfg.source}: key 'search.encoding_dim' must be at most {width}, "
+                f"the sensor width of the {environment} environment"
+            )
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +431,34 @@ def _read_environments(cfg: Config):
 # ---------------------------------------------------------------------------
 
 
+def _curve_rows(records, config: SearchConfig, tail) -> list:
+    """``learning_curve.csv``'s rows from one estimator's step records: per
+    step, the mean and standard error of the evaluations over the runs
+    that completed (a run with an error row does not count)."""
+    failed = {record.run for record in records if record.error}
+    runs = config.runs - len(failed)
+    values = np.array([r.eval_mean for r in records if r.run not in failed])
+    values = values.reshape(runs, config.steps)
+    means = errors = np.full(config.steps, np.nan)
+    if runs > 0:
+        means, errors = values.mean(axis=0), np.zeros(config.steps)
+    if runs > 1:
+        errors = values.std(axis=0, ddof=1) / np.sqrt(runs)
+    point = dict(estimator=config.estimator, runs=runs)
+    return [
+        LEARNING_CURVE.row(dict(point, step=step, mean_value=mean, std_error=error), tail)
+        for step, (mean, error) in enumerate(zip(means, errors), start=1)
+    ]
+
+
 def run_tables(cfg: Config):
     """Learning-curve and diagnostics rows for a run config.
 
-    Returns (tables, curves): tables maps ``learning_curve.csv`` and
-    ``diagnostics.csv`` to their content, and curves maps (noise_scale,
-    estimator) to the LearningCurve.  The ``noise_scale`` column ends
-    both files only when the sweep has more than one scale, keeping the
-    single-scale files at their pinned columns.
+    Returns (lines, ok, tables), tables mapping ``learning_curve.csv``
+    and ``diagnostics.csv`` to their content.  Both come from the step
+    records of the runs; the ``noise_scale`` column ends both files only
+    when the sweep has more than one scale, keeping the single-scale
+    files at their pinned columns.
     """
     estimators = cfg.get_str_list("run.estimators")
     if not estimators:
@@ -432,41 +472,24 @@ def run_tables(cfg: Config):
     if len(set(estimators)) != len(estimators):
         raise ConfigError(f"{cfg.source}: key 'run.estimators' repeats an entry")
     configs = {name: build_search_config(cfg, name) for name in estimators}
-    build_environments = _read_environments(cfg)
+    build_environments = _read_environments(cfg, configs)
     cfg.check_unknown()
     environments = build_environments()
     sweep = len(environments) > 1
     learning_rows = []
     diag_rows = []
-    curves = {}
     for scale, env in environments:
         tail = [scale] if sweep else []
-        for estimator in estimators:
-            curve = run_learning_curve(env, configs[estimator])
-            curves[(scale, estimator)] = curve
-            for step, (mean, error) in enumerate(
-                zip(curve.mean_values, curve.std_errors), start=1
-            ):
-                point = dict(
-                    step=step,
-                    estimator=estimator,
-                    mean_value=mean,
-                    std_error=error,
-                    runs=curve.completed_runs,
-                )
-                learning_rows.append(LEARNING_CURVE.row(point, tail))
-            for record in curve.diagnostics:
+        for config in configs.values():
+            records = run_learning_curve(env, config)
+            learning_rows += _curve_rows(records, config, tail)
+            for record in records:
                 values = vars(replace(record, step=record.step + 1))
                 diag_rows.append(DIAGNOSTICS.row(values, tail))
     tables = {
         LEARNING_CURVE.name: (int(sweep), learning_rows),
         DIAGNOSTICS.name: (int(sweep), diag_rows),
     }
-    return tables, curves
-
-
-def _run_outputs(cfg: Config):
-    tables, _ = run_tables(cfg)
     return [f"config hash {cfg.hash()}"], True, tables
 
 
@@ -768,7 +791,7 @@ COMMANDS = {
     "run": Command(
         "run_experiment",
         "run a learning-curve experiment",
-        _run_outputs,
+        run_tables,
         (LEARNING_CURVE, DIAGNOSTICS, CONFIG_ECHO),
     ),
     "variance-check": Command(
@@ -789,11 +812,16 @@ _OUTPUT_FILES = {file.name: file for c in COMMANDS.values() for file in c.files}
 
 
 def _execute(command: Command, cfg: Config, out_dir):
-    """Compute ``command`` and write its files: (stdout lines, ok, paths)."""
-    lines, ok, tables = command.compute(cfg)
-    tables[CONFIG_ECHO.name] = canonical_text(cfg.values).splitlines()
+    """Check the output directory, compute ``command`` and write its
+    files: (stdout lines, ok, paths)."""
     cfg_hash = cfg.hash()
     prepare_out_dir(out_dir, cfg_hash)
+    lines, ok, tables = command.compute(cfg)
+    tables[CONFIG_ECHO.name] = canonical_text(cfg.values).splitlines()
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"unusable output directory {out_dir}: {exc}") from exc
     paths = []
     for file in command.files:
         paths.append(os.path.join(out_dir, file.name))

@@ -19,7 +19,8 @@ which raises :class:`PolicyDomainError` for a row outside its domain
 without drawing anything.  :func:`run_learning_curve` is the only code
 that simulates: a step's first attempts share one env call, its retries
 share one more, and the check keeps one run's infeasible batch out of
-the call it shares with the other runs.
+the call it shares with the other runs.  It returns the runs' step
+records, the one result of a learning run.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "SearchConfig",
     "StepRecord",
     "check_exploration_cov",
-    "LearningCurve",
     "sample_exploration_policies",
     "hill_climb_step",
     "evaluate_policy",
@@ -137,23 +137,6 @@ class StepRecord:
     eval_mean: float = float("nan")
     eval_std_error: float = float("nan")
     error: str = ""
-
-
-@dataclass(frozen=True)
-class LearningCurve:
-    """Per-step evaluation aggregated over completed runs."""
-
-    estimator: str
-    mean_values: np.ndarray
-    std_errors: np.ndarray
-    run_values: np.ndarray
-    run_indices: tuple
-    failed_runs: tuple
-    diagnostics: tuple
-
-    @property
-    def completed_runs(self) -> int:
-        return self.run_values.shape[0]
 
 
 def check_exploration_cov(cov, dim: int) -> None:
@@ -364,31 +347,30 @@ def evaluate_policy(scores):
     """Mean and standard error of a policy's evaluation trial scores.
 
     Flagged trials count like any other (their penalty score is part of
-    the policy's value).  The standard error is None for one score.
+    the policy's value).  The standard error is NaN for one score.
     """
     mean = float(np.mean(scores))
     if len(scores) == 1:
-        return mean, None
+        return mean, float("nan")
     return mean, float(np.std(scores, ddof=1) / np.sqrt(len(scores)))
 
 
-def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
-    """Aggregate hill-climbing runs into a per-step evaluation curve.
+def run_learning_curve(env, config: SearchConfig) -> tuple:
+    """Hill-climbing runs; returns their step records, run by run.
 
     All runs advance in lockstep: at each step the first-attempt
     learning batches of every live run go through one env call, each
     run then estimates and steps on its own, a step's retries share one
     env call, and the evaluation batches of the runs that stepped go
     through another.  Every run draws from its own seed-derived
-    streams, so a run's values do not depend on the other runs.  A run
-    whose retry fails too is recorded in ``failed_runs``, drops out of
-    later steps, and is excluded from the aggregates.
+    streams, so a run's records do not depend on the other runs.  A run
+    whose retry fails too ends with a record holding the error and
+    drops out of later steps.
     """
     count = config.eval_trials_per_point
     policies = [config.initial_policy] * config.runs
-    values = np.full((config.runs, config.steps), np.nan)
     records = [[] for _ in range(config.runs)]
-    failures = {}
+    failures = set()
 
     def fail(run, step, err, retried):
         records[run].append(
@@ -401,7 +383,7 @@ def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
                 error=str(err),
             )
         )
-        failures[run] = (run, step, str(err))
+        failures.add(run)
 
     for step in range(config.steps):
         live = [run for run in range(config.runs) if run not in failures]
@@ -423,46 +405,22 @@ def run_learning_curve(env, config: SearchConfig) -> LearningCurve:
                     else:
                         failed.append((run, rng))
                 else:
-                    stepped.append((run, replace(record, run=run, retried=retried)))
+                    stepped.append(replace(record, run=run, retried=retried))
             pending = failed
         # Retried runs rejoin in run order, as if none had retried.
-        stepped.sort(key=lambda item: item[0])
-        eval_rngs = [substream(config.seed, run, step, EVAL) for run, _ in stepped]
+        stepped.sort(key=lambda record: record.run)
+        eval_rngs = [substream(config.seed, r.run, step, EVAL) for r in stepped]
         blocks = [
-            (np.tile(policies[run], (count, 1)), children(rng, count))
-            for (run, _), rng in zip(stepped, eval_rngs)
+            (np.tile(policies[r.run], (count, 1)), children(rng, count))
+            for r, rng in zip(stepped, eval_rngs)
         ]
         outcomes = _sample_blocks(env, blocks)
-        for (run, record), outcome in zip(stepped, outcomes):
+        for record, outcome in zip(stepped, outcomes):
             if isinstance(outcome, Exception):
-                fail(run, step, outcome, record.retried)
+                fail(record.run, step, outcome, record.retried)
                 continue
             mean, std_error = evaluate_policy(outcome.scores)
-            values[run, step] = mean
-            records[run].append(
-                replace(
-                    record,
-                    eval_mean=mean,
-                    eval_std_error=float("nan") if std_error is None else std_error,
-                )
+            records[record.run].append(
+                replace(record, eval_mean=mean, eval_std_error=std_error)
             )
-    indices = [run for run in range(config.runs) if run not in failures]
-    run_values = values[indices]
-    if run_values.shape[0] > 0:
-        means = run_values.mean(axis=0)
-        if run_values.shape[0] > 1:
-            std_errors = run_values.std(axis=0, ddof=1) / np.sqrt(run_values.shape[0])
-        else:
-            std_errors = np.zeros(config.steps)
-    else:
-        means = np.full(config.steps, np.nan)
-        std_errors = np.full(config.steps, np.nan)
-    return LearningCurve(
-        estimator=config.estimator,
-        mean_values=means,
-        std_errors=std_errors,
-        run_values=run_values,
-        run_indices=tuple(indices),
-        failed_runs=tuple(failures[run] for run in sorted(failures)),
-        diagnostics=tuple(record for run_records in records for record in run_records),
-    )
+    return tuple(record for run_records in records for record in run_records)

@@ -43,7 +43,12 @@ from sensorgrad.estimators import (
     predicted_variance_g1,
     predicted_variance_g2,
 )
-from sensorgrad.experiments import build_search_config, replicate_gradients, run_tables
+from sensorgrad.experiments import (
+    DIAGNOSTICS,
+    build_search_config,
+    replicate_gradients,
+    run_tables,
+)
 from sensorgrad.search import run_learning_curve, sample_exploration_policies
 from sensorgrad.seeding import EVAL, LEARN, PRETRAIN, children, substream
 
@@ -57,6 +62,18 @@ EXPLORATION_COV = np.array([[0.5, 0.1], [0.1, 0.3]])
 COUPLING = np.array([[0.6, -0.3], [0.2, 0.5]])
 TRIALS_PER_BATCH = 12
 REPLICATIONS = 20000
+
+
+def _final_evaluations(rows) -> dict:
+    """Each completed run's last evaluation, by run, from step records as
+    dicts (a run with an error row did not complete)."""
+    failed = {row["run"] for row in rows if row["error"]}
+    last = max(row["step"] for row in rows)
+    return {
+        row["run"]: row["eval_mean"]
+        for row in rows
+        if row["step"] == last and row["run"] not in failed
+    }
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
@@ -207,14 +224,19 @@ def test_criterion_06_sensor_advantage_grows_with_cannon_noise():
     cfg = load_config(CONFIG_DIR / "cannon_sweep.cfg").with_value(
         "run.noise_scales", [1.0, 4.0]
     )
-    *_, curves = run_tables(cfg)
+    *_, tables = run_tables(cfg)
+    _, rows = tables[DIAGNOSTICS.name]
+    rows = [dict(zip(DIAGNOSTICS.header(1), row)) for row in rows]
     finals = {}
     for scale in (1.0, 4.0):
-        plain = curves[(scale, "ignore_sensors")]
-        joint = curves[(scale, "with_sensors")]
-        assert plain.run_indices == joint.run_indices
-        assert plain.completed_runs == 100 and joint.completed_runs == 100
-        finals[scale] = (joint.run_values[:, -1], plain.run_values[:, -1])
+        joint, plain = (
+            _final_evaluations(
+                [r for r in rows if r["noise_scale"] == scale and r["estimator"] == name]
+            )
+            for name in ("with_sensors", "ignore_sensors")
+        )
+        assert list(joint) == list(plain) == list(range(100))
+        finals[scale] = tuple(np.array(list(f.values())) for f in (joint, plain))
     gaps = {
         scale: float(np.mean(joint - plain))
         for scale, (joint, plain) in finals.items()
@@ -361,16 +383,15 @@ def test_criterion_10_encoded_sensors_win_on_the_dart_task(dart_setup):
     start = time.perf_counter()
     cfg, world, _, model = dart_setup
     env = DartEnv(world, model)
-    plain = run_learning_curve(env, build_search_config(cfg, "ignore_sensors"))
-    encoded = run_learning_curve(env, build_search_config(cfg, "with_encoding"))
-    shared = sorted(set(plain.run_indices) & set(encoded.run_indices))
+    plain_final, encoded_final = (
+        _final_evaluations([vars(r) for r in run_learning_curve(env, config)])
+        for config in (
+            build_search_config(cfg, "ignore_sensors"),
+            build_search_config(cfg, "with_encoding"),
+        )
+    )
+    shared = sorted(set(plain_final) & set(encoded_final))
     assert len(shared) >= 10
-    plain_final = {
-        run: plain.run_values[i, -1] for i, run in enumerate(plain.run_indices)
-    }
-    encoded_final = {
-        run: encoded.run_values[i, -1] for i, run in enumerate(encoded.run_indices)
-    }
     paired_plain = np.array([plain_final[run] for run in shared])
     paired_encoded = np.array([encoded_final[run] for run in shared])
     p_value = float(
@@ -430,8 +451,7 @@ RERUN_CASES = {
 }
 
 
-def test_criterion_11_reruns_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("SENSORGRAD_OUT", raising=False)
+def test_criterion_11_reruns_are_byte_identical(tmp_path):
     compared = 0
     for command, (text, names) in RERUN_CASES.items():
         cfg_path = tmp_path / f"{command}.cfg"

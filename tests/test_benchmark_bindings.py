@@ -67,7 +67,7 @@ def test_traced_child_records_the_experiment_spans(tmp_path, case):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(text, encoding="utf-8")
     stats = tmp_path / "stats.marshal"
-    env = {k: v for k, v in os.environ.items() if k != "SENSORGRAD_OUT"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )

@@ -63,11 +63,6 @@ encode.min_cosine = 0.9
 RUN_FILES = ("learning_curve.csv", "diagnostics.csv", "config_echo.cfg")
 
 
-@pytest.fixture(autouse=True)
-def clean_out_env(monkeypatch):
-    monkeypatch.delenv("SENSORGRAD_OUT", raising=False)
-
-
 def write_cfg(tmp_path, text, name="job.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -239,6 +234,28 @@ BAD_SETTING_CASES = {
         DART_CFG + "dart.pretrain_policy_cov = -0.01\n",
         "key 'dart.pretrain_policy_cov' must be nonnegative",
     ),
+    "cannon-policy-length": (
+        "run",
+        RUN_CFG.replace("0.7853981633974483]", "0.7853981633974483, 1.0]").replace(
+            "[0.25, 0.0025]", "[0.25, 0.0025, 0.01]"
+        ),
+        "key 'search.initial_policy' must have 2 entries for the cannon environment",
+    ),
+    "cannon-encoding-dim": (
+        "run",
+        ENCODING_RUN_CFG + "search.encoding_dim = 3\n",
+        "key 'search.encoding_dim' must be at most 2",
+    ),
+    "dart-encoding-dim": (
+        "run",
+        DART_CFG.replace("search.encoding_dim = 1", "search.encoding_dim = 11"),
+        "key 'search.encoding_dim' must be at most 10",
+    ),
+    "run-output-dir": (
+        "run",
+        RUN_CFG + 'output.dir = "elsewhere"\n',
+        "unknown key 'output.dir'",
+    ),
 }
 
 # The task constants of the cannon and the arm are the world defaults:
@@ -291,6 +308,37 @@ def test_a_bad_setting_is_a_config_error_before_any_work(
     assert message in capsys.readouterr().err
 
 
+def _out_holding_another_configs_file(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "learning_curve.csv").write_text("# config_hash=" + "0" * 64 + "\n")
+    return out, "holds files from a different config"
+
+
+def _out_that_is_a_file(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    return out, "unusable output directory"
+
+
+def _empty_out(tmp_path):
+    return "", "unusable output directory"
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [_out_holding_another_configs_file, _out_that_is_a_file, _empty_out],
+    ids=["other-config", "file", "empty"],
+)
+def test_an_unusable_output_directory_is_a_config_error_before_any_work(
+    tmp_path, capsys, no_work, make_out
+):
+    out, message = make_out(tmp_path)
+    cfg = write_cfg(tmp_path, DART_CFG)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, text",
     [("run", RUN_CFG), ("variance-check", VARIANCE_CFG), ("encode-search", ENCODE_CFG)],
@@ -339,6 +387,20 @@ SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
 def test_every_shipped_config_passes_the_key_check(tmp_path, stop_at_key_check, path):
     _run_to_the_key_check(path, tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ENCODING_RUN_CFG + "search.encoding_dim = 2\n",
+        DART_CFG.replace("search.encoding_dim = 1", "search.encoding_dim = 10"),
+    ],
+    ids=["cannon", "dart"],
+)
+def test_an_encoding_as_wide_as_the_sensors_passes_the_key_check(
+    tmp_path, stop_at_key_check, text
+):
+    _run_to_the_key_check(write_cfg(tmp_path, text), tmp_path / "out")
 
 
 def test_the_readme_lists_the_keys_the_shipped_configs_read(
@@ -402,23 +464,14 @@ def test_an_output_directory_never_mixes_configs(tmp_path, capsys):
 
 def test_output_directory_resolution_order(tmp_path, monkeypatch):
     flag_dir = tmp_path / "flagged"
-    cfg_dir = tmp_path / "configured"
-    env_dir = tmp_path / "from_env"
-    cfg_with_dir = write_cfg(
-        tmp_path, RUN_CFG + f'output.dir = "{cfg_dir}"\n', "withdir.cfg"
-    )
-    assert main(["run", "--config", cfg_with_dir, "--out", str(flag_dir)]) == 0
-    assert flag_dir.is_dir() and not cfg_dir.exists()
-    assert main(["run", "--config", cfg_with_dir]) == 0
-    assert cfg_dir.is_dir()
-    plain_cfg = write_cfg(tmp_path, RUN_CFG)
-    monkeypatch.setenv("SENSORGRAD_OUT", str(env_dir))
-    assert main(["run", "--config", plain_cfg]) == 0
-    assert env_dir.is_dir()
-    monkeypatch.delenv("SENSORGRAD_OUT")
+    default_dir = tmp_path / "sensorgrad_out"
+    cfg = write_cfg(tmp_path, RUN_CFG)
     monkeypatch.chdir(tmp_path)
-    assert main(["run", "--config", plain_cfg]) == 0
-    assert (tmp_path / "sensorgrad_out").is_dir()
+    assert main(["run", "--config", cfg, "--out", str(flag_dir)]) == 0
+    assert flag_dir.is_dir() and not default_dir.exists()
+    assert main(["run", "--config", cfg]) == 0
+    assert default_dir.is_dir()
+    assert main(["schema-check"]) == 0
 
 
 def test_schema_check_validates_and_flags_corruption(tmp_path, capsys):
@@ -556,3 +609,20 @@ def test_importing_sensorgrad_runs_blas_in_one_thread_unless_set(
     result = _fresh_interpreter(code, env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == expected
+
+
+def test_the_package_reads_no_environment_variable_but_the_blas_defaults():
+    package = Path(sensorgrad.__file__).parent
+    touched = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in ("environ", "environb", "getenv", "getenvb", "putenv"):
+                touched.setdefault(path.relative_to(package).as_posix(), []).append(node)
+    assert list(touched) == ["__init__.py"] and len(touched["__init__.py"]) == 1
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    (loop,) = [node for node in ast.walk(init) if isinstance(node, ast.For)]
+    assert ast.literal_eval(loop.iter) == BLAS_THREAD_VARIABLES
+    assert [ast.unparse(line) for line in loop.body] == [
+        "os.environ.setdefault(_name, '1')"
+    ]

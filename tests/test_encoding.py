@@ -284,6 +284,14 @@ def test_optimize_projection_never_ends_above_its_start():
     assert projection.cost <= projection.cost_trace[0] + 1e-12
 
 
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_optimize_projection_refuses_more_columns_than_raw_sensors(restarts):
+    batch, _ = planted_batch(87, raw_dim=5)
+    config = EncodingSearchConfig(target_dim=6, restarts=restarts, seed=87)
+    with pytest.raises(EncodingError, match="target_dim 6 exceeds the 5 raw sensors"):
+        optimize_projection(batch, config)
+
+
 def test_optimize_projection_zero_iterations_keeps_the_best_init():
     batch, _ = planted_batch(88, raw_dim=6)
     config = EncodingSearchConfig(target_dim=2, max_iterations=0, restarts=2, seed=88)

@@ -1,5 +1,6 @@
 """The output declarations: writers and schema-check read the same spec."""
 
+import csv
 import shutil
 import warnings
 from dataclasses import fields
@@ -9,16 +10,20 @@ import numpy as np
 import pytest
 
 from sensorgrad.cli import main
+from sensorgrad.config import Config, parse_config_text
 from sensorgrad.experiments import (
     COMMANDS,
     DIAGNOSTICS,
     HASH_PREFIX,
+    LEARNING_CURVE,
     _deviation_in_ses,
+    format_cell,
+    run_tables,
     schema_check,
 )
 from sensorgrad.search import StepRecord
 from test_acceptance import RERUN_CASES
-from test_golden import SWEEP_CFG
+from test_golden import DART_CFG, SWEEP_CFG
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -29,11 +34,6 @@ CASES = {
     "variance-check": ("variance-check", RERUN_CASES["variance-check"][0]),
     "encode-search": ("encode-search", RERUN_CASES["encode-search"][0]),
 }
-
-
-@pytest.fixture(autouse=True)
-def clean_out_env(monkeypatch):
-    monkeypatch.delenv("SENSORGRAD_OUT", raising=False)
 
 
 def _run(tmp_path, command, text):
@@ -120,3 +120,83 @@ def test_deviation_in_standard_errors_branches(mean, se, expected):
         else:
             reference.append(np.inf)
     assert np.array_equal(devs, reference)
+
+
+def _csv_rows(path) -> list:
+    """A written CSV's rows as dicts of cells, the config-hash line skipped."""
+    with open(path, encoding="utf-8") as handle:
+        handle.readline()
+        return list(csv.DictReader(handle))
+
+
+def _curve_from_diagnostics(rows) -> list:
+    """``learning_curve.csv``'s rows recomputed from ``diagnostics.csv``'s:
+    per (noise scale, estimator) and step, the mean and standard error of
+    the evaluations over the runs without an error row (at least one)."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row.get("noise_scale"), row["estimator"]), []).append(row)
+    curve = []
+    for (scale, estimator), group in groups.items():
+        failed = {row["run"] for row in group if row["error"]}
+        by_run = {}
+        for row in group:
+            if row["run"] not in failed:
+                by_run.setdefault(row["run"], []).append(float(row["eval_mean"]))
+        values = np.array(list(by_run.values()))
+        runs = values.shape[0]
+        errors = np.zeros(values.shape[1])
+        if runs > 1:
+            errors = values.std(axis=0, ddof=1) / np.sqrt(runs)
+        for step, (mean, error) in enumerate(zip(values.mean(axis=0), errors), start=1):
+            cells = dict(
+                step=step, estimator=estimator, mean_value=mean, std_error=error, runs=runs
+            )
+            if scale is not None:
+                cells["noise_scale"] = scale
+            curve.append({name: format_cell(cell) for name, cell in cells.items()})
+    return curve
+
+
+@pytest.mark.parametrize(
+    "text", [RERUN_CASES["run"][0], SWEEP_CFG, DART_CFG], ids=["run", "sweep", "dart"]
+)
+def test_the_learning_curve_is_its_recomputation_from_the_diagnostics(tmp_path, text):
+    out = _run(tmp_path, "run", text)
+    curve = _csv_rows(out / "learning_curve.csv")
+    assert curve and curve == _curve_from_diagnostics(_csv_rows(out / "diagnostics.csv"))
+
+
+RUN_TEXT = RERUN_CASES["run"][0]
+
+
+def _curve_rows(text) -> list:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, tables = run_tables(Config(parse_config_text(text)))
+    extra, rows = tables[LEARNING_CURVE.name]
+    assert extra == 0
+    return rows
+
+
+@pytest.mark.parametrize(
+    "text, cells",
+    [
+        # One trial per step is too few to fit: every run fails at step 1.
+        (
+            RUN_TEXT.replace("trials_per_step = 8", "trials_per_step = 1"),
+            [["nan", "nan", "0"]] * 4,
+        ),
+        (RUN_TEXT.replace("search.steps = 2", "search.steps = 0"), []),
+    ],
+    ids=["no-completed-run", "zero-steps"],
+)
+def test_learning_curve_rows_at_the_edges(text, cells):
+    rows = _curve_rows(text)
+    assert [[format_cell(cell) for cell in row[2:]] for row in rows] == cells
+
+
+def test_one_run_has_a_zero_standard_error():
+    rows = _curve_rows(RUN_TEXT.replace("search.runs = 2", "search.runs = 1"))
+    assert [row[3:] for row in rows] == [[0.0, 1]] * 4
+    assert all(np.isfinite(row[2]) for row in rows)

@@ -87,11 +87,6 @@ DART_GOLDEN = {
 }
 
 
-@pytest.fixture(autouse=True)
-def clean_out_env(monkeypatch):
-    monkeypatch.delenv("SENSORGRAD_OUT", raising=False)
-
-
 def _output_digests(tmp_path, command, text, names, *flags):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(text, encoding="utf-8")
@@ -132,7 +127,7 @@ def test_tiny_dart_run_keeps_its_digests_on_two_blas_threads(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(DART_CFG, encoding="utf-8")
     out = tmp_path / "out"
-    env = {k: v for k, v in os.environ.items() if k != "SENSORGRAD_OUT"}
+    env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = "2"
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(sensorgrad.__file__).resolve().parents[1])]

@@ -218,21 +218,31 @@ def test_hill_climbing_improves_the_cannon_policy():
 
 def test_zero_steps_gives_an_empty_curve():
     config = base_config(steps=0, runs=2, seed=3)
-    curve = run_learning_curve(SyntheticEnv(noiseless_world()), config)
-    assert curve.mean_values.shape == (0,)
-    assert curve.std_errors.shape == (0,)
-    assert curve.run_values.shape == (2, 0)
-    assert curve.completed_runs == 2
-    assert curve.run_indices == (0, 1)
-    assert curve.failed_runs == ()
-    assert curve.diagnostics == ()
+    assert run_learning_curve(SyntheticEnv(noiseless_world()), config) == ()
 
 
-def _records_by_run(curve):
+def _records_by_run(records):
     by_run = {}
-    for record in curve.diagnostics:
+    for record in records:
         by_run.setdefault(record.run, []).append(record)
     return by_run
+
+
+def _completed(records):
+    """The completed runs' indices and their (runs, steps) evaluations, as
+    ``learning_curve.csv`` aggregates them: a run with an error row is out."""
+    failed = {record.run for record in records if record.error}
+    by_run = {
+        run: [record.eval_mean for record in run_records]
+        for run, run_records in _records_by_run(records).items()
+        if run not in failed
+    }
+    return tuple(by_run), np.array(list(by_run.values()))
+
+
+def _failed_runs(records):
+    """(run, step, error) of each run's error row, in run order."""
+    return tuple((r.run, r.step, r.error) for r in records if r.error)
 
 
 PREFIX_CASES = {
@@ -281,13 +291,14 @@ def test_a_run_does_not_depend_on_the_runs_beside_it(case):
     config = base_config(steps=3, runs=2, seed=17, **settings)
     few = run_learning_curve(make_env(), config)
     many = run_learning_curve(make_env(), replace(config, runs=5))
-    assert few.run_indices == (0, 1) and many.run_indices == (0, 1, 2, 3, 4)
-    assert np.array_equal(few.run_values, many.run_values[:2])
+    (few_runs, few_values), (many_runs, many_values) = map(_completed, (few, many))
+    assert few_runs == (0, 1) and many_runs == (0, 1, 2, 3, 4)
+    assert np.array_equal(few_values, many_values[:2])
     # loo_cost is NaN outside the encoding estimator, so compare reprs.
-    prefix = tuple(r for r in many.diagnostics if r.run < 2)
-    assert repr(few.diagnostics) == repr(prefix)
+    prefix = tuple(r for r in many if r.run < 2)
+    assert repr(few) == repr(prefix)
     again = run_learning_curve(make_env(), config)
-    assert repr(few.diagnostics) == repr(again.diagnostics)
+    assert repr(few) == repr(again)
 
 
 def test_a_lone_dart_run_matches_the_same_run_in_a_lockstep_batch():
@@ -298,10 +309,13 @@ def test_a_lone_dart_run_matches_the_same_run_in_a_lockstep_batch():
     config = base_config(steps=4, runs=1, seed=18, eval_trials_per_point=1, **settings)
     alone = run_learning_curve(make_env(), config)
     paired = run_learning_curve(make_env(), replace(config, runs=2))
-    assert alone.run_indices == (0,) and paired.run_indices == (0, 1)
-    assert np.array_equal(alone.run_values[0], paired.run_values[0])
-    prefix = tuple(r for r in paired.diagnostics if r.run == 0)
-    assert repr(alone.diagnostics) == repr(prefix)
+    (alone_runs, alone_values), (paired_runs, paired_values) = map(
+        _completed, (alone, paired)
+    )
+    assert alone_runs == (0,) and paired_runs == (0, 1)
+    assert np.array_equal(alone_values[0], paired_values[0])
+    prefix = tuple(r for r in paired if r.run == 0)
+    assert repr(alone) == repr(prefix)
 
 
 def _stepped_alone(env, config, run):
@@ -319,12 +333,7 @@ def _stepped_alone(env, config, run):
         mean, std_error = evaluate_policy(trials.scores)
         stepped.append(policy)
         records.append(
-            replace(
-                record,
-                run=run,
-                eval_mean=mean,
-                eval_std_error=float("nan") if std_error is None else std_error,
-            )
+            replace(record, run=run, eval_mean=mean, eval_std_error=std_error)
         )
     return stepped, records
 
@@ -336,9 +345,11 @@ def test_lockstep_runs_match_runs_stepped_alone():
     )
     curve = run_learning_curve(env, config)
     by_run = _records_by_run(curve)
+    runs, values = _completed(curve)
+    assert runs == tuple(range(config.runs))
     for run in range(config.runs):
         _, records = _stepped_alone(env, config, run)
-        assert np.array_equal(curve.run_values[run], [r.eval_mean for r in records])
+        assert np.array_equal(values[run], [r.eval_mean for r in records])
         assert repr(by_run[run]) == repr(records)
 
 
@@ -410,13 +421,16 @@ def test_faults_stay_with_the_runs_they_hit():
     faulty = run_learning_curve(_faulty_env(config), config)
     error = "policy left the feasible set"
     flagged_error = "insufficient samples: every trial was flagged"
-    assert faulty.failed_runs == ((3, 1, error), (5, 2, flagged_error))
-    assert faulty.run_indices == (0, 1, 2, 4)
+    assert _failed_runs(faulty) == ((3, 1, error), (5, 2, flagged_error))
+    (clean_runs, clean_values), (faulty_runs, faulty_values) = map(
+        _completed, (clean, faulty)
+    )
+    assert faulty_runs == (0, 1, 2, 4)
     before, after = _records_by_run(clean), _records_by_run(faulty)
     for run in (0, 4):
         assert repr(after[run]) == repr(before[run])
         assert np.array_equal(
-            faulty.run_values[faulty.run_indices.index(run)], clean.run_values[run]
+            faulty_values[faulty_runs.index(run)], clean_values[clean_runs.index(run)]
         )
     # The infeasible and the all-flagged learning batches are retried
     # from fresh draws of the same step stream; nothing before them moves.
@@ -448,11 +462,12 @@ def test_a_steps_retries_share_one_env_call():
     assert {key[0] for key in retry_calls[0]} == {1, 5}
     assert all(key[1:] == (2, LEARN, 4) for key in retry_calls[0])
     after = _records_by_run(faulty)
+    faulty_runs, faulty_values = _completed(faulty)
     for run in (1, 2):
         _, records = _stepped_alone(env, config, run)
         assert repr(after[run]) == repr(records)
-        index = faulty.run_indices.index(run)
-        assert np.array_equal(faulty.run_values[index], [r.eval_mean for r in records])
+        index = faulty_runs.index(run)
+        assert np.array_equal(faulty_values[index], [r.eval_mean for r in records])
     # Run 5's retry fails alone as it fails in the shared call.
     _, records = _stepped_alone(env, replace(config, steps=2), 5)
     assert repr(after[5][:2]) == repr(records)
@@ -467,15 +482,14 @@ def test_policy_evaluation_reports_mean_and_spread():
     assert std_error == pytest.approx(np.sqrt(14.0 / 3.0) / 2.0, rel=1e-12)
     mean, std_error = evaluate_policy(np.full(6, -2.5))
     assert (mean, std_error) == (-2.5, 0.0)
-    assert evaluate_policy(np.array([-4.0])) == (-4.0, None)
+    mean, std_error = evaluate_policy(np.array([-4.0]))
+    assert mean == -4.0 and np.isnan(std_error)
 
 
 def test_single_evaluation_trial_records_no_spread():
     config = base_config(eval_trials_per_point=1, steps=1, runs=1)
-    curve = run_learning_curve(SyntheticEnv(noiseless_world()), config)
-    assert np.isnan(curve.diagnostics[0].eval_std_error)
-    assert curve.std_errors.shape == (1,)
-    assert curve.std_errors[0] == 0.0
+    (record,) = run_learning_curve(SyntheticEnv(noiseless_world()), config)
+    assert np.isnan(record.eval_std_error)
 
 
 def test_one_transient_failure_is_retried():
@@ -498,13 +512,12 @@ def test_a_second_failure_propagates():
 
 def test_failed_runs_are_recorded_not_raised():
     config = base_config(steps=2, runs=3, seed=9)
-    curve = run_learning_curve(BrokenEnv(), config)
-    assert curve.completed_runs == 0
-    assert len(curve.failed_runs) == 3
-    assert all(step == 0 for _, step, _ in curve.failed_runs)
-    assert np.all(np.isnan(curve.mean_values))
-    assert len(curve.diagnostics) == 3
-    assert all("feasible" in record.error for record in curve.diagnostics)
+    records = run_learning_curve(BrokenEnv(), config)
+    assert _completed(records)[0] == ()
+    assert len(_failed_runs(records)) == 3
+    assert all(step == 0 for _, step, _ in _failed_runs(records))
+    assert len(records) == 3
+    assert all("feasible" in record.error for record in records)
 
 
 def test_flagged_trials_are_dropped_and_counted():
@@ -543,9 +556,9 @@ def test_a_step_that_flagging_fails_reports_its_flagged_trials():
     _, settings = PREFIX_CASES["dart"]
     settings = {**settings, "initial_policy": np.repeat([1.9, 2.0, 0.6], 3)}
     config = base_config(steps=1, runs=1, seed=16, eval_trials_per_point=2, **settings)
-    curve = run_learning_curve(DartEnv(ArmWorld()), config)
-    (record,) = curve.diagnostics
-    assert curve.failed_runs and record.error.startswith("insufficient samples")
+    records = run_learning_curve(DartEnv(ArmWorld()), config)
+    (record,) = records
+    assert _failed_runs(records) and record.error.startswith("insufficient samples")
     assert record.flagged > 0
     assert f"n={config.trials_per_step - record.flagged} <" in record.error
 
@@ -606,8 +619,11 @@ def test_uninformative_sensors_give_no_systematic_edge():
         SyntheticEnv(world),
         SearchConfig(**settings, estimator="with_sensors"),
     )
-    assert plain.run_indices == joint.run_indices
-    result = stats.ttest_rel(joint.run_values[:, -1], plain.run_values[:, -1])
+    (plain_runs, plain_values), (joint_runs, joint_values) = map(
+        _completed, (plain, joint)
+    )
+    assert plain_runs == joint_runs
+    result = stats.ttest_rel(joint_values[:, -1], plain_values[:, -1])
     assert result.pvalue > 0.05
 
 
