@@ -154,12 +154,6 @@ class Config:
             self._reject(key, value, "a number")
         return float(value)
 
-    def get_bool(self, key: str, default=_MISSING) -> bool:
-        value = self._fetch(key, default)
-        if not isinstance(value, bool):
-            self._reject(key, value, "a boolean")
-        return bool(value)
-
     def get_str(self, key: str, default=_MISSING) -> str:
         value = self._fetch(key, default)
         if not isinstance(value, str):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .envs.arm import (
-    KNOTS_PER_JOINT,
     ArmWorld,
     _knot_basis,
     chain_terms,
@@ -59,22 +58,6 @@ class DynamicsModel:
     inverse_mass_map: np.ndarray
     gravity_map: np.ndarray
     coriolis_map: np.ndarray
-    joint_count: int
-    fit_r2_inverse_mass: float
-    fit_r2_gravity: float
-    fit_r2_coriolis: float
-
-    def __post_init__(self):
-        k = int(self.joint_count)
-        f1 = quad_feature_count(k)
-        f2 = quad_feature_count(2 * k)
-        if self.inverse_mass_map.shape != (f1, k * k):
-            raise ValueError("inverse mass map must be (features, k^2)")
-        if self.gravity_map.shape != (f1, k):
-            raise ValueError("gravity map must be (features, k)")
-        if self.coriolis_map.shape != (f2, k):
-            raise ValueError("coriolis map must be (state features, k)")
-        object.__setattr__(self, "joint_count", k)
 
 
 def sample_pretraining_states(
@@ -82,31 +65,22 @@ def sample_pretraining_states(
     count: int,
     rng: np.random.Generator,
     *,
-    policy_mean=None,
-    policy_cov=None,
+    policy_mean,
+    policy_cov,
 ) -> tuple[np.ndarray, np.ndarray]:
     """States likely to be visited, from rollouts of random policies.
 
-    Policies are drawn from Normal(policy_mean, policy_cov); defaults
-    hold the start posture with mild knot spread.  Rollouts run with the
-    world's own torque noise, and the returned states are a uniform
-    subsample (without replacement) of all visited grid states, as
-    (angles, velocities) arrays of shape (count, dof).
+    Policies are drawn from Normal(policy_mean, policy_cov).  Rollouts
+    run with the world's own torque noise, and the returned states are a
+    uniform subsample (without replacement) of all visited grid states,
+    as (angles, velocities) arrays of shape (count, dof).
     """
     if count < 1:
         raise ValueError("count must be positive")
-    mean = (
-        np.repeat(np.array(world.start_posture), KNOTS_PER_JOINT)
-        if policy_mean is None
-        else np.asarray(policy_mean, dtype=float)
-    )
+    mean = np.asarray(policy_mean, dtype=float)
     if mean.shape != (world.policy_dim,):
         raise ValueError("policy mean must match the policy dimension")
-    cov = (
-        np.eye(world.policy_dim) * 0.25
-        if policy_cov is None
-        else np.asarray(policy_cov, dtype=float)
-    )
+    cov = np.asarray(policy_cov, dtype=float)
     states_per_rollout = world.grid_steps + 1
     rollouts = max(2, -(-count // max(states_per_rollout // 5, 1)))
     policy_rng, trial_rng, pick_rng = children(rng, 3)
@@ -155,24 +129,7 @@ def fit_dynamics_model(world: ArmWorld, states) -> DynamicsModel:
         raise ValueError("insufficient state diversity")
     map_grav = np.linalg.lstsq(phi1, target_grav, rcond=None)[0]
     map_cor = np.linalg.lstsq(phi2, target_cor, rcond=None)[0]
-
-    def r_squared(design, coef, target):
-        resid = target - design @ coef
-        spread = target - target.mean(axis=0)
-        total = float(np.sum(spread**2))
-        if total == 0.0:
-            return 1.0
-        return 1.0 - float(np.sum(resid**2)) / total
-
-    return DynamicsModel(
-        inverse_mass_map=map_mass,
-        gravity_map=map_grav,
-        coriolis_map=map_cor,
-        joint_count=dof,
-        fit_r2_inverse_mass=r_squared(phi1, map_mass, target_mass),
-        fit_r2_gravity=r_squared(phi1, map_grav, target_grav),
-        fit_r2_coriolis=r_squared(phi2, map_cor, target_cor),
-    )
+    return DynamicsModel(map_mass, map_grav, map_cor)
 
 
 def predict_acceleration(model: DynamicsModel, torques, angles, velocities):
@@ -181,7 +138,7 @@ def predict_acceleration(model: DynamicsModel, torques, angles, velocities):
     Arguments have shape (..., joints); leading axes broadcast.
     """
     angles = np.asarray(angles, dtype=float)
-    k = model.joint_count
+    k = model.gravity_map.shape[1]
     phi1 = quad_features(angles)
     phi2 = quad_features(np.concatenate([angles, velocities], axis=-1))
     inv_mass = (phi1 @ model.inverse_mass_map).reshape(angles.shape[:-1] + (k, k))

@@ -47,22 +47,13 @@ _LEVERAGE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SensorProjection:
-    """A sensor projection with unit-norm columns.
-
-    ``cost`` and ``cost_trace`` carry the winning restart's leave-one-out
-    cost and its per-iteration history when the projection came from
-    :func:`optimize_projection`.
-    """
+    """A sensor projection with orthonormal columns, as
+    :func:`optimize_projection` found it: the winning restart's
+    leave-one-out cost and its per-iteration history."""
 
     matrix: np.ndarray
-    cost: float | None = None
-    cost_trace: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2:
-            raise ValueError("projection matrix must be 2-d")
-        object.__setattr__(self, "matrix", mat)
+    cost: float
+    cost_trace: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -262,7 +253,8 @@ def minimize(fun, x0, max_iterations: int, callback=None) -> MinimizeResult:
 
 
 # Failures that make the search reject a projection as infinitely costly.
-_REJECTED = (EncodingError, EstimationError, np.linalg.LinAlgError)
+# Too few samples is not one: no projection of that width can fix it.
+_REJECTED = (EncodingError, np.linalg.LinAlgError)
 
 
 def _search_cost_and_grad(flat, pols_c, y, sens_c) -> tuple[float, np.ndarray]:
@@ -285,7 +277,8 @@ def optimize_projection(
     Runs a BFGS search with the analytic leave-one-out gradient from
     each restart and returns the best projection found, columns
     orthonormalized.  Ties go to the earliest restart.  A ``target_dim``
-    above the raw sensor width raises :class:`EncodingError`.  With
+    above the raw sensor width raises :class:`EncodingError`, too few
+    trials for the leave-one-out fits :class:`EstimationError`.  With
     ``max_iterations=0`` the best initialization is returned unchanged
     (up to orthonormalization).
     """

@@ -3,7 +3,8 @@
 The policy is a set of desired-angle spline knots per joint.  A PD
 controller tracks the resulting joint trajectories under multiplicative
 and additive torque noise, the dart leaves the fingertip at a noisy
-release time, flies ballistically to a wall plane, and the score is the
+release time, flies ballistically to the wall plane ``TARGET_POSITION``
+ahead of the shoulder, which sits at the origin, and the score is the
 negative squared vertical miss.  The sensors are the joint angle and
 velocity trajectories on the integration grid plus the realized release
 time.
@@ -38,6 +39,7 @@ __all__ = [
     "ArmWorld",
     "KNOTS_PER_JOINT",
     "FLAGGED_SCORE",
+    "TARGET_POSITION",
     "chain_terms",
     "fingertip_state",
     "desired_trajectory",
@@ -54,6 +56,9 @@ FLAGGED_SCORE = -1e6
 
 _TINY_FORWARD_SPEED = 1e-9
 
+# The target on the wall, (x, y) in metres from the shoulder.
+TARGET_POSITION = (2.44, 0.0)
+
 
 def _rod_inertias(lengths, masses) -> tuple:
     return tuple(m * length**2 / 12.0 for length, m in zip(lengths, masses))
@@ -61,7 +66,7 @@ def _rod_inertias(lengths, masses) -> tuple:
 
 @dataclass(frozen=True)
 class ArmWorld:
-    """Arm, controller, noise, and task constants.
+    """Arm, controller, noise and integration constants.
 
     Tuple-valued fields keep instances hashable so derived dynamics
     tensors can be cached per world.  Angles are radians; joint angles
@@ -71,7 +76,6 @@ class ArmWorld:
 
     lengths: tuple = (0.30, 0.27, 0.15)
     masses: tuple = (2.0, 1.3, 0.5)
-    inertias: tuple | None = None
     kp: tuple = (300.0, 70.0, 3.3)
     kd: tuple = (14.0, 3.2, 0.15)
     torque_mult_std: tuple = (0.2, 0.2, 0.2)
@@ -80,8 +84,6 @@ class ArmWorld:
     sim_duration: float = 0.2
     timestep: float = 1e-3
     start_posture: tuple = (1.9, 2.0, 0.6)
-    target_position: tuple = (2.44, 0.0)
-    shoulder_position: tuple = (0.0, 0.0)
     gravity: float = 9.8
 
     def __post_init__(self):
@@ -93,13 +95,6 @@ class ArmWorld:
             raise ValueError("lengths and masses must have matching positive size")
         if any(x <= 0.0 for x in lengths) or any(x <= 0.0 for x in masses):
             raise ValueError("lengths and masses must be positive")
-        inertias = (
-            _rod_inertias(lengths, masses)
-            if self.inertias is None
-            else to_tuple(self.inertias)
-        )
-        if len(inertias) != dof or any(x < 0.0 for x in inertias):
-            raise ValueError("inertias must be nonnegative, one per link")
         for name in ("kp", "kd", "torque_mult_std", "torque_add_std", "start_posture"):
             value = to_tuple(getattr(self, name))
             if len(value) != dof:
@@ -113,9 +108,6 @@ class ArmWorld:
             raise ValueError("release_time_std must be nonnegative")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "inertias", inertias)
-        object.__setattr__(self, "target_position", to_tuple(self.target_position))
-        object.__setattr__(self, "shoulder_position", to_tuple(self.shoulder_position))
         object.__setattr__(self, "release_time_std", float(self.release_time_std))
         object.__setattr__(self, "sim_duration", float(self.sim_duration))
         object.__setattr__(self, "timestep", float(self.timestep))
@@ -152,7 +144,7 @@ def _chain_tensors(world: ArmWorld) -> _ChainTensors:
     dof = world.dof
     lengths = np.array(world.lengths)
     masses = np.array(world.masses)
-    inertias = np.array(world.inertias)
+    inertias = np.array(_rod_inertias(world.lengths, world.masses))
     # reach[i, c] = L_c for c < i, half length for c = i (rod COM), 0 past i
     reach = np.zeros((dof, dof))
     for i in range(dof):
@@ -223,15 +215,14 @@ def chain_terms(world: ArmWorld, angles, velocities):
 
 
 def fingertip_state(world: ArmWorld, angles, velocities):
-    """World-frame fingertip positions and velocities (..., 2) of (..., dof) states."""
+    """Fingertip positions (shoulder at the origin) and velocities (..., 2)
+    of (..., dof) states."""
     theta = np.cumsum(np.asarray(angles, dtype=float), axis=-1)
     omega = np.cumsum(np.asarray(velocities, dtype=float), axis=-1)
     lengths = np.array(world.lengths)
     reach_x = lengths * np.cos(theta)
     reach_y = lengths * np.sin(theta)
-    position = np.array(world.shoulder_position) + np.stack(
-        [reach_x.sum(axis=-1), reach_y.sum(axis=-1)], axis=-1
-    )
+    position = np.stack([reach_x.sum(axis=-1), reach_y.sum(axis=-1)], axis=-1)
     velocity = np.stack(
         [-(reach_y * omega).sum(axis=-1), (reach_x * omega).sum(axis=-1)], axis=-1
     )
@@ -410,7 +401,7 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
     torque = np.where(alive[:, None], torques[rows, k_rel], 0.0)
     released = _rk4_step(tensors, start, torque, partial)
     position, velocity = fingertip_state(world, released[:, :dof], released[:, dof:])
-    target_x, target_y = world.target_position
+    target_x, target_y = TARGET_POSITION
     gap = target_x - position[:, 0]
     finite = np.isfinite(position).all(axis=1) & np.isfinite(velocity).all(axis=1)
     forward = (velocity[:, 0] > _TINY_FORWARD_SPEED) & (gap >= 0.0)

@@ -3,7 +3,8 @@
 The policy sets a commanded muzzle speed and elevation angle.  The
 executed control is the command plus Gaussian actuation noise; the
 score penalizes the squared miss between the landing range
-``R = v^2 sin(2 theta) / g`` and a fixed target range.  Sensors report
+``R = v^2 sin(2 theta) / g`` and the fixed target range
+``TARGET_RANGE``, under ``GRAVITY``.  Sensors report
 the realized actuation error (executed minus commanded control) plus
 independent read noise, so most of the score noise a regression sees
 is explainable by the sensor channel.
@@ -23,6 +24,8 @@ from ..estimators import PolicyDomainError, TrialBatch
 from ..seeding import normal_rows, psd_sqrt, row_products
 
 __all__ = [
+    "GRAVITY",
+    "TARGET_RANGE",
     "CannonWorld",
     "cannon_range",
     "cannon_true_value",
@@ -30,6 +33,10 @@ __all__ = [
 ]
 
 _MIN_SPEED = 1e-6
+
+GRAVITY = 9.8
+# The range of a 20 m/s shot at 45 degrees.
+TARGET_RANGE = 400.0 / GRAVITY
 
 _DEG = np.pi / 180.0
 
@@ -46,24 +53,18 @@ def _default_sensor_noise() -> np.ndarray:
 
 @dataclass(frozen=True)
 class CannonWorld:
-    """Task constants.  Covariances are over (speed, angle) in (m/s, rad)."""
+    """Noise of the task.  Covariances are over (speed, angle) in (m/s, rad)."""
 
     control_noise_cov: np.ndarray = field(default_factory=_default_control_noise)
     sensor_noise_cov: np.ndarray = field(default_factory=_default_sensor_noise)
-    gravity: float = 9.8
-    target_range: float = 400.0 / 9.8
 
     def __post_init__(self):
         control = np.asarray(self.control_noise_cov, dtype=float)
         sensor = np.asarray(self.sensor_noise_cov, dtype=float)
         if control.shape != (2, 2) or sensor.shape != (2, 2):
             raise ValueError("cannon noise covariances must be 2x2")
-        if self.gravity <= 0.0:
-            raise ValueError("gravity must be positive")
         object.__setattr__(self, "control_noise_cov", control)
         object.__setattr__(self, "sensor_noise_cov", sensor)
-        object.__setattr__(self, "gravity", float(self.gravity))
-        object.__setattr__(self, "target_range", float(self.target_range))
 
     def scaled(self, noise_scale: float) -> "CannonWorld":
         """Same task with the actuation noise covariance scaled.
@@ -77,12 +78,10 @@ class CannonWorld:
         return CannonWorld(
             control_noise_cov=self.control_noise_cov * noise_scale,
             sensor_noise_cov=self.sensor_noise_cov,
-            gravity=self.gravity,
-            target_range=self.target_range,
         )
 
 
-def cannon_range(control, gravity: float = 9.8):
+def cannon_range(control):
     """Landing range of the executed control ``(speed, angle)``.
 
     Speeds at or below zero are clamped to a tiny positive value, so
@@ -93,7 +92,7 @@ def cannon_range(control, gravity: float = 9.8):
     control = np.asarray(control, dtype=float)
     speed = np.maximum(control[..., 0], _MIN_SPEED)
     angle = control[..., 1]
-    return speed**2 * np.sin(2.0 * angle) / gravity
+    return speed**2 * np.sin(2.0 * angle) / GRAVITY
 
 
 def _check_policies(policies) -> np.ndarray:
@@ -123,21 +122,16 @@ def cannon_true_value(
     (policy,) = _check_policies(policy)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((samples, 2)) @ psd_sqrt(world.control_noise_cov).T
-    ranges = cannon_range(policy + noise, world.gravity)
-    return float(np.mean(-((ranges - world.target_range) ** 2)))
+    ranges = cannon_range(policy + noise)
+    return float(np.mean(-((ranges - TARGET_RANGE) ** 2)))
 
 
 class CannonEnv:
-    """Trial sampler for the projectile task.
+    """Trial sampler for the projectile task; the noise sweep varies its
+    difficulty by sampling ``world.scaled(s)``."""
 
-    ``noise_scale`` multiplies the actuation noise covariance, holding
-    the task geometry and the sensor read noise fixed; it is how the
-    noise sweep varies difficulty.
-    """
-
-    def __init__(self, world: CannonWorld | None = None, *, noise_scale: float = 1.0):
-        base = world if world is not None else CannonWorld()
-        self.world = base.scaled(noise_scale) if noise_scale != 1.0 else base
+    def __init__(self, world: CannonWorld | None = None):
+        self.world = world if world is not None else CannonWorld()
         self.policy_dim = 2
         self._control_root = psd_sqrt(self.world.control_noise_cov)
         self._sensor_root = psd_sqrt(self.world.sensor_noise_cov)
@@ -158,7 +152,7 @@ class CannonEnv:
         normals = normal_rows(streams, policies.shape[0], 4)
         actuation = row_products(normals[:, :2], self._control_root.T)
         read = row_products(normals[:, 2:], self._sensor_root.T)
-        ranges = cannon_range(policies + actuation, self.world.gravity)
+        ranges = cannon_range(policies + actuation)
         sensed = actuation + read
-        scores = -((ranges - self.world.target_range) ** 2)
+        scores = -((ranges - TARGET_RANGE) ** 2)
         return TrialBatch(policies, scores, sensed)

@@ -114,7 +114,8 @@ def _file_hash_line(path) -> str | None:
 
 def prepare_out_dir(out_dir, cfg_hash: str):
     """Refuse, by ``ConfigError``, an output directory that is neither
-    absent (it is created to write) nor holding this config's files only."""
+    absent (it is created to write) nor holding this config's files only,
+    or that holds a non-file under an output file's name."""
     try:
         names = sorted(os.listdir(out_dir))
     except OSError as exc:
@@ -124,6 +125,8 @@ def prepare_out_dir(out_dir, cfg_hash: str):
     for name in names:
         path = os.path.join(out_dir, name)
         if not os.path.isfile(path):
+            if name in _OUTPUT_FILES:
+                raise ConfigError(f"output path {path} exists and is not a file")
             continue
         existing = _file_hash_line(path)
         if existing is not None and existing != cfg_hash:
@@ -288,8 +291,8 @@ def _speed_angle_cov(cfg: Config, key: str) -> np.ndarray:
 
 
 def build_cannon_world(cfg: Config) -> CannonWorld:
-    """Cannon world from config: the task constants are the ``CannonWorld``
-    defaults, the actuation noise is ``cannon.control_noise_diag``."""
+    """Cannon world from config: the actuation noise is
+    ``cannon.control_noise_diag``, the read noise the ``CannonWorld`` default."""
     return CannonWorld(
         control_noise_cov=_speed_angle_cov(cfg, "cannon.control_noise_diag")
     )
@@ -371,7 +374,7 @@ def _read_environments(cfg: Config, configs: dict):
         world = build_cannon_world(cfg)
         # A (speed, angle) policy; the sensors read its actuation error.
         policy_dim = width = 2
-        build = lambda: [(s, CannonEnv(world, noise_scale=s)) for s in scales]
+        build = lambda: [(s, CannonEnv(world.scaled(s))) for s in scales]
     elif environment == "dart":
         if scales != [1.0]:
             raise ConfigError(
@@ -556,12 +559,18 @@ def variance_check(cfg: Config):
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid synthetic world: {exc}") from exc
     try:
+        env = SyntheticEnv(world, correlated=coupled)
+    except ValueError as exc:
+        key = "synthetic.sensor_cov"
+        raise ConfigError(
+            f"{cfg.source}: key '{key}' is not a covariance: {exc}"
+        ) from exc
+    try:
         check_exploration_cov(sigma_e, d)
     except SettingError as exc:
         key = "synthetic.exploration_cov"
         raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
     cfg.check_unknown()
-    env = SyntheticEnv(world, correlated=coupled)
     g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
 
     pred1 = predicted_variance_g1(sigma_e, noise, a_s, n, d)
@@ -664,38 +673,33 @@ def variance_check_experiment(cfg: Config, out_dir):
 # ---------------------------------------------------------------------------
 
 
+# The generated problem's score: slope along the planted direction, and
+# the standard deviation of its noise.
+_PLANTED_SLOPE = 2.0
+_PLANTED_NOISE_STD = 0.1
+
+
 def encode_search(cfg: Config):
     """Projection search on a generated raw-sensor problem.
 
     Returns (report lines, ok, tables), tables mapping each output file
-    but the config echo to its content.  With ``encode.planted`` the
-    scores follow a single hidden direction through the raw sensors and
-    the report carries the recovered cosine; otherwise every raw
-    coordinate feeds the score.  The trace has one row per optimizer
-    iteration actually performed.
+    but the config echo to its content.  The scores follow a single
+    hidden direction through the raw sensors, and the report carries the
+    recovered cosine.  The trace has one row per optimizer iteration
+    actually performed.
     """
     raw_dim = cfg.get_int("encode.raw_dim")
     samples = cfg.get_int("encode.samples")
     target_dim = cfg.get_int("encode.target_dim")
     policy_dim = cfg.get_int("encode.policy_dim", 2)
-    signal_scale = cfg.get_float("encode.signal_scale", 2.0)
-    noise_std = cfg.get_float("encode.noise_std", 0.1)
-    planted = cfg.get_bool("encode.planted", True)
-    # The cosine limit exists only for a planted direction.
-    has_floor = planted and cfg.has("encode.min_cosine")
-    floor = cfg.get_float("encode.min_cosine") if has_floor else None
+    floor = cfg.get_float("encode.min_cosine") if cfg.has("encode.min_cosine") else None
     options = _options(cfg, _ENCODE_SEARCH_OPTIONS)
     seed = cfg.get_int("seed")
     if raw_dim < 1 or policy_dim < 1:
         raise ConfigError(f"{cfg.source}: encode dimensions must be positive")
-    if not 0 <= target_dim <= raw_dim:
+    if not 1 <= target_dim <= raw_dim:
         raise ConfigError(
-            f"{cfg.source}: key 'encode.target_dim' must lie in [0, raw_dim]"
-        )
-    if planted and target_dim < 1:
-        raise ConfigError(
-            f"{cfg.source}: key 'encode.target_dim' must be >= 1 when a "
-            "direction is planted"
+            f"{cfg.source}: key 'encode.target_dim' must lie in [1, raw_dim]"
         )
     if samples < policy_dim + target_dim + 3:
         raise ConfigError(
@@ -716,15 +720,11 @@ def encode_search(cfg: Config):
     a_pi = data_rng.normal(size=policy_dim)
     policies = data_rng.normal(size=(samples, policy_dim))
     raw = data_rng.normal(size=(samples, raw_dim))
-    if planted:
-        direction = data_rng.normal(size=raw_dim)
-        direction /= np.linalg.norm(direction)
-        sensor_part = signal_scale * (raw @ direction)
-    else:
-        direction = None
-        slopes = data_rng.normal(size=raw_dim)
-        sensor_part = raw @ slopes
-    scores = policies @ a_pi + sensor_part + noise_std * data_rng.normal(size=samples)
+    direction = data_rng.normal(size=raw_dim)
+    direction /= np.linalg.norm(direction)
+    sensor_part = _PLANTED_SLOPE * (raw @ direction)
+    noise = _PLANTED_NOISE_STD * data_rng.normal(size=samples)
+    scores = policies @ a_pi + sensor_part + noise
     projection = optimize_projection(TrialBatch(policies, scores, raw), search)
 
     initial_cost = float(projection.cost_trace[0])
@@ -738,16 +738,12 @@ def encode_search(cfg: Config):
     ok = projection.cost <= initial_cost + 1e-12
     if not ok:
         lines.append("FAIL: final cost above initial cost")
-    if planted:
-        overlap = projection.matrix.T @ direction
-        cosine = float(np.linalg.norm(overlap))
-        lines.append(f"cosine_to_planted {cosine!r}")
-        if floor is not None:
-            cos_ok = cosine >= floor
-            ok = ok and cos_ok
-            lines.append(
-                f"cosine limit {floor!r}: " + ("ok" if cos_ok else "FAIL")
-            )
+    cosine = float(np.linalg.norm(projection.matrix.T @ direction))
+    lines.append(f"cosine_to_planted {cosine!r}")
+    if floor is not None:
+        cos_ok = cosine >= floor
+        ok = ok and cos_ok
+        lines.append(f"cosine limit {floor!r}: " + ("ok" if cos_ok else "FAIL"))
     lines.append("result: " + ("PASS" if ok else "FAIL"))
 
     projection_rows = [[i, *row] for i, row in enumerate(projection.matrix)]

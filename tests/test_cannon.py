@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sensorgrad.envs.cannon import (
+    TARGET_RANGE,
     CannonEnv,
     CannonWorld,
     cannon_range,
@@ -69,7 +70,7 @@ def test_sensors_report_the_actuation_error_exactly():
     )
     trials = env.sample_trials(policies, children(substream(73), 20))
     executed = trials.policies + trials.sensors
-    expected = -((cannon_range(executed) - world.target_range) ** 2)
+    expected = -((cannon_range(executed) - TARGET_RANGE) ** 2)
     assert trials.scores == pytest.approx(expected, rel=1e-12)
 
 
@@ -78,16 +79,22 @@ def test_scaled_world_changes_actuation_noise_only():
     scaled = base.scaled(4.0)
     assert np.allclose(scaled.control_noise_cov, 4.0 * base.control_noise_cov)
     assert np.array_equal(scaled.sensor_noise_cov, base.sensor_noise_cov)
-    assert scaled.target_range == base.target_range
+    # Scaling by one, as a single-scale run does, leaves every bit.
+    assert np.array_equal(base.scaled(1.0).control_noise_cov, base.control_noise_cov)
     with pytest.raises(ValueError):
         base.scaled(-1.0)
 
 
 def test_env_noise_scale_matches_scaled_world():
-    env = CannonEnv(CannonWorld(), noise_scale=2.0)
-    assert np.allclose(
-        env.world.control_noise_cov, 2.0 * CannonWorld().control_noise_cov
+    # A sweep samples scale s from world.scaled(s): the same draws give
+    # an actuation error sqrt(s) times as large.
+    world = CannonWorld(sensor_noise_cov=np.zeros((2, 2)))
+    policies = np.tile([16.0, np.pi / 4], (5, 1))
+    base = CannonEnv(world).sample_trials(policies, children(substream(77), 5))
+    scaled = CannonEnv(world.scaled(4.0)).sample_trials(
+        policies, children(substream(77), 5)
     )
+    assert np.allclose(scaled.sensors, 2.0 * base.sensors, rtol=1e-12, atol=0.0)
 
 
 CORRELATED = CannonWorld(
@@ -104,15 +111,15 @@ def per_row_reference(env, policies, streams):
     for i, rng in enumerate(streams):
         actuation[i] = control_root @ rng.standard_normal(2)
         read[i] = sensor_root @ rng.standard_normal(2)
-    ranges = cannon_range(policies + actuation, env.world.gravity)
-    return -((ranges - env.world.target_range) ** 2), actuation + read
+    ranges = cannon_range(policies + actuation)
+    return -((ranges - TARGET_RANGE) ** 2), actuation + read
 
 
 def test_trials_are_reproducible():
     # With diagonal covariances, as configs give them, no bit moves.
     for world, exact in ((CannonWorld(), True), (CORRELATED, False)):
         for size in (1, 2, 12, 48):
-            env = CannonEnv(world, noise_scale=2.0)
+            env = CannonEnv(world.scaled(2.0))
             check_batch_against_per_row_draws(env, size, exact)
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output files, determinism."""
 
 import ast
+import csv
 import os
 import re
 import subprocess
@@ -52,9 +53,6 @@ encode.raw_dim = 8
 encode.samples = 40
 encode.target_dim = 1
 encode.policy_dim = 2
-encode.signal_scale = 2.0
-encode.noise_std = 0.1
-encode.planted = true
 encode.max_iterations = 25
 encode.restarts = 2
 encode.min_cosine = 0.9
@@ -115,6 +113,23 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
 ENCODING_RUN_CFG = RUN_CFG.replace(
     '["ignore_sensors", "with_sensors"]', '["with_encoding"]'
 )
+
+
+def test_a_search_batch_too_small_for_any_projection_names_the_cause(tmp_path):
+    # 3 trials cannot fit a leave-one-out regression on 2 policy
+    # coordinates and 1 projected sensor, whatever the projection.
+    text = ENCODING_RUN_CFG.replace("trials_per_step = 8", "trials_per_step = 3")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:]))
+    assert {row["run"] for row in rows} == {"0", "1"}
+    for row in rows:
+        assert row["error"] == (
+            "insufficient samples: n=3 < d+d_s+3=6 for leave-one-out fits"
+        )
+
+
+SENSOR_COV = "[[0.2, -0.05], [-0.05, 0.4]]"
 
 # (command, config text, text the error must hold): each must exit 2
 # before any trial, pretraining, replication or search runs.
@@ -189,10 +204,21 @@ BAD_SETTING_CASES = {
         ENCODE_CFG.replace("encode.samples = 40", "encode.samples = 5"),
         "key 'encode.samples' must be at least",
     ),
-    "encode-unplanted-min-cosine": (
+    "encode-target-dim-0": (
         "encode-search",
-        ENCODE_CFG.replace("encode.planted = true", "encode.planted = false"),
-        "unknown key 'encode.min_cosine'",
+        ENCODE_CFG.replace("encode.target_dim = 1", "encode.target_dim = 0"),
+        "key 'encode.target_dim' must lie in [1, raw_dim]",
+    ),
+    "variance-sensor-cov-not-psd": (
+        "variance-check",
+        VARIANCE_CFG.replace(SENSOR_COV, "[[-0.2, 0.0], [0.0, 0.4]]"),
+        "key 'synthetic.sensor_cov' is not a covariance: covariance must be "
+        "positive semidefinite",
+    ),
+    "variance-sensor-cov-asymmetric": (
+        "variance-check",
+        VARIANCE_CFG.replace(SENSOR_COV, "[[0.2, -0.05], [0.05, 0.4]]"),
+        "key 'synthetic.sensor_cov' is not a covariance: covariance must be symmetric",
     ),
     "variance-batch-5": (
         "variance-check",
@@ -281,6 +307,20 @@ for key, value in REMOVED_WORLD_KEYS.items():
         f"unknown key '{key}'",
     )
 
+# encode-search always plants one direction, at fixed slope and noise:
+# the keys that set them, at the values they held, are unknown.
+REMOVED_ENCODE_KEYS = {
+    "encode.signal_scale": "2.0",
+    "encode.noise_std": "0.1",
+    "encode.planted": "true",
+}
+for key, value in REMOVED_ENCODE_KEYS.items():
+    BAD_SETTING_CASES[f"removed-{key}"] = (
+        "encode-search",
+        ENCODE_CFG + f"{key} = {value}\n",
+        f"unknown key '{key}'",
+    )
+
 
 @pytest.fixture
 def no_work(monkeypatch):
@@ -325,10 +365,21 @@ def _empty_out(tmp_path):
     return "", "unusable output directory"
 
 
+def _out_holding_a_directory_named_like_an_output(tmp_path):
+    out = tmp_path / "out"
+    (out / "learning_curve.csv").mkdir(parents=True)
+    return out, "learning_curve.csv exists and is not a file"
+
+
 @pytest.mark.parametrize(
     "make_out",
-    [_out_holding_another_configs_file, _out_that_is_a_file, _empty_out],
-    ids=["other-config", "file", "empty"],
+    [
+        _out_holding_another_configs_file,
+        _out_that_is_a_file,
+        _empty_out,
+        _out_holding_a_directory_named_like_an_output,
+    ],
+    ids=["other-config", "file", "empty", "output-name-directory"],
 )
 def test_an_unusable_output_directory_is_a_config_error_before_any_work(
     tmp_path, capsys, no_work, make_out
@@ -510,8 +561,9 @@ def test_encode_search_round_trip_and_threshold_failure(tmp_path, capsys):
     for name in ("projection.csv", "encode_trace.csv", "encode_report.txt"):
         assert (out / name).exists()
     assert main(["schema-check", "--out", str(out)]) == 0
-    drowned = ENCODE_CFG.replace("noise_std = 0.1", "noise_std = 40.0")
-    bad_cfg = write_cfg(tmp_path, drowned, "drowned.cfg")
+    # No projection reaches a cosine above 1.
+    unreachable = ENCODE_CFG.replace("min_cosine = 0.9", "min_cosine = 1.5")
+    bad_cfg = write_cfg(tmp_path, unreachable, "unreachable.cfg")
     code = main(["encode-search", "--config", bad_cfg, "--out", str(tmp_path / "bad")])
     assert code == 1
     assert "result: FAIL" in capsys.readouterr().out

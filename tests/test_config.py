@@ -84,7 +84,6 @@ def test_typed_accessors_enforce_their_types():
     assert config.get_int("n") == 4
     assert config.get_float("rate") == 0.5
     assert config.get_float("n") == 4.0
-    assert config.get_bool("flag") is True
     assert config.get_str("name") == "cannon"
     assert config.get_str_list("names") == ["a", "b"]
     assert np.array_equal(config.get_vector("vec"), [1.0, 2.0])
@@ -93,8 +92,6 @@ def test_typed_accessors_enforce_their_types():
         config.get_int("flag")
     with pytest.raises(ConfigError, match="key 'rate' must be an integer"):
         config.get_int("rate")
-    with pytest.raises(ConfigError, match="must be a boolean"):
-        config.get_bool("n")
     with pytest.raises(ConfigError, match="must be a string"):
         config.get_str("n")
     with pytest.raises(ConfigError, match="must be a list of strings"):

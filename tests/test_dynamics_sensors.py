@@ -11,51 +11,74 @@ from sensorgrad.dynamics_sensors import (
     spline_basis,
     velocity_residuals,
 )
-from sensorgrad.envs.arm import KNOTS_PER_JOINT, ArmWorld, dart_trials
+from sensorgrad.envs.arm import KNOTS_PER_JOINT, ArmWorld, chain_terms, dart_trials
+from sensorgrad.linreg import quad_features
 from sensorgrad.seeding import PRETRAIN, children, substream
 
 WORLD = ArmWorld()
 
-
+# Knots that hold the start posture, with a wide or a narrow spread.
+START_POLICY = np.repeat(np.array(WORLD.start_posture), KNOTS_PER_JOINT)
+WIDE_POLICY_COV = 0.25 * np.eye(9)
 NARROW_POLICY_COV = 0.01 * np.eye(9)
 
 
-@pytest.fixture(scope="module")
-def model():
-    states = sample_pretraining_states(
-        WORLD, 600, substream(2024, PRETRAIN), policy_cov=NARROW_POLICY_COV
+def pretraining_states(count, rng, policy_cov=WIDE_POLICY_COV):
+    return sample_pretraining_states(
+        WORLD, count, rng, policy_mean=START_POLICY, policy_cov=policy_cov
     )
+
+
+@pytest.fixture(scope="module")
+def states():
+    return pretraining_states(600, substream(2024, PRETRAIN), NARROW_POLICY_COV)
+
+
+@pytest.fixture(scope="module")
+def model(states):
     return fit_dynamics_model(WORLD, states)
 
 
 def test_pretraining_states_are_reproducible_and_bounded():
-    a = sample_pretraining_states(WORLD, 50, substream(1, PRETRAIN))
-    b = sample_pretraining_states(WORLD, 50, substream(1, PRETRAIN))
+    a = pretraining_states(50, substream(1, PRETRAIN))
+    b = pretraining_states(50, substream(1, PRETRAIN))
     (qa, va), (qb, vb) = a, b
     assert qa.shape == va.shape == (50, WORLD.dof)
     assert np.array_equal(qa, qb)
     assert np.array_equal(va, vb)
     assert np.isfinite(qa).all() and np.isfinite(va).all()
     with pytest.raises(ValueError, match="positive"):
-        sample_pretraining_states(WORLD, 0, substream(1, PRETRAIN))
+        pretraining_states(0, substream(1, PRETRAIN))
 
 
 def test_fit_requires_enough_states():
-    states = sample_pretraining_states(WORLD, 10, substream(2, PRETRAIN))
+    states = pretraining_states(10, substream(2, PRETRAIN))
     with pytest.raises(ValueError, match="insufficient samples"):
         fit_dynamics_model(WORLD, states)
 
 
-def test_fit_explains_the_sampled_dynamics(model):
-    assert model.fit_r2_inverse_mass > 0.9
-    assert model.fit_r2_gravity > 0.9
-    assert model.fit_r2_coriolis > 0.9
+def r_squared(predicted, target):
+    spread = target - target.mean(axis=0)
+    return 1.0 - np.sum((target - predicted) ** 2) / np.sum(spread**2)
+
+
+def test_fit_explains_the_sampled_dynamics(states, model):
+    angles, velocities = states
+    mass, grav, coriolis = chain_terms(WORLD, angles, velocities)
+    inv_mass = np.linalg.inv(mass)
+    phi1 = quad_features(angles)
+    phi2 = quad_features(np.concatenate([angles, velocities], axis=1))
+    fits = (
+        (phi1 @ model.inverse_mass_map, inv_mass.reshape(len(angles), -1)),
+        (phi1 @ model.gravity_map, np.einsum("bjl,bl->bj", inv_mass, grav)),
+        (phi2 @ model.coriolis_map, np.einsum("bjl,bl->bj", inv_mass, coriolis)),
+    )
+    for predicted, target in fits:
+        assert r_squared(predicted, target) > 0.9
 
 
 def test_prediction_tracks_the_exact_dynamics(model):
-    states = sample_pretraining_states(
-        WORLD, 100, substream(3, PRETRAIN), policy_cov=NARROW_POLICY_COV
-    )
+    states = pretraining_states(100, substream(3, PRETRAIN), NARROW_POLICY_COV)
     rng = substream(4)
     errors = []
     scales = []
