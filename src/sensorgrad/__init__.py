@@ -35,7 +35,6 @@ from .estimators import (
     EncodingError,
     EstimationError,
     GradientEstimate,
-    NoiseSpec,
     TrialBatch,
     estimate_g1,
     estimate_g2,
@@ -65,7 +64,6 @@ __all__ = [
     "optimize_projection",
     "EstimationError",
     "GradientEstimate",
-    "NoiseSpec",
     "TrialBatch",
     "estimate_g1",
     "estimate_g2",

@@ -4,7 +4,9 @@ The format is line oriented: blank lines and full-line ``#`` comments
 are skipped, every other line is ``dotted.key = value`` where the value
 is a JSON literal (number, string, boolean, null, or array).  A bare
 word made of identifier characters is read as a string so enumeration
-values need no quotes.  Keys may not repeat.
+values need no quotes.  Every number, nested ones included, must be
+finite: ``NaN``, ``Infinity`` and literals that overflow a float, such
+as ``1e999``, are refused.  Keys may not repeat.
 
 A configuration has one canonical text rendering (sorted keys, JSON
 values), and the config hash is the SHA-256 of that rendering.  Every
@@ -79,6 +81,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                     f"{source}:{lineno}: value for '{key}' is neither JSON "
                     f"nor a bare word: {rest!r}"
                 ) from None
+        try:
+            json.dumps(value, allow_nan=False)  # raises for NaN or inf at any depth
+        except ValueError:
+            raise ConfigError(
+                f"{source}:{lineno}: value for '{key}' holds a non-finite number: "
+                f"{rest!r}"
+            ) from None
         values[key] = value
     return values
 

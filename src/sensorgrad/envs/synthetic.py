@@ -3,7 +3,8 @@
 The baseline generative model: the score is affine in the policy and in
 the observed sensors, plus Gaussian noise.  Sensor readings consist of
 a policy-independent disturbance, optionally shifted by a linear
-function of the policy (the policy-sensor coupling).
+function of the policy (the policy-sensor coupling).  The sampler and
+the laws of :mod:`sensorgrad.estimators` read one ``SyntheticWorld``.
 
 The sampler ``SyntheticEnv.sample_trials`` has two modes because "the
 score depends on the sensor" can mean two different worlds once sensors
@@ -13,11 +14,12 @@ collapse to the same model when the coupling is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..estimators import NoiseSpec, TrialBatch
+from ..config import SettingError
+from ..estimators import TrialBatch
 from ..seeding import normal_rows, psd_sqrt, row_products
 
 __all__ = [
@@ -28,26 +30,50 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyntheticWorld:
-    """Affine score world: ``f = policy @ true_gradient + sensor-term + b + w``."""
+    """Affine score world: ``f = policy @ true_gradient + sensor-term + offset + w``.
+
+    ``w`` has variance ``output_variance``, and the zero-mean sensor
+    disturbance has covariance ``sensor_cov``.  ``policy_sensor_coupling``
+    is d x d_s, d and d_s being the lengths of ``true_gradient`` and
+    ``sensor_slope``: how much of the sensors the policy predicts.  A
+    refused field raises :class:`SettingError` naming it.
+    """
 
     true_gradient: np.ndarray
     sensor_slope: np.ndarray
-    offset: float
-    noise: NoiseSpec
+    output_variance: float
+    sensor_cov: np.ndarray
+    policy_sensor_coupling: np.ndarray | None = None
+    offset: float = 0.0
+    # psd_sqrt(sensor_cov), derived once for every draw of the sampler.
+    sensor_root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grad = np.asarray(self.true_gradient, dtype=float)
-        slope = np.asarray(self.sensor_slope, dtype=float)
-        if grad.ndim != 1 or slope.ndim != 1:
-            raise ValueError("gradient and sensor slope must be vectors")
-        if slope.shape[0] != self.noise.sensor_dim:
-            raise ValueError("sensor slope must match the sensor dimension")
-        coupling = self.noise.policy_sensor_coupling
-        if coupling is not None and coupling.shape[0] != grad.shape[0]:
-            raise ValueError("coupling rows must match the policy dimension")
-        object.__setattr__(self, "true_gradient", grad)
-        object.__setattr__(self, "sensor_slope", slope)
+        for name in ("true_gradient", "sensor_slope"):
+            vector = np.asarray(getattr(self, name), dtype=float)
+            if vector.ndim != 1:
+                raise SettingError(name, "must be a vector")
+            object.__setattr__(self, name, vector)
+        d, d_s = self.policy_dim, self.sensor_dim
+        if not float(self.output_variance) >= 0.0:
+            raise SettingError("output_variance", "must be nonnegative")
+        cov = np.asarray(self.sensor_cov, dtype=float)
+        if cov.shape != (d_s, d_s):
+            raise SettingError("sensor_cov", f"must be {d_s} x {d_s}")
+        try:
+            root = psd_sqrt(cov)
+        except ValueError as exc:
+            raise SettingError("sensor_cov", f"is not a covariance: {exc}") from None
+        coupling = self.policy_sensor_coupling
+        if coupling is not None:
+            coupling = np.asarray(coupling, dtype=float)
+            if coupling.shape != (d, d_s):
+                raise SettingError("policy_sensor_coupling", f"must be {d} x {d_s}")
+        object.__setattr__(self, "output_variance", float(self.output_variance))
+        object.__setattr__(self, "sensor_cov", cov)
+        object.__setattr__(self, "policy_sensor_coupling", coupling)
         object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "sensor_root", root)
 
     @property
     def policy_dim(self) -> int:
@@ -56,6 +82,12 @@ class SyntheticWorld:
     @property
     def sensor_dim(self) -> int:
         return self.sensor_slope.shape[0]
+
+    @property
+    def coupled(self) -> bool:
+        """Whether the policy shifts the sensors: a nonzero coupling."""
+        coupling = self.policy_sensor_coupling
+        return coupling is not None and bool(np.any(coupling != 0.0))
 
 
 class SyntheticEnv:
@@ -85,8 +117,7 @@ class SyntheticEnv:
         self.world = world
         self.policy_dim = world.policy_dim
         self.correlated = correlated
-        self._root = psd_sqrt(world.noise.sensor_cov)
-        self._score_std = float(np.sqrt(world.noise.output_variance))
+        self._score_std = float(np.sqrt(world.output_variance))
 
     def check_policies(self, policies) -> np.ndarray:
         """Policy rows as a float array; every policy is in this world's domain."""
@@ -104,11 +135,11 @@ class SyntheticEnv:
         alone, not on the batch it is drawn in.
         """
         policies = self.check_policies(policies)
-        world, noise = self.world, self.world.noise
+        world = self.world
         sensor_dim = world.sensor_dim
         normals = normal_rows(streams, policies.shape[0], sensor_dim + 1)
-        coupling = noise.policy_sensor_coupling
-        disturbance = row_products(normals[:, :sensor_dim], self._root.T)
+        coupling = world.policy_sensor_coupling
+        disturbance = row_products(normals[:, :sensor_dim], world.sensor_root.T)
         shift = row_products(policies, coupling) if coupling is not None else 0.0
         score_noise = normals[:, sensor_dim] * self._score_std
         if self.correlated:

@@ -9,7 +9,9 @@ policy:
 
 Closed-form covariance laws for both estimators (the joint one with or
 without policy-coupled sensors) and the coupling bias of the joint
-estimator are provided alongside.  Every estimator works on one
+estimator are provided alongside; they read the score model, its
+dimensions included, from a :class:`~sensorgrad.envs.synthetic.SyntheticWorld`
+and return matrices symmetric bit for bit.  Every estimator works on one
 :class:`TrialBatch`, the arrays of a batch (or a stack) of trials.
 
 Centering conventions
@@ -39,7 +41,6 @@ __all__ = [
     "EncodingError",
     "PolicyDomainError",
     "TrialBatch",
-    "NoiseSpec",
     "GradientEstimate",
     "estimate_g1",
     "estimate_g2",
@@ -61,31 +62,10 @@ class PolicyDomainError(ValueError):
     """Raised when a commanded policy leaves an environment's domain."""
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d array")
-    return arr
-
-
-def _as_square(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    return arr
-
-
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if gap > 1e-12 * scale:
-        raise EstimationError("covariance prediction lost symmetry")
-    return (a + a.T) / 2.0
-
-
 def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, or raise."""
-    mat = _symmetrized(np.asarray(mat, dtype=float))
+    mat = np.asarray(mat, dtype=float)
+    mat = (mat + mat.T) / 2.0
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
@@ -178,38 +158,6 @@ class TrialBatch:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Known noise structure of a (synthetic) score model.
-
-    ``output_variance`` is the direct score noise variance.
-    ``sensor_cov`` is the covariance of the zero-mean, policy-independent
-    sensor disturbance.  ``policy_sensor_coupling`` (d x d_s) describes
-    how much of the sensor reading is predictable from the policy.
-    """
-
-    output_variance: float
-    sensor_cov: np.ndarray
-    policy_sensor_coupling: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "output_variance", float(self.output_variance))
-        if self.output_variance < 0:
-            raise ValueError("output variance must be non-negative")
-        cov = _as_square(self.sensor_cov, "sensor_cov")
-        object.__setattr__(self, "sensor_cov", cov)
-        coup = self.policy_sensor_coupling
-        if coup is not None:
-            coup = np.asarray(coup, dtype=float)
-            if coup.ndim != 2 or coup.shape[1] != cov.shape[0]:
-                raise ValueError("policy_sensor_coupling must be d x d_s")
-            object.__setattr__(self, "policy_sensor_coupling", coup)
-
-    @property
-    def sensor_dim(self) -> int:
-        return self.sensor_cov.shape[0]
-
-
-@dataclass(frozen=True)
 class GradientEstimate:
     """A gradient estimate plus regression diagnostics.
 
@@ -281,13 +229,7 @@ def estimate_g2(batch: TrialBatch, *, center: bool = True) -> GradientEstimate:
 # ---------------------------------------------------------------------------
 
 
-def predicted_variance_g1(
-    exploration_cov: np.ndarray,
-    noise: NoiseSpec,
-    sensor_slope: np.ndarray | None,
-    n: int,
-    d: int,
-) -> np.ndarray:
+def predicted_variance_g1(world, exploration_cov: np.ndarray, n: int) -> np.ndarray:
     """Covariance law for the sensor-free estimator.
 
     ``inv(S_e) * (a_s' S_s a_s + s2) / (n - d - 1)`` where ``a_s`` is
@@ -295,27 +237,16 @@ def predicted_variance_g1(
     direct noise, divided by the scatter degrees of freedom.  Exact for
     zero-mean designs regressed through the origin (n-dof scatter).
     """
+    d = world.policy_dim
     if n <= d + 1:
         raise EstimationError(f"variance undefined: n={n} <= d+1={d + 1}")
-    cov = _as_square(exploration_cov, "exploration_cov")
-    inv = _spd_inverse(cov, "degenerate exploration")
-    sensor_term = 0.0
-    if sensor_slope is not None:
-        slope = _as_vector(sensor_slope, "sensor_slope")
-        if slope.shape[0] != noise.sensor_dim:
-            raise ValueError("sensor_slope dimension mismatch")
-        sensor_term = float(slope @ noise.sensor_cov @ slope)
-    total = sensor_term + noise.output_variance
-    return _symmetrized(inv * (total / (n - d - 1)))
+    inv = _spd_inverse(exploration_cov, "degenerate exploration")
+    slope = world.sensor_slope
+    total = float(slope @ world.sensor_cov @ slope) + world.output_variance
+    return inv * (total / (n - d - 1))
 
 
-def predicted_variance_g2(
-    exploration_cov: np.ndarray,
-    noise: NoiseSpec,
-    n: int,
-    d: int,
-    d_s: int,
-) -> np.ndarray:
+def predicted_variance_g2(world, exploration_cov: np.ndarray, n: int) -> np.ndarray:
     """Covariance law for the joint estimator.
 
     With independent sensors (no or zero coupling) the law is
@@ -328,26 +259,21 @@ def predicted_variance_g2(
     uncoupled case never inverts the sensor covariance, so a singular
     one is fine there.
     """
+    d, d_s = world.policy_dim, world.sensor_dim
     if n <= d + d_s + 1:
-        raise EstimationError(
-            f"variance undefined: n={n} <= d+d_s+1={d + d_s + 1}"
-        )
-    cov = _as_square(exploration_cov, "exploration_cov")
-    coupling = noise.policy_sensor_coupling
-    if coupling is None or not np.any(coupling != 0.0):
-        inv = _spd_inverse(cov, "degenerate exploration")
+        raise EstimationError(f"variance undefined: n={n} <= d+d_s+1={d + d_s + 1}")
+    if not world.coupled:
+        inv = _spd_inverse(exploration_cov, "degenerate exploration")
     else:
-        if coupling.shape != (cov.shape[0], noise.sensor_dim):
-            raise ValueError("policy_sensor_coupling must be d x d_s")
-        cross = cov @ coupling
-        sensor_total = coupling.T @ cov @ coupling + noise.sensor_cov
-        sensor_total_inv = _spd_inverse(sensor_total, "degenerate coupling")
-        shrink = cross @ sensor_total_inv @ cross.T
-        inv = _spd_inverse(cov - shrink, "degenerate coupling")
-    return _symmetrized(inv * (noise.output_variance / (n - d - d_s - 1)))
+        coupling = world.policy_sensor_coupling
+        cross = exploration_cov @ coupling
+        sensor_total = coupling.T @ exploration_cov @ coupling + world.sensor_cov
+        shrink = cross @ _spd_inverse(sensor_total, "degenerate coupling") @ cross.T
+        inv = _spd_inverse(exploration_cov - shrink, "degenerate coupling")
+    return inv * (world.output_variance / (n - d - d_s - 1))
 
 
-def predicted_bias_g2(noise: NoiseSpec, sensor_slope: np.ndarray) -> np.ndarray:
+def predicted_bias_g2(world) -> np.ndarray:
     """Gradient bias of the joint estimator under policy-sensor coupling.
 
     Returns ``coupling @ sensor_slope`` (a d-vector).  With coupled
@@ -355,13 +281,6 @@ def predicted_bias_g2(noise: NoiseSpec, sensor_slope: np.ndarray) -> np.ndarray:
     true gradient plus this term, while the sensor-free estimator stays
     unbiased; uncoupled sensors give zero bias.
     """
-    slope = _as_vector(sensor_slope, "sensor_slope")
-    coupling = noise.policy_sensor_coupling
-    if coupling is None:
-        raise ValueError(
-            "noise spec carries no policy_sensor_coupling matrix; pass an "
-            "explicit (possibly zero) coupling to predict the bias"
-        )
-    if coupling.shape[1] != slope.shape[0]:
-        raise ValueError("sensor_slope dimension mismatch")
-    return coupling @ slope
+    if world.policy_sensor_coupling is None:
+        return np.zeros(world.policy_dim)
+    return world.policy_sensor_coupling @ world.sensor_slope

@@ -47,7 +47,6 @@ from .envs.arm import ArmWorld, DartEnv
 from .envs.cannon import CannonEnv, CannonWorld
 from .envs.synthetic import SyntheticEnv, SyntheticWorld
 from .estimators import (
-    NoiseSpec,
     TrialBatch,
     estimate_g1,
     estimate_g2,
@@ -543,40 +542,26 @@ def variance_check(cfg: Config):
     seed = cfg.get_int("seed")
     if reps < 2:
         raise ConfigError(f"{cfg.source}: key 'variance.replications' must be >= 2")
-    d = a_pi.shape[0]
-    ds = a_s.shape[0]
+    d, ds = a_pi.shape[0], a_s.shape[0]
     if n < d + ds + 2:
         raise ConfigError(
             f"{cfg.source}: key 'variance.trials_per_batch' must be at least "
             f"d + d_s + 2 = {d + ds + 2}"
         )
-    coupled = coupling is not None and bool(np.any(coupling != 0.0))
     try:
-        noise = NoiseSpec(
-            output_variance=s2, sensor_cov=sigma_s, policy_sensor_coupling=coupling
-        )
-        world = SyntheticWorld(a_pi, a_s, 0.0, noise)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: invalid synthetic world: {exc}") from exc
-    try:
-        env = SyntheticEnv(world, correlated=coupled)
-    except ValueError as exc:
-        key = "synthetic.sensor_cov"
-        raise ConfigError(
-            f"{cfg.source}: key '{key}' is not a covariance: {exc}"
-        ) from exc
-    try:
+        world = SyntheticWorld(a_pi, a_s, s2, sigma_s, coupling)
         check_exploration_cov(sigma_e, d)
     except SettingError as exc:
-        key = "synthetic.exploration_cov"
+        key = f"synthetic.{exc.field}"
         raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
     cfg.check_unknown()
+    env = SyntheticEnv(world, correlated=world.coupled)
     g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
 
-    pred1 = predicted_variance_g1(sigma_e, noise, a_s, n, d)
-    pred2 = predicted_variance_g2(sigma_e, noise, n, d, ds)
-    if coupled:
-        g2_target = a_pi + predicted_bias_g2(noise, a_s)
+    pred1 = predicted_variance_g1(world, sigma_e, n)
+    pred2 = predicted_variance_g2(world, sigma_e, n)
+    if world.coupled:
+        g2_target = a_pi + predicted_bias_g2(world)
         g2_target_label = "true gradient plus predicted coupling bias"
     else:
         g2_target = a_pi
@@ -584,7 +569,7 @@ def variance_check(cfg: Config):
 
     lines = [
         f"replications = {reps}, n = {n}, d = {d}, d_s = {ds}, "
-        f"coupled = {'yes' if coupled else 'no'}"
+        f"coupled = {'yes' if world.coupled else 'no'}"
     ]
     ok = True
 

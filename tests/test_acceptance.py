@@ -35,7 +35,6 @@ from sensorgrad.envs.arm import (
 from sensorgrad.envs.cannon import CannonEnv, CannonWorld, cannon_true_value
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import (
-    NoiseSpec,
     TrialBatch,
     estimate_g1,
     estimate_g2,
@@ -84,24 +83,21 @@ def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
 
 def _law_sweep(root_seed: int, correlated: bool):
     """Replicated zero-mean batches; both estimators run uncentered."""
-    noise = NoiseSpec(
-        output_variance=OUTPUT_VARIANCE,
-        sensor_cov=SENSOR_COV,
-        policy_sensor_coupling=COUPLING if correlated else None,
+    world = SyntheticWorld(
+        A_PI, A_S, OUTPUT_VARIANCE, SENSOR_COV, COUPLING if correlated else None
     )
-    world = SyntheticWorld(A_PI, A_S, 0.0, noise)
     env = SyntheticEnv(world, correlated=correlated)
     g1_draws, g2_draws = replicate_gradients(
         env, EXPLORATION_COV, TRIALS_PER_BATCH, REPLICATIONS, root_seed
     )
-    return g1_draws, g2_draws, noise
+    return g1_draws, g2_draws, world
 
 
 @pytest.fixture(scope="module")
 def plain_sweep():
     start = time.perf_counter()
-    g1_draws, g2_draws, noise = _law_sweep(11, correlated=False)
-    return g1_draws, g2_draws, noise, time.perf_counter() - start
+    g1_draws, g2_draws, world = _law_sweep(11, correlated=False)
+    return g1_draws, g2_draws, world, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -133,10 +129,8 @@ def _relative_frobenius(draws: np.ndarray, predicted: np.ndarray) -> float:
 
 
 def test_criterion_01_policies_only_variance_law(plain_sweep):
-    g1_draws, _, noise, elapsed = plain_sweep
-    predicted = predicted_variance_g1(
-        EXPLORATION_COV, noise, A_S, TRIALS_PER_BATCH, 2
-    )
+    g1_draws, _, world, elapsed = plain_sweep
+    predicted = predicted_variance_g1(world, EXPLORATION_COV, TRIALS_PER_BATCH)
     rel = _relative_frobenius(g1_draws, predicted)
     _verdict(
         1,
@@ -148,8 +142,8 @@ def test_criterion_01_policies_only_variance_law(plain_sweep):
 
 
 def test_criterion_02_joint_estimator_variance_law(plain_sweep):
-    _, g2_draws, noise, elapsed = plain_sweep
-    predicted = predicted_variance_g2(EXPLORATION_COV, noise, TRIALS_PER_BATCH, 2, 2)
+    _, g2_draws, world, elapsed = plain_sweep
+    predicted = predicted_variance_g2(world, EXPLORATION_COV, TRIALS_PER_BATCH)
     rel = _relative_frobenius(g2_draws, predicted)
     _verdict(
         2,
@@ -188,12 +182,12 @@ def test_criterion_03_perfect_sensors_recover_the_gradient_exactly():
 
 
 def test_criterion_04_policy_coupled_sensors_bias_and_variance(correlated_sweep):
-    _, g2_draws, noise = correlated_sweep
-    target = A_PI + predicted_bias_g2(noise, A_S)
+    _, g2_draws, world = correlated_sweep
+    target = A_PI + predicted_bias_g2(world)
     mean = g2_draws.mean(axis=0)
     std_error = g2_draws.std(axis=0, ddof=1) / np.sqrt(REPLICATIONS)
     deviations = np.abs(mean - target) / std_error
-    predicted = predicted_variance_g2(EXPLORATION_COV, noise, TRIALS_PER_BATCH, 2, 2)
+    predicted = predicted_variance_g2(world, EXPLORATION_COV, TRIALS_PER_BATCH)
     rel = _relative_frobenius(g2_draws, predicted)
     ok = bool(np.all(deviations <= 3.0)) and rel <= 0.15
     _verdict(

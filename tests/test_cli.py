@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from sensorgrad.cli import main
 from sensorgrad.config import Config, load_config
 from sensorgrad.envs.arm import DartEnv
 from sensorgrad.envs.cannon import CannonEnv
-from sensorgrad.envs.synthetic import SyntheticEnv
+from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from test_golden import DART_CFG
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -219,6 +220,26 @@ BAD_SETTING_CASES = {
         "variance-check",
         VARIANCE_CFG.replace(SENSOR_COV, "[[0.2, -0.05], [0.05, 0.4]]"),
         "key 'synthetic.sensor_cov' is not a covariance: covariance must be symmetric",
+    ),
+    "variance-negative-output-variance": (
+        "variance-check",
+        VARIANCE_CFG.replace("output_variance = 0.09", "output_variance = -0.09"),
+        "key 'synthetic.output_variance' must be nonnegative",
+    ),
+    "variance-sensor-slope-longer-than-sensor-cov": (
+        "variance-check",
+        VARIANCE_CFG.replace("[0.8, -1.2]", "[0.8, -1.2, 0.5]"),
+        "key 'synthetic.sensor_cov' must be 3 x 3",
+    ),
+    "variance-coupling-one-row": (
+        "variance-check",
+        VARIANCE_CFG + "synthetic.policy_sensor_coupling = [[0.6, -0.3]]\n",
+        "key 'synthetic.policy_sensor_coupling' must be 2 x 2",
+    ),
+    "run-infinite-learning-rate": (
+        "run",
+        RUN_CFG.replace("learning_rate = 0.1", "learning_rate = 1e999"),
+        ":10: value for 'search.learning_rate' holds a non-finite number: '1e999'",
     ),
     "variance-batch-5": (
         "variance-check",
@@ -454,6 +475,17 @@ def test_an_encoding_as_wide_as_the_sensors_passes_the_key_check(
     _run_to_the_key_check(write_cfg(tmp_path, text), tmp_path / "out")
 
 
+def test_every_synthetic_world_field_is_a_variance_check_key(
+    tmp_path, stop_at_key_check
+):
+    # variance-check reports a field the world refuses as
+    # ``synthetic.<field>``, so each field has to be a key it reads.
+    _run_to_the_key_check(CONFIG_DIR / "variance_check.cfg", tmp_path / "out")
+    (read,) = stop_at_key_check
+    fields = {f.name for f in dataclasses.fields(SyntheticWorld) if f.init}
+    assert {f"synthetic.{name}" for name in fields - {"offset"}} <= read
+
+
 def test_the_readme_lists_the_keys_the_shipped_configs_read(
     tmp_path, stop_at_key_check
 ):
@@ -549,6 +581,37 @@ def test_variance_check_round_trip(tmp_path, capsys):
     assert "result: PASS" in stdout
     assert (out / "variance_report.txt").exists()
     assert main(["schema-check", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        (
+            "variance_check.cfg",
+            "synthetic.exploration_cov",
+            "[[0.5, 0.1], [0.1000000001, 0.3]]",
+        ),
+        (
+            "variance_check_correlated.cfg",
+            "synthetic.sensor_cov",
+            "[[0.2, -0.05], [-0.0500000001, 0.4]]",
+        ),
+    ],
+    ids=["exploration-cov", "correlated-sensor-cov"],
+)
+def test_a_covariance_the_key_check_accepts_passes_the_variance_check(
+    tmp_path, capsys, name, key, value
+):
+    # Asymmetric by 1e-10, inside the 1e-9 symmetry tolerance of the key
+    # check: the laws symmetrize it, as the samplers do.
+    lines = (CONFIG_DIR / name).read_text().splitlines()
+    text = "".join(
+        f"{key} = {value}\n" if line.startswith(key) else line + "\n"
+        for line in lines
+    )
+    cfg = write_cfg(tmp_path, text)
+    assert main(["variance-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "result: PASS" in capsys.readouterr().out
 
 
 def test_encode_search_round_trip_and_threshold_failure(tmp_path, capsys):

@@ -54,6 +54,31 @@ def test_parse_errors_carry_source_and_line_number():
         parse_config_text("a = [1,\n", source="job.cfg")
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        "1e999",
+        "-1e999",
+        "[Infinity, 4.0]",
+        "[[0.5, 0.1], [NaN, 0.3]]",
+        '{"x": [1e999]}',
+    ],
+)
+def test_non_finite_numbers_are_refused_with_line_and_key(value):
+    with pytest.raises(
+        ConfigError, match=r"^job.cfg:2: value for 'b.c' holds a non-finite number"
+    ):
+        parse_config_text(f"a = 1\nb.c = {value}\n", source="job.cfg")
+
+
+def test_finite_extremes_still_parse():
+    values = parse_config_text("a = 1e308\nb = -5e-324\nc = [0.0, -0.0]\n")
+    assert values == {"a": 1e308, "b": -5e-324, "c": [0.0, -0.0]}
+
+
 def test_canonical_text_sorts_keys_and_round_trips():
     values = parse_config_text(SAMPLE)
     text = canonical_text(values)

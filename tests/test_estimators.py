@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import (
     EstimationError,
-    NoiseSpec,
     TrialBatch,
     estimate_g1,
     estimate_g2,
@@ -29,11 +28,9 @@ OUTPUT_VARIANCE = 0.09
 COUPLING = np.array([[0.6, -0.3], [0.2, 0.5]])
 
 
-def make_noise(coupling=None, output_variance=OUTPUT_VARIANCE):
-    return NoiseSpec(
-        output_variance=output_variance,
-        sensor_cov=SENSOR_COV,
-        policy_sensor_coupling=coupling,
+def make_world(coupling=None, output_variance=OUTPUT_VARIANCE, offset=0.0):
+    return SyntheticWorld(
+        TRUE_GRADIENT, SENSOR_SLOPE, output_variance, SENSOR_COV, coupling, offset
     )
 
 
@@ -121,9 +118,7 @@ def test_g1_exact_on_noiseless_linear_scores():
 def test_g2_exact_at_minimal_sample_size_without_output_noise():
     # with zero direct noise the joint fit interpolates the score
     # equation and returns its policy coefficient exactly
-    noise = make_noise(output_variance=0.0)
-    world = SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 1.5, noise)
-    env = SyntheticEnv(world)
+    env = SyntheticEnv(make_world(output_variance=0.0, offset=1.5))
     n = 2 + 2 + 2
     batch = zero_mean_batch(env, n, 0, seed=33)
     estimate = estimate_g2(batch)
@@ -132,9 +127,7 @@ def test_g2_exact_at_minimal_sample_size_without_output_noise():
 
 
 def test_g2_removes_sensor_explained_noise():
-    noise = make_noise()
-    world = SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, noise)
-    env = SyntheticEnv(world)
+    env = SyntheticEnv(make_world())
     g1, g2 = mc_gradients(env, n=12, reps=2000, seed=11)
     err1 = np.mean(np.sum((g1 - TRUE_GRADIENT) ** 2, axis=1))
     err2 = np.mean(np.sum((g2 - TRUE_GRADIENT) ** 2, axis=1))
@@ -142,13 +135,12 @@ def test_g2_removes_sensor_explained_noise():
 
 
 def test_variance_laws_match_monte_carlo():
-    noise = make_noise()
-    world = SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, noise)
+    world = make_world()
     env = SyntheticEnv(world)
-    n, d, ds = 12, 2, 2
+    n = 12
     g1, g2 = mc_gradients(env, n, reps=4000, seed=11)
-    law1 = predicted_variance_g1(EXPLORATION_COV, noise, SENSOR_SLOPE, n, d)
-    law2 = predicted_variance_g2(EXPLORATION_COV, noise, n, d, ds)
+    law1 = predicted_variance_g1(world, EXPLORATION_COV, n)
+    law2 = predicted_variance_g2(world, EXPLORATION_COV, n)
     rel1 = np.linalg.norm(np.cov(g1.T) - law1) / np.linalg.norm(law1)
     rel2 = np.linalg.norm(np.cov(g2.T) - law2) / np.linalg.norm(law2)
     assert rel1 < 0.15
@@ -157,32 +149,28 @@ def test_variance_laws_match_monte_carlo():
 
 def test_correlated_world_bias_and_variance_laws():
     coupling = COUPLING
-    noise = make_noise(coupling=coupling)
-    world = SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, noise)
+    world = make_world(coupling=coupling)
     env = SyntheticEnv(world, correlated=True)
-    n, d, ds = 12, 2, 2
+    n = 12
     reps = 4000
     g1, g2 = mc_gradients(env, n, reps=reps, seed=45)
 
-    bias = predicted_bias_g2(noise, SENSOR_SLOPE)
+    bias = predicted_bias_g2(world)
     assert np.allclose(bias, coupling @ SENSOR_SLOPE)
     se1 = g1.std(axis=0, ddof=1) / np.sqrt(reps)
     se2 = g2.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(g1.mean(axis=0) - TRUE_GRADIENT) < 4.0 * se1)
     assert np.all(np.abs(g2.mean(axis=0) - (TRUE_GRADIENT + bias)) < 4.0 * se2)
 
-    law = predicted_variance_g2(EXPLORATION_COV, noise, n, d, ds)
+    law = predicted_variance_g2(world, EXPLORATION_COV, n)
     rel = np.linalg.norm(np.cov(g2.T) - law) / np.linalg.norm(law)
     assert rel < 0.15
 
 
 def block_worlds():
     """The plain and the coupled variance-check world."""
-    plain = SyntheticEnv(SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, make_noise()))
-    coupled_noise = make_noise(coupling=COUPLING)
-    coupled = SyntheticEnv(
-        SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, 0.0, coupled_noise), correlated=True
-    )
+    plain = SyntheticEnv(make_world())
+    coupled = SyntheticEnv(make_world(coupling=COUPLING), correlated=True)
     return {"plain": plain, "coupled": coupled}
 
 
@@ -265,34 +253,79 @@ def test_correlated_law_reduces_to_independent_when_uncoupled():
     plain = np.linalg.inv(EXPLORATION_COV) * OUTPUT_VARIANCE / (12 - 2 - 2 - 1)
     for sensor_cov in (SENSOR_COV, np.zeros((2, 2))):
         for coupling in (None, np.zeros((2, 2))):
-            noise = NoiseSpec(OUTPUT_VARIANCE, sensor_cov, coupling)
-            law = predicted_variance_g2(EXPLORATION_COV, noise, 12, 2, 2)
+            world = SyntheticWorld(
+                TRUE_GRADIENT, SENSOR_SLOPE, OUTPUT_VARIANCE, sensor_cov, coupling
+            )
+            law = predicted_variance_g2(world, EXPLORATION_COV, 12)
             assert np.allclose(law, plain, atol=1e-12)
     # A singular sensor covariance only matters once the sensors are coupled.
-    coupled = NoiseSpec(OUTPUT_VARIANCE, np.zeros((2, 2)), np.eye(2))
+    coupled = SyntheticWorld(
+        TRUE_GRADIENT, SENSOR_SLOPE, OUTPUT_VARIANCE, np.zeros((2, 2)), np.eye(2)
+    )
     with pytest.raises(EstimationError, match="degenerate coupling"):
-        predicted_variance_g2(EXPLORATION_COV, coupled, 12, 2, 2)
+        predicted_variance_g2(coupled, EXPLORATION_COV, 12)
 
 
-def test_predicted_bias_requires_a_coupling():
-    with pytest.raises(ValueError, match="coupling"):
-        predicted_bias_g2(make_noise(), SENSOR_SLOPE)
+def test_predicted_bias_is_zero_without_a_coupling():
+    for coupling in (None, np.zeros((2, 2))):
+        bias = predicted_bias_g2(make_world(coupling=coupling))
+        assert np.array_equal(bias, np.zeros(2))
 
 
 def test_variance_laws_reject_degenerate_dof():
-    noise = make_noise()
+    world = make_world()
     with pytest.raises(EstimationError, match="variance undefined"):
-        predicted_variance_g1(EXPLORATION_COV, noise, SENSOR_SLOPE, 3, 2)
+        predicted_variance_g1(world, EXPLORATION_COV, 3)
     with pytest.raises(EstimationError, match="variance undefined"):
-        predicted_variance_g2(EXPLORATION_COV, noise, 5, 2, 2)
+        predicted_variance_g2(world, EXPLORATION_COV, 5)
     with pytest.raises(EstimationError, match="variance undefined"):
-        predicted_variance_g2(EXPLORATION_COV, make_noise(COUPLING), 5, 2, 2)
+        predicted_variance_g2(make_world(COUPLING), EXPLORATION_COV, 5)
+
+
+@st.composite
+def law_cases(draw):
+    """A world with 1-3 policy and sensor dimensions, a PD sensor
+    covariance and no, a zero or a random coupling, and an SPD
+    exploration covariance."""
+    d, d_s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spd(k):
+        shape = rng.normal(size=(k, k))
+        return shape @ shape.T + 0.1 * np.eye(k)
+
+    coupling = draw(st.sampled_from([None, 0.0, 1.0]))
+    if coupling is not None:
+        coupling = coupling * rng.normal(size=(d, d_s))
+    world = SyntheticWorld(
+        rng.normal(size=d), rng.normal(size=d_s), rng.uniform(), spd(d_s), coupling
+    )
+    return world, spd(d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(law_cases(), st.integers(0, 20))
+def test_variance_laws_are_symmetric_positive_semidefinite(case, spare):
+    world, exploration_cov = case
+    n = world.policy_dim + world.sensor_dim + 2 + spare
+    laws = (predicted_variance_g1, predicted_variance_g2)
+    for law in laws:
+        cov = law(world, exploration_cov, n)
+        assert np.array_equal(cov, cov.T)
+        scale = np.max(np.abs(cov))
+        assert np.linalg.eigvalsh(cov)[0] >= -1e-12 * scale
+    if world.policy_sensor_coupling is not None and not world.coupled:
+        # A zero coupling is no coupling, bit for bit.
+        uncoupled = replace(world, policy_sensor_coupling=None)
+        for law in laws:
+            assert np.array_equal(
+                law(world, exploration_cov, n), law(uncoupled, exploration_cov, n)
+            )
+        assert np.array_equal(predicted_bias_g2(world), predicted_bias_g2(uncoupled))
 
 
 def test_centered_estimators_tolerate_offsets_and_sensor_means():
-    noise = NoiseSpec(output_variance=0.0, sensor_cov=SENSOR_COV)
-    world = SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, -4.0, noise)
-    env = SyntheticEnv(world)
+    env = SyntheticEnv(make_world(output_variance=0.0, offset=-4.0))
     nominal = np.array([2.0, -1.5])
     policies = sample_exploration_policies(
         nominal, EXPLORATION_COV, 10, substream(51, LEARN)

@@ -11,7 +11,7 @@ from sensorgrad.encoding import EncodingSearchConfig
 from sensorgrad.envs.arm import ArmWorld, DartEnv
 from sensorgrad.envs.cannon import CannonEnv, CannonWorld, cannon_true_value
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
-from sensorgrad.estimators import EstimationError, NoiseSpec, PolicyDomainError
+from sensorgrad.estimators import EstimationError, PolicyDomainError
 from sensorgrad.search import (
     _RECOVERABLE,
     SearchConfig,
@@ -31,8 +31,9 @@ def noiseless_world() -> SyntheticWorld:
     return SyntheticWorld(
         true_gradient=TRUE_GRADIENT,
         sensor_slope=np.zeros(2),
+        output_variance=0.0,
+        sensor_cov=np.zeros((2, 2)),
         offset=0.3,
-        noise=NoiseSpec(output_variance=0.0, sensor_cov=np.zeros((2, 2))),
     )
 
 
@@ -41,8 +42,8 @@ def junk_sensor_world() -> SyntheticWorld:
     return SyntheticWorld(
         true_gradient=TRUE_GRADIENT,
         sensor_slope=np.zeros(2),
-        offset=0.0,
-        noise=NoiseSpec(output_variance=0.09, sensor_cov=0.5 * np.eye(2)),
+        output_variance=0.09,
+        sensor_cov=0.5 * np.eye(2),
     )
 
 
@@ -50,11 +51,9 @@ def informative_sensor_world() -> SyntheticWorld:
     return SyntheticWorld(
         true_gradient=TRUE_GRADIENT,
         sensor_slope=np.array([0.8, -1.2]),
+        output_variance=0.01,
+        sensor_cov=np.array([[0.2, -0.05], [-0.05, 0.4]]),
         offset=0.1,
-        noise=NoiseSpec(
-            output_variance=0.01,
-            sensor_cov=np.array([[0.2, -0.05], [-0.05, 0.4]]),
-        ),
     )
 
 
@@ -184,8 +183,9 @@ def test_zero_gradient_leaves_the_policy_in_place():
     flat = SyntheticWorld(
         true_gradient=np.zeros(2),
         sensor_slope=np.zeros(2),
+        output_variance=0.0,
+        sensor_cov=np.zeros((2, 2)),
         offset=1.0,
-        noise=NoiseSpec(output_variance=0.0, sensor_cov=np.zeros((2, 2))),
     )
     config = base_config(step_rule="normalized")
     policy = config.initial_policy

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
-from sensorgrad.estimators import NoiseSpec
 from sensorgrad.seeding import children, psd_sqrt, substream
 
 TRUE_GRADIENT = np.array([1.5, -0.7])
@@ -10,12 +9,14 @@ SENSOR_SLOPE = np.array([0.8, -1.2])
 
 
 def make_world(coupling=None, sensor_cov=None, output_variance=0.0, offset=0.0):
-    noise = NoiseSpec(
-        output_variance=output_variance,
-        sensor_cov=np.zeros((2, 2)) if sensor_cov is None else sensor_cov,
-        policy_sensor_coupling=coupling,
+    return SyntheticWorld(
+        TRUE_GRADIENT,
+        SENSOR_SLOPE,
+        output_variance,
+        np.zeros((2, 2)) if sensor_cov is None else sensor_cov,
+        coupling,
+        offset,
     )
-    return SyntheticWorld(TRUE_GRADIENT, SENSOR_SLOPE, offset, noise)
 
 
 def one_trial(world, policy, rng, correlated=False):
@@ -91,10 +92,10 @@ def test_batch_sampling_matches_per_trial_streams():
 
 def reference_trial(env, policy, rng):
     """One trial computed row by row with BLAS products: the sampler's reference."""
-    world, noise = env.world, env.world.noise
-    disturbance = psd_sqrt(noise.sensor_cov) @ rng.standard_normal(world.sensor_dim)
-    score_noise = float(rng.standard_normal()) * np.sqrt(noise.output_variance)
-    shift = noise.policy_sensor_coupling.T @ policy
+    world = env.world
+    disturbance = psd_sqrt(world.sensor_cov) @ rng.standard_normal(world.sensor_dim)
+    score_noise = float(rng.standard_normal()) * np.sqrt(world.output_variance)
+    shift = world.policy_sensor_coupling.T @ policy
     if env.correlated:
         sensed = disturbance - shift
         sensor_term = float(disturbance @ world.sensor_slope)
