@@ -9,6 +9,8 @@ output directory.
 Exit codes: 0 success, 1 a check ran and failed its threshold,
 2 configuration error (unparseable config, unknown or missing keys,
 bad values, unusable output directory), 3 unexpected runtime failure.
+No config value exits 3 before a command's key check: a value the
+command cannot use exits 2 naming its key.
 
 The output directory is ``--out`` when given, else ``sensorgrad_out``
 under the working directory.  A command checks it before any work and
@@ -68,8 +70,7 @@ def _load_config(args) -> Config:
             f"{cfg.source}: missing required key 'seed' (set it in the "
             "config or pass --seed)"
         )
-    if cfg.get_int("seed") < 0:
-        raise ConfigError(f"{cfg.source}: key 'seed' must be nonnegative")
+    cfg.get_int("seed", minimum=0)
     return cfg
 
 

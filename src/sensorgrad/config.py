@@ -6,7 +6,10 @@ is a JSON literal (number, string, boolean, null, or array).  A bare
 word made of identifier characters is read as a string so enumeration
 values need no quotes.  Every number, nested ones included, must be
 finite: ``NaN``, ``Infinity`` and literals that overflow a float, such
-as ``1e999``, are refused.  Keys may not repeat.
+as ``1e999``, are refused, and so is a value past Python's limits: an
+integer literal over 4,300 digits, or lists nested about 1,000 deep.
+An integer beyond the float range is a valid seed; the readers of
+floats refuse it.  Keys may not repeat.
 
 A configuration has one canonical text rendering (sorted keys, JSON
 values), and the config hash is the SHA-256 of that rendering.  Every
@@ -37,6 +40,7 @@ _KEY_PATTERN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$"
 _BARE_WORD = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 
 _MISSING = object()
+_NUMBER = (int, float)
 
 
 class ConfigError(ValueError):
@@ -81,6 +85,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                     f"{source}:{lineno}: value for '{key}' is neither JSON "
                     f"nor a bare word: {rest!r}"
                 ) from None
+        except (ValueError, RecursionError) as exc:  # past a digit or depth limit
+            raise ConfigError(
+                f"{source}:{lineno}: value for '{key}' is too large to read ({exc})"
+            ) from None
         try:
             json.dumps(value, allow_nan=False)  # raises for NaN or inf at any depth
         except ValueError:
@@ -110,15 +118,23 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
+def _is(value, kinds) -> bool:
+    """Whether ``value`` is one of ``kinds``; a boolean is not a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass
 class Config:
     """Parsed configuration with typed, error-reporting accessors.
 
     Accessors raise :class:`ConfigError` naming the key (and the source
     file) on missing required keys or type mismatches, so command-line
-    failures point at the offending field.  ``read`` records every key
-    that ``has`` or an accessor was asked for; :meth:`check_unknown`
-    rejects the keys no reader asked for.
+    failures point at the offending field.  A key's own bounds are given
+    where it is read (``minimum``, ``positive``, ``nonempty``,
+    ``choices``) and refused by name: ``key 'run.noise_scales' entries
+    must be nonnegative``.  ``read`` records every key that ``has`` or
+    an accessor was asked for; :meth:`check_unknown` rejects the keys no
+    reader asked for.
     """
 
     values: dict
@@ -151,54 +167,68 @@ class Config:
             f"got {_type_name(value)} ({value!r})"
         )
 
-    def get_int(self, key: str, default=_MISSING) -> int:
+    def _get(
+        self, key, default, expected, kinds, listed=False, *,
+        minimum=None, positive=False, nonempty=False, choices=None,
+    ):
+        """The value of ``key``: one of ``kinds``, or a list of them when
+        ``listed``, else refused as not ``expected``.  Then the bounds: an
+        inclusive ``minimum``, ``positive`` and ``choices`` (for a list,
+        of each entry), and ``nonempty`` for a list."""
         value = self._fetch(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            self._reject(key, value, "an integer")
-        return int(value)
-
-    def get_float(self, key: str, default=_MISSING) -> float:
-        value = self._fetch(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self._reject(key, value, "a number")
-        return float(value)
-
-    def get_str(self, key: str, default=_MISSING) -> str:
-        value = self._fetch(key, default)
-        if not isinstance(value, str):
-            self._reject(key, value, "a string")
+        items = value if _is(value, list) else [value]
+        if _is(value, list) != listed or not all(_is(v, kinds) for v in items):
+            self._reject(key, value, expected)
+        if nonempty and not items:
+            raise ConfigError(f"{self.source}: key '{key}' must be nonempty")
+        for item in items:
+            if choices is not None and item not in choices:
+                problem = f"one of {', '.join(choices)}, got {item!r}"
+            elif positive and not item > 0:
+                problem = "positive"
+            elif minimum is not None and item < minimum:
+                problem = "nonnegative" if minimum == 0 else f"at least {minimum}"
+            else:
+                continue
+            subject = f"key '{key}' entries" if listed else f"key '{key}'"
+            raise ConfigError(f"{self.source}: {subject} must be {problem}")
         return value
 
-    def get_str_list(self, key: str, default=_MISSING) -> list:
-        value = self._fetch(key, default)
-        if not isinstance(value, list) or not all(
-            isinstance(v, str) for v in value
-        ):
-            self._reject(key, value, "a list of strings")
-        return list(value)
+    def _floats(self, key: str, values) -> list:
+        try:
+            return [float(v) for v in values]
+        except OverflowError:
+            raise ConfigError(
+                f"{self.source}: key '{key}' holds an integer beyond the float range"
+            ) from None
 
-    def get_vector(self, key: str, default=_MISSING) -> np.ndarray:
-        value = self._fetch(key, default)
-        if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            self._reject(key, value, "a list of numbers")
-        return np.array([float(v) for v in value])
+    def get_int(self, key: str, default=_MISSING, **bounds) -> int:
+        return self._get(key, default, "an integer", int, **bounds)
+
+    def get_float(self, key: str, default=_MISSING, **bounds) -> float:
+        value = self._get(key, default, "a number", _NUMBER, **bounds)
+        return self._floats(key, [value])[0]
+
+    def get_str(self, key: str, default=_MISSING, **bounds) -> str:
+        return self._get(key, default, "a string", str, **bounds)
+
+    def get_str_list(self, key: str, default=_MISSING, **bounds) -> list:
+        return list(self._get(key, default, "a list of strings", str, True, **bounds))
+
+    def get_vector(self, key: str, default=_MISSING, **bounds) -> np.ndarray:
+        value = self._get(key, default, "a list of numbers", _NUMBER, True, **bounds)
+        return np.array(self._floats(key, value))
 
     def get_matrix(self, key: str, default=_MISSING) -> np.ndarray:
         """A JSON array of equal-length number rows, as a 2-d array."""
         value = self._fetch(key, default)
-        ok = isinstance(value, list) and value and all(
-            isinstance(row, list)
-            and row
-            and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-            )
+        ok = _is(value, list) and value and all(
+            _is(row, list) and row and all(_is(v, _NUMBER) for v in row)
             for row in value
         )
         if not ok or len({len(row) for row in value}) != 1:
             self._reject(key, value, "a list of equal-length number rows")
-        return np.array([[float(v) for v in row] for row in value])
+        return np.array([self._floats(key, row) for row in value])
 
     def get_cov(self, key: str, default=_MISSING) -> np.ndarray:
         """A covariance: either a full matrix or a flat diagonal list."""

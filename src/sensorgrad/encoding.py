@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SettingError
 from .estimators import (
     EncodingError,
     EstimationError,
@@ -64,21 +63,15 @@ class EncodingSearchConfig:
     at most ``max_iterations`` iterations each, using the analytic
     gradient of the leave-one-out cost.  One restart is
     initialized from the principal components of the raw sensors; the
-    rest are random orthonormal matrices drawn from ``seed``.
+    rest are random orthonormal matrices drawn from ``seed``.  The
+    fields are not checked here: a config reads each with its bounds
+    (``restarts`` at least 1, the other counts nonnegative).
     """
 
     target_dim: int
     max_iterations: int = 60
     restarts: int = 3
     seed: int = 0
-
-    def __post_init__(self):
-        if self.target_dim < 0:
-            raise SettingError("target_dim", "must be nonnegative")
-        if self.max_iterations < 0:
-            raise SettingError("max_iterations", "must be nonnegative")
-        if self.restarts < 1:
-            raise SettingError("restarts", "must be at least 1")
 
 
 # ---------------------------------------------------------------------------

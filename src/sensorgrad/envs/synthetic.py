@@ -35,8 +35,10 @@ class SyntheticWorld:
     ``w`` has variance ``output_variance``, and the zero-mean sensor
     disturbance has covariance ``sensor_cov``.  ``policy_sensor_coupling``
     is d x d_s, d and d_s being the lengths of ``true_gradient`` and
-    ``sensor_slope``: how much of the sensors the policy predicts.  A
-    refused field raises :class:`SettingError` naming it.
+    ``sensor_slope``: how much of the sensors the policy predicts.  The
+    world checks its fields' shapes and its sensor covariance, raising
+    :class:`SettingError` naming a refused field; ``output_variance`` is
+    bounded (nonnegative) where its config key is read.
     """
 
     true_gradient: np.ndarray
@@ -55,8 +57,6 @@ class SyntheticWorld:
                 raise SettingError(name, "must be a vector")
             object.__setattr__(self, name, vector)
         d, d_s = self.policy_dim, self.sensor_dim
-        if not float(self.output_variance) >= 0.0:
-            raise SettingError("output_variance", "must be nonnegative")
         cov = np.asarray(self.sensor_cov, dtype=float)
         if cov.shape != (d_s, d_s):
             raise SettingError("sensor_cov", f"must be {d_s} x {d_s}")

@@ -19,8 +19,9 @@ checks its output directory before any work and creates it to write.
 A command accepts exactly the config keys that its readers read: each
 compute function reads and validates all of its keys, then calls
 ``Config.check_unknown`` before any trial, pretraining, replication or
-search runs.  A value that a settings object refuses is reported under
-its key: ``key 'encode.restarts' must be at least 1``.
+search runs.  A key's own bounds are stated where it is read
+(``cfg.get_int("encode.restarts", minimum=1)``); the checks here and in
+the settings objects tie keys together, and name the key they refuse.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .estimators import (
 from .linreg import quad_feature_count
 from .search import (
     ESTIMATORS,
+    STEP_RULES,
     SearchConfig,
     StepRecord,
     check_exploration_cov,
@@ -279,102 +281,94 @@ CONFIG_ECHO = TextFile("config_echo.cfg", echo=True)
 # ---------------------------------------------------------------------------
 
 
-def _speed_angle_cov(cfg: Config, key: str) -> np.ndarray:
-    """A (speed, angle) covariance from its diagonal, the angle in degrees^2."""
-    diag = cfg.get_vector(key)
+def build_cannon_world(cfg: Config) -> CannonWorld:
+    """Cannon world from config: the actuation noise is the (speed, angle)
+    diagonal ``cannon.control_noise_diag``, the angle in degrees^2; the
+    read noise is the ``CannonWorld`` default."""
+    key = "cannon.control_noise_diag"
+    diag = cfg.get_vector(key, minimum=0.0)
     if diag.shape[0] != 2:
         raise ConfigError(f"{cfg.source}: key '{key}' must have 2 entries")
-    if np.any(diag < 0.0):
-        raise ConfigError(f"{cfg.source}: key '{key}' entries must be nonnegative")
-    return np.diag([diag[0], diag[1] * _DEG2])
+    return CannonWorld(control_noise_cov=np.diag([diag[0], diag[1] * _DEG2]))
 
 
-def build_cannon_world(cfg: Config) -> CannonWorld:
-    """Cannon world from config: the actuation noise is
-    ``cannon.control_noise_diag``, the read noise the ``CannonWorld`` default."""
-    return CannonWorld(
-        control_noise_cov=_speed_angle_cov(cfg, "cannon.control_noise_diag")
-    )
-
-
-# The config key and reader of each settings field, by field name: the
-# builders read the keys through these tables and name a refused field
-# by its key.  An absent optional key leaves the field's default.
-_SEARCH_KEYS = {
-    "initial_policy": ("search.initial_policy", Config.get_vector),
-    "trials_per_step": ("search.trials_per_step", Config.get_int),
-    "exploration_cov": ("search.exploration_cov", Config.get_cov),
-    "steps": ("search.steps", Config.get_int),
-    "runs": ("search.runs", Config.get_int),
-    "seed": ("seed", Config.get_int),
-}
+# The optional keys of each settings object, by field: (key, reader, the
+# key's bounds).  An absent key leaves the field's default.
 _SEARCH_OPTIONS = {
-    "step_rule": ("search.step_rule", Config.get_str),
-    "learning_rate": ("search.learning_rate", Config.get_float),
-    "eval_trials_per_point": ("search.eval_trials_per_point", Config.get_int),
+    "step_rule": ("search.step_rule", Config.get_str, dict(choices=STEP_RULES)),
+    "learning_rate": ("search.learning_rate", Config.get_float, dict(positive=True)),
+    "eval_trials_per_point": (
+        "search.eval_trials_per_point",
+        Config.get_int,
+        dict(positive=True),
+    ),
 }
 # Read only for the encoding estimator, so elsewhere they are unknown: a
 # ``SearchConfig`` field, then the fields of its ``EncodingSearchConfig``.
 _SEARCH_ENCODE_OPTIONS = {
-    "encode_trials_per_step": ("search.encode_trials_per_step", Config.get_int),
+    "encode_trials_per_step": (
+        "search.encode_trials_per_step",
+        Config.get_int,
+        dict(minimum=0),
+    ),
 }
 _RUN_ENCODING_OPTIONS = {
-    "target_dim": ("search.encoding_dim", Config.get_int),
-    "max_iterations": ("search.encode_max_iterations", Config.get_int),
-    "restarts": ("search.encode_restarts", Config.get_int),
+    "target_dim": ("search.encoding_dim", Config.get_int, dict(minimum=0)),
+    "max_iterations": ("search.encode_max_iterations", Config.get_int, dict(minimum=0)),
+    "restarts": ("search.encode_restarts", Config.get_int, dict(minimum=1)),
 }
 # encode-search's optional ``EncodingSearchConfig`` fields.
 _ENCODE_SEARCH_OPTIONS = {
-    "max_iterations": ("encode.max_iterations", Config.get_int),
-    "restarts": ("encode.restarts", Config.get_int),
+    "max_iterations": ("encode.max_iterations", Config.get_int, dict(minimum=0)),
+    "restarts": ("encode.restarts", Config.get_int, dict(minimum=1)),
 }
 
 
 def _options(cfg: Config, table: dict) -> dict:
     """The values of the keys in ``table`` that ``cfg`` sets, by field."""
-    return {name: read(cfg, key) for name, (key, read) in table.items() if cfg.has(key)}
-
-
-def _settings(cfg: Config, table: dict, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, a field it refuses named by its key in ``table``."""
-    try:
-        return make(*args, **kwargs)
-    except SettingError as exc:
-        key, _ = table[exc.field]
-        raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
+    return {
+        name: read(cfg, key, **bounds)
+        for name, (key, read, bounds) in table.items()
+        if cfg.has(key)
+    }
 
 
 def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
-    settings = {name: read(cfg, key) for name, (key, read) in _SEARCH_KEYS.items()}
-    settings.update(_options(cfg, _SEARCH_OPTIONS))
+    """One estimator's settings; a field they refuse is named ``search.<field>``."""
+    settings = _options(cfg, _SEARCH_OPTIONS)
     if estimator == "with_encoding":
         settings.update(_options(cfg, _SEARCH_ENCODE_OPTIONS))
         encoding = _options(cfg, _RUN_ENCODING_OPTIONS)
-        settings["encoding"] = _settings(
-            cfg, _RUN_ENCODING_OPTIONS, replace, SearchConfig.encoding, **encoding
+        settings["encoding"] = replace(SearchConfig.encoding, **encoding)
+    try:
+        return SearchConfig(
+            initial_policy=cfg.get_vector("search.initial_policy"),
+            trials_per_step=cfg.get_int("search.trials_per_step", positive=True),
+            exploration_cov=cfg.get_cov("search.exploration_cov"),
+            steps=cfg.get_int("search.steps", minimum=0),
+            runs=cfg.get_int("search.runs", positive=True),
+            seed=cfg.get_int("seed"),
+            estimator=estimator,
+            **settings,
         )
-    table = {**_SEARCH_KEYS, **_SEARCH_OPTIONS, **_SEARCH_ENCODE_OPTIONS}
-    return _settings(cfg, table, SearchConfig, estimator=estimator, **settings)
+    except SettingError as exc:
+        key = f"search.{exc.field}"
+        raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
 
 
 def _read_environments(cfg: Config, configs: dict):
     """Read the environment keys and check the search configs against the
     environment; returns a function that builds the environment per
     noise scale, pretraining the dart model if needed."""
-    environment = cfg.get_str("run.environment")
-    scales = [float(s) for s in cfg.get_vector("run.noise_scales", [1.0])]
-    if not scales:
-        raise ConfigError(f"{cfg.source}: key 'run.noise_scales' must be nonempty")
-    if min(scales) < 0.0:
-        raise ConfigError(
-            f"{cfg.source}: key 'run.noise_scales' entries must be nonnegative"
-        )
+    environment = cfg.get_str("run.environment", choices=("cannon", "dart"))
+    scales = cfg.get_vector("run.noise_scales", [1.0], nonempty=True, minimum=0.0)
+    scales = [float(s) for s in scales]
     if environment == "cannon":
         world = build_cannon_world(cfg)
         # A (speed, angle) policy; the sensors read its actuation error.
         policy_dim = width = 2
         build = lambda: [(s, CannonEnv(world.scaled(s))) for s in scales]
-    elif environment == "dart":
+    else:
         if scales != [1.0]:
             raise ConfigError(
                 f"{cfg.source}: key 'run.noise_scales' applies to the cannon "
@@ -385,18 +379,9 @@ def _read_environments(cfg: Config, configs: dict):
         # coefficient per policy knot, then the release time.
         policy_dim, width = world.policy_dim, world.policy_dim + 1
         initial = cfg.get_vector("search.initial_policy")
-        count = cfg.get_int("dart.pretrain_states", 2000)
-        fewest = quad_feature_count(2 * world.dof) + 2
-        if count < fewest:
-            raise ConfigError(
-                f"{cfg.source}: key 'dart.pretrain_states' must be at least "
-                f"{fewest} to fit the dynamics model"
-            )
-        spread = cfg.get_float("dart.pretrain_policy_cov", 0.01)
-        if spread < 0.0:
-            raise ConfigError(
-                f"{cfg.source}: key 'dart.pretrain_policy_cov' must be nonnegative"
-            )
+        fewest = quad_feature_count(2 * world.dof) + 2  # for the dynamics model
+        count = cfg.get_int("dart.pretrain_states", 2000, minimum=fewest)
+        spread = cfg.get_float("dart.pretrain_policy_cov", 0.01, minimum=0.0)
         seed = cfg.get_int("seed")
 
         def build():
@@ -409,11 +394,6 @@ def _read_environments(cfg: Config, configs: dict):
             )
             return [(1.0, DartEnv(world, fit_dynamics_model(world, states)))]
 
-    else:
-        raise ConfigError(
-            f"{cfg.source}: key 'run.environment' must be cannon or dart, "
-            f"got {environment!r}"
-        )
     for config in configs.values():
         if config.initial_policy.shape[0] != policy_dim:
             raise ConfigError(
@@ -462,15 +442,7 @@ def run_tables(cfg: Config):
     when the sweep has more than one scale, keeping the single-scale
     files at their pinned columns.
     """
-    estimators = cfg.get_str_list("run.estimators")
-    if not estimators:
-        raise ConfigError(f"{cfg.source}: key 'run.estimators' must be nonempty")
-    for name in estimators:
-        if name not in ESTIMATORS:
-            raise ConfigError(
-                f"{cfg.source}: key 'run.estimators' holds unknown estimator "
-                f"{name!r} (choose from {', '.join(ESTIMATORS)})"
-            )
+    estimators = cfg.get_str_list("run.estimators", nonempty=True, choices=ESTIMATORS)
     if len(set(estimators)) != len(estimators):
         raise ConfigError(f"{cfg.source}: key 'run.estimators' repeats an entry")
     configs = {name: build_search_config(cfg, name) for name in estimators}
@@ -527,9 +499,9 @@ def variance_check(cfg: Config):
     Frobenius limit (empirical norm below 1e-12 when a law predicts
     exact recovery), mean checks a 3-standard-error limit.
     """
-    a_pi = cfg.get_vector("synthetic.true_gradient")
+    a_pi = cfg.get_vector("synthetic.true_gradient", nonempty=True)
     a_s = cfg.get_vector("synthetic.sensor_slope")
-    s2 = cfg.get_float("synthetic.output_variance")
+    s2 = cfg.get_float("synthetic.output_variance", minimum=0.0)
     sigma_s = cfg.get_cov("synthetic.sensor_cov")
     sigma_e = cfg.get_cov("synthetic.exploration_cov")
     coupling = (
@@ -538,10 +510,8 @@ def variance_check(cfg: Config):
         else None
     )
     n = cfg.get_int("variance.trials_per_batch")
-    reps = cfg.get_int("variance.replications", 20000)
+    reps = cfg.get_int("variance.replications", 20000, minimum=2)
     seed = cfg.get_int("seed")
-    if reps < 2:
-        raise ConfigError(f"{cfg.source}: key 'variance.replications' must be >= 2")
     d, ds = a_pi.shape[0], a_s.shape[0]
     if n < d + ds + 2:
         raise ConfigError(
@@ -673,15 +643,13 @@ def encode_search(cfg: Config):
     recovered cosine.  The trace has one row per optimizer iteration
     actually performed.
     """
-    raw_dim = cfg.get_int("encode.raw_dim")
+    raw_dim = cfg.get_int("encode.raw_dim", positive=True)
     samples = cfg.get_int("encode.samples")
     target_dim = cfg.get_int("encode.target_dim")
-    policy_dim = cfg.get_int("encode.policy_dim", 2)
+    policy_dim = cfg.get_int("encode.policy_dim", 2, positive=True)
     floor = cfg.get_float("encode.min_cosine") if cfg.has("encode.min_cosine") else None
     options = _options(cfg, _ENCODE_SEARCH_OPTIONS)
     seed = cfg.get_int("seed")
-    if raw_dim < 1 or policy_dim < 1:
-        raise ConfigError(f"{cfg.source}: encode dimensions must be positive")
     if not 1 <= target_dim <= raw_dim:
         raise ConfigError(
             f"{cfg.source}: key 'encode.target_dim' must lie in [1, raw_dim]"
@@ -691,10 +659,7 @@ def encode_search(cfg: Config):
             f"{cfg.source}: key 'encode.samples' must be at least policy_dim + "
             f"target_dim + 3 = {policy_dim + target_dim + 3} for leave-one-out fits"
         )
-    search = _settings(
-        cfg,
-        _ENCODE_SEARCH_OPTIONS,
-        EncodingSearchConfig,
+    search = EncodingSearchConfig(
         target_dim=target_dim,
         seed=int(substream(seed, ENCODE, 1).integers(0, 2**32)),
         **options,

@@ -48,6 +48,7 @@ from .seeding import EVAL, LEARN, children, psd_sqrt, substream
 
 __all__ = [
     "ESTIMATORS",
+    "STEP_RULES",
     "SearchConfig",
     "StepRecord",
     "check_exploration_cov",
@@ -59,7 +60,7 @@ __all__ = [
 
 ESTIMATORS = ("ignore_sensors", "with_sensors", "with_encoding")
 
-_STEP_RULES = ("normalized", "fixed_rate")
+STEP_RULES = ("normalized", "fixed_rate")
 
 _RECOVERABLE = (EstimationError, EncodingError, PolicyDomainError)
 
@@ -75,8 +76,11 @@ class SearchConfig:
     drawn around the same nominal policy; the gradient still comes from
     the learning batch.  At 0 the search reuses the learning batch,
     which then has to satisfy the leave-one-out sample-size
-    precondition itself.  A refused setting raises :class:`SettingError`
-    naming its field.
+    precondition itself.  A field's own bounds (``step_rule`` in
+    ``STEP_RULES``, positive counts) are checked where its config key is
+    read.  The settings refuse, by :class:`SettingError` naming the
+    field, only an ``initial_policy`` that is not a vector and an
+    ``exploration_cov`` that is not a d x d positive definite matrix.
     """
 
     initial_policy: np.ndarray
@@ -100,19 +104,6 @@ class SearchConfig:
         if policy.ndim != 1:
             raise SettingError("initial_policy", "must be a vector")
         check_exploration_cov(cov, policy.shape[0])
-        for name, allowed in (("estimator", ESTIMATORS), ("step_rule", _STEP_RULES)):
-            value = getattr(self, name)
-            if value not in allowed:
-                choices = ", ".join(allowed)
-                raise SettingError(name, f"must be one of {choices}, got {value!r}")
-        if not self.learning_rate > 0.0:
-            raise SettingError("learning_rate", "must be positive")
-        for name in ("trials_per_step", "runs", "eval_trials_per_point"):
-            if getattr(self, name) < 1:
-                raise SettingError(name, "must be positive")
-        for name in ("steps", "encode_trials_per_step"):
-            if getattr(self, name) < 0:
-                raise SettingError(name, "must be nonnegative")
         object.__setattr__(self, "initial_policy", policy)
         object.__setattr__(self, "exploration_cov", cov)
         object.__setattr__(self, "exploration_root", psd_sqrt(cov))

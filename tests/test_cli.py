@@ -10,11 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensorgrad
 from sensorgrad import experiments, search
 from sensorgrad.cli import main
-from sensorgrad.config import Config, load_config
+from sensorgrad.config import Config, canonical_text, load_config
 from sensorgrad.envs.arm import DartEnv
 from sensorgrad.envs.cannon import CannonEnv
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
@@ -303,6 +305,98 @@ BAD_SETTING_CASES = {
         RUN_CFG + 'output.dir = "elsewhere"\n',
         "unknown key 'output.dir'",
     ),
+    # A world with no policy coordinate would pass the check vacuously.
+    "variance-empty-true-gradient": (
+        "variance-check",
+        VARIANCE_CFG.replace("[1.5, -0.7]", "[]").replace(
+            "[[0.5, 0.1], [0.1, 0.3]]", "[]"
+        ),
+        "key 'synthetic.true_gradient' must be nonempty",
+    ),
+    "encode-raw-dim-0": (
+        "encode-search",
+        ENCODE_CFG.replace("encode.raw_dim = 8", "encode.raw_dim = 0"),
+        "key 'encode.raw_dim' must be positive",
+    ),
+    "encode-policy-dim-0": (
+        "encode-search",
+        ENCODE_CFG.replace("encode.policy_dim = 2", "encode.policy_dim = 0"),
+        "key 'encode.policy_dim' must be positive",
+    ),
+    "run-learning-rate-0": (
+        "run",
+        RUN_CFG.replace("learning_rate = 0.1", "learning_rate = 0"),
+        "key 'search.learning_rate' must be positive",
+    ),
+    "run-step-rule": (
+        "run",
+        RUN_CFG.replace('"normalized"', "adam"),
+        "key 'search.step_rule' must be one of normalized, fixed_rate, got 'adam'",
+    ),
+    "run-unknown-estimator": (
+        "run",
+        RUN_CFG.replace('"with_sensors"]', '"scores_only"]'),
+        "key 'run.estimators' entries must be one of ignore_sensors, with_sensors, "
+        "with_encoding, got 'scores_only'",
+    ),
+    "run-environment": (
+        "run",
+        RUN_CFG.replace("environment = cannon", "environment = moon"),
+        "key 'run.environment' must be one of cannon, dart, got 'moon'",
+    ),
+    "run-trials-per-step": (
+        "run",
+        RUN_CFG.replace("trials_per_step = 8", "trials_per_step = 0"),
+        "key 'search.trials_per_step' must be positive",
+    ),
+    "run-eval-trials-per-point": (
+        "run",
+        RUN_CFG.replace("eval_trials_per_point = 4", "eval_trials_per_point = 0"),
+        "key 'search.eval_trials_per_point' must be positive",
+    ),
+    "cannon-encode-trials-per-step": (
+        "run",
+        ENCODING_RUN_CFG + "search.encode_trials_per_step = -1\n",
+        "key 'search.encode_trials_per_step' must be nonnegative",
+    ),
+    "variance-replications": (
+        "variance-check",
+        VARIANCE_CFG.replace("replications = 2000", "replications = 1"),
+        "key 'variance.replications' must be at least 2",
+    ),
+    # Integers beyond the float range parse (a seed may be one), but no
+    # float reader takes them.
+    "run-learning-rate-beyond-float-range": (
+        "run",
+        RUN_CFG.replace("learning_rate = 0.1", f"learning_rate = {10**400}"),
+        "key 'search.learning_rate' holds an integer beyond the float range",
+    ),
+    "variance-true-gradient-entry-beyond-float-range": (
+        "variance-check",
+        VARIANCE_CFG.replace("[1.5, -0.7]", f"[1.5, {-(10**400)}]"),
+        "key 'synthetic.true_gradient' holds an integer beyond the float range",
+    ),
+    "variance-exploration-cov-entry-beyond-float-range": (
+        "variance-check",
+        VARIANCE_CFG.replace("0.3]]", f"{10**400}]]"),
+        "key 'synthetic.exploration_cov' holds an integer beyond the float range",
+    ),
+    "cannon-noise-beyond-float-range": (
+        "run",
+        RUN_CFG.replace("[1.0, 4.0]", f"[{10**400}, 4.0]"),
+        "key 'cannon.control_noise_diag' holds an integer beyond the float range",
+    ),
+    # Python reads no integer literal over 4,300 digits.
+    "run-over-long-seed": (
+        "run",
+        RUN_CFG.replace("seed = 7", "seed = 1" + "0" * 5000),
+        ":1: value for 'seed' is too large to read (Exceeds the limit",
+    ),
+    "variance-over-long-replications": (
+        "variance-check",
+        VARIANCE_CFG.replace("replications = 2000", "replications = 1" + "0" * 5000),
+        ":8: value for 'variance.replications' is too large to read (Exceeds",
+    ),
 }
 
 # The task constants of the cannon and the arm are the world defaults:
@@ -445,12 +539,16 @@ def stop_at_key_check(monkeypatch, no_work):
     return keys_read
 
 
-def _run_to_the_key_check(path, out):
+def _command_of(path):
     commands = {"run": "run", "variance": "variance-check", "encode": "encode-search"}
     sections = {key.split(".")[0] for key in load_config(path).values}
     (command,) = [commands[section] for section in sections if section in commands]
+    return command
+
+
+def _run_to_the_key_check(path, out):
     with pytest.raises(_Checked):
-        main([command, "--config", str(path), "--out", str(out)])
+        main([_command_of(path), "--config", str(path), "--out", str(out)])
 
 
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
@@ -484,6 +582,78 @@ def test_every_synthetic_world_field_is_a_variance_check_key(
     (read,) = stop_at_key_check
     fields = {f.name for f in dataclasses.fields(SyntheticWorld) if f.init}
     assert {f"synthetic.{name}" for name in fields - {"offset"}} <= read
+
+
+def test_every_search_config_field_is_a_run_key(tmp_path, stop_at_key_check):
+    # run reports a field SearchConfig refuses as ``search.<field>``, so
+    # each field that a key sets has to be a key that a run config reads.
+    for path in SHIPPED_CONFIGS:
+        if _command_of(path) == "run":
+            _run_to_the_key_check(path, tmp_path / path.stem)
+    fields = {f.name for f in dataclasses.fields(search.SearchConfig) if f.init}
+    keys = {f"search.{name}" for name in fields - {"seed", "estimator", "encoding"}}
+    assert keys <= set().union(*stop_at_key_check)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("run", RUN_CFG), ("variance-check", VARIANCE_CFG), ("encode-search", ENCODE_CFG)],
+    ids=["run", "variance-check", "encode-search"],
+)
+def test_a_seed_beyond_the_float_range_passes_the_key_check(
+    tmp_path, stop_at_key_check, command, text
+):
+    cfg = write_cfg(tmp_path, re.sub(r"^seed = \d+", f"seed = {10**400}", text))
+    with pytest.raises(_Checked):
+        main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+HUGE = 10**400
+# Any JSON value a config line can hold, weighted towards the edges: huge
+# and negative integers, extreme floats, empty and nested lists.
+_SCALARS = st.one_of(
+    st.sampled_from([HUGE, -HUGE, 0, 1, -1]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+JSON_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=3),
+)
+
+
+def test_no_config_value_exits_3_before_the_key_check(
+    tmp_path, capsys, stop_at_key_check
+):
+    """A shipped config with one key set to any JSON value either passes
+    the key check or exits 2 naming a key its command reads (the key
+    itself, or the partner of a cross-key check)."""
+    read = {}
+    for path in SHIPPED_CONFIGS:
+        _run_to_the_key_check(path, tmp_path / path.stem)
+        read.setdefault(_command_of(path), set()).update(stop_at_key_check[-1])
+    configs = {path: load_config(path).values for path in SHIPPED_CONFIGS}
+    pairs = [(path, key) for path, values in configs.items() for key in sorted(values)]
+
+    @settings(max_examples=450, deadline=None, derandomize=True)
+    @given(pair=st.sampled_from(pairs), value=JSON_VALUES)
+    def one_value(pair, value):
+        path, key = pair
+        command = _command_of(path)
+        cfg = write_cfg(tmp_path, canonical_text({**configs[path], key: value}))
+        try:
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        except _Checked:
+            return
+        err = capsys.readouterr().err
+        named = set(re.findall(r"key '([^']+)'", err))
+        assert code == 2 and named and named <= read[command], err
+
+    one_value()
 
 
 def test_the_readme_lists_the_keys_the_shipped_configs_read(

@@ -79,6 +79,80 @@ def test_finite_extremes_still_parse():
     assert values == {"a": 1e308, "b": -5e-324, "c": [0.0, -0.0]}
 
 
+@pytest.mark.parametrize(
+    "value", ["1" + "0" * 5000, "[" * 100000 + "]" * 100000], ids=["digits", "depth"]
+)
+def test_a_value_past_pythons_limits_is_refused_with_line_and_key(value):
+    with pytest.raises(
+        ConfigError, match=r"^job.cfg:2: value for 'b.c' is too large to read \("
+    ):
+        parse_config_text(f"a = 1\nb.c = {value}\n", source="job.cfg")
+
+
+def test_integers_beyond_the_float_range_parse_and_only_float_readers_refuse_them():
+    huge = 10**400
+    config = Config(
+        parse_config_text(
+            f"seed = {huge}\nrate = {huge}\nvec = [1.0, {-huge}]\n"
+            f"mat = [[1.0, 0.0], [0.0, {huge}]]\n"
+        ),
+        source="job.cfg",
+    )
+    assert config.get_int("seed") == huge
+    for read, key in [
+        (config.get_float, "rate"),
+        (config.get_vector, "vec"),
+        (config.get_matrix, "mat"),
+        (config.get_cov, "mat"),
+    ]:
+        with pytest.raises(
+            ConfigError,
+            match=f"^job.cfg: key '{key}' holds an integer beyond the float range$",
+        ):
+            read(key)
+
+
+def test_accessors_refuse_values_outside_their_bounds_by_key():
+    config = Config(
+        parse_config_text(
+            "n = 0\nrate = -0.5\nname = moon\nnames = [\"a\", \"z\"]\n"
+            "vec = [1.0, -2.0]\nnone = []\n"
+        ),
+        source="job.cfg",
+    )
+    cases = [
+        (config.get_int, "n", dict(minimum=1), "must be at least 1"),
+        (config.get_int, "n", dict(positive=True), "must be positive"),
+        (config.get_float, "rate", dict(minimum=0.0), "must be nonnegative"),
+        (
+            config.get_str,
+            "name",
+            dict(choices=("sun", "sky")),
+            "must be one of sun, sky, got 'moon'",
+        ),
+        (
+            config.get_str_list,
+            "names",
+            dict(choices="ab"),
+            "entries must be one of a, b, got 'z'",
+        ),
+        (config.get_vector, "vec", dict(minimum=0.0), "entries must be nonnegative"),
+        (config.get_vector, "none", dict(nonempty=True), "must be nonempty"),
+        (config.get_str_list, "none", dict(nonempty=True), "must be nonempty"),
+    ]
+    for read, key, bounds, problem in cases:
+        with pytest.raises(ConfigError) as refused:
+            read(key, **bounds)
+        assert str(refused.value) == f"job.cfg: key '{key}' {problem}"
+    assert config.get_int("n", minimum=0) == 0
+    assert config.get_float("rate", minimum=-0.5) == -0.5
+    assert config.get_vector("vec", minimum=-2.0).tolist() == [1.0, -2.0]
+    assert config.get_vector("none").shape == (0,)
+    # A default is bounded like a set value.
+    with pytest.raises(ConfigError, match="key 'absent' must be positive"):
+        config.get_int("absent", 0, positive=True)
+
+
 def test_canonical_text_sorts_keys_and_round_trips():
     values = parse_config_text(SAMPLE)
     text = canonical_text(values)
