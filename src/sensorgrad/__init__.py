@@ -7,8 +7,13 @@ explain and tightens the estimate.  The package provides the two
 estimators and their variance laws, a leave-one-out search over sensor
 projections, simulated tasks to run them on, a learned-dynamics sensor
 pipeline for the arm task, a hill-climbing driver, and a command-line
-experiment harness.  Imported before numpy, it runs BLAS in one thread,
-as every run does, unless the environment sets ``OPENBLAS_NUM_THREADS``,
+experiment harness.  Each name is imported from the module that defines
+it (``sensorgrad.estimators.estimate_g2``); this package root exports
+nothing and imports no submodule.
+
+It only sets up BLAS, and importing any submodule runs it first.
+Imported before numpy, it runs BLAS in one thread, as every run does,
+unless the environment sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``.  Imported after numpy, it
 leaves all three as they are: BLAS has already chosen its threads, and
 the variables would only reach child processes.
@@ -17,65 +22,8 @@ the variables would only reach child processes.
 import os
 import sys
 
-# Before the first import that loads numpy: BLAS reads these once.
+# Before any submodule loads numpy: BLAS reads these once.
 if "numpy" not in sys.modules:
     for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_name, "1")
     del _name
-
-from .config import Config, ConfigError, config_hash, load_config, parse_config_text
-from .encoding import (
-    EncodingSearchConfig,
-    SensorProjection,
-    estimate_gradient_encoded,
-    loo_cost,
-    optimize_projection,
-)
-from .estimators import (
-    EncodingError,
-    EstimationError,
-    GradientEstimate,
-    TrialBatch,
-    estimate_g1,
-    estimate_g2,
-    predicted_bias_g2,
-    predicted_variance_g1,
-    predicted_variance_g2,
-)
-from .search import (
-    ESTIMATORS,
-    SearchConfig,
-    StepRecord,
-    run_learning_curve,
-    sample_exploration_policies,
-)
-
-__all__ = [
-    "Config",
-    "ConfigError",
-    "config_hash",
-    "load_config",
-    "parse_config_text",
-    "EncodingError",
-    "EncodingSearchConfig",
-    "SensorProjection",
-    "estimate_gradient_encoded",
-    "loo_cost",
-    "optimize_projection",
-    "EstimationError",
-    "GradientEstimate",
-    "TrialBatch",
-    "estimate_g1",
-    "estimate_g2",
-    "predicted_bias_g2",
-    "predicted_variance_g1",
-    "predicted_variance_g2",
-    "ESTIMATORS",
-    "SearchConfig",
-    "StepRecord",
-    "run_learning_curve",
-    "sample_exploration_policies",
-]
-
-__version__ = "0.1.0"
-

@@ -31,7 +31,6 @@ from .estimators import (
 from .linreg import rank_deficient
 
 __all__ = [
-    "EncodingError",
     "SensorProjection",
     "EncodingSearchConfig",
     "loo_cost",

@@ -96,17 +96,23 @@ def cannon_range(control):
 
 
 def _check_policies(policies) -> np.ndarray:
-    """Validate policy rows; the first bad row raises, naming its bad control."""
+    """Validate policy rows; the first bad row raises, naming its bad control
+    (a speed whose noise-free score overflows cannot be scored)."""
     policies = np.atleast_2d(np.asarray(policies, dtype=float))
     if policies.ndim != 2 or policies.shape[1] != 2:
         raise ValueError("cannon policy must be (speed, angle)")
     slow = ~(policies[:, 0] > 0.0)
     steep = ~((0.0 < policies[:, 1]) & (policies[:, 1] < np.pi / 2.0))
-    bad = slow | steep
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = ~np.isfinite((cannon_range(policies) - TARGET_RANGE) ** 2)
+    bad = slow | steep | overflow
     if bad.any():
-        if slow[np.argmax(bad)]:
+        first = np.argmax(bad)
+        if slow[first]:
             raise PolicyDomainError("commanded speed must be positive")
-        raise PolicyDomainError("commanded angle must lie in (0, pi/2)")
+        if steep[first]:
+            raise PolicyDomainError("commanded angle must lie in (0, pi/2)")
+        raise PolicyDomainError("commanded speed overflows the score")
     return policies
 
 

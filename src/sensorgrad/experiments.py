@@ -48,6 +48,7 @@ from .envs.arm import ArmWorld, DartEnv
 from .envs.cannon import CannonEnv, CannonWorld
 from .envs.synthetic import SyntheticEnv, SyntheticWorld
 from .estimators import (
+    EstimationError,
     TrialBatch,
     estimate_g1,
     estimate_g2,
@@ -292,68 +293,52 @@ def build_cannon_world(cfg: Config) -> CannonWorld:
     return CannonWorld(control_noise_cov=np.diag([diag[0], diag[1] * _DEG2]))
 
 
-# The optional keys of each settings object, by field: (key, reader, the
-# key's bounds).  An absent key leaves the field's default.
-_SEARCH_OPTIONS = {
-    "step_rule": ("search.step_rule", Config.get_str, dict(choices=STEP_RULES)),
-    "learning_rate": ("search.learning_rate", Config.get_float, dict(positive=True)),
-    "eval_trials_per_point": (
-        "search.eval_trials_per_point",
-        Config.get_int,
-        dict(positive=True),
-    ),
-}
-# Read only for the encoding estimator, so elsewhere they are unknown: a
-# ``SearchConfig`` field, then the fields of its ``EncodingSearchConfig``.
-_SEARCH_ENCODE_OPTIONS = {
-    "encode_trials_per_step": (
-        "search.encode_trials_per_step",
-        Config.get_int,
-        dict(minimum=0),
-    ),
-}
-_RUN_ENCODING_OPTIONS = {
-    "target_dim": ("search.encoding_dim", Config.get_int, dict(minimum=0)),
-    "max_iterations": ("search.encode_max_iterations", Config.get_int, dict(minimum=0)),
-    "restarts": ("search.encode_restarts", Config.get_int, dict(minimum=1)),
-}
-# encode-search's optional ``EncodingSearchConfig`` fields.
-_ENCODE_SEARCH_OPTIONS = {
-    "max_iterations": ("encode.max_iterations", Config.get_int, dict(minimum=0)),
-    "restarts": ("encode.restarts", Config.get_int, dict(minimum=1)),
-}
-
-
-def _options(cfg: Config, table: dict) -> dict:
-    """The values of the keys in ``table`` that ``cfg`` sets, by field."""
-    return {
-        name: read(cfg, key, **bounds)
-        for name, (key, read, bounds) in table.items()
-        if cfg.has(key)
-    }
-
-
-def build_search_config(cfg: Config, estimator: str) -> SearchConfig:
-    """One estimator's settings; a field they refuse is named ``search.<field>``."""
-    settings = _options(cfg, _SEARCH_OPTIONS)
-    if estimator == "with_encoding":
-        settings.update(_options(cfg, _SEARCH_ENCODE_OPTIONS))
-        encoding = _options(cfg, _RUN_ENCODING_OPTIONS)
-        settings["encoding"] = replace(SearchConfig.encoding, **encoding)
+def build_search_configs(cfg: Config, estimators) -> dict:
+    """Each listed estimator's settings, by name; a field they refuse is
+    named ``search.<field>``, and only ``with_encoding`` reads the encoding keys."""
     try:
-        return SearchConfig(
+        base = SearchConfig(
             initial_policy=cfg.get_vector("search.initial_policy"),
             trials_per_step=cfg.get_int("search.trials_per_step", positive=True),
             exploration_cov=cfg.get_cov("search.exploration_cov"),
             steps=cfg.get_int("search.steps", minimum=0),
             runs=cfg.get_int("search.runs", positive=True),
             seed=cfg.get_int("seed"),
-            estimator=estimator,
-            **settings,
+            step_rule=cfg.get_str(
+                "search.step_rule", SearchConfig.step_rule, choices=STEP_RULES
+            ),
+            learning_rate=cfg.get_float(
+                "search.learning_rate", SearchConfig.learning_rate, positive=True
+            ),
+            eval_trials_per_point=cfg.get_int(
+                "search.eval_trials_per_point",
+                SearchConfig.eval_trials_per_point,
+                positive=True,
+            ),
         )
     except SettingError as exc:
         key = f"search.{exc.field}"
         raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
+    options = {name: {} for name in estimators}
+    if "with_encoding" in options:
+        default = SearchConfig.encoding
+        encoding = replace(
+            default,
+            target_dim=cfg.get_int("search.encoding_dim", default.target_dim, minimum=0),
+            max_iterations=cfg.get_int(
+                "search.encode_max_iterations", default.max_iterations, minimum=0
+            ),
+            restarts=cfg.get_int("search.encode_restarts", default.restarts, minimum=1),
+        )
+        options["with_encoding"] = dict(
+            encode_trials_per_step=cfg.get_int(
+                "search.encode_trials_per_step",
+                SearchConfig.encode_trials_per_step,
+                minimum=0,
+            ),
+            encoding=encoding,
+        )
+    return {name: replace(base, estimator=name, **options[name]) for name in estimators}
 
 
 def _read_environments(cfg: Config, configs: dict):
@@ -361,8 +346,8 @@ def _read_environments(cfg: Config, configs: dict):
     environment; returns a function that builds the environment per
     noise scale, pretraining the dart model if needed."""
     environment = cfg.get_str("run.environment", choices=("cannon", "dart"))
-    scales = cfg.get_vector("run.noise_scales", [1.0], nonempty=True, minimum=0.0)
-    scales = [float(s) for s in scales]
+    scales = cfg.get_vector("run.noise_scales", [1.0], nonempty=True, minimum=0.0).tolist()
+    shared = next(iter(configs.values()))  # the same policy and seed in each
     if environment == "cannon":
         world = build_cannon_world(cfg)
         # A (speed, angle) policy; the sensors read its actuation error.
@@ -378,33 +363,31 @@ def _read_environments(cfg: Config, configs: dict):
         # The estimators see the encoded sensors: one residual spline
         # coefficient per policy knot, then the release time.
         policy_dim, width = world.policy_dim, world.policy_dim + 1
-        initial = cfg.get_vector("search.initial_policy")
         fewest = quad_feature_count(2 * world.dof) + 2  # for the dynamics model
         count = cfg.get_int("dart.pretrain_states", 2000, minimum=fewest)
         spread = cfg.get_float("dart.pretrain_policy_cov", 0.01, minimum=0.0)
-        seed = cfg.get_int("seed")
 
         def build():
             states = sample_pretraining_states(
                 world,
                 count,
-                substream(seed, PRETRAIN),
-                policy_mean=initial,
+                substream(shared.seed, PRETRAIN),
+                policy_mean=shared.initial_policy,
                 policy_cov=spread * np.eye(world.policy_dim),
             )
             return [(1.0, DartEnv(world, fit_dynamics_model(world, states)))]
 
-    for config in configs.values():
-        if config.initial_policy.shape[0] != policy_dim:
-            raise ConfigError(
-                f"{cfg.source}: key 'search.initial_policy' must have "
-                f"{policy_dim} entries for the {environment} environment"
-            )
-        if config.estimator == "with_encoding" and config.encoding.target_dim > width:
-            raise ConfigError(
-                f"{cfg.source}: key 'search.encoding_dim' must be at most {width}, "
-                f"the sensor width of the {environment} environment"
-            )
+    if shared.initial_policy.shape[0] != policy_dim:
+        raise ConfigError(
+            f"{cfg.source}: key 'search.initial_policy' must have "
+            f"{policy_dim} entries for the {environment} environment"
+        )
+    encoded = configs.get("with_encoding")
+    if encoded is not None and encoded.encoding.target_dim > width:
+        raise ConfigError(
+            f"{cfg.source}: key 'search.encoding_dim' must be at most {width}, "
+            f"the sensor width of the {environment} environment"
+        )
     return build
 
 
@@ -445,7 +428,7 @@ def run_tables(cfg: Config):
     estimators = cfg.get_str_list("run.estimators", nonempty=True, choices=ESTIMATORS)
     if len(set(estimators)) != len(estimators):
         raise ConfigError(f"{cfg.source}: key 'run.estimators' repeats an entry")
-    configs = {name: build_search_config(cfg, name) for name in estimators}
+    configs = build_search_configs(cfg, estimators)
     build_environments = _read_environments(cfg, configs)
     cfg.check_unknown()
     environments = build_environments()
@@ -520,13 +503,22 @@ def variance_check(cfg: Config):
         )
     try:
         world = SyntheticWorld(a_pi, a_s, s2, sigma_s, coupling)
+        # A sensor direction without variance makes every joint design singular.
+        if ds and np.linalg.eigvalsh(world.sensor_cov)[0] <= 0.0:
+            raise SettingError("sensor_cov", "must be positive definite")
         check_exploration_cov(sigma_e, d)
     except SettingError as exc:
         key = f"synthetic.{exc.field}"
         raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
     cfg.check_unknown()
     env = SyntheticEnv(world, correlated=world.coupled)
-    g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
+    try:
+        g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
+    except EstimationError as exc:
+        raise ConfigError(
+            f"{cfg.source}: key 'synthetic.exploration_cov' and key "
+            f"'synthetic.sensor_cov' set scales the regressions cannot fit ({exc})"
+        ) from exc
 
     pred1 = predicted_variance_g1(world, sigma_e, n)
     pred2 = predicted_variance_g2(world, sigma_e, n)
@@ -648,7 +640,6 @@ def encode_search(cfg: Config):
     target_dim = cfg.get_int("encode.target_dim")
     policy_dim = cfg.get_int("encode.policy_dim", 2, positive=True)
     floor = cfg.get_float("encode.min_cosine") if cfg.has("encode.min_cosine") else None
-    options = _options(cfg, _ENCODE_SEARCH_OPTIONS)
     seed = cfg.get_int("seed")
     if not 1 <= target_dim <= raw_dim:
         raise ConfigError(
@@ -661,8 +652,11 @@ def encode_search(cfg: Config):
         )
     search = EncodingSearchConfig(
         target_dim=target_dim,
+        max_iterations=cfg.get_int(
+            "encode.max_iterations", EncodingSearchConfig.max_iterations, minimum=0
+        ),
+        restarts=cfg.get_int("encode.restarts", EncodingSearchConfig.restarts, minimum=1),
         seed=int(substream(seed, ENCODE, 1).integers(0, 2**32)),
-        **options,
     )
     cfg.check_unknown()
 

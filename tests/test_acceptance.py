@@ -44,7 +44,7 @@ from sensorgrad.estimators import (
 )
 from sensorgrad.experiments import (
     DIAGNOSTICS,
-    build_search_config,
+    build_search_configs,
     replicate_gradients,
     run_tables,
 )
@@ -379,10 +379,9 @@ def test_criterion_10_encoded_sensors_win_on_the_dart_task(dart_setup):
     env = DartEnv(world, model)
     plain_final, encoded_final = (
         _final_evaluations([vars(r) for r in run_learning_curve(env, config)])
-        for config in (
-            build_search_config(cfg, "ignore_sensors"),
-            build_search_config(cfg, "with_encoding"),
-        )
+        for config in build_search_configs(
+            cfg, ["ignore_sensors", "with_encoding"]
+        ).values()
     )
     shared = sorted(set(plain_final) & set(encoded_final))
     assert len(shared) >= 10

@@ -58,6 +58,9 @@ def test_policy_domain_is_enforced():
         with pytest.raises(PolicyDomainError, match=problem):
             env.sample_trials(np.array(rows), children(substream(71), 3))
     assert env.check_policies(np.array([good, good])).shape == (2, 2)
+    # A command whose noise-free score overflows cannot be scored.
+    with pytest.raises(PolicyDomainError, match="overflows"):
+        env.check_policies(np.array([good, [1e78, 0.7]]))
 
 
 def test_sensors_report_the_actuation_error_exactly():

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sensorgrad.encoding import (
-    EncodingError,
     EncodingSearchConfig,
     _centered,
     _loo_cost_and_grad,
@@ -17,6 +16,7 @@ from sensorgrad.encoding import (
     optimize_projection,
 )
 from sensorgrad.estimators import (
+    EncodingError,
     EstimationError,
     TrialBatch,
     estimate_g2,
