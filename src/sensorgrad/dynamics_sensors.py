@@ -89,10 +89,7 @@ def sample_pretraining_states(
     angles, velocities, _ = split_dart_sensors(world, trials.sensors)
     pool_q = angles.reshape(-1, world.dof)
     pool_v = velocities.reshape(-1, world.dof)
-    total = pool_q.shape[0]
-    if count > total:
-        raise ValueError(f"cannot draw {count} states from {total} visited")
-    picks = pick_rng.choice(total, size=count, replace=False)
+    picks = pick_rng.choice(pool_q.shape[0], size=count, replace=False)
     return pool_q[picks], pool_v[picks]
 
 
@@ -190,14 +187,12 @@ def spline_basis(world: ArmWorld, times) -> np.ndarray:
     return _knot_basis(world, times)[0][:, 1:]
 
 
-def project_residuals(
-    residuals, basis: np.ndarray, release_time=None
-) -> np.ndarray:
+def project_residuals(residuals, basis: np.ndarray, release_time) -> np.ndarray:
     """Least-squares coefficients of each joint's curve on the basis.
 
     ``residuals`` has shape (..., steps, joints).  Returns each trial's
-    coefficients concatenated joint-major, with its release time
-    (leading shape of ``residuals``) appended when given.
+    coefficients concatenated joint-major, then its release time
+    (``release_time`` has the leading shape of ``residuals``).
     """
     residuals = np.asarray(residuals, dtype=float)
     basis = np.asarray(basis, dtype=float)
@@ -210,8 +205,6 @@ def project_residuals(
         raise ValueError("fewer timesteps than basis functions")
     coef = np.linalg.pinv(basis) @ residuals.reshape(-1, steps, joints)
     flat = np.swapaxes(coef, 1, 2).reshape(residuals.shape[:-2] + (-1,))
-    if release_time is None:
-        return flat
     release = np.asarray(release_time, dtype=float)[..., None]
     return np.concatenate([flat, release], axis=-1)
 
@@ -224,7 +217,7 @@ def encode_dart_batch(
     Encoded layout: spline coefficients of the velocity residual curve,
     joint-major, then the realized release time.
     """
-    angles, velocities, release = split_dart_sensors(world, batch.sensor_matrix())
+    angles, velocities, release = split_dart_sensors(world, batch.sensors)
     times = np.arange(world.grid_steps + 1) * world.timestep
     torques = commanded_torques(
         world, batch.policies, angles[:, :-1], velocities[:, :-1], times[:-1]

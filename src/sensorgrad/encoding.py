@@ -26,6 +26,7 @@ from .estimators import (
     EstimationError,
     GradientEstimate,
     TrialBatch,
+    check_score_sum,
     estimate_g2,
 )
 from .linreg import rank_deficient
@@ -80,7 +81,8 @@ class EncodingSearchConfig:
 
 def _centered(batch: TrialBatch):
     """Centered policies, scores and sensors of a batch."""
-    pols, scores, sens = batch.policies, batch.scores, batch.sensor_matrix()
+    pols, scores, sens = batch.policies, batch.scores, batch.sensors
+    check_score_sum(scores)
     return pols - pols.mean(axis=0), scores - scores.mean(), sens - sens.mean(axis=0)
 
 
@@ -165,10 +167,8 @@ def _pca_init(raw: np.ndarray, target_dim: int) -> np.ndarray:
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     count = min(target_dim, vt.shape[0])
     init = np.zeros((raw.shape[1], target_dim))
+    # Fewer trials than columns leave zero columns: loo_cost then refuses.
     init[:, :count] = vt[:count].T
-    # Pad degenerate cases with unit axes so columns stay independent.
-    for j in range(count, target_dim):
-        init[j % raw.shape[1], j] = 1.0
     return _orthonormalized(init)
 
 
@@ -189,7 +189,7 @@ _GTOL = 1e-10
 _RESOLUTION = 1e-15
 
 
-def minimize(fun, x0, max_iterations: int, callback=None) -> MinimizeResult:
+def minimize(fun, x0, max_iterations: int, callback) -> MinimizeResult:
     """BFGS with Armijo backtracking (Nocedal & Wright, 2006, ch. 3 and 6).
 
     ``fun(x)`` returns the cost and its gradient.  A trial point must
@@ -228,8 +228,7 @@ def minimize(fun, x0, max_iterations: int, callback=None) -> MinimizeResult:
         s, y = trial - x, trial_grad - grad
         x, cost, grad = trial, trial_cost, trial_grad
         nit += 1
-        if callback is not None:
-            callback(cost)
+        callback(cost)
         sy = float(y @ s)
         if sy <= 0.0:
             continue
@@ -274,7 +273,7 @@ def optimize_projection(
     ``max_iterations=0`` the best initialization is returned unchanged
     (up to orthonormalization).
     """
-    raw = batch.sensor_matrix()
+    raw = batch.sensors
     raw_dim = raw.shape[1]
     ds = config.target_dim
     if ds > raw_dim:
@@ -316,4 +315,4 @@ def estimate_gradient_encoded(
     the joint regression.  The gradient depends on the projection only
     through its column space.
     """
-    return estimate_g2(replace(batch, sensors=batch.sensor_matrix() @ projection))
+    return estimate_g2(replace(batch, sensors=batch.sensors @ projection))

@@ -444,15 +444,13 @@ def dart_trials(world: ArmWorld, policies, streams) -> TrialBatch:
 class DartEnv:
     """Trial sampler for the dart task.
 
-    When built with a fitted dynamics model, ``encode_batch`` replaces a
-    batch's trajectory sensors with residual-projection features;
-    without one, batches pass through unchanged and only the
-    policy-only estimator applies.
+    ``encode_batch`` replaces a batch's trajectory sensors with
+    residual-projection features under the fitted dynamics ``model``.
     """
 
-    def __init__(self, world: ArmWorld | None = None, model=None):
-        self.world = world if world is not None else ArmWorld()
-        self.policy_dim = self.world.policy_dim
+    def __init__(self, world: ArmWorld, model):
+        self.world = world
+        self.policy_dim = world.policy_dim
         self.model = model
 
     def check_policies(self, policies) -> np.ndarray:
@@ -464,8 +462,6 @@ class DartEnv:
         return dart_trials(self.world, policies, streams)
 
     def encode_batch(self, batch):
-        if self.model is None:
-            return batch
         # Imported here: dynamics_sensors imports this module.
         from ..dynamics_sensors import encode_dart_batch
 

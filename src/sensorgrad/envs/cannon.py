@@ -136,11 +136,11 @@ class CannonEnv:
     """Trial sampler for the projectile task; the noise sweep varies its
     difficulty by sampling ``world.scaled(s)``."""
 
-    def __init__(self, world: CannonWorld | None = None):
-        self.world = world if world is not None else CannonWorld()
+    def __init__(self, world: CannonWorld):
+        self.world = world
         self.policy_dim = 2
-        self._control_root = psd_sqrt(self.world.control_noise_cov)
-        self._sensor_root = psd_sqrt(self.world.sensor_noise_cov)
+        self._control_root = psd_sqrt(world.control_noise_cov)
+        self._sensor_root = psd_sqrt(world.sensor_noise_cov)
 
     def check_policies(self, policies) -> np.ndarray:
         """Policy rows as a float array; raises outside the task's domain."""

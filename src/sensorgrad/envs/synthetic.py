@@ -1,15 +1,10 @@
 """Linear-Gaussian score model with sensor readings.
 
 The baseline generative model: the score is affine in the policy and in
-the observed sensors, plus Gaussian noise.  Sensor readings consist of
-a policy-independent disturbance, optionally shifted by a linear
-function of the policy (the policy-sensor coupling).  The sampler and
-the laws of :mod:`sensorgrad.estimators` read one ``SyntheticWorld``.
-
-The sampler ``SyntheticEnv.sample_trials`` has two modes because "the
-score depends on the sensor" can mean two different worlds once sensors
-are coupled to the policy; ``SyntheticEnv`` documents both.  They
-collapse to the same model when the coupling is zero.
+a policy-independent sensor disturbance, plus Gaussian noise.  The
+sensors read the disturbance, shifted by a linear function of the
+policy (the policy-sensor coupling).  The sampler and the laws of
+:mod:`sensorgrad.estimators` read one ``SyntheticWorld``.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyntheticWorld:
-    """Affine score world: ``f = policy @ true_gradient + sensor-term + offset + w``.
+    """Affine score world: ``f = policy @ true_gradient + disturbance @ sensor_slope + w``.
 
     ``w`` has variance ``output_variance``, and the zero-mean sensor
     disturbance has covariance ``sensor_cov``.  ``policy_sensor_coupling``
@@ -46,7 +41,6 @@ class SyntheticWorld:
     output_variance: float
     sensor_cov: np.ndarray
     policy_sensor_coupling: np.ndarray | None = None
-    offset: float = 0.0
     # psd_sqrt(sensor_cov), derived once for every draw of the sampler.
     sensor_root: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -72,7 +66,6 @@ class SyntheticWorld:
         object.__setattr__(self, "output_variance", float(self.output_variance))
         object.__setattr__(self, "sensor_cov", cov)
         object.__setattr__(self, "policy_sensor_coupling", coupling)
-        object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "sensor_root", root)
 
     @property
@@ -93,30 +86,20 @@ class SyntheticWorld:
 class SyntheticEnv:
     """Trial sampler over a :class:`SyntheticWorld`.
 
-    The sensor disturbance is zero mean with covariance ``sensor_cov``.
-    With ``correlated=False`` the score is driven by the *observed*
-    sensor value: ``s ~ N(coupling' policy, sensor_cov)`` and ``f =
-    policy @ true_gradient + s @ sensor_slope + offset + w``.  The joint
-    regression then recovers the score equation's own policy coefficient
-    exactly, coupled or not.
-
-    With ``correlated=True`` the sensor reading leaks the policy while
-    the score responds only to the policy-independent disturbance:
-    ``f = policy @ true_gradient + disturbance @ sensor_slope + offset +
-    w`` and ``s = disturbance - coupling' policy``.  Substituting the
-    disturbance out shows the joint regression's policy coefficient is
-    ``true_gradient + coupling @ sensor_slope``: the joint estimator is
-    biased by exactly the coupling term, which
-    :func:`~sensorgrad.estimators.predicted_bias_g2` predicts, while the
-    policy-only regression remains unbiased for the value gradient (the
-    disturbance is independent of the policy).  The sensors are the
-    reading ``s``.
+    The score responds to the policy-independent disturbance, and the
+    sensors read it shifted by the policy: ``f = policy @ true_gradient
+    + disturbance @ sensor_slope + w`` and ``s = disturbance - coupling'
+    policy``.  Substituting the disturbance out shows the joint
+    regression's policy coefficient is ``true_gradient + coupling @
+    sensor_slope``: the joint estimator is biased by exactly the
+    coupling term, which :func:`~sensorgrad.estimators.predicted_bias_g2`
+    predicts, while the policy-only regression remains unbiased for the
+    value gradient (the disturbance is independent of the policy).
     """
 
-    def __init__(self, world: SyntheticWorld, *, correlated: bool = False):
+    def __init__(self, world: SyntheticWorld):
         self.world = world
         self.policy_dim = world.policy_dim
-        self.correlated = correlated
         self._score_std = float(np.sqrt(world.output_variance))
 
     def check_policies(self, policies) -> np.ndarray:
@@ -140,18 +123,12 @@ class SyntheticEnv:
         normals = normal_rows(streams, policies.shape[0], sensor_dim + 1)
         coupling = world.policy_sensor_coupling
         disturbance = row_products(normals[:, :sensor_dim], world.sensor_root.T)
-        shift = row_products(policies, coupling) if coupling is not None else 0.0
-        score_noise = normals[:, sensor_dim] * self._score_std
-        if self.correlated:
-            sensed = disturbance - shift
-            sensor_term = row_products(disturbance, world.sensor_slope)
-        else:
-            sensed = shift + disturbance
-            sensor_term = row_products(sensed, world.sensor_slope)
+        sensed = disturbance
+        if coupling is not None:
+            sensed = disturbance - row_products(policies, coupling)
         scores = (
             row_products(policies, world.true_gradient)
-            + sensor_term
-            + world.offset
-            + score_noise
+            + row_products(disturbance, world.sensor_slope)
+            + normals[:, sensor_dim] * self._score_std
         )
         return TrialBatch(policies, scores, sensed)

@@ -42,6 +42,7 @@ __all__ = [
     "PolicyDomainError",
     "TrialBatch",
     "GradientEstimate",
+    "check_score_sum",
     "estimate_g1",
     "estimate_g2",
     "predicted_variance_g1",
@@ -93,9 +94,9 @@ class TrialBatch:
 
     ``policies`` (n, d) holds the policies tried and ``scores`` (n,)
     what they scored.  ``sensors`` (n, m) is the batch's one sensor
-    reading: an environment fills it with its payload (may be long,
-    e.g. sampled trajectories), and a stage that re-encodes it returns
-    a copy with the field replaced.  It may be absent.  ``flagged``
+    reading, (n, 0) without sensors: an environment fills it with its
+    payload (may be long, e.g. sampled trajectories), and a stage that
+    re-encodes it returns a copy with the field replaced.  ``flagged``
     (n,) marks failed trials (non-finite simulation state), which the
     search layer keeps out of regression batches; it defaults to all
     False.  Shapes and finite scores are checked once, on construction.
@@ -106,7 +107,7 @@ class TrialBatch:
 
     policies: np.ndarray
     scores: np.ndarray
-    sensors: np.ndarray | None = None
+    sensors: np.ndarray
     flagged: np.ndarray | None = None
 
     def __post_init__(self):
@@ -118,8 +119,7 @@ class TrialBatch:
         lead = scores.shape
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "policies", _as_rows(self.policies, "policies", lead))
-        if self.sensors is not None:
-            object.__setattr__(self, "sensors", _as_rows(self.sensors, "sensors", lead))
+        object.__setattr__(self, "sensors", _as_rows(self.sensors, "sensors", lead))
         flagged = np.zeros(lead, dtype=bool) if self.flagged is None else self.flagged
         flagged = np.asarray(flagged, dtype=bool)
         if flagged.shape != lead:
@@ -146,15 +146,8 @@ class TrialBatch:
         picked = object.__new__(TrialBatch)
         at = (slice(None),) * (self.scores.ndim - 1) + (index,)
         for name in ("policies", "scores", "sensors", "flagged"):
-            value = getattr(self, name)
-            object.__setattr__(picked, name, None if value is None else value[at])
+            object.__setattr__(picked, name, getattr(self, name)[at])
         return picked
-
-    def sensor_matrix(self) -> np.ndarray:
-        """The sensors; raises EstimationError when there are none."""
-        if self.sensors is None:
-            raise EstimationError("missing sensors")
-        return self.sensors
 
 
 @dataclass(frozen=True)
@@ -179,11 +172,18 @@ class GradientEstimate:
 # ---------------------------------------------------------------------------
 
 
+def check_score_sum(scores: np.ndarray) -> None:
+    """Raise EstimationError when the scores' sum (last axis) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(scores.sum(axis=-1)).all():
+            raise EstimationError("scores too large to regress: their sum overflows")
+
+
 def _fit(batch: TrialBatch, joint: bool, center: bool) -> GradientEstimate:
     """Regress scores on policies, and on the sensors when ``joint``."""
     design = batch.policies
     if joint:
-        design = np.concatenate([design, batch.sensor_matrix()], axis=-1)
+        design = np.concatenate([design, batch.sensors], axis=-1)
     n, p = design.shape[-2:]
     if n < p + 2:
         need, what = ("d+d_s+2", "joint") if joint else ("d+2", "policy")
@@ -191,6 +191,7 @@ def _fit(batch: TrialBatch, joint: bool, center: bool) -> GradientEstimate:
             f"insufficient samples: n={n} < {need}={p + 2} for the {what} "
             "regression"
         )
+    check_score_sum(batch.scores)
     try:
         coef, offset, rss = ols(design, batch.scores, center=center)
     except RegressionError as exc:

@@ -511,7 +511,7 @@ def variance_check(cfg: Config):
         key = f"synthetic.{exc.field}"
         raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
     cfg.check_unknown()
-    env = SyntheticEnv(world, correlated=world.coupled)
+    env = SyntheticEnv(world)
     try:
         g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
     except EstimationError as exc:
@@ -522,12 +522,10 @@ def variance_check(cfg: Config):
 
     pred1 = predicted_variance_g1(world, sigma_e, n)
     pred2 = predicted_variance_g2(world, sigma_e, n)
+    g2_target, g2_target_label = a_pi, "true gradient"
     if world.coupled:
         g2_target = a_pi + predicted_bias_g2(world)
-        g2_target_label = "true gradient plus predicted coupling bias"
-    else:
-        g2_target = a_pi
-        g2_target_label = "true gradient"
+        g2_target_label += " plus predicted coupling bias"
 
     lines = [
         f"replications = {reps}, n = {n}, d = {d}, d_s = {ds}, "

@@ -179,7 +179,7 @@ def _estimate(
         return estimate_g2(batch), None
     if search_batch is None:
         search_batch = batch
-    search_feats = search_batch.sensor_matrix()
+    search_feats = search_batch.sensors
     # Feature scales differ by orders of magnitude; standardized
     # coordinates keep the projection search well conditioned.
     center = search_feats.mean(axis=0)
@@ -187,7 +187,7 @@ def _estimate(
     spread = np.where(spread > 1e-12, spread, 1.0)
 
     def standardized(trials: TrialBatch) -> TrialBatch:
-        return replace(trials, sensors=(trials.sensor_matrix() - center) / spread)
+        return replace(trials, sensors=(trials.sensors - center) / spread)
 
     projection = optimize_projection(
         standardized(search_batch), replace(config.encoding, seed=encode_seed)
@@ -339,11 +339,14 @@ def evaluate_policy(scores):
 
     Flagged trials count like any other (their penalty score is part of
     the policy's value).  The standard error is NaN for one score.
+    Raises EstimationError when the mean or the spread overflows.
     """
-    mean = float(np.mean(scores))
-    if len(scores) == 1:
-        return mean, float("nan")
-    return mean, float(np.std(scores, ddof=1) / np.sqrt(len(scores)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(scores))
+        spread = np.std(scores, ddof=1) if len(scores) > 1 else float("nan")
+    if not np.isfinite(mean) or np.isinf(spread):
+        raise EstimationError("scores too large to evaluate: their mean or spread overflows")
+    return mean, float(spread / np.sqrt(len(scores)))
 
 
 def run_learning_curve(env, config: SearchConfig) -> tuple:
@@ -407,10 +410,13 @@ def run_learning_curve(env, config: SearchConfig) -> tuple:
         ]
         outcomes = _sample_blocks(env, blocks)
         for record, outcome in zip(stepped, outcomes):
-            if isinstance(outcome, Exception):
-                fail(record.run, step, outcome, record.retried)
+            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                mean, std_error = evaluate_policy(outcome.scores)
+            except _RECOVERABLE as err:
+                fail(record.run, step, err, record.retried)
                 continue
-            mean, std_error = evaluate_policy(outcome.scores)
             records[record.run].append(
                 replace(record, eval_mean=mean, eval_std_error=std_error)
             )

@@ -86,7 +86,7 @@ def _law_sweep(root_seed: int, correlated: bool):
     world = SyntheticWorld(
         A_PI, A_S, OUTPUT_VARIANCE, SENSOR_COV, COUPLING if correlated else None
     )
-    env = SyntheticEnv(world, correlated=correlated)
+    env = SyntheticEnv(world)
     g1_draws, g2_draws = replicate_gradients(
         env, EXPLORATION_COV, TRIALS_PER_BATCH, REPLICATIONS, root_seed
     )

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from arm_oracle import ArmState, arm_dynamics, arm_energy
-from sensorgrad.dynamics_sensors import spline_basis
+from sensorgrad.dynamics_sensors import (
+    fit_dynamics_model,
+    sample_pretraining_states,
+    spline_basis,
+)
 from sensorgrad.envs.arm import (
     FLAGGED_SCORE,
     KNOTS_PER_JOINT,
@@ -331,9 +335,16 @@ def test_policy_validation():
         dart_trial(world, np.full(9, np.nan), substream(107))
 
 
-def test_env_exposes_the_policy_dimension_and_passthrough_encoding():
-    env = DartEnv()
+def test_env_exposes_the_policy_dimension_and_encodes_its_sensors():
+    world = ArmWorld()
+    states = sample_pretraining_states(
+        world, 30, substream(108), policy_mean=HOLD_POLICY, policy_cov=0.01 * np.eye(9)
+    )
+    env = DartEnv(world, fit_dynamics_model(world, states))
     assert env.policy_dim == 9
     batch = env.sample_trials(HOLD_POLICY, [substream(108)])
-    assert batch.sensors.shape == (1, env.world.sensor_dim)
-    assert env.encode_batch(batch) is batch
+    assert batch.sensors.shape == (1, world.sensor_dim)
+    # One residual spline coefficient per policy knot, then the release time.
+    encoded = env.encode_batch(batch)
+    assert encoded.sensors.shape == (1, env.policy_dim + 1)
+    assert encoded.sensors[0, -1] == batch.sensors[0, -1]

@@ -42,7 +42,7 @@ def test_noise_free_scores_are_closed_form():
 
 
 def test_policy_domain_is_enforced():
-    env = CannonEnv()
+    env = CannonEnv(CannonWorld())
     with pytest.raises(PolicyDomainError, match="speed"):
         env.sample_trials(np.array([0.0, 0.7]), [substream(71)])
     with pytest.raises(PolicyDomainError, match="angle"):
@@ -163,7 +163,7 @@ def test_true_value_is_deterministic_and_exact_when_quiet():
 
 
 def test_sensor_regression_explains_most_cannon_score_noise():
-    env = CannonEnv()
+    env = CannonEnv(CannonWorld())
     nominal = np.array([16.0, np.pi / 4])
     policies = sample_exploration_policies(
         nominal, np.diag([0.25, 0.0025]), 40, substream(75)

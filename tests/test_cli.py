@@ -593,7 +593,7 @@ def test_every_synthetic_world_field_is_a_variance_check_key(
     _run_to_the_key_check(CONFIG_DIR / "variance_check.cfg", tmp_path / "out")
     (read,) = stop_at_key_check
     fields = {f.name for f in dataclasses.fields(SyntheticWorld) if f.init}
-    assert {f"synthetic.{name}" for name in fields - {"offset"}} <= read
+    assert {f"synthetic.{name}" for name in fields} <= read
 
 
 def test_every_search_config_field_is_a_run_key(tmp_path, stop_at_key_check):
@@ -829,6 +829,25 @@ def test_a_command_whose_score_overflows_ends_each_run_in_an_error_row(tmp_path)
     assert [(r["estimator"], r["run"], r["step"], r["error"]) for r in rows] == [
         (estimator, str(run), "1", "commanded speed overflows the score")
         for estimator in ("ignore_sensors", "with_sensors")
+        for run in range(3)
+    ]
+
+
+def test_a_score_sum_that_overflows_ends_each_run_in_an_error_row(tmp_path, capsys):
+    # Each score at this speed is finite, but ten of them sum past the
+    # float range: every estimator refuses the batch by name, and no numpy
+    # warning reaches stderr.
+    text = (CONFIG_DIR / "cannon_smoke.cfg").read_text().replace(
+        "[16.0, 0.7853981633974483]", "[3e77, 0.7]"
+    )
+    text = text.replace('"with_sensors"]', '"with_sensors", "with_encoding"]')
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:])
+    assert [(r["estimator"], r["run"], r["step"], r["error"]) for r in rows] == [
+        (estimator, str(run), "1", "scores too large to regress: their sum overflows")
+        for estimator in ("ignore_sensors", "with_sensors", "with_encoding")
         for run in range(3)
     ]
 

@@ -146,11 +146,10 @@ def test_project_residuals_recovers_planted_coefficients():
     rng = substream(7)
     coefficients = rng.normal(size=(KNOTS_PER_JOINT, 3))
     curve = basis @ coefficients
-    flat = project_residuals(curve, basis)
-    assert np.allclose(flat, coefficients.T.reshape(-1), atol=1e-10)
-    with_release = project_residuals(curve, basis, release_time=0.21)
-    assert with_release[-1] == 0.21
-    assert with_release.shape == (KNOTS_PER_JOINT * 3 + 1,)
+    features = project_residuals(curve, basis, release_time=0.21)
+    assert np.allclose(features[:-1], coefficients.T.reshape(-1), atol=1e-10)
+    assert features[-1] == 0.21
+    assert features.shape == (KNOTS_PER_JOINT * 3 + 1,)
 
 
 def test_encode_dart_batch_layout(model):

@@ -222,7 +222,7 @@ def test_minimize_reaches_the_minimizer_of_an_spd_quadratic(problem):
         gap = x - minimizer
         return 0.5 * gap @ hessian @ gap, hessian @ gap
 
-    result = minimize(quadratic, start, 200)
+    result = minimize(quadratic, start, 200, [].append)
     assert np.abs(result.x - minimizer).max() <= 1e-8
     assert result.nit < 200
 
@@ -242,7 +242,7 @@ def test_minimize_never_returns_a_rejected_point(problem):
         gap = x - center
         return 0.5 * gap @ hessian @ gap, hessian @ gap
 
-    result = minimize(fenced, start, 50)
+    result = minimize(fenced, start, 50, [].append)
     assert np.isfinite(result.fun)
     assert result.x @ result.x <= 1.0
     assert result.fun <= fenced(start)[0]
@@ -299,6 +299,31 @@ def test_optimize_projection_refuses_more_columns_than_raw_sensors(restarts):
     config = EncodingSearchConfig(target_dim=6, restarts=restarts, seed=87)
     with pytest.raises(EncodingError, match="target_dim 6 exceeds the 5 raw sensors"):
         optimize_projection(batch, config)
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("n, target_dim", [(3, 5), (4, 4), (2, 9)])
+def test_a_search_with_fewer_trials_than_columns_refuses_for_too_few_samples(
+    n, target_dim, restarts
+):
+    # The principal components fill at most n of the initial columns, but
+    # the leave-one-out fits need n >= d + target_dim + 3: the search
+    # refuses before any projection is tried.
+    batch, _ = planted_batch(91, n=n, raw_dim=9)
+    config = EncodingSearchConfig(target_dim=target_dim, restarts=restarts, seed=91)
+    need = rf"insufficient samples: n={n} < d\+d_s\+3={2 + target_dim + 3} "
+    with pytest.raises(EstimationError, match=need):
+        optimize_projection(batch, config)
+
+
+def test_a_search_on_scores_whose_sum_overflows_refuses_them_by_name():
+    # Each score is finite; centering them would overflow.
+    batch, _ = planted_batch(92, n=12, raw_dim=4)
+    loud = replace(batch, scores=np.full(12, -1e308))
+    with pytest.raises(EstimationError, match="their sum overflows"):
+        loo_cost(loud, np.eye(4)[:, :1])
+    with pytest.raises(EstimationError, match="their sum overflows"):
+        optimize_projection(loud, EncodingSearchConfig(target_dim=1))
 
 
 def test_optimize_projection_zero_iterations_keeps_the_best_init():

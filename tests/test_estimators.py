@@ -28,9 +28,9 @@ OUTPUT_VARIANCE = 0.09
 COUPLING = np.array([[0.6, -0.3], [0.2, 0.5]])
 
 
-def make_world(coupling=None, output_variance=OUTPUT_VARIANCE, offset=0.0):
+def make_world(coupling=None, output_variance=OUTPUT_VARIANCE):
     return SyntheticWorld(
-        TRUE_GRADIENT, SENSOR_SLOPE, output_variance, SENSOR_COV, coupling, offset
+        TRUE_GRADIENT, SENSOR_SLOPE, output_variance, SENSOR_COV, coupling
     )
 
 
@@ -49,31 +49,27 @@ def test_trial_record_rejects_nonfinite_score():
     # A trial's record is its row in the batch; one non-finite score refuses the batch.
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            TrialBatch(np.zeros((1, 2)), [bad])
+            TrialBatch(np.zeros((1, 2)), [bad], np.empty((1, 0)))
         with pytest.raises(ValueError, match="finite"):
-            TrialBatch(np.zeros((3, 2)), [0.0, bad, 1.0])
+            TrialBatch(np.zeros((3, 2)), [0.0, bad, 1.0], np.empty((3, 0)))
 
 
 def test_batch_validation():
     with pytest.raises(ValueError, match="one row per trial"):
-        TrialBatch(np.zeros((2, 2)), np.zeros(3))
+        TrialBatch(np.zeros((2, 2)), np.zeros(3), np.empty((3, 0)))
     with pytest.raises(ValueError, match="one row per trial"):
         TrialBatch(np.zeros((2, 2)), np.zeros(2), sensors=np.zeros(2))
     with pytest.raises(ValueError, match="one entry per trial"):
-        TrialBatch(np.zeros((2, 2)), np.zeros(2), flagged=[True])
+        TrialBatch(np.zeros((2, 2)), np.zeros(2), np.empty((2, 0)), flagged=[True])
     batch = TrialBatch(np.arange(6.0).reshape(3, 2), np.arange(3.0), np.eye(3))
     assert len(batch) == batch.size == 3
     assert not batch.flagged.any()
-    unsensed = replace(batch, sensors=None)
-    with pytest.raises(EstimationError, match="missing sensors"):
-        unsensed.sensor_matrix()
     picked = batch.rows(np.array([True, False, True]))
     assert np.array_equal(picked.policies, [[0.0, 1.0], [4.0, 5.0]])
     assert np.array_equal(picked.sensors, np.eye(3)[[0, 2]])
-    assert unsensed.rows(np.array([True, False, True])).sensors is None
     assert np.array_equal(batch.rows(slice(1, None)).scores, [1.0, 2.0])
     encoded = replace(batch, sensors=np.ones((3, 1)))
-    assert np.array_equal(encoded.sensor_matrix(), np.ones((3, 1)))
+    assert np.array_equal(encoded.sensors, np.ones((3, 1)))
     assert encoded.policies is batch.policies
 
 
@@ -93,9 +89,10 @@ def test_rows_equal_a_batch_built_from_the_sliced_arrays(index):
         got, want = getattr(picked, name), getattr(built, name)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    assert TrialBatch(policies, scores).rows(index).sensors is None
+    unsensed = TrialBatch(policies, scores, np.empty((4, 0))).rows(index)
+    assert unsensed.sensors.shape == (len(built), 0)
     with pytest.raises(ValueError, match="trial score must be finite"):
-        TrialBatch(policies[index], np.full(len(built), np.nan))
+        TrialBatch(policies[index], np.full(len(built), np.nan), sensors[index])
 
 
 def test_estimators_require_enough_samples():
@@ -107,10 +104,26 @@ def test_estimators_require_enough_samples():
         estimate_g2(batch)
 
 
+@pytest.mark.parametrize("center", [True, False])
+def test_scores_whose_sum_overflows_are_refused_by_name(center):
+    # Each score is finite, but no regression can center them.
+    policies = np.arange(12.0).reshape(6, 2) ** 2
+    loud = TrialBatch(policies, np.full(6, -1e308), np.ones((6, 1)))
+    for estimate in (estimate_g1, estimate_g2):
+        with pytest.raises(EstimationError, match="scores too large to regress"):
+            estimate(loud, center=center)
+    # One replication whose sum overflows refuses the whole stack.
+    scores = np.stack([np.linspace(-1.0, 1.0, 6), loud.scores])
+    stack = TrialBatch(np.stack([policies] * 2), scores, np.zeros((2, 6, 0)))
+    with pytest.raises(EstimationError, match="their sum overflows"):
+        estimate_g1(stack, center=center)
+
+
 def test_g1_exact_on_noiseless_linear_scores():
     rng = substream(21)
     policies = rng.normal(size=(8, 2))
-    estimate = estimate_g1(TrialBatch(policies, policies @ TRUE_GRADIENT + 2.0))
+    scores = policies @ TRUE_GRADIENT + 2.0
+    estimate = estimate_g1(TrialBatch(policies, scores, np.empty((8, 0))))
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-10)
     assert estimate.offset == pytest.approx(2.0, abs=1e-10)
 
@@ -118,9 +131,10 @@ def test_g1_exact_on_noiseless_linear_scores():
 def test_g2_exact_at_minimal_sample_size_without_output_noise():
     # with zero direct noise the joint fit interpolates the score
     # equation and returns its policy coefficient exactly
-    env = SyntheticEnv(make_world(output_variance=0.0, offset=1.5))
+    env = SyntheticEnv(make_world(output_variance=0.0))
     n = 2 + 2 + 2
     batch = zero_mean_batch(env, n, 0, seed=33)
+    batch = replace(batch, scores=batch.scores + 1.5)
     estimate = estimate_g2(batch)
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-8)
     assert np.allclose(estimate.sensor_coefficients, SENSOR_SLOPE, atol=1e-8)
@@ -150,7 +164,7 @@ def test_variance_laws_match_monte_carlo():
 def test_correlated_world_bias_and_variance_laws():
     coupling = COUPLING
     world = make_world(coupling=coupling)
-    env = SyntheticEnv(world, correlated=True)
+    env = SyntheticEnv(world)
     n = 12
     reps = 4000
     g1, g2 = mc_gradients(env, n, reps=reps, seed=45)
@@ -170,7 +184,7 @@ def test_correlated_world_bias_and_variance_laws():
 def block_worlds():
     """The plain and the coupled variance-check world."""
     plain = SyntheticEnv(make_world())
-    coupled = SyntheticEnv(make_world(coupling=COUPLING), correlated=True)
+    coupled = SyntheticEnv(make_world(coupling=COUPLING))
     return {"plain": plain, "coupled": coupled}
 
 
@@ -217,15 +231,15 @@ def test_stacked_batch_shape_checks():
     policies, scores = rng.normal(size=(3, 5, 2)), rng.normal(size=(3, 5))
     sensors = rng.normal(size=(3, 5, 1))
     with pytest.raises(ValueError, match="one row per trial"):
-        TrialBatch(policies[:2], scores)
+        TrialBatch(policies[:2], scores, sensors)
     with pytest.raises(ValueError, match="one row per trial"):
         TrialBatch(policies, scores, sensors[:2])
     with pytest.raises(ValueError, match="one row per trial"):
-        TrialBatch(policies[0], scores)
+        TrialBatch(policies[0], scores, sensors)
     with pytest.raises(ValueError, match="one entry per trial"):
         TrialBatch(policies, scores, sensors, flagged=np.zeros(5, dtype=bool))
     with pytest.raises(ValueError, match="scores must be"):
-        TrialBatch(policies[None], scores[None])
+        TrialBatch(policies[None], scores[None], sensors[None])
     stack = TrialBatch(policies, scores, sensors)
     assert (len(stack), stack.size, stack.policy_dim) == (5, 5, 2)
     assert stack.flagged.shape == (3, 5) and not stack.flagged.any()
@@ -325,16 +339,17 @@ def test_variance_laws_are_symmetric_positive_semidefinite(case, spare):
 
 
 def test_centered_estimators_tolerate_offsets_and_sensor_means():
-    env = SyntheticEnv(make_world(output_variance=0.0, offset=-4.0))
+    env = SyntheticEnv(make_world(output_variance=0.0))
     nominal = np.array([2.0, -1.5])
     policies = sample_exploration_policies(
         nominal, EXPLORATION_COV, 10, substream(51, LEARN)
     )
     trials = env.sample_trials(policies, children(substream(51, EVAL), 10))
-    # Shift the readings to a nonzero mean; the score follows its sensors.
+    # Shift the readings to a nonzero mean, the score with them and by
+    # an intercept.
     mean = np.array([3.0, -1.0])
     sensed = trials.sensors + mean
-    batch = TrialBatch(policies, trials.scores + mean @ SENSOR_SLOPE, sensed)
+    batch = TrialBatch(policies, trials.scores - 4.0 + mean @ SENSOR_SLOPE, sensed)
     estimate = estimate_g2(batch)
     assert np.allclose(estimate.gradient, TRUE_GRADIENT, atol=1e-8)
 

@@ -59,7 +59,7 @@ GOLDEN = {
 }
 
 # Criterion 11's variance-check world with policy-coupled sensors: the
-# correlated sampler and the coupled covariance and bias laws.
+# sampler's coupled readings and the coupled covariance and bias laws.
 COUPLED_CFG = (
     RERUN_CASES["variance-check"][0]
     + "synthetic.policy_sensor_coupling = [[0.6, -0.3], [0.2, 0.5]]\n"

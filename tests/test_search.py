@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from sensorgrad.config import SettingError
+from sensorgrad.dynamics_sensors import fit_dynamics_model, sample_pretraining_states
 from sensorgrad.encoding import EncodingSearchConfig
 from sensorgrad.envs.arm import ArmWorld, DartEnv
 from sensorgrad.envs.cannon import CannonEnv, CannonWorld, cannon_true_value
@@ -33,7 +34,6 @@ def noiseless_world() -> SyntheticWorld:
         sensor_slope=np.zeros(2),
         output_variance=0.0,
         sensor_cov=np.zeros((2, 2)),
-        offset=0.3,
     )
 
 
@@ -53,8 +53,23 @@ def informative_sensor_world() -> SyntheticWorld:
         sensor_slope=np.array([0.8, -1.2]),
         output_variance=0.01,
         sensor_cov=np.array([[0.2, -0.05], [-0.05, 0.4]]),
-        offset=0.1,
     )
+
+
+# The throwing posture of configs/dart_search.cfg.
+DART_POLICY = np.array(
+    [1.6196, 1.52648, 1.08784, 1.63504, 1.084] + [0.48032, 0.45472, 0.12, -0.11944]
+)
+
+
+def tiny_dart_env() -> DartEnv:
+    """A dart sampler whose dynamics model is fit on 30 states, the fewest
+    a config accepts: enough for tests that never read its encoding."""
+    world = ArmWorld()
+    states = sample_pretraining_states(
+        world, 30, substream(0), policy_mean=DART_POLICY, policy_cov=0.01 * np.eye(9)
+    )
+    return DartEnv(world, fit_dynamics_model(world, states))
 
 
 def base_config(**overrides) -> SearchConfig:
@@ -185,7 +200,6 @@ def test_zero_gradient_leaves_the_policy_in_place():
         sensor_slope=np.zeros(2),
         output_variance=0.0,
         sensor_cov=np.zeros((2, 2)),
-        offset=1.0,
     )
     config = base_config(step_rule="normalized")
     policy = config.initial_policy
@@ -194,7 +208,6 @@ def test_zero_gradient_leaves_the_policy_in_place():
     )
     assert np.array_equal(new_policy, policy)
     assert record.gradient_norm == 0.0
-    assert record.mean_trial_score == pytest.approx(1.0)
 
 
 def test_hill_climbing_improves_the_cannon_policy():
@@ -257,13 +270,9 @@ PREFIX_CASES = {
         ),
     ),
     "dart": (
-        lambda: DartEnv(ArmWorld()),
+        tiny_dart_env,
         dict(
-            # The throwing posture of configs/dart_search.cfg.
-            initial_policy=np.array(
-                [1.6196, 1.52648, 1.08784, 1.63504, 1.084]
-                + [0.48032, 0.45472, 0.12, -0.11944]
-            ),
+            initial_policy=DART_POLICY,
             exploration_cov=0.002 * np.eye(9),
             trials_per_step=12,
             estimator="ignore_sensors",
@@ -486,6 +495,35 @@ def test_policy_evaluation_reports_mean_and_spread():
     assert mean == -4.0 and np.isnan(std_error)
 
 
+def test_an_evaluation_whose_scores_overflow_ends_the_run_in_an_error_row():
+    class LoudEvaluations:
+        """The first (learning) call as the base env gives it; every later
+        call scores each trial -1e308, finite alone but not in a sum."""
+
+        def __init__(self, base):
+            self.base, self.calls = base, 0
+
+        def check_policies(self, policies):
+            return self.base.check_policies(policies)
+
+        def sample_trials(self, policies, streams):
+            trials = self.base.sample_trials(policies, streams)
+            self.calls += 1
+            if self.calls == 1:
+                return trials
+            return replace(trials, scores=np.full(len(trials), -1e308))
+
+    message = "scores too large to evaluate: their mean or spread overflows"
+    for scores in (np.full(4, -1e308), np.array([1e200, -1e200])):
+        with pytest.raises(EstimationError, match=message):
+            evaluate_policy(scores)
+    config = base_config(steps=2, runs=2, eval_trials_per_point=4)
+    env = LoudEvaluations(SyntheticEnv(noiseless_world()))
+    records = run_learning_curve(env, config)
+    assert _failed_runs(records) == ((0, 0, message), (1, 0, message))
+    assert len(records) == 2 and env.calls == 2
+
+
 def test_single_evaluation_trial_records_no_spread():
     config = base_config(eval_trials_per_point=1, steps=1, runs=1)
     (record,) = run_learning_curve(SyntheticEnv(noiseless_world()), config)
@@ -556,7 +594,7 @@ def test_a_step_that_flagging_fails_reports_its_flagged_trials():
     _, settings = PREFIX_CASES["dart"]
     settings = {**settings, "initial_policy": np.repeat([1.9, 2.0, 0.6], 3)}
     config = base_config(steps=1, runs=1, seed=16, eval_trials_per_point=2, **settings)
-    records = run_learning_curve(DartEnv(ArmWorld()), config)
+    records = run_learning_curve(tiny_dart_env(), config)
     (record,) = records
     assert _failed_runs(records) and record.error.startswith("insufficient samples")
     assert record.flagged > 0

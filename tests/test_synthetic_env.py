@@ -8,46 +8,25 @@ TRUE_GRADIENT = np.array([1.5, -0.7])
 SENSOR_SLOPE = np.array([0.8, -1.2])
 
 
-def make_world(coupling=None, sensor_cov=None, output_variance=0.0, offset=0.0):
+def make_world(coupling=None, sensor_cov=None, output_variance=0.0):
     return SyntheticWorld(
         TRUE_GRADIENT,
         SENSOR_SLOPE,
         output_variance,
         np.zeros((2, 2)) if sensor_cov is None else sensor_cov,
         coupling,
-        offset,
     )
 
 
-def one_trial(world, policy, rng, correlated=False):
-    return SyntheticEnv(world, correlated=correlated).sample_trials(policy, [rng])
-
-
-def ordered_dot(u, v) -> float:
-    """``u @ v`` summed term by term in order, as the sampler sums it."""
-    return sum(float(a) * float(b) for a, b in zip(u, v))
-
-
-def test_noiseless_trial_follows_the_score_equation():
-    coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
-    world = make_world(coupling=coupling, offset=-2.0)
-    policy = np.array([1.0, 2.0])
-    trial = one_trial(world, policy, substream(61))
-    expected_sensed = np.array([ordered_dot(policy, column) for column in coupling.T])
-    assert np.allclose(trial.sensors[0], expected_sensed, atol=1e-12)
-    expected_score = (
-        ordered_dot(policy, TRUE_GRADIENT)
-        + ordered_dot(expected_sensed, SENSOR_SLOPE)
-        - 2.0
-    )
-    assert trial.scores[0] == expected_score
+def one_trial(world, policy, rng):
+    return SyntheticEnv(world).sample_trials(policy, [rng])
 
 
 def test_noiseless_correlated_trial_flips_the_coupling_sign():
     coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
     world = make_world(coupling=coupling)
     policy = np.array([1.0, 2.0])
-    trial = one_trial(world, policy, substream(62), correlated=True)
+    trial = one_trial(world, policy, substream(62))
     expected_sensed = -coupling.T @ policy
     assert np.allclose(trial.sensors[0], expected_sensed, atol=1e-12)
     # the score responds to the disturbance (zero here), not the reading
@@ -67,7 +46,7 @@ def test_correlated_sensor_mean_tracks_the_policy():
     coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
     sensor_cov = np.array([[0.2, -0.05], [-0.05, 0.4]])
     world = make_world(coupling=coupling, sensor_cov=sensor_cov)
-    env = SyntheticEnv(world, correlated=True)
+    env = SyntheticEnv(world)
     policy = np.array([1.0, -0.5])
     count = 4000
     trials = env.sample_trials(
@@ -95,23 +74,22 @@ def reference_trial(env, policy, rng):
     world = env.world
     disturbance = psd_sqrt(world.sensor_cov) @ rng.standard_normal(world.sensor_dim)
     score_noise = float(rng.standard_normal()) * np.sqrt(world.output_variance)
-    shift = world.policy_sensor_coupling.T @ policy
-    if env.correlated:
-        sensed = disturbance - shift
-        sensor_term = float(disturbance @ world.sensor_slope)
-    else:
-        sensed = shift + disturbance
-        sensor_term = float(sensed @ world.sensor_slope)
-    score = float(policy @ world.true_gradient) + sensor_term + world.offset
+    sensed = disturbance
+    if world.policy_sensor_coupling is not None:
+        sensed = disturbance - world.policy_sensor_coupling.T @ policy
+    score = float(policy @ world.true_gradient) + float(disturbance @ world.sensor_slope)
     return score + score_noise, sensed
 
 
-@pytest.mark.parametrize("correlated", [False, True], ids=["plain", "correlated"])
-def test_rows_do_not_depend_on_the_batch_they_are_drawn_in(correlated):
-    coupling = np.array([[0.6, -0.3], [0.2, 0.5]])
+@pytest.mark.parametrize(
+    "coupling",
+    [None, np.array([[0.6, -0.3], [0.2, 0.5]])],
+    ids=["plain", "correlated"],
+)
+def test_rows_do_not_depend_on_the_batch_they_are_drawn_in(coupling):
     sensor_cov = np.array([[0.2, -0.05], [-0.05, 0.4]])
     world = make_world(coupling=coupling, sensor_cov=sensor_cov, output_variance=0.09)
-    env = SyntheticEnv(world, correlated=correlated)
+    env = SyntheticEnv(world)
     policies = substream(68).normal(size=(48, 2))
     whole = env.sample_trials(policies, children(substream(69), 48))
     # Same normals as the row-by-row reference; only the rounding may differ.
@@ -137,7 +115,7 @@ def test_rows_do_not_depend_on_the_batch_they_are_drawn_in(correlated):
 
 def test_mean_score_matches_the_analytic_value():
     sensor_cov = np.array([[0.2, -0.05], [-0.05, 0.4]])
-    world = make_world(sensor_cov=sensor_cov, output_variance=0.09, offset=1.0)
+    world = make_world(sensor_cov=sensor_cov, output_variance=0.09)
     env = SyntheticEnv(world)
     policy = np.array([0.3, 0.6])
     count = 20000
@@ -145,6 +123,6 @@ def test_mean_score_matches_the_analytic_value():
         np.tile(policy, (count, 1)), children(substream(67), count)
     )
     scores = trials.scores
-    analytic = float(policy @ TRUE_GRADIENT) + 1.0
+    analytic = float(policy @ TRUE_GRADIENT)
     se = scores.std(ddof=1) / np.sqrt(count)
     assert abs(scores.mean() - analytic) < 4.0 * se
