@@ -11,6 +11,9 @@ integer literal over 4,300 digits, or lists nested about 1,000 deep.
 An integer beyond the float range is a valid seed; the readers of
 floats refuse it.  Keys may not repeat.
 
+The readers of :class:`Config` are the one check of a value.  Only the
+command layer (``experiments`` and ``cli``) imports this module.
+
 A configuration has one canonical text rendering (sorted keys, JSON
 values), and the config hash is the SHA-256 of that rendering.  Every
 output file an experiment writes embeds this hash, which is what ties
@@ -26,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeding import is_symmetric
+
 __all__ = [
     "ConfigError",
-    "SettingError",
     "Config",
     "parse_config_text",
     "load_config",
@@ -45,14 +49,6 @@ _NUMBER = (int, float)
 
 class ConfigError(ValueError):
     """Raised for unparseable, incomplete, or contradictory configs."""
-
-
-class SettingError(ValueError):
-    """A settings object refused its field ``field``: ``problem`` says why."""
-
-    def __init__(self, field: str, problem: str):
-        super().__init__(f"{field} {problem}")
-        self.field, self.problem = field, problem
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -131,10 +127,11 @@ class Config:
     file) on missing required keys or type mismatches, so command-line
     failures point at the offending field.  A key's own bounds are given
     where it is read (``minimum``, ``positive``, ``nonempty``,
-    ``choices``) and refused by name: ``key 'run.noise_scales' entries
-    must be nonnegative``.  ``read`` records every key that ``has`` or
-    an accessor was asked for; :meth:`check_unknown` rejects the keys no
-    reader asked for.
+    ``choices``; a matrix's shape, a covariance's dimension) and refused
+    by name: ``key 'run.noise_scales' entries must be nonnegative``.  No
+    settings object checks them again.  ``read`` records every key that
+    ``has`` or an accessor was asked for; :meth:`check_unknown` rejects
+    the keys no reader asked for.
     """
 
     values: dict
@@ -219,23 +216,34 @@ class Config:
         value = self._get(key, default, "a list of numbers", _NUMBER, True, **bounds)
         return np.array(self._floats(key, value))
 
-    def get_matrix(self, key: str, default=_MISSING) -> np.ndarray:
-        """A JSON array of equal-length number rows, as a 2-d array."""
+    def get_matrix(self, key: str, rows: int, cols: int, default=_MISSING) -> np.ndarray:
+        """A ``rows`` x ``cols`` matrix: a JSON array of number rows."""
         value = self._fetch(key, default)
-        ok = _is(value, list) and value and all(
-            _is(row, list) and row and all(_is(v, _NUMBER) for v in row)
-            for row in value
-        )
-        if not ok or len({len(row) for row in value}) != 1:
-            self._reject(key, value, "a list of equal-length number rows")
-        return np.array([self._floats(key, row) for row in value])
+        if not _is(value, list) or not all(
+            _is(row, list) and all(_is(v, _NUMBER) for v in row) for row in value
+        ):
+            self._reject(key, value, "a list of number rows")
+        if len(value) != rows or any(len(row) != cols for row in value):
+            raise ConfigError(f"{self.source}: key '{key}' must be {rows} x {cols}")
+        return np.array([self._floats(key, row) for row in value]).reshape(rows, cols)
 
-    def get_cov(self, key: str, default=_MISSING) -> np.ndarray:
-        """A covariance: either a full matrix or a flat diagonal list."""
+    def get_cov(self, key: str, dim: int, default=_MISSING) -> np.ndarray:
+        """A ``dim`` x ``dim`` covariance, a full matrix or a flat diagonal
+        list, refused unless symmetric (``is_symmetric``) and positive definite."""
         value = self._fetch(key, default)
         if isinstance(value, list) and value and isinstance(value[0], list):
-            return self.get_matrix(key, default)
-        return np.diag(self.get_vector(key, default))
+            cov = self.get_matrix(key, dim, dim, default)
+        else:
+            cov = np.diag(self.get_vector(key, default))
+        if cov.shape != (dim, dim):
+            problem = f"{dim} x {dim}"
+        elif not is_symmetric(cov):
+            problem = "symmetric"
+        elif dim and not np.linalg.eigvalsh(cov)[0] > 0.0:
+            problem = "positive definite"
+        else:
+            return cov
+        raise ConfigError(f"{self.source}: key '{key}' must be {problem}")
 
     def check_unknown(self) -> None:
         """Reject keys no reader has read (catches typos); call it before any work."""

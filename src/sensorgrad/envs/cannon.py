@@ -59,12 +59,8 @@ class CannonWorld:
     sensor_noise_cov: np.ndarray = field(default_factory=_default_sensor_noise)
 
     def __post_init__(self):
-        control = np.asarray(self.control_noise_cov, dtype=float)
-        sensor = np.asarray(self.sensor_noise_cov, dtype=float)
-        if control.shape != (2, 2) or sensor.shape != (2, 2):
-            raise ValueError("cannon noise covariances must be 2x2")
-        object.__setattr__(self, "control_noise_cov", control)
-        object.__setattr__(self, "sensor_noise_cov", sensor)
+        for name in ("control_noise_cov", "sensor_noise_cov"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def scaled(self, noise_scale: float) -> "CannonWorld":
         """Same task with the actuation noise covariance scaled.
@@ -149,12 +145,12 @@ class CannonEnv:
     def sample_trials(self, policies, streams) -> TrialBatch:
         """One shot per policy row, row ``i`` drawing from ``streams[i]``.
 
-        Draw order per trial: actuation noise, then sensor read noise.
-        The sensors are the sensed actuation error.  Every row is
-        computed by the same elementwise array expression, so its values
-        do not depend on the batch it is drawn in.
+        The rows have passed :meth:`check_policies`.  Draw order per trial:
+        actuation noise, then sensor read noise.  The sensors are the sensed
+        actuation error.  Every row is computed by the same elementwise array
+        expression, so its values do not depend on the batch it is drawn in.
         """
-        policies = _check_policies(policies)
+        policies = np.atleast_2d(np.asarray(policies, dtype=float))
         normals = normal_rows(streams, policies.shape[0], 4)
         actuation = row_products(normals[:, :2], self._control_root.T)
         read = row_products(normals[:, 2:], self._sensor_root.T)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import SettingError
 from ..estimators import TrialBatch
 from ..seeding import normal_rows, psd_sqrt, row_products
 
@@ -31,9 +30,9 @@ class SyntheticWorld:
     disturbance has covariance ``sensor_cov``.  ``policy_sensor_coupling``
     is d x d_s, d and d_s being the lengths of ``true_gradient`` and
     ``sensor_slope``: how much of the sensors the policy predicts.  The
-    world checks its fields' shapes and its sensor covariance, raising
-    :class:`SettingError` naming a refused field; ``output_variance`` is
-    bounded (nonnegative) where its config key is read.
+    world checks nothing: the shapes, a positive definite ``sensor_cov``
+    and a nonnegative ``output_variance`` are checked where their config
+    keys are read.
     """
 
     true_gradient: np.ndarray
@@ -45,28 +44,14 @@ class SyntheticWorld:
     sensor_root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("true_gradient", "sensor_slope"):
-            vector = np.asarray(getattr(self, name), dtype=float)
-            if vector.ndim != 1:
-                raise SettingError(name, "must be a vector")
-            object.__setattr__(self, name, vector)
-        d, d_s = self.policy_dim, self.sensor_dim
-        cov = np.asarray(self.sensor_cov, dtype=float)
-        if cov.shape != (d_s, d_s):
-            raise SettingError("sensor_cov", f"must be {d_s} x {d_s}")
-        try:
-            root = psd_sqrt(cov)
-        except ValueError as exc:
-            raise SettingError("sensor_cov", f"is not a covariance: {exc}") from None
+        for name in ("true_gradient", "sensor_slope", "sensor_cov"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         coupling = self.policy_sensor_coupling
         if coupling is not None:
             coupling = np.asarray(coupling, dtype=float)
-            if coupling.shape != (d, d_s):
-                raise SettingError("policy_sensor_coupling", f"must be {d} x {d_s}")
         object.__setattr__(self, "output_variance", float(self.output_variance))
-        object.__setattr__(self, "sensor_cov", cov)
         object.__setattr__(self, "policy_sensor_coupling", coupling)
-        object.__setattr__(self, "sensor_root", root)
+        object.__setattr__(self, "sensor_root", psd_sqrt(self.sensor_cov))
 
     @property
     def policy_dim(self) -> int:

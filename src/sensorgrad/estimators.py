@@ -173,10 +173,13 @@ class GradientEstimate:
 
 
 def check_score_sum(scores: np.ndarray) -> None:
-    """Raise EstimationError when the scores' sum (last axis) overflows."""
+    """Raise EstimationError when the scores' sum of squares (last axis)
+    overflows: it bounds every residual sum of squares, and their sum,
+    which the message names when that overflows too."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(scores.sum(axis=-1)).all():
-            raise EstimationError("scores too large to regress: their sum overflows")
+        if not np.isfinite((scores * scores).sum(axis=-1)).all():
+            what = "sum" if not np.isfinite(scores.sum(axis=-1)).all() else "sum of squares"
+            raise EstimationError(f"scores too large to regress: their {what} overflows")
 
 
 def _fit(batch: TrialBatch, joint: bool, center: bool) -> GradientEstimate:

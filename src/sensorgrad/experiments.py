@@ -20,8 +20,9 @@ A command accepts exactly the config keys that its readers read: each
 compute function reads and validates all of its keys, then calls
 ``Config.check_unknown`` before any trial, pretraining, replication or
 search runs.  A key's own bounds are stated where it is read
-(``cfg.get_int("encode.restarts", minimum=1)``); the checks here and in
-the settings objects tie keys together, and name the key they refuse.
+(``cfg.get_int("encode.restarts", minimum=1)``); the checks here tie
+keys together and name the key they refuse, and no settings object
+checks a value again.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 from .config import (
     Config,
     ConfigError,
-    SettingError,
     canonical_text,
     config_hash,
     parse_config_text,
@@ -62,7 +62,6 @@ from .search import (
     STEP_RULES,
     SearchConfig,
     StepRecord,
-    check_exploration_cov,
     run_learning_curve,
     sample_exploration_policies,
 )
@@ -294,31 +293,28 @@ def build_cannon_world(cfg: Config) -> CannonWorld:
 
 
 def build_search_configs(cfg: Config, estimators) -> dict:
-    """Each listed estimator's settings, by name; a field they refuse is
-    named ``search.<field>``, and only ``with_encoding`` reads the encoding keys."""
-    try:
-        base = SearchConfig(
-            initial_policy=cfg.get_vector("search.initial_policy"),
-            trials_per_step=cfg.get_int("search.trials_per_step", positive=True),
-            exploration_cov=cfg.get_cov("search.exploration_cov"),
-            steps=cfg.get_int("search.steps", minimum=0),
-            runs=cfg.get_int("search.runs", positive=True),
-            seed=cfg.get_int("seed"),
-            step_rule=cfg.get_str(
-                "search.step_rule", SearchConfig.step_rule, choices=STEP_RULES
-            ),
-            learning_rate=cfg.get_float(
-                "search.learning_rate", SearchConfig.learning_rate, positive=True
-            ),
-            eval_trials_per_point=cfg.get_int(
-                "search.eval_trials_per_point",
-                SearchConfig.eval_trials_per_point,
-                positive=True,
-            ),
-        )
-    except SettingError as exc:
-        key = f"search.{exc.field}"
-        raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
+    """Each listed estimator's settings, by name; the exploration covariance
+    is d x d for a d-entry policy, and only ``with_encoding`` reads the encoding keys."""
+    policy = cfg.get_vector("search.initial_policy")
+    base = SearchConfig(
+        initial_policy=policy,
+        trials_per_step=cfg.get_int("search.trials_per_step", positive=True),
+        exploration_cov=cfg.get_cov("search.exploration_cov", policy.shape[0]),
+        steps=cfg.get_int("search.steps", minimum=0),
+        runs=cfg.get_int("search.runs", positive=True),
+        seed=cfg.get_int("seed"),
+        step_rule=cfg.get_str(
+            "search.step_rule", SearchConfig.step_rule, choices=STEP_RULES
+        ),
+        learning_rate=cfg.get_float(
+            "search.learning_rate", SearchConfig.learning_rate, positive=True
+        ),
+        eval_trials_per_point=cfg.get_int(
+            "search.eval_trials_per_point",
+            SearchConfig.eval_trials_per_point,
+            positive=True,
+        ),
+    )
     options = {name: {} for name in estimators}
     if "with_encoding" in options:
         default = SearchConfig.encoding
@@ -484,39 +480,33 @@ def variance_check(cfg: Config):
     """
     a_pi = cfg.get_vector("synthetic.true_gradient", nonempty=True)
     a_s = cfg.get_vector("synthetic.sensor_slope")
+    d, ds = a_pi.shape[0], a_s.shape[0]
     s2 = cfg.get_float("synthetic.output_variance", minimum=0.0)
-    sigma_s = cfg.get_cov("synthetic.sensor_cov")
-    sigma_e = cfg.get_cov("synthetic.exploration_cov")
+    # A sensor direction without variance makes every joint design singular.
+    sigma_s = cfg.get_cov("synthetic.sensor_cov", ds)
+    sigma_e = cfg.get_cov("synthetic.exploration_cov", d)
     coupling = (
-        cfg.get_matrix("synthetic.policy_sensor_coupling")
+        cfg.get_matrix("synthetic.policy_sensor_coupling", d, ds)
         if cfg.has("synthetic.policy_sensor_coupling")
         else None
     )
     n = cfg.get_int("variance.trials_per_batch")
     reps = cfg.get_int("variance.replications", 20000, minimum=2)
     seed = cfg.get_int("seed")
-    d, ds = a_pi.shape[0], a_s.shape[0]
     if n < d + ds + 2:
         raise ConfigError(
             f"{cfg.source}: key 'variance.trials_per_batch' must be at least "
             f"d + d_s + 2 = {d + ds + 2}"
         )
-    try:
-        world = SyntheticWorld(a_pi, a_s, s2, sigma_s, coupling)
-        # A sensor direction without variance makes every joint design singular.
-        if ds and np.linalg.eigvalsh(world.sensor_cov)[0] <= 0.0:
-            raise SettingError("sensor_cov", "must be positive definite")
-        check_exploration_cov(sigma_e, d)
-    except SettingError as exc:
-        key = f"synthetic.{exc.field}"
-        raise ConfigError(f"{cfg.source}: key '{key}' {exc.problem}") from exc
     cfg.check_unknown()
+    world = SyntheticWorld(a_pi, a_s, s2, sigma_s, coupling)
     env = SyntheticEnv(world)
     try:
         g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
     except EstimationError as exc:
         raise ConfigError(
-            f"{cfg.source}: key 'synthetic.exploration_cov' and key "
+            f"{cfg.source}: key 'synthetic.true_gradient', key 'synthetic.sensor_slope', "
+            "key 'synthetic.output_variance', key 'synthetic.exploration_cov' and key "
             f"'synthetic.sensor_cov' set scales the regressions cannot fit ({exc})"
         ) from exc
 

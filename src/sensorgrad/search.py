@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import SettingError
 from .encoding import (
     EncodingSearchConfig,
     estimate_gradient_encoded,
@@ -51,7 +50,6 @@ __all__ = [
     "STEP_RULES",
     "SearchConfig",
     "StepRecord",
-    "check_exploration_cov",
     "sample_exploration_policies",
     "hill_climb_step",
     "evaluate_policy",
@@ -76,11 +74,10 @@ class SearchConfig:
     drawn around the same nominal policy; the gradient still comes from
     the learning batch.  At 0 the search reuses the learning batch,
     which then has to satisfy the leave-one-out sample-size
-    precondition itself.  A field's own bounds (``step_rule`` in
-    ``STEP_RULES``, positive counts) are checked where its config key is
-    read.  The settings refuse, by :class:`SettingError` naming the
-    field, only an ``initial_policy`` that is not a vector and an
-    ``exploration_cov`` that is not a d x d positive definite matrix.
+    precondition itself.  The settings check nothing: each field's
+    bounds (``step_rule`` in ``STEP_RULES``, positive counts, a d x d
+    positive definite ``exploration_cov`` for a d-vector
+    ``initial_policy``) are checked where its config key is read.
     """
 
     initial_policy: np.ndarray
@@ -99,14 +96,9 @@ class SearchConfig:
     exploration_root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        policy = np.asarray(self.initial_policy, dtype=float)
-        cov = np.asarray(self.exploration_cov, dtype=float)
-        if policy.ndim != 1:
-            raise SettingError("initial_policy", "must be a vector")
-        check_exploration_cov(cov, policy.shape[0])
-        object.__setattr__(self, "initial_policy", policy)
-        object.__setattr__(self, "exploration_cov", cov)
-        object.__setattr__(self, "exploration_root", psd_sqrt(cov))
+        for name in ("initial_policy", "exploration_cov"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "exploration_root", psd_sqrt(self.exploration_cov))
 
 
 @dataclass(frozen=True)
@@ -128,20 +120,6 @@ class StepRecord:
     eval_mean: float = float("nan")
     eval_std_error: float = float("nan")
     error: str = ""
-
-
-def check_exploration_cov(cov, dim: int) -> None:
-    """Raise :class:`SettingError` for field ``exploration_cov`` unless
-    ``cov`` is a symmetric positive definite ``dim`` x ``dim`` matrix."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (dim, dim):
-        raise SettingError("exploration_cov", "must be d x d")
-    if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-9 * max(
-        1.0, np.max(np.abs(cov), initial=0.0)
-    ):
-        raise SettingError("exploration_cov", "must be symmetric")
-    if dim and np.linalg.eigvalsh(cov)[0] <= 0.0:
-        raise SettingError("exploration_cov", "must be positive definite")
 
 
 def sample_exploration_policies(

@@ -102,6 +102,15 @@ def row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def is_symmetric(cov: np.ndarray) -> bool:
+    """Whether no entry of the square ``cov`` differs from its mirror by
+    more than 1e-9 times the largest entry (1e-9 when that is below 1)."""
+    scale = max(1.0, float(np.max(np.abs(cov), initial=0.0)))
+    with np.errstate(over="ignore"):
+        asymmetry = float(np.max(np.abs(cov - cov.T), initial=0.0))
+    return asymmetry <= 1e-9 * scale
+
+
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive semidefinite matrix.
 
@@ -112,9 +121,9 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be a square matrix")
-    scale = float(np.max(np.abs(cov))) if cov.size else 0.0
-    if cov.size and float(np.max(np.abs(cov - cov.T))) > 1e-9 * max(1.0, scale):
+    if not is_symmetric(cov):
         raise ValueError("covariance must be symmetric")
+    scale = float(np.max(np.abs(cov), initial=0.0))
     if cov.shape[0] == 0:
         return cov.copy()
     eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)

@@ -42,25 +42,27 @@ def test_noise_free_scores_are_closed_form():
 
 
 def test_policy_domain_is_enforced():
+    # sample_trials takes rows that passed this check, and does not repeat it.
     env = CannonEnv(CannonWorld())
     with pytest.raises(PolicyDomainError, match="speed"):
-        env.sample_trials(np.array([0.0, 0.7]), [substream(71)])
+        env.check_policies(np.array([0.0, 0.7]))
     with pytest.raises(PolicyDomainError, match="angle"):
-        env.sample_trials(np.array([15.0, np.pi / 2]), [substream(71)])
+        env.check_policies(np.array([15.0, np.pi / 2]))
     with pytest.raises(PolicyDomainError, match="angle"):
-        env.sample_trials(np.array([15.0, -0.1]), [substream(71)])
+        env.check_policies(np.array([15.0, -0.1]))
     # A batch reports its first bad row, whichever check that row fails.
     good, slow, steep = [15.0, 0.7], [0.0, 0.7], [15.0, np.pi / 2]
     cases = (([good, steep, slow], "angle"), ([good, slow, steep], "speed"))
     for rows, problem in cases:
         with pytest.raises(PolicyDomainError, match=problem):
             env.check_policies(np.array(rows))
-        with pytest.raises(PolicyDomainError, match=problem):
-            env.sample_trials(np.array(rows), children(substream(71), 3))
     assert env.check_policies(np.array([good, good])).shape == (2, 2)
     # A command whose noise-free score overflows cannot be scored.
     with pytest.raises(PolicyDomainError, match="overflows"):
         env.check_policies(np.array([good, [1e78, 0.7]]))
+    # cannon_true_value simulates a policy of its own, so it checks it.
+    with pytest.raises(PolicyDomainError, match="speed"):
+        cannon_true_value(env.world, slow)
 
 
 def test_sensors_report_the_actuation_error_exactly():

@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import dataclasses
 import os
 import re
 import subprocess
@@ -19,7 +18,7 @@ from sensorgrad.cli import main
 from sensorgrad.config import Config, canonical_text, load_config
 from sensorgrad.envs.arm import DartEnv
 from sensorgrad.envs.cannon import CannonEnv
-from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
+from sensorgrad.envs.synthetic import SyntheticEnv
 from test_golden import DART_CFG
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -142,6 +141,16 @@ BAD_SETTING_CASES = {
         RUN_CFG.replace("[0.25, 0.0025]", "[0.25, 0.0]"),
         "key 'search.exploration_cov' must be positive definite",
     ),
+    "run-cov-three-entries": (
+        "run",
+        RUN_CFG.replace("[0.25, 0.0025]", "[0.25, 0.0025, 0.01]"),
+        "key 'search.exploration_cov' must be 2 x 2",
+    ),
+    "run-asymmetric-cov": (
+        "run",
+        RUN_CFG.replace("[0.25, 0.0025]", "[[0.25, 0.01], [0.0, 0.0025]]"),
+        "key 'search.exploration_cov' must be symmetric",
+    ),
     "variance-check-singular-cov": (
         "variance-check",
         VARIANCE_CFG.replace("[[0.5, 0.1], [0.1, 0.3]]", "[[0.5, 0.5], [0.5, 0.5]]"),
@@ -215,8 +224,7 @@ BAD_SETTING_CASES = {
     "variance-sensor-cov-not-psd": (
         "variance-check",
         VARIANCE_CFG.replace(SENSOR_COV, "[[-0.2, 0.0], [0.0, 0.4]]"),
-        "key 'synthetic.sensor_cov' is not a covariance: covariance must be "
-        "positive semidefinite",
+        "key 'synthetic.sensor_cov' must be positive definite",
     ),
     # A sensor direction without variance can never be fitted by g2.
     "variance-singular-sensor-cov": (
@@ -233,7 +241,7 @@ BAD_SETTING_CASES = {
     "variance-sensor-cov-asymmetric": (
         "variance-check",
         VARIANCE_CFG.replace(SENSOR_COV, "[[0.2, -0.05], [0.05, 0.4]]"),
-        "key 'synthetic.sensor_cov' is not a covariance: covariance must be symmetric",
+        "key 'synthetic.sensor_cov' must be symmetric",
     ),
     "variance-negative-output-variance": (
         "variance-check",
@@ -585,28 +593,6 @@ def test_an_encoding_as_wide_as_the_sensors_passes_the_key_check(
     _run_to_the_key_check(write_cfg(tmp_path, text), tmp_path / "out")
 
 
-def test_every_synthetic_world_field_is_a_variance_check_key(
-    tmp_path, stop_at_key_check
-):
-    # variance-check reports a field the world refuses as
-    # ``synthetic.<field>``, so each field has to be a key it reads.
-    _run_to_the_key_check(CONFIG_DIR / "variance_check.cfg", tmp_path / "out")
-    (read,) = stop_at_key_check
-    fields = {f.name for f in dataclasses.fields(SyntheticWorld) if f.init}
-    assert {f"synthetic.{name}" for name in fields} <= read
-
-
-def test_every_search_config_field_is_a_run_key(tmp_path, stop_at_key_check):
-    # run reports a field SearchConfig refuses as ``search.<field>``, so
-    # each field that a key sets has to be a key that a run config reads.
-    for path in SHIPPED_CONFIGS:
-        if _command_of(path) == "run":
-            _run_to_the_key_check(path, tmp_path / path.stem)
-    fields = {f.name for f in dataclasses.fields(search.SearchConfig) if f.init}
-    keys = {f"search.{name}" for name in fields - {"seed", "estimator", "encoding"}}
-    assert keys <= set().union(*stop_at_key_check)
-
-
 @pytest.mark.parametrize(
     "command, text",
     [("run", RUN_CFG), ("variance-check", VARIANCE_CFG), ("encode-search", ENCODE_CFG)],
@@ -834,22 +820,40 @@ def test_a_command_whose_score_overflows_ends_each_run_in_an_error_row(tmp_path)
 
 
 def test_a_score_sum_that_overflows_ends_each_run_in_an_error_row(tmp_path, capsys):
-    # Each score at this speed is finite, but ten of them sum past the
-    # float range: every estimator refuses the batch by name, and no numpy
-    # warning reaches stderr.
-    text = (CONFIG_DIR / "cannon_smoke.cfg").read_text().replace(
-        "[16.0, 0.7853981633974483]", "[3e77, 0.7]"
+    # Each score at these speeds is finite, but ten of them (at 3e77), or
+    # their squares (at 1e77), sum past the float range: every estimator
+    # refuses the batch by name, and no numpy warning reaches stderr.
+    for speed, total in (("3e77", "sum"), ("1e77", "sum of squares")):
+        text = (CONFIG_DIR / "cannon_smoke.cfg").read_text().replace(
+            "[16.0, 0.7853981633974483]", f"[{speed}, 0.7]"
+        )
+        text = text.replace('"with_sensors"]', '"with_sensors", "with_encoding"]')
+        cfg, out = write_cfg(tmp_path, text, f"{speed}.cfg"), tmp_path / speed
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:])
+        message = f"scores too large to regress: their {total} overflows"
+        assert [(r["estimator"], r["run"], r["step"], r["error"]) for r in rows] == [
+            (estimator, str(run), "1", message)
+            for estimator in ("ignore_sensors", "with_sensors", "with_encoding")
+            for run in range(3)
+        ]
+
+
+def test_scores_whose_squares_overflow_are_a_config_error(tmp_path, capsys):
+    # The scores and their sums are finite, but their sums of squares, and
+    # with them the residual sums and the draws' covariances, are not: the
+    # first fit refuses, no numpy warning reaches stderr, and no file is
+    # written.
+    text = (CONFIG_DIR / "variance_check.cfg").read_text().replace(
+        "synthetic.true_gradient = [1.5, -0.7]", "synthetic.true_gradient = [1e200, -0.7]"
     )
-    text = text.replace('"with_sensors"]', '"with_sensors", "with_encoding"]')
-    out = tmp_path / "out"
-    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    rows = csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:])
-    assert [(r["estimator"], r["run"], r["step"], r["error"]) for r in rows] == [
-        (estimator, str(run), "1", "scores too large to regress: their sum overflows")
-        for estimator in ("ignore_sensors", "with_sensors", "with_encoding")
-        for run in range(3)
-    ]
+    cfg, out = write_cfg(tmp_path, text), tmp_path / "out"
+    assert main(["variance-check", "--config", cfg, "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: {cfg}: key 'synthetic.true_gradient'")
+    assert err.endswith("(scores too large to regress: their sum of squares overflows)")
+    assert not out.exists()
 
 
 def test_encode_search_round_trip_and_threshold_failure(tmp_path, capsys):

@@ -99,17 +99,17 @@ def test_integers_beyond_the_float_range_parse_and_only_float_readers_refuse_the
         source="job.cfg",
     )
     assert config.get_int("seed") == huge
-    for read, key in [
-        (config.get_float, "rate"),
-        (config.get_vector, "vec"),
-        (config.get_matrix, "mat"),
-        (config.get_cov, "mat"),
+    for read, key, shape in [
+        (config.get_float, "rate", ()),
+        (config.get_vector, "vec", ()),
+        (config.get_matrix, "mat", (2, 2)),
+        (config.get_cov, "mat", (2,)),
     ]:
         with pytest.raises(
             ConfigError,
             match=f"^job.cfg: key '{key}' holds an integer beyond the float range$",
         ):
-            read(key)
+            read(key, *shape)
 
 
 def test_accessors_refuse_values_outside_their_bounds_by_key():
@@ -186,7 +186,7 @@ def test_typed_accessors_enforce_their_types():
     assert config.get_str("name") == "cannon"
     assert config.get_str_list("names") == ["a", "b"]
     assert np.array_equal(config.get_vector("vec"), [1.0, 2.0])
-    assert np.array_equal(config.get_matrix("mat"), np.diag([1.0, 2.0]))
+    assert np.array_equal(config.get_matrix("mat", 2, 2), np.diag([1.0, 2.0]))
     with pytest.raises(ConfigError, match="key 'flag' must be an integer"):
         config.get_int("flag")
     with pytest.raises(ConfigError, match="key 'rate' must be an integer"):
@@ -197,8 +197,8 @@ def test_typed_accessors_enforce_their_types():
         config.get_str_list("vec")
     with pytest.raises(ConfigError, match="must be a list of numbers"):
         config.get_vector("names")
-    with pytest.raises(ConfigError, match="equal-length number rows"):
-        config.get_matrix("vec")
+    with pytest.raises(ConfigError, match="must be a list of number rows"):
+        config.get_matrix("vec", 1, 2)
 
 
 def test_missing_keys_and_defaults():
@@ -212,18 +212,54 @@ def test_missing_keys_and_defaults():
 
 def test_covariance_accepts_flat_diagonal_or_full_matrix():
     config = Config(
-        parse_config_text("diag = [1.0, 4.0]\nfull = [[2.0, 0.5], [0.5, 1.0]]\n")
+        parse_config_text(
+            "diag = [1.0, 4.0]\nfull = [[2.0, 0.5], [0.5, 1.0]]\nnone = []\n"
+        )
     )
-    assert np.array_equal(config.get_cov("diag"), np.diag([1.0, 4.0]))
+    assert np.array_equal(config.get_cov("diag", 2), np.diag([1.0, 4.0]))
     assert np.array_equal(
-        config.get_cov("full"), np.array([[2.0, 0.5], [0.5, 1.0]])
+        config.get_cov("full", 2), np.array([[2.0, 0.5], [0.5, 1.0]])
     )
+    assert config.get_cov("none", 0).shape == (0, 0)
 
 
 def test_ragged_matrix_is_rejected():
-    config = Config({"mat": [[1.0, 2.0], [3.0]]})
-    with pytest.raises(ConfigError, match="equal-length number rows"):
-        config.get_matrix("mat")
+    config = Config({"mat": [[1.0, 2.0], [3.0]]}, source="job.cfg")
+    with pytest.raises(ConfigError, match="^job.cfg: key 'mat' must be 2 x 2$"):
+        config.get_matrix("mat", 2, 2)
+
+
+def test_a_matrix_is_read_at_its_shape():
+    config = Config({"mat": [[1.0, 2.0, 3.0]], "empty": [[], []]}, source="job.cfg")
+    assert config.get_matrix("mat", 1, 3).tolist() == [[1.0, 2.0, 3.0]]
+    assert config.get_matrix("empty", 2, 0).shape == (2, 0)
+    for rows, cols in [(3, 1), (1, 2), (2, 3)]:
+        with pytest.raises(
+            ConfigError, match=f"^job.cfg: key 'mat' must be {rows} x {cols}$"
+        ):
+            config.get_matrix("mat", rows, cols)
+
+
+def test_a_covariance_is_read_as_a_positive_definite_dim_x_dim_matrix():
+    refused = [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "be 2 x 2"),
+        ([1.0, 1.0, 1.0], "be 2 x 2"),
+        ([[1.0, 0.0]], "be 2 x 2"),
+        ([[1.0, 1e-8], [0.0, 1.0]], "be symmetric"),
+        ([[1e9, 3.0], [1.0, 1e9]], "be symmetric"),
+        ([[1e308, -1e308], [1e308, 1e308]], "be symmetric"),
+        ([[1.0, 1.0], [1.0, 1.0]], "be positive definite"),
+        ([[1.0, 2.0], [2.0, 1.0]], "be positive definite"),
+        ([1.0, 0.0], "be positive definite"),
+        ([1.0, -0.5], "be positive definite"),
+    ]
+    for value, problem in refused:
+        config = Config({"cov": value}, source="job.cfg")
+        with pytest.raises(ConfigError, match=f"^job.cfg: key 'cov' must {problem}$"):
+            config.get_cov("cov", 2)
+    # Asymmetry within 1e-9 of the largest entry (at least 1) is read as written.
+    for value in ([[1.0, 1e-10], [0.0, 1.0]], [[1e9, 0.5], [0.0, 1e9]]):
+        assert np.array_equal(Config({"cov": value}).get_cov("cov", 2), value)
 
 
 def test_with_value_returns_a_new_config():
@@ -254,7 +290,7 @@ def test_has_and_every_accessor_record_the_keys_they_read():
     assert config.read == set()
     config.has("flag")
     config.get_int("n")
-    config.get_cov("cov")
+    config.get_cov("cov", 2)
     config.get_vector("v", np.zeros(1))
     config.get_float("absent", 0.5)
     with pytest.raises(ConfigError, match="missing required key 'gone'"):

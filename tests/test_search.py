@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sensorgrad.config import SettingError
 from sensorgrad.dynamics_sensors import fit_dynamics_model, sample_pretraining_states
 from sensorgrad.encoding import EncodingSearchConfig
 from sensorgrad.envs.arm import ArmWorld, DartEnv
@@ -599,25 +598,6 @@ def test_a_step_that_flagging_fails_reports_its_flagged_trials():
     assert _failed_runs(records) and record.error.startswith("insufficient samples")
     assert record.flagged > 0
     assert f"n={config.trials_per_step - record.flagged} <" in record.error
-
-
-def test_search_config_rejects_bad_settings():
-    # The single-field bounds are the config readers'; BAD_SETTING_CASES in
-    # test_cli.py holds them.  The settings check that the fields fit.
-    base = dict(
-        initial_policy=np.zeros(2),
-        trials_per_step=8,
-        exploration_cov=np.eye(2),
-        steps=1,
-        runs=1,
-        seed=0,
-    )
-    with pytest.raises(SettingError, match="exploration_cov must be d x d"):
-        SearchConfig(**{**base, "exploration_cov": np.eye(3)})
-    with pytest.raises(SettingError, match="symmetric"):
-        SearchConfig(**{**base, "exploration_cov": np.array([[1.0, 0.5], [0.0, 1.0]])})
-    with pytest.raises(SettingError, match="positive definite"):
-        SearchConfig(**{**base, "exploration_cov": np.diag([1.0, 0.0])})
 
 
 def test_uninformative_sensors_give_no_systematic_edge():
