@@ -328,9 +328,7 @@ def build_search_configs(cfg: Config, estimators) -> dict:
         )
         options["with_encoding"] = dict(
             encode_trials_per_step=cfg.get_int(
-                "search.encode_trials_per_step",
-                SearchConfig.encode_trials_per_step,
-                minimum=0,
+                "search.encode_trials_per_step", positive=True
             ),
             encoding=encoding,
         )
@@ -512,6 +510,13 @@ def variance_check(cfg: Config):
 
     pred1 = predicted_variance_g1(world, sigma_e, n)
     pred2 = predicted_variance_g2(world, sigma_e, n)
+    with np.errstate(over="ignore"):
+        pred_norms = [float(np.linalg.norm(pred)) for pred in (pred1, pred2)]
+    if not np.all(np.isfinite(pred_norms)):
+        raise ConfigError(
+            f"{cfg.source}: key 'synthetic.exploration_cov' sets covariance laws "
+            "whose Frobenius norm overflows"
+        )
     g2_target, g2_target_label = a_pi, "true gradient"
     if world.coupled:
         g2_target = a_pi + predicted_bias_g2(world)
@@ -523,14 +528,13 @@ def variance_check(cfg: Config):
     ]
     ok = True
 
-    for name, draws, pred, target, target_label in (
-        ("g1", g1_draws, pred1, a_pi, "true gradient"),
-        ("g2", g2_draws, pred2, g2_target, g2_target_label),
+    for name, draws, pred, pred_norm, target, target_label in (
+        ("g1", g1_draws, pred1, pred_norms[0], a_pi, "true gradient"),
+        ("g2", g2_draws, pred2, pred_norms[1], g2_target, g2_target_label),
     ):
         empirical = np.cov(draws.T)
         lines += _matrix_lines(f"{name} predicted covariance:", pred)
         lines += _matrix_lines(f"{name} empirical covariance:", empirical)
-        pred_norm = float(np.linalg.norm(pred))
         if pred_norm < 1e-15:
             emp_norm = float(np.linalg.norm(empirical))
             exact_ok = emp_norm < 1e-12

@@ -17,10 +17,11 @@ An environment provides ``sample_trials(policies, streams)``, one trial
 per policy row drawn from its own stream, and ``check_policies(policies)``,
 which raises :class:`PolicyDomainError` for a row outside its domain
 without drawing anything.  :func:`run_learning_curve` is the only code
-that simulates: a step's first attempts share one env call, its retries
-share one more, and the check keeps one run's infeasible batch out of
-the call it shares with the other runs.  It returns the runs' step
-records, the one result of a learning run.
+that simulates: one step function moves every live run, its first
+attempts sharing one env call and its retries one more, and the check
+keeps one run's infeasible batch out of the call it shares with the
+other runs.  It returns the runs' step records, the one result of a
+learning run.
 """
 
 from __future__ import annotations
@@ -69,15 +70,13 @@ class SearchConfig:
 
     ``encoding`` holds the projection search's settings for the
     encoding estimator; each step searches with its seed replaced by one
-    drawn from the step's own stream.  ``encode_trials_per_step`` > 0
-    gives the search its own fresh trial batch of that size each step,
-    drawn around the same nominal policy; the gradient still comes from
-    the learning batch.  At 0 the search reuses the learning batch,
-    which then has to satisfy the leave-one-out sample-size
-    precondition itself.  The settings check nothing: each field's
-    bounds (``step_rule`` in ``STEP_RULES``, positive counts, a d x d
-    positive definite ``exploration_cov`` for a d-vector
-    ``initial_policy``) are checked where its config key is read.
+    drawn from the step's own stream, on its own fresh batch of
+    ``encode_trials_per_step`` trials drawn around the same nominal
+    policy; the gradient still comes from the learning batch.  The
+    settings check nothing: each field's bounds (``step_rule`` in
+    ``STEP_RULES``, positive counts, a d x d positive definite
+    ``exploration_cov`` for a d-vector ``initial_policy``) are checked
+    where its config key is read.
     """
 
     initial_policy: np.ndarray
@@ -139,24 +138,19 @@ def sample_exploration_policies(
     return policy + draws @ root.T
 
 
-def _estimate(
-    batch: TrialBatch,
-    config: SearchConfig,
-    encode_seed: int,
-    search_batch: TrialBatch | None = None,
-):
+def _estimate(env, learning: TrialBatch, search: TrialBatch, config, encode_seed: int):
     """Dispatch to the configured estimator.
 
-    Returns (estimate, loo_cost or None).  ``search_batch``, when
-    given, is the batch the projection search runs on; the gradient
-    always comes from ``batch``.
+    Returns (estimate, loo_cost or None).  The gradient comes from the
+    ``learning`` trials; the encoding estimator's projection search runs
+    on its own ``search`` trials, which the other estimators leave empty.
     """
+    batch = _kept_batch(env, config, learning)
     if config.estimator == "ignore_sensors":
         return estimate_g1(batch), None
     if config.estimator == "with_sensors":
         return estimate_g2(batch), None
-    if search_batch is None:
-        search_batch = batch
+    search_batch = _kept_batch(env, config, search)
     search_feats = search_batch.sensors
     # Feature scales differ by orders of magnitude; standardized
     # coordinates keep the projection search well conditioned.
@@ -174,24 +168,11 @@ def _estimate(
     return estimate, projection.cost
 
 
-@dataclass(frozen=True)
-class _Attempt:
-    """One run's draws for one try at a step.
-
-    ``policies`` and ``streams`` hold the learning batch followed by the
-    projection search's own batch of ``search_count`` trials (0 when the
-    search reuses the learning batch).
-    """
-
-    policies: np.ndarray
-    streams: list
-    search_count: int
-    encode_seed: int
-
-
-def _draw_attempt(policy, config: SearchConfig, rng) -> _Attempt:
+def _draw_attempt(policy, config: SearchConfig, rng) -> tuple:
     """Draw one attempt's exploration policies and per-trial streams from ``rng``.
 
+    Returns (policies, streams, encode_seed): the learning batch, followed
+    for the encoding estimator by the projection search's own batch.
     Each call takes fresh children of ``rng``, so a retry draws anew.
     """
     def explore(count, stream):
@@ -199,38 +180,35 @@ def _draw_attempt(policy, config: SearchConfig, rng) -> _Attempt:
             policy, config.exploration_cov, count, stream, root=config.exploration_root
         )
 
-    explore_rng, trial_rng, encode_rng = children(rng, 3)
+    explore_rng, trial_rng, seed_rng = children(rng, 3)
     count = config.trials_per_step
     policies = explore(count, explore_rng)
     streams = children(trial_rng, count)
-    search_count = 0
-    seed_rng = encode_rng
-    if config.estimator == "with_encoding" and config.encode_trials_per_step > 0:
-        enc_explore_rng, enc_trial_rng, seed_rng = children(encode_rng, 3)
-        search_count = config.encode_trials_per_step
-        policies = np.concatenate([policies, explore(search_count, enc_explore_rng)])
-        streams += children(enc_trial_rng, search_count)
-    encode_seed = int(seed_rng.integers(0, 2**32))
-    return _Attempt(policies, streams, search_count, encode_seed)
+    if config.estimator == "with_encoding":
+        enc_explore_rng, enc_trial_rng, seed_rng = children(seed_rng, 3)
+        count = config.encode_trials_per_step
+        policies = np.concatenate([policies, explore(count, enc_explore_rng)])
+        streams += children(enc_trial_rng, count)
+    return policies, streams, int(seed_rng.integers(0, 2**32))
 
 
-def _sample_blocks(env, blocks) -> list:
+def _sample_blocks(env, blocks, finish) -> list:
     """Simulate every ``(policies, streams)`` block in one env call.
 
-    Returns each block's trials, or the recoverable error its domain
-    check raised: a failing block stays out of the shared call, so it
-    cannot abort the others.  An error raised by the shared call itself
-    counts against every block in it.
+    Returns ``finish(index, trials)`` of each block, or the recoverable
+    error that ended the block: its domain check's (a failing block
+    stays out of the shared call, so it cannot abort the others), the
+    shared call's (which counts against every block in it) or its own
+    ``finish``'s.
     """
     outcomes = [None] * len(blocks)
     passed = []
     for index, (policies, _) in enumerate(blocks):
         try:
             env.check_policies(policies)
+            passed.append(index)
         except _RECOVERABLE as err:
             outcomes[index] = err
-        else:
-            passed.append(index)
     if not passed:
         return outcomes
     try:
@@ -245,7 +223,10 @@ def _sample_blocks(env, blocks) -> list:
     start = 0
     for index in passed:
         stop = start + len(blocks[index][1])
-        outcomes[index] = trials.rows(slice(start, stop))
+        try:
+            outcomes[index] = finish(index, trials.rows(slice(start, stop)))
+        except _RECOVERABLE as err:
+            outcomes[index] = err
         start = stop
     return outcomes
 
@@ -272,29 +253,21 @@ def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_i
 
 
 def hill_climb_step(
-    env, policy, config: SearchConfig, attempt: _Attempt, outcome, step_index: int
+    env, policy, config: SearchConfig, trials: TrialBatch, encode_seed: int, step_index: int
 ):
-    """One gradient step from ``policy`` on one simulated attempt.
+    """One gradient step from ``policy`` on one attempt's simulated ``trials``.
 
-    ``outcome`` is what simulating ``attempt`` gave: its trials, or the
-    recoverable error the simulation raised, which is re-raised.
     Flagged trials are dropped before estimation; an estimator failure
     (rank deficiency, too few surviving trials) raises with ``flagged``
     set to the learning batch's flagged count.  The step neither
     simulates nor retries: :func:`run_learning_curve` does both.
     Returns (new policy, record).
     """
-    if isinstance(outcome, Exception):
-        raise outcome
-    split = len(attempt.streams) - attempt.search_count
-    trials = outcome.rows(slice(None, split))
-    flagged = int(trials.flagged.sum())
+    learning = trials.rows(slice(None, config.trials_per_step))
+    search = trials.rows(slice(config.trials_per_step, None))
+    flagged = int(learning.flagged.sum())
     try:
-        batch = _kept_batch(env, config, trials)
-        search_batch = None
-        if attempt.search_count:
-            search_batch = _kept_batch(env, config, outcome.rows(slice(split, None)))
-        estimate, loo = _estimate(batch, config, attempt.encode_seed, search_batch)
+        estimate, loo = _estimate(env, learning, search, config, encode_seed)
     except _RECOVERABLE as err:
         # Flagging is a common cause of too few samples: the failed
         # step's diagnostics row reports it.
@@ -306,7 +279,7 @@ def hill_climb_step(
         estimator=config.estimator,
         gradient_norm=float(np.linalg.norm(estimate.gradient)),
         loo_cost=float("nan") if loo is None else float(loo),
-        mean_trial_score=float(np.mean(trials.scores)),
+        mean_trial_score=float(np.mean(learning.scores)),
         flagged=flagged,
     )
     return _apply_rule(policy, estimate, config, step_index), record
@@ -327,17 +300,31 @@ def evaluate_policy(scores):
     return mean, float(spread / np.sqrt(len(scores)))
 
 
+def _step_runs(env, config: SearchConfig, policies, rngs, step: int) -> list:
+    """One attempt at ``step`` for each run, given its policy and step stream.
+
+    Every run's attempt is drawn, then all are simulated in one env call.
+    Returns each run's (new policy, record) or its recoverable error.
+    """
+    attempts = [_draw_attempt(policy, config, rng) for policy, rng in zip(policies, rngs)]
+
+    def finish(index, trials):
+        encode_seed = attempts[index][2]
+        return hill_climb_step(env, policies[index], config, trials, encode_seed, step)
+
+    return _sample_blocks(env, [attempt[:2] for attempt in attempts], finish)
+
+
 def run_learning_curve(env, config: SearchConfig) -> tuple:
     """Hill-climbing runs; returns their step records, run by run.
 
-    All runs advance in lockstep: at each step the first-attempt
-    learning batches of every live run go through one env call, each
-    run then estimates and steps on its own, a step's retries share one
-    env call, and the evaluation batches of the runs that stepped go
-    through another.  Every run draws from its own seed-derived
-    streams, so a run's records do not depend on the other runs.  A run
-    whose retry fails too ends with a record holding the error and
-    drops out of later steps.
+    All runs advance in lockstep: at each step :func:`_step_runs` moves
+    every live run on first attempts sharing one env call, and once more
+    on the retries of the runs that failed, then the evaluation batches
+    of the runs that stepped go through another.  Every run draws from
+    its own seed-derived streams, so a run's records do not depend on
+    the other runs.  A run whose retry fails too ends with a record
+    holding the error and drops out of later steps.
     """
     count = config.eval_trials_per_point
     policies = [config.initial_policy] * config.runs
@@ -345,57 +332,48 @@ def run_learning_curve(env, config: SearchConfig) -> tuple:
     failures = set()
 
     def fail(run, step, err, retried):
-        records[run].append(
-            StepRecord(
-                run=run,
-                step=step,
-                estimator=config.estimator,
-                flagged=getattr(err, "flagged", 0),
-                retried=retried,
-                error=str(err),
-            )
-        )
+        flagged = getattr(err, "flagged", 0)
+        records[run].append(StepRecord(
+            config.estimator, run, step, flagged=flagged, retried=retried, error=str(err)
+        ))
         failures.add(run)
 
     for step in range(config.steps):
-        live = [run for run in range(config.runs) if run not in failures]
-        pending = [(run, substream(config.seed, run, step, LEARN)) for run in live]
+        pending = [run for run in range(config.runs) if run not in failures]
+        rngs = {run: substream(config.seed, run, step, LEARN) for run in pending}
         stepped = []
         for retried in (False, True):
             # A retry draws the next children of the same step stream.
-            attempts = [_draw_attempt(policies[run], config, rng) for run, rng in pending]
-            outcomes = _sample_blocks(env, [(a.policies, a.streams) for a in attempts])
+            outcomes = _step_runs(
+                env, config, [policies[run] for run in pending],
+                [rngs[run] for run in pending], step,
+            )
             failed = []
-            for (run, rng), attempt, outcome in zip(pending, attempts, outcomes):
-                try:
-                    policies[run], record = hill_climb_step(
-                        env, policies[run], config, attempt, outcome, step
-                    )
-                except _RECOVERABLE as err:
-                    if retried:
-                        fail(run, step, err, retried=True)
-                    else:
-                        failed.append((run, rng))
-                else:
+            for run, outcome in zip(pending, outcomes):
+                if not isinstance(outcome, Exception):
+                    policies[run], record = outcome
                     stepped.append(replace(record, run=run, retried=retried))
+                elif retried:
+                    fail(run, step, outcome, retried=True)
+                else:
+                    failed.append(run)
             pending = failed
         # Retried runs rejoin in run order, as if none had retried.
         stepped.sort(key=lambda record: record.run)
-        eval_rngs = [substream(config.seed, r.run, step, EVAL) for r in stepped]
         blocks = [
-            (np.tile(policies[r.run], (count, 1)), children(rng, count))
-            for r, rng in zip(stepped, eval_rngs)
+            (np.tile(policies[r.run], (count, 1)),
+             children(substream(config.seed, r.run, step, EVAL), count))
+            for r in stepped
         ]
-        outcomes = _sample_blocks(env, blocks)
+        outcomes = _sample_blocks(
+            env, blocks, lambda _, trials: evaluate_policy(trials.scores)
+        )
         for record, outcome in zip(stepped, outcomes):
-            try:
-                if isinstance(outcome, Exception):
-                    raise outcome
-                mean, std_error = evaluate_policy(outcome.scores)
-            except _RECOVERABLE as err:
-                fail(record.run, step, err, record.retried)
-                continue
-            records[record.run].append(
-                replace(record, eval_mean=mean, eval_std_error=std_error)
-            )
+            if isinstance(outcome, Exception):
+                fail(record.run, step, outcome, record.retried)
+            else:
+                mean, std_error = outcome
+                records[record.run].append(
+                    replace(record, eval_mean=mean, eval_std_error=std_error)
+                )
     return tuple(record for run_records in records for record in run_records)

@@ -126,7 +126,8 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(cov), initial=0.0))
     if cov.shape[0] == 0:
         return cov.copy()
-    eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
+    # Halving first symmetrizes without overflow, rounding as the sum would.
+    eigvals, eigvecs = np.linalg.eigh(cov / 2.0 + cov.T / 2.0)
     if eigvals[0] < -1e-10 * max(1.0, scale):
         raise ValueError("covariance must be positive semidefinite")
     root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))

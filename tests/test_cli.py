@@ -114,13 +114,13 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
 
 ENCODING_RUN_CFG = RUN_CFG.replace(
     '["ignore_sensors", "with_sensors"]', '["with_encoding"]'
-)
+) + "search.encode_trials_per_step = 8\n"
 
 
 def test_a_search_batch_too_small_for_any_projection_names_the_cause(tmp_path):
     # 3 trials cannot fit a leave-one-out regression on 2 policy
     # coordinates and 1 projected sensor, whatever the projection.
-    text = ENCODING_RUN_CFG.replace("trials_per_step = 8", "trials_per_step = 3")
+    text = ENCODING_RUN_CFG.replace("encode_trials_per_step = 8", "encode_trials_per_step = 3")
     out = tmp_path / "out"
     assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     rows = list(csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:]))
@@ -376,8 +376,19 @@ BAD_SETTING_CASES = {
     ),
     "cannon-encode-trials-per-step": (
         "run",
-        ENCODING_RUN_CFG + "search.encode_trials_per_step = -1\n",
-        "key 'search.encode_trials_per_step' must be nonnegative",
+        ENCODING_RUN_CFG.replace("encode_trials_per_step = 8", "encode_trials_per_step = -1"),
+        "key 'search.encode_trials_per_step' must be positive",
+    ),
+    # The projection search always runs on its own batch.
+    "cannon-encode-trials-per-step-zero": (
+        "run",
+        ENCODING_RUN_CFG.replace("encode_trials_per_step = 8", "encode_trials_per_step = 0"),
+        "key 'search.encode_trials_per_step' must be positive",
+    ),
+    "cannon-encode-trials-per-step-missing": (
+        "run",
+        ENCODING_RUN_CFG.replace("search.encode_trials_per_step = 8\n", ""),
+        "missing required key 'search.encode_trials_per_step'",
     ),
     "variance-replications": (
         "variance-check",
@@ -828,6 +839,7 @@ def test_a_score_sum_that_overflows_ends_each_run_in_an_error_row(tmp_path, caps
             "[16.0, 0.7853981633974483]", f"[{speed}, 0.7]"
         )
         text = text.replace('"with_sensors"]', '"with_sensors", "with_encoding"]')
+        text += "search.encode_trials_per_step = 10\n"
         cfg, out = write_cfg(tmp_path, text, f"{speed}.cfg"), tmp_path / speed
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
@@ -854,6 +866,62 @@ def test_scores_whose_squares_overflow_are_a_config_error(tmp_path, capsys):
     assert err.startswith(f"config error: {cfg}: key 'synthetic.true_gradient'")
     assert err.endswith("(scores too large to regress: their sum of squares overflows)")
     assert not out.exists()
+
+
+def _variance_cfg_with(tmp_path, values):
+    """``variance_check.cfg`` with the given keys set to the given values."""
+    text = (CONFIG_DIR / "variance_check.cfg").read_text()
+    for key, value in values.items():
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    return write_cfg(tmp_path, text)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("synthetic.exploration_cov", "[1e308, 1e308]"),
+        ("synthetic.sensor_cov", "[1e308, 0.4]"),
+    ],
+    ids=["exploration", "sensor"],
+)
+def test_a_covariance_at_the_float_range_is_a_config_error(tmp_path, capsys, key, value):
+    # The covariance's root does not overflow, but the scores drawn at its
+    # scale do: the first fit refuses them, with no numpy warning and no file.
+    cfg, out = _variance_cfg_with(tmp_path, {key: value}), tmp_path / "out"
+    assert main(["variance-check", "--config", cfg, "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: {cfg}: key 'synthetic.true_gradient'")
+    assert "set scales the regressions cannot fit" in err
+    assert not out.exists()
+
+
+def test_covariance_laws_past_the_float_range_are_a_config_error(tmp_path, capsys):
+    # Tiny covariances give laws whose entries are finite but whose
+    # Frobenius norms overflow: no relative error can be computed.
+    tiny = "[1e-300, 1e-300]"
+    values = {
+        "synthetic.exploration_cov": tiny,
+        "synthetic.sensor_cov": tiny,
+        "variance.replications": 200,
+    }
+    cfg, out = _variance_cfg_with(tmp_path, values), tmp_path / "out"
+    assert main(["variance-check", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {cfg}: key 'synthetic.exploration_cov' sets covariance "
+        "laws whose Frobenius norm overflows"
+    ]
+    assert not out.exists()
+
+
+def test_a_huge_exploration_covariance_ends_each_run_in_an_error_row(tmp_path, capsys):
+    text = (CONFIG_DIR / "cannon_smoke.cfg").read_text().replace(
+        "search.exploration_cov = [0.25, 0.0025]", "search.exploration_cov = [1e308, 0.0025]"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:]))
+    assert rows and all(row["error"].startswith("commanded speed") for row in rows)
 
 
 def test_encode_search_round_trip_and_threshold_failure(tmp_path, capsys):
