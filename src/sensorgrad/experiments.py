@@ -292,17 +292,18 @@ def build_cannon_world(cfg: Config) -> CannonWorld:
     return CannonWorld(control_noise_cov=np.diag([diag[0], diag[1] * _DEG2]))
 
 
-def build_search_configs(cfg: Config, estimators) -> dict:
-    """Each listed estimator's settings, by name; the exploration covariance
+def build_search_config(cfg: Config, estimators) -> SearchConfig:
+    """The search settings of the listed estimators; the exploration covariance
     is d x d for a d-entry policy, and only ``with_encoding`` reads the encoding keys."""
     policy = cfg.get_vector("search.initial_policy")
-    base = SearchConfig(
+    config = SearchConfig(
         initial_policy=policy,
         trials_per_step=cfg.get_int("search.trials_per_step", positive=True),
         exploration_cov=cfg.get_cov("search.exploration_cov", policy.shape[0]),
         steps=cfg.get_int("search.steps", minimum=0),
         runs=cfg.get_int("search.runs", positive=True),
         seed=cfg.get_int("seed"),
+        estimators=tuple(estimators),
         step_rule=cfg.get_str(
             "search.step_rule", SearchConfig.step_rule, choices=STEP_RULES
         ),
@@ -315,33 +316,30 @@ def build_search_configs(cfg: Config, estimators) -> dict:
             positive=True,
         ),
     )
-    options = {name: {} for name in estimators}
-    if "with_encoding" in options:
-        default = SearchConfig.encoding
-        encoding = replace(
-            default,
-            target_dim=cfg.get_int("search.encoding_dim", default.target_dim, minimum=0),
-            max_iterations=cfg.get_int(
-                "search.encode_max_iterations", default.max_iterations, minimum=0
-            ),
-            restarts=cfg.get_int("search.encode_restarts", default.restarts, minimum=1),
-        )
-        options["with_encoding"] = dict(
-            encode_trials_per_step=cfg.get_int(
-                "search.encode_trials_per_step", positive=True
-            ),
-            encoding=encoding,
-        )
-    return {name: replace(base, estimator=name, **options[name]) for name in estimators}
+    if "with_encoding" not in estimators:
+        return config
+    default = SearchConfig.encoding
+    encoding = replace(
+        default,
+        target_dim=cfg.get_int("search.encoding_dim", default.target_dim, minimum=0),
+        max_iterations=cfg.get_int(
+            "search.encode_max_iterations", default.max_iterations, minimum=0
+        ),
+        restarts=cfg.get_int("search.encode_restarts", default.restarts, minimum=1),
+    )
+    return replace(
+        config,
+        encode_trials_per_step=cfg.get_int("search.encode_trials_per_step", positive=True),
+        encoding=encoding,
+    )
 
 
-def _read_environments(cfg: Config, configs: dict):
-    """Read the environment keys and check the search configs against the
+def _read_environments(cfg: Config, config: SearchConfig):
+    """Read the environment keys and check the search config against the
     environment; returns a function that builds the environment per
     noise scale, pretraining the dart model if needed."""
     environment = cfg.get_str("run.environment", choices=("cannon", "dart"))
     scales = cfg.get_vector("run.noise_scales", [1.0], nonempty=True, minimum=0.0).tolist()
-    shared = next(iter(configs.values()))  # the same policy and seed in each
     if environment == "cannon":
         world = build_cannon_world(cfg)
         # A (speed, angle) policy; the sensors read its actuation error.
@@ -365,19 +363,18 @@ def _read_environments(cfg: Config, configs: dict):
             states = sample_pretraining_states(
                 world,
                 count,
-                substream(shared.seed, PRETRAIN),
-                policy_mean=shared.initial_policy,
+                substream(config.seed, PRETRAIN),
+                policy_mean=config.initial_policy,
                 policy_cov=spread * np.eye(world.policy_dim),
             )
             return [(1.0, DartEnv(world, fit_dynamics_model(world, states)))]
 
-    if shared.initial_policy.shape[0] != policy_dim:
+    if config.initial_policy.shape[0] != policy_dim:
         raise ConfigError(
             f"{cfg.source}: key 'search.initial_policy' must have "
             f"{policy_dim} entries for the {environment} environment"
         )
-    encoded = configs.get("with_encoding")
-    if encoded is not None and encoded.encoding.target_dim > width:
+    if "with_encoding" in config.estimators and config.encoding.target_dim > width:
         raise ConfigError(
             f"{cfg.source}: key 'search.encoding_dim' must be at most {width}, "
             f"the sensor width of the {environment} environment"
@@ -390,10 +387,11 @@ def _read_environments(cfg: Config, configs: dict):
 # ---------------------------------------------------------------------------
 
 
-def _curve_rows(records, config: SearchConfig, tail) -> list:
-    """``learning_curve.csv``'s rows from one estimator's step records: per
+def _curve_rows(records, config: SearchConfig, estimator: str, tail) -> list:
+    """``learning_curve.csv``'s rows from ``estimator``'s step records: per
     step, the mean and standard error of the evaluations over the runs
     that completed (a run with an error row does not count)."""
+    records = [record for record in records if record.estimator == estimator]
     failed = {record.run for record in records if record.error}
     runs = config.runs - len(failed)
     values = np.array([r.eval_mean for r in records if r.run not in failed])
@@ -403,7 +401,7 @@ def _curve_rows(records, config: SearchConfig, tail) -> list:
         means, errors = values.mean(axis=0), np.zeros(config.steps)
     if runs > 1:
         errors = values.std(axis=0, ddof=1) / np.sqrt(runs)
-    point = dict(estimator=config.estimator, runs=runs)
+    point = dict(estimator=estimator, runs=runs)
     return [
         LEARNING_CURVE.row(dict(point, step=step, mean_value=mean, std_error=error), tail)
         for step, (mean, error) in enumerate(zip(means, errors), start=1)
@@ -422,8 +420,8 @@ def run_tables(cfg: Config):
     estimators = cfg.get_str_list("run.estimators", nonempty=True, choices=ESTIMATORS)
     if len(set(estimators)) != len(estimators):
         raise ConfigError(f"{cfg.source}: key 'run.estimators' repeats an entry")
-    configs = build_search_configs(cfg, estimators)
-    build_environments = _read_environments(cfg, configs)
+    config = build_search_config(cfg, estimators)
+    build_environments = _read_environments(cfg, config)
     cfg.check_unknown()
     environments = build_environments()
     sweep = len(environments) > 1
@@ -431,12 +429,12 @@ def run_tables(cfg: Config):
     diag_rows = []
     for scale, env in environments:
         tail = [scale] if sweep else []
-        for config in configs.values():
-            records = run_learning_curve(env, config)
-            learning_rows += _curve_rows(records, config, tail)
-            for record in records:
-                values = vars(replace(record, step=record.step + 1))
-                diag_rows.append(DIAGNOSTICS.row(values, tail))
+        records = run_learning_curve(env, config)
+        for name in estimators:
+            learning_rows += _curve_rows(records, config, name, tail)
+        for record in records:
+            values = vars(replace(record, step=record.step + 1))
+            diag_rows.append(DIAGNOSTICS.row(values, tail))
     tables = {
         LEARNING_CURVE.name: (int(sweep), learning_rows),
         DIAGNOSTICS.name: (int(sweep), diag_rows),

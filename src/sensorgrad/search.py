@@ -16,12 +16,12 @@ until their nominal policies diverge.
 An environment provides ``sample_trials(policies, streams)``, one trial
 per policy row drawn from its own stream, and ``check_policies(policies)``,
 which raises :class:`PolicyDomainError` for a row outside its domain
-without drawing anything.  :func:`run_learning_curve` is the only code
-that simulates: one step function moves every live run, its first
-attempts sharing one env call and its retries one more, and the check
-keeps one run's infeasible batch out of the call it shares with the
-other runs.  It returns the runs' step records, the one result of a
-learning run.
+without drawing anything.  ``sample_trials`` must raise no recoverable
+error on rows that passed the check: a trial it cannot score is flagged
+in its row.  :func:`run_learning_curve` is the only code that simulates: every
+(estimator, run) lane steps in one lockstep, and the check keeps one
+lane's infeasible batch out of the env call it shares with the others.
+It returns the lanes' step records, the one result of a learning run.
 """
 
 from __future__ import annotations
@@ -68,15 +68,15 @@ _RECOVERABLE = (EstimationError, EncodingError, PolicyDomainError)
 class SearchConfig:
     """Everything one hill-climbing experiment needs besides the env.
 
-    ``encoding`` holds the projection search's settings for the
-    encoding estimator; each step searches with its seed replaced by one
-    drawn from the step's own stream, on its own fresh batch of
-    ``encode_trials_per_step`` trials drawn around the same nominal
-    policy; the gradient still comes from the learning batch.  The
-    settings check nothing: each field's bounds (``step_rule`` in
-    ``STEP_RULES``, positive counts, a d x d positive definite
-    ``exploration_cov`` for a d-vector ``initial_policy``) are checked
-    where its config key is read.
+    Each of ``estimators`` makes ``runs`` runs.  ``encoding`` holds the
+    projection search's settings for the encoding estimator; each step
+    searches with its seed replaced by one drawn from the step's own
+    stream, on its own fresh batch of ``encode_trials_per_step`` trials
+    drawn around the same nominal policy; the gradient still comes from
+    the learning batch.  The settings check nothing: each field's bounds
+    (``step_rule`` in ``STEP_RULES``, positive counts, a d x d positive
+    definite ``exploration_cov`` for a d-vector ``initial_policy``) are
+    checked where its config key is read.
     """
 
     initial_policy: np.ndarray
@@ -85,7 +85,7 @@ class SearchConfig:
     steps: int
     runs: int
     seed: int
-    estimator: str = "ignore_sensors"
+    estimators: tuple = ("ignore_sensors",)
     step_rule: str = "normalized"
     learning_rate: float = 0.1
     eval_trials_per_point: int = 20
@@ -138,19 +138,21 @@ def sample_exploration_policies(
     return policy + draws @ root.T
 
 
-def _estimate(env, learning: TrialBatch, search: TrialBatch, config, encode_seed: int):
-    """Dispatch to the configured estimator.
+def _estimate(
+    env, learning: TrialBatch, search: TrialBatch, config, estimator: str, encode_seed: int
+):
+    """Dispatch to ``estimator``.
 
     Returns (estimate, loo_cost or None).  The gradient comes from the
     ``learning`` trials; the encoding estimator's projection search runs
     on its own ``search`` trials, which the other estimators leave empty.
     """
-    batch = _kept_batch(env, config, learning)
-    if config.estimator == "ignore_sensors":
+    batch = _kept_batch(env, estimator, learning)
+    if estimator == "ignore_sensors":
         return estimate_g1(batch), None
-    if config.estimator == "with_sensors":
+    if estimator == "with_sensors":
         return estimate_g2(batch), None
-    search_batch = _kept_batch(env, config, search)
+    search_batch = _kept_batch(env, estimator, search)
     search_feats = search_batch.sensors
     # Feature scales differ by orders of magnitude; standardized
     # coordinates keep the projection search well conditioned.
@@ -168,7 +170,7 @@ def _estimate(env, learning: TrialBatch, search: TrialBatch, config, encode_seed
     return estimate, projection.cost
 
 
-def _draw_attempt(policy, config: SearchConfig, rng) -> tuple:
+def _draw_attempt(policy, config: SearchConfig, estimator: str, rng) -> tuple:
     """Draw one attempt's exploration policies and per-trial streams from ``rng``.
 
     Returns (policies, streams, encode_seed): the learning batch, followed
@@ -184,7 +186,7 @@ def _draw_attempt(policy, config: SearchConfig, rng) -> tuple:
     count = config.trials_per_step
     policies = explore(count, explore_rng)
     streams = children(trial_rng, count)
-    if config.estimator == "with_encoding":
+    if estimator == "with_encoding":
         enc_explore_rng, enc_trial_rng, seed_rng = children(seed_rng, 3)
         count = config.encode_trials_per_step
         policies = np.concatenate([policies, explore(count, enc_explore_rng)])
@@ -197,9 +199,8 @@ def _sample_blocks(env, blocks, finish) -> list:
 
     Returns ``finish(index, trials)`` of each block, or the recoverable
     error that ended the block: its domain check's (a failing block
-    stays out of the shared call, so it cannot abort the others), the
-    shared call's (which counts against every block in it) or its own
-    ``finish``'s.
+    stays out of the shared call, so it cannot abort the others) or its
+    own ``finish``'s.
     """
     outcomes = [None] * len(blocks)
     passed = []
@@ -211,15 +212,10 @@ def _sample_blocks(env, blocks, finish) -> list:
             outcomes[index] = err
     if not passed:
         return outcomes
-    try:
-        trials = env.sample_trials(
-            np.concatenate([blocks[i][0] for i in passed]),
-            [stream for i in passed for stream in blocks[i][1]],
-        )
-    except _RECOVERABLE as err:
-        for index in passed:
-            outcomes[index] = err
-        return outcomes
+    trials = env.sample_trials(
+        np.concatenate([blocks[i][0] for i in passed]),
+        [stream for i in passed for stream in blocks[i][1]],
+    )
     start = 0
     for index in passed:
         stop = start + len(blocks[index][1])
@@ -231,12 +227,12 @@ def _sample_blocks(env, blocks, finish) -> list:
     return outcomes
 
 
-def _kept_batch(env, config: SearchConfig, trials: TrialBatch) -> TrialBatch:
+def _kept_batch(env, estimator: str, trials: TrialBatch) -> TrialBatch:
     """The unflagged trials, with the sensors the env encodes them to."""
     batch = trials.rows(~trials.flagged)
     if not batch.size:
         raise EstimationError("insufficient samples: every trial was flagged")
-    if config.estimator != "ignore_sensors" and hasattr(env, "encode_batch"):
+    if estimator != "ignore_sensors" and hasattr(env, "encode_batch"):
         batch = env.encode_batch(batch)
     return batch
 
@@ -253,9 +249,10 @@ def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_i
 
 
 def hill_climb_step(
-    env, policy, config: SearchConfig, trials: TrialBatch, encode_seed: int, step_index: int
+    env, policy, config: SearchConfig, estimator: str, trials: TrialBatch,
+    encode_seed: int, step_index: int,
 ):
-    """One gradient step from ``policy`` on one attempt's simulated ``trials``.
+    """One ``estimator`` step from ``policy`` on one attempt's simulated ``trials``.
 
     Flagged trials are dropped before estimation; an estimator failure
     (rank deficiency, too few surviving trials) raises with ``flagged``
@@ -267,7 +264,7 @@ def hill_climb_step(
     search = trials.rows(slice(config.trials_per_step, None))
     flagged = int(learning.flagged.sum())
     try:
-        estimate, loo = _estimate(env, learning, search, config, encode_seed)
+        estimate, loo = _estimate(env, learning, search, config, estimator, encode_seed)
     except _RECOVERABLE as err:
         # Flagging is a common cause of too few samples: the failed
         # step's diagnostics row reports it.
@@ -276,7 +273,7 @@ def hill_climb_step(
     record = StepRecord(
         run=-1,
         step=step_index,
-        estimator=config.estimator,
+        estimator=estimator,
         gradient_norm=float(np.linalg.norm(estimate.gradient)),
         loo_cost=float("nan") if loo is None else float(loo),
         mean_trial_score=float(np.mean(learning.scores)),
@@ -300,68 +297,70 @@ def evaluate_policy(scores):
     return mean, float(spread / np.sqrt(len(scores)))
 
 
-def _step_runs(env, config: SearchConfig, policies, rngs, step: int) -> list:
-    """One attempt at ``step`` for each run, given its policy and step stream.
+def _step_runs(env, config: SearchConfig, lanes, step: int) -> list:
+    """One attempt at ``step`` for each ``(estimator, policy, step stream)`` lane.
 
-    Every run's attempt is drawn, then all are simulated in one env call.
-    Returns each run's (new policy, record) or its recoverable error.
+    Every lane's attempt is drawn, then all are simulated in one env call.
+    Returns each lane's (new policy, record) or its recoverable error.
     """
-    attempts = [_draw_attempt(policy, config, rng) for policy, rng in zip(policies, rngs)]
+    attempts = [_draw_attempt(policy, config, name, rng) for name, policy, rng in lanes]
 
     def finish(index, trials):
-        encode_seed = attempts[index][2]
-        return hill_climb_step(env, policies[index], config, trials, encode_seed, step)
+        name, policy, _ = lanes[index]
+        return hill_climb_step(env, policy, config, name, trials, attempts[index][2], step)
 
     return _sample_blocks(env, [attempt[:2] for attempt in attempts], finish)
 
 
 def run_learning_curve(env, config: SearchConfig) -> tuple:
-    """Hill-climbing runs; returns their step records, run by run.
+    """Hill-climbing runs of every estimator; returns their step records,
+    estimator by estimator, run by run.
 
-    All runs advance in lockstep: at each step :func:`_step_runs` moves
-    every live run on first attempts sharing one env call, and once more
-    on the retries of the runs that failed, then the evaluation batches
-    of the runs that stepped go through another.  Every run draws from
-    its own seed-derived streams, so a run's records do not depend on
-    the other runs.  A run whose retry fails too ends with a record
-    holding the error and drops out of later steps.
+    Each (estimator, run) lane advances in lockstep: at each step
+    :func:`_step_runs` moves every live lane on first attempts sharing
+    one env call, and once more on the retries of the lanes that failed,
+    then the evaluation batches of the lanes that stepped go through
+    another.  A lane draws from its run's seed-derived streams whatever
+    its estimator, so its records do not depend on the other lanes.  A
+    lane whose retry fails too ends with a record holding the error and
+    drops out of later steps.
     """
     count = config.eval_trials_per_point
-    policies = [config.initial_policy] * config.runs
-    records = [[] for _ in range(config.runs)]
+    lanes = [(name, run) for name in config.estimators for run in range(config.runs)]
+    policies = dict.fromkeys(lanes, config.initial_policy)
+    records = {lane: [] for lane in lanes}
     failures = set()
 
-    def fail(run, step, err, retried):
+    def fail(lane, step, err, retried):
         flagged = getattr(err, "flagged", 0)
-        records[run].append(StepRecord(
-            config.estimator, run, step, flagged=flagged, retried=retried, error=str(err)
-        ))
-        failures.add(run)
+        records[lane].append(
+            StepRecord(*lane, step, flagged=flagged, retried=retried, error=str(err))
+        )
+        failures.add(lane)
 
     for step in range(config.steps):
-        pending = [run for run in range(config.runs) if run not in failures]
-        rngs = {run: substream(config.seed, run, step, LEARN) for run in pending}
+        pending = [lane for lane in lanes if lane not in failures]
+        rngs = {lane: substream(config.seed, lane[1], step, LEARN) for lane in pending}
         stepped = []
         for retried in (False, True):
             # A retry draws the next children of the same step stream.
             outcomes = _step_runs(
-                env, config, [policies[run] for run in pending],
-                [rngs[run] for run in pending], step,
+                env, config, [(lane[0], policies[lane], rngs[lane]) for lane in pending], step
             )
             failed = []
-            for run, outcome in zip(pending, outcomes):
+            for lane, outcome in zip(pending, outcomes):
                 if not isinstance(outcome, Exception):
-                    policies[run], record = outcome
-                    stepped.append(replace(record, run=run, retried=retried))
+                    policies[lane], record = outcome
+                    stepped.append(replace(record, run=lane[1], retried=retried))
                 elif retried:
-                    fail(run, step, outcome, retried=True)
+                    fail(lane, step, outcome, retried=True)
                 else:
-                    failed.append(run)
+                    failed.append(lane)
             pending = failed
-        # Retried runs rejoin in run order, as if none had retried.
-        stepped.sort(key=lambda record: record.run)
+        # Retried lanes rejoin in lane order, as if none had retried.
+        stepped.sort(key=lambda r: (config.estimators.index(r.estimator), r.run))
         blocks = [
-            (np.tile(policies[r.run], (count, 1)),
+            (np.tile(policies[r.estimator, r.run], (count, 1)),
              children(substream(config.seed, r.run, step, EVAL), count))
             for r in stepped
         ]
@@ -369,11 +368,12 @@ def run_learning_curve(env, config: SearchConfig) -> tuple:
             env, blocks, lambda _, trials: evaluate_policy(trials.scores)
         )
         for record, outcome in zip(stepped, outcomes):
+            lane = (record.estimator, record.run)
             if isinstance(outcome, Exception):
-                fail(record.run, step, outcome, record.retried)
+                fail(lane, step, outcome, record.retried)
             else:
                 mean, std_error = outcome
-                records[record.run].append(
+                records[lane].append(
                     replace(record, eval_mean=mean, eval_std_error=std_error)
                 )
-    return tuple(record for run_records in records for record in run_records)
+    return tuple(record for lane in lanes for record in records[lane])

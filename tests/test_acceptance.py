@@ -44,7 +44,7 @@ from sensorgrad.estimators import (
 )
 from sensorgrad.experiments import (
     DIAGNOSTICS,
-    build_search_configs,
+    build_search_config,
     replicate_gradients,
     run_tables,
 )
@@ -376,12 +376,11 @@ def test_criterion_09_dynamics_residual_pipeline(dart_setup):
 def test_criterion_10_encoded_sensors_win_on_the_dart_task(dart_setup):
     start = time.perf_counter()
     cfg, world, _, model = dart_setup
-    env = DartEnv(world, model)
+    config = build_search_config(cfg, ["ignore_sensors", "with_encoding"])
+    rows = [vars(r) for r in run_learning_curve(DartEnv(world, model), config)]
     plain_final, encoded_final = (
-        _final_evaluations([vars(r) for r in run_learning_curve(env, config)])
-        for config in build_search_configs(
-            cfg, ["ignore_sensors", "with_encoding"]
-        ).values()
+        _final_evaluations([r for r in rows if r["estimator"] == name])
+        for name in config.estimators
     )
     shared = sorted(set(plain_final) & set(encoded_final))
     assert len(shared) >= 10

@@ -88,17 +88,21 @@ def base_config(**overrides) -> SearchConfig:
 
 
 def step_alone(env, policy, config, rng, step_index=0):
-    """One step of one run outside the lockstep driver (the test oracle).
+    """One step of one run of the config's one estimator outside the
+    lockstep driver (the test oracle).
 
     Draws an attempt from ``rng`` and simulates it in its own env call,
     then retries once with the next draws of the same stream.
     """
+    (estimator,) = config.estimators
 
     def attempt():
-        policies, streams, encode_seed = _draw_attempt(policy, config, rng)
+        policies, streams, encode_seed = _draw_attempt(policy, config, estimator, rng)
         env.check_policies(policies)
         trials = env.sample_trials(policies, streams)
-        return hill_climb_step(env, policy, config, trials, encode_seed, step_index)
+        return hill_climb_step(
+            env, policy, config, estimator, trials, encode_seed, step_index
+        )
 
     try:
         return attempt()
@@ -122,16 +126,6 @@ class FlakyEnv:
             self.remaining -= 1
             raise EstimationError("transient failure")
         return self.base.sample_trials(policies, streams)
-
-
-class BrokenEnv:
-    """Passes every domain check, then fails every simulation."""
-
-    def check_policies(self, policies):
-        return policies
-
-    def sample_trials(self, policies, streams):
-        raise PolicyDomainError("policy left the feasible set")
 
 
 class FlaggingEnv:
@@ -261,7 +255,7 @@ PREFIX_CASES = {
         dict(
             initial_policy=np.array([16.0, np.pi / 4.0]),
             exploration_cov=np.diag([0.25, 0.0025]),
-            estimator="with_sensors",
+            estimators=("with_sensors",),
             step_rule="normalized",
             learning_rate=0.05,
         ),
@@ -272,7 +266,7 @@ PREFIX_CASES = {
             initial_policy=DART_POLICY,
             exploration_cov=0.002 * np.eye(9),
             trials_per_step=12,
-            estimator="ignore_sensors",
+            estimators=("ignore_sensors",),
             step_rule="normalized",
             learning_rate=0.03,
         ),
@@ -282,7 +276,7 @@ PREFIX_CASES = {
         dict(
             initial_policy=np.zeros(2),
             exploration_cov=0.25 * np.eye(2),
-            estimator="with_encoding",
+            estimators=("with_encoding",),
             encode_trials_per_step=12,
             encoding=EncodingSearchConfig(target_dim=1, max_iterations=10, restarts=1),
         ),
@@ -305,6 +299,36 @@ def test_a_run_does_not_depend_on_the_runs_beside_it(case):
     assert repr(few) == repr(prefix)
     again = run_learning_curve(make_env(), config)
     assert repr(few) == repr(again)
+
+
+# (A, B): the estimator of the lane under test and the one stepped beside it.
+LANE_CASES = {
+    "dart": ("ignore_sensors", "with_encoding"),
+    "synthetic": ("with_encoding", "with_sensors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LANE_CASES))
+def test_a_lane_does_not_depend_on_the_estimators_beside_it(case):
+    make_env, settings = PREFIX_CASES[case]
+    encoding = dict(
+        encode_trials_per_step=12,
+        encoding=EncodingSearchConfig(target_dim=1, max_iterations=10, restarts=1),
+    )
+    config = base_config(
+        steps=2, runs=2, seed=21, **{"trials_per_step": 10, **settings, **encoding}
+    )
+    a, b = LANE_CASES[case]
+
+    def lane(estimators):
+        records = run_learning_curve(make_env(), replace(config, estimators=estimators))
+        return tuple(record for record in records if record.estimator == a)
+
+    alone = lane((a,))
+    assert len(alone) == 4 and _failed_runs(alone) == ()
+    # loo_cost is NaN outside the encoding estimator, so compare reprs.
+    assert repr(lane((b, a))) == repr(alone)
+    assert repr(lane((a, b))) == repr(alone)
 
 
 def test_a_lone_dart_run_matches_the_same_run_in_a_lockstep_batch():
@@ -347,7 +371,7 @@ def _stepped_alone(env, config, run):
 def test_lockstep_runs_match_runs_stepped_alone():
     env = SyntheticEnv(junk_sensor_world())
     config = base_config(
-        steps=3, runs=3, seed=19, estimator="with_sensors", eval_trials_per_point=5
+        steps=3, runs=3, seed=19, estimators=("with_sensors",), eval_trials_per_point=5
     )
     curve = run_learning_curve(env, config)
     by_run = _records_by_run(curve)
@@ -404,7 +428,7 @@ class FaultyEnv:
 
 
 FAULT_CONFIG = dict(
-    steps=4, runs=6, seed=23, estimator="with_sensors", eval_trials_per_point=5
+    steps=4, runs=6, seed=23, estimators=("with_sensors",), eval_trials_per_point=5
 )
 
 
@@ -523,12 +547,6 @@ def test_sample_blocks_keeps_each_failure_with_its_block():
     kept = _sample_blocks(env, blocks(), lambda _, trials: trials.scores)
     assert np.array_equal(outcomes[0], kept[0])
     assert np.allclose(kept[2], rows[2] @ TRUE_GRADIENT)
-    # An error raised by the shared call counts against every block in it.
-    finished.clear()
-    outcomes = _sample_blocks(BrokenEnv(), blocks(), finish)
-    assert finished == []
-    assert outcomes[0] is outcomes[1] is outcomes[2]
-    assert isinstance(outcomes[0], PolicyDomainError)
 
 
 def test_policy_evaluation_reports_mean_and_spread():
@@ -595,8 +613,12 @@ def test_a_second_failure_propagates():
 
 
 def test_failed_runs_are_recorded_not_raised():
+    class Infeasible:
+        def check_policies(self, policies):
+            raise PolicyDomainError("policy left the feasible set")
+
     config = base_config(steps=2, runs=3, seed=9)
-    records = run_learning_curve(BrokenEnv(), config)
+    records = run_learning_curve(Infeasible(), config)
     assert _completed(records)[0] == ()
     assert len(_failed_runs(records)) == 3
     assert all(step == 0 for _, step, _ in _failed_runs(records))
@@ -660,13 +682,12 @@ def test_uninformative_sensors_give_no_systematic_edge():
         learning_rate=0.05,
         eval_trials_per_point=20,
     )
-    plain = run_learning_curve(
-        SyntheticEnv(world),
-        SearchConfig(**settings, estimator="ignore_sensors"),
+    estimators = ("ignore_sensors", "with_sensors")
+    records = run_learning_curve(
+        SyntheticEnv(world), SearchConfig(**settings, estimators=estimators)
     )
-    joint = run_learning_curve(
-        SyntheticEnv(world),
-        SearchConfig(**settings, estimator="with_sensors"),
+    plain, joint = (
+        [record for record in records if record.estimator == name] for name in estimators
     )
     (plain_runs, plain_values), (joint_runs, joint_values) = map(
         _completed, (plain, joint)
@@ -682,7 +703,7 @@ def test_encoding_estimator_steps_and_reports_projection_cost():
         initial_policy=np.zeros(2),
         trials_per_step=10,
         exploration_cov=0.25 * np.eye(2),
-        estimator="with_encoding",
+        estimators=("with_encoding",),
         encode_trials_per_step=12,
         encoding=EncodingSearchConfig(target_dim=1, max_iterations=20, restarts=2),
         seed=31,
