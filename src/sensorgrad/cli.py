@@ -9,8 +9,9 @@ output directory.
 Exit codes: 0 success, 1 a check ran and failed its threshold,
 2 configuration error (unparseable config, unknown or missing keys,
 bad values, unusable output directory), 3 unexpected runtime failure.
-No config value exits 3 before a command's key check: a value the
-command cannot use exits 2 naming its key.
+No config value exits 3, before a command's key check or after it: a
+value the command cannot use exits 2 naming its key, and a trial it
+cannot score is flagged in its row.
 
 The output directory is ``--out`` when given, else ``sensorgrad_out``
 under the working directory.  A command checks it before any work and

@@ -93,6 +93,7 @@ def sample_pretraining_states(
     return pool_q[picks], pool_v[picks]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_dynamics_model(world: ArmWorld, states) -> DynamicsModel:
     """Regress exact inverse-dynamics targets on state features.
 

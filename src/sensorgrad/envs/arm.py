@@ -330,6 +330,7 @@ def _rk4_step(tensors, states, torques, step):
     return states + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatch:
     """Integrate one trial per policy, each on its own random stream.
 
@@ -423,8 +424,6 @@ def _check_policies(world: ArmWorld, policies) -> np.ndarray:
         raise ValueError(
             f"dart policy must have {world.policy_dim} knots, joint-major"
         )
-    if not np.isfinite(policies).all():
-        raise ValueError("policy knots must be finite")
     return policies
 
 

@@ -92,23 +92,17 @@ def cannon_range(control):
 
 
 def _check_policies(policies) -> np.ndarray:
-    """Validate policy rows; the first bad row raises, naming its bad control
-    (a speed whose noise-free score overflows cannot be scored)."""
+    """Validate policy rows; the first bad row raises, naming its bad control."""
     policies = np.atleast_2d(np.asarray(policies, dtype=float))
     if policies.ndim != 2 or policies.shape[1] != 2:
         raise ValueError("cannon policy must be (speed, angle)")
     slow = ~(policies[:, 0] > 0.0)
     steep = ~((0.0 < policies[:, 1]) & (policies[:, 1] < np.pi / 2.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        overflow = ~np.isfinite((cannon_range(policies) - TARGET_RANGE) ** 2)
-    bad = slow | steep | overflow
+    bad = slow | steep
     if bad.any():
-        first = np.argmax(bad)
-        if slow[first]:
+        if slow[np.argmax(bad)]:
             raise PolicyDomainError("commanded speed must be positive")
-        if steep[first]:
-            raise PolicyDomainError("commanded angle must lie in (0, pi/2)")
-        raise PolicyDomainError("commanded speed overflows the score")
+        raise PolicyDomainError("commanded angle must lie in (0, pi/2)")
     return policies
 
 
@@ -142,6 +136,7 @@ class CannonEnv:
         """Policy rows as a float array; raises outside the task's domain."""
         return _check_policies(policies)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def sample_trials(self, policies, streams) -> TrialBatch:
         """One shot per policy row, row ``i`` drawing from ``streams[i]``.
 

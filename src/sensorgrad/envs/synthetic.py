@@ -39,18 +39,14 @@ class SyntheticWorld:
     sensor_slope: np.ndarray
     output_variance: float
     sensor_cov: np.ndarray
-    policy_sensor_coupling: np.ndarray | None = None
+    policy_sensor_coupling: np.ndarray
     # psd_sqrt(sensor_cov), derived once for every draw of the sampler.
     sensor_root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("true_gradient", "sensor_slope", "sensor_cov"):
+        for name in ("true_gradient", "sensor_slope", "sensor_cov", "policy_sensor_coupling"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        coupling = self.policy_sensor_coupling
-        if coupling is not None:
-            coupling = np.asarray(coupling, dtype=float)
         object.__setattr__(self, "output_variance", float(self.output_variance))
-        object.__setattr__(self, "policy_sensor_coupling", coupling)
         object.__setattr__(self, "sensor_root", psd_sqrt(self.sensor_cov))
 
     @property
@@ -64,8 +60,7 @@ class SyntheticWorld:
     @property
     def coupled(self) -> bool:
         """Whether the policy shifts the sensors: a nonzero coupling."""
-        coupling = self.policy_sensor_coupling
-        return coupling is not None and bool(np.any(coupling != 0.0))
+        return bool(np.any(self.policy_sensor_coupling != 0.0))
 
 
 class SyntheticEnv:
@@ -91,6 +86,7 @@ class SyntheticEnv:
         """Policy rows as a float array; every policy is in this world's domain."""
         return np.atleast_2d(np.asarray(policies, dtype=float))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def sample_trials(self, policies, streams) -> TrialBatch:
         """One trial per policy row, from per-row streams or one block stream.
 
@@ -106,11 +102,8 @@ class SyntheticEnv:
         world = self.world
         sensor_dim = world.sensor_dim
         normals = normal_rows(streams, policies.shape[0], sensor_dim + 1)
-        coupling = world.policy_sensor_coupling
         disturbance = row_products(normals[:, :sensor_dim], world.sensor_root.T)
-        sensed = disturbance
-        if coupling is not None:
-            sensed = disturbance - row_products(policies, coupling)
+        sensed = disturbance - row_products(policies, world.policy_sensor_coupling)
         scores = (
             row_products(policies, world.true_gradient)
             + row_products(disturbance, world.sensor_slope)

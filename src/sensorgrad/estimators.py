@@ -97,9 +97,10 @@ class TrialBatch:
     reading, (n, 0) without sensors: an environment fills it with its
     payload (may be long, e.g. sampled trajectories), and a stage that
     re-encodes it returns a copy with the field replaced.  ``flagged``
-    (n,) marks failed trials (non-finite simulation state), which the
-    search layer keeps out of regression batches; it defaults to all
-    False.  Shapes and finite scores are checked once, on construction.
+    (n,) marks the trials that cannot be scored, which the search layer
+    drops and the estimators refuse: the rows the environment flags
+    (default none), or'ed on construction with every row whose score or
+    sensors are not finite.  Only shapes are checked, once, on construction.
     A stack of r batches leads every field with a replication axis
     (policies (r, n, d), scores (r, n), ...), fitted in one call; ``size``
     and :meth:`rows` count and pick trials within each replication.
@@ -114,8 +115,6 @@ class TrialBatch:
         scores = np.asarray(self.scores, dtype=float)
         if scores.ndim not in (1, 2):
             raise ValueError("scores must be (n,), or (r, n) for a stack")
-        if not np.isfinite(scores).all():
-            raise ValueError("trial score must be finite")
         lead = scores.shape
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "policies", _as_rows(self.policies, "policies", lead))
@@ -124,7 +123,8 @@ class TrialBatch:
         flagged = np.asarray(flagged, dtype=bool)
         if flagged.shape != lead:
             raise ValueError("flagged must hold one entry per trial")
-        object.__setattr__(self, "flagged", flagged)
+        unscored = ~(np.isfinite(scores) & np.isfinite(self.sensors).all(axis=-1))
+        object.__setattr__(self, "flagged", flagged | unscored)
 
     def __len__(self) -> int:
         return self.size
@@ -194,6 +194,8 @@ def _fit(batch: TrialBatch, joint: bool, center: bool) -> GradientEstimate:
             f"insufficient samples: n={n} < {need}={p + 2} for the {what} "
             "regression"
         )
+    if batch.flagged.any():
+        raise EstimationError("a flagged trial cannot be regressed")
     check_score_sum(batch.scores)
     try:
         coef, offset, rss = ols(design, batch.scores, center=center)
@@ -253,7 +255,7 @@ def predicted_variance_g1(world, exploration_cov: np.ndarray, n: int) -> np.ndar
 def predicted_variance_g2(world, exploration_cov: np.ndarray, n: int) -> np.ndarray:
     """Covariance law for the joint estimator.
 
-    With independent sensors (no or zero coupling) the law is
+    With independent sensors (a zero coupling) the law is
     ``inv(S_e) * s2 / (n - d - d_s - 1)``: the sensors absorb their
     share of the score noise, at the price of d_s regression degrees of
     freedom.  With coupled sensors, ``S_es = S_e @ coupling`` and
@@ -285,6 +287,4 @@ def predicted_bias_g2(world) -> np.ndarray:
     true gradient plus this term, while the sensor-free estimator stays
     unbiased; uncoupled sensors give zero bias.
     """
-    if world.policy_sensor_coupling is None:
-        return np.zeros(world.policy_dim)
     return world.policy_sensor_coupling @ world.sensor_slope

@@ -342,6 +342,12 @@ def _read_environments(cfg: Config, config: SearchConfig):
     scales = cfg.get_vector("run.noise_scales", [1.0], nonempty=True, minimum=0.0).tolist()
     if environment == "cannon":
         world = build_cannon_world(cfg)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(world.control_noise_cov * max(scales)).all():
+                raise ConfigError(
+                    f"{cfg.source}: key 'cannon.control_noise_diag' and key 'run.noise_scales' "
+                    "set an actuation noise covariance past the float range"
+                )
         # A (speed, angle) policy; the sensors read its actuation error.
         policy_dim = width = 2
         build = lambda: [(s, CannonEnv(world.scaled(s))) for s in scales]
@@ -367,7 +373,15 @@ def _read_environments(cfg: Config, config: SearchConfig):
                 policy_mean=config.initial_policy,
                 policy_cov=spread * np.eye(world.policy_dim),
             )
-            return [(1.0, DartEnv(world, fit_dynamics_model(world, states)))]
+            try:
+                model = fit_dynamics_model(world, states)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{cfg.source}: key 'dart.pretrain_policy_cov' and key "
+                    "'search.initial_policy' set pretraining rollouts the dynamics "
+                    f"model cannot fit ({exc})"
+                ) from exc
+            return [(1.0, DartEnv(world, model))]
 
     if config.initial_policy.shape[0] != policy_dim:
         raise ConfigError(
@@ -481,11 +495,7 @@ def variance_check(cfg: Config):
     # A sensor direction without variance makes every joint design singular.
     sigma_s = cfg.get_cov("synthetic.sensor_cov", ds)
     sigma_e = cfg.get_cov("synthetic.exploration_cov", d)
-    coupling = (
-        cfg.get_matrix("synthetic.policy_sensor_coupling", d, ds)
-        if cfg.has("synthetic.policy_sensor_coupling")
-        else None
-    )
+    coupling = cfg.get_matrix("synthetic.policy_sensor_coupling", d, ds, [[0.0] * ds] * d)
     n = cfg.get_int("variance.trials_per_batch")
     reps = cfg.get_int("variance.replications", 20000, minimum=2)
     seed = cfg.get_int("seed")
@@ -497,24 +507,17 @@ def variance_check(cfg: Config):
     cfg.check_unknown()
     world = SyntheticWorld(a_pi, a_s, s2, sigma_s, coupling)
     env = SyntheticEnv(world)
+    keys = ["true_gradient", "sensor_slope", "output_variance", "exploration_cov", "sensor_cov"]
+    keys += ["policy_sensor_coupling"] * cfg.has("synthetic.policy_sensor_coupling")
+    named = [f"key 'synthetic.{key}'" for key in keys]
+    scale_keys = f"{cfg.source}: {', '.join(named[:-1])} and {named[-1]} set scales"
     try:
         g1_draws, g2_draws = replicate_gradients(env, sigma_e, n, reps, seed)
     except EstimationError as exc:
-        raise ConfigError(
-            f"{cfg.source}: key 'synthetic.true_gradient', key 'synthetic.sensor_slope', "
-            "key 'synthetic.output_variance', key 'synthetic.exploration_cov' and key "
-            f"'synthetic.sensor_cov' set scales the regressions cannot fit ({exc})"
-        ) from exc
+        raise ConfigError(f"{scale_keys} the regressions cannot fit ({exc})") from exc
 
     pred1 = predicted_variance_g1(world, sigma_e, n)
     pred2 = predicted_variance_g2(world, sigma_e, n)
-    with np.errstate(over="ignore"):
-        pred_norms = [float(np.linalg.norm(pred)) for pred in (pred1, pred2)]
-    if not np.all(np.isfinite(pred_norms)):
-        raise ConfigError(
-            f"{cfg.source}: key 'synthetic.exploration_cov' sets covariance laws "
-            "whose Frobenius norm overflows"
-        )
     g2_target, g2_target_label = a_pi, "true gradient"
     if world.coupled:
         g2_target = a_pi + predicted_bias_g2(world)
@@ -526,30 +529,34 @@ def variance_check(cfg: Config):
     ]
     ok = True
 
-    for name, draws, pred, pred_norm, target, target_label in (
-        ("g1", g1_draws, pred1, pred_norms[0], a_pi, "true gradient"),
-        ("g2", g2_draws, pred2, pred_norms[1], g2_target, g2_target_label),
+    for name, draws, pred, target, target_label in (
+        ("g1", g1_draws, pred1, a_pi, "true gradient"),
+        ("g2", g2_draws, pred2, g2_target, g2_target_label),
     ):
-        empirical = np.cov(draws.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred_norm = float(np.linalg.norm(pred))
+            exact = pred_norm < 1e-15
+            empirical = np.cov(draws.T)
+            error = float(
+                np.linalg.norm(empirical) if exact
+                else np.linalg.norm(empirical - pred) / pred_norm
+            )
+        if not np.isfinite(pred_norm):
+            raise ConfigError(
+                f"{cfg.source}: key 'synthetic.exploration_cov' sets covariance laws "
+                "whose Frobenius norm overflows"
+            )
+        if not np.isfinite(error):
+            raise ConfigError(f"{scale_keys} whose estimates' covariance overflows")
         lines += _matrix_lines(f"{name} predicted covariance:", pred)
         lines += _matrix_lines(f"{name} empirical covariance:", empirical)
-        if pred_norm < 1e-15:
-            emp_norm = float(np.linalg.norm(empirical))
-            exact_ok = emp_norm < 1e-12
-            ok = ok and exact_ok
-            lines.append(
-                f"{name} law predicts exact recovery; empirical covariance "
-                f"norm {emp_norm!r} (limit 1e-12): "
-                + ("ok" if exact_ok else "FAIL")
-            )
+        if exact:
+            what, limit = "law predicts exact recovery; empirical covariance norm", 1e-12
         else:
-            rel = float(np.linalg.norm(empirical - pred) / pred_norm)
-            rel_ok = rel <= 0.10
-            ok = ok and rel_ok
-            lines.append(
-                f"{name} relative Frobenius error {rel!r} (limit 0.1): "
-                + ("ok" if rel_ok else "FAIL")
-            )
+            what, limit = "relative Frobenius error", 0.1
+        cov_ok = error < limit if exact else error <= limit
+        ok = ok and cov_ok
+        lines.append(f"{name} {what} {error!r} (limit {limit!r}): " + ("ok" if cov_ok else "FAIL"))
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
         devs = _deviation_in_ses(mean, target, se)
@@ -594,6 +601,7 @@ def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
             trials.policies.reshape(count, n, -1),
             trials.scores.reshape(count, n),
             trials.sensors.reshape(count, n, -1),
+            trials.flagged.reshape(count, n),
         )
         g1_draws[first : first + count] = estimate_g1(stack, center=False).gradient
         g2_draws[first : first + count] = estimate_g2(stack, center=False).gradient

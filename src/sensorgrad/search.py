@@ -16,12 +16,12 @@ until their nominal policies diverge.
 An environment provides ``sample_trials(policies, streams)``, one trial
 per policy row drawn from its own stream, and ``check_policies(policies)``,
 which raises :class:`PolicyDomainError` for a row outside its domain
-without drawing anything.  ``sample_trials`` must raise no recoverable
-error on rows that passed the check: a trial it cannot score is flagged
-in its row.  :func:`run_learning_curve` is the only code that simulates: every
-(estimator, run) lane steps in one lockstep, and the check keeps one
-lane's infeasible batch out of the env call it shares with the others.
-It returns the lanes' step records, the one result of a learning run.
+without drawing anything.  ``sample_trials`` raises nothing on rows that
+passed the check: a trial it cannot score is flagged in its row, by the
+environment or by :class:`TrialBatch`.  :func:`run_learning_curve` is the
+only code that simulates: every (estimator, run) lane steps in one
+lockstep, and the check keeps one lane's infeasible batch out of the env
+call it shares with the others.  It returns the lanes' step records.
 """
 
 from __future__ import annotations
@@ -237,6 +237,7 @@ def _kept_batch(env, estimator: str, trials: TrialBatch) -> TrialBatch:
     return batch
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_index: int):
     gradient = estimate.gradient
     if config.step_rule == "fixed_rate":

@@ -83,9 +83,8 @@ def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
 
 def _law_sweep(root_seed: int, correlated: bool):
     """Replicated zero-mean batches; both estimators run uncentered."""
-    world = SyntheticWorld(
-        A_PI, A_S, OUTPUT_VARIANCE, SENSOR_COV, COUPLING if correlated else None
-    )
+    coupling = COUPLING if correlated else np.zeros((2, 2))
+    world = SyntheticWorld(A_PI, A_S, OUTPUT_VARIANCE, SENSOR_COV, coupling)
     env = SyntheticEnv(world)
     g1_draws, g2_draws = replicate_gradients(
         env, EXPLORATION_COV, TRIALS_PER_BATCH, REPLICATIONS, root_seed

@@ -331,8 +331,9 @@ def test_policy_validation():
     world = ArmWorld()
     with pytest.raises(ValueError, match="joint-major"):
         dart_trial(world, np.zeros(4), substream(107))
-    with pytest.raises(ValueError, match="finite"):
-        dart_trial(world, np.full(9, np.nan), substream(107))
+    # A policy that is not finite cannot be simulated: its trial is flagged.
+    unscored = dart_trial(world, np.full(9, np.nan), substream(107))
+    assert unscored.flagged.tolist() == [True]
 
 
 def test_env_exposes_the_policy_dimension_and_encodes_its_sensors():

@@ -1,19 +1,24 @@
 """Command line behavior: exit codes, output files, determinism."""
 
 import ast
+import copy
 import csv
 import os
 import re
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sensorgrad
 from sensorgrad import experiments, search
+from sensorgrad.experiments import DIAGNOSTICS, LEARNING_CURVE
 from sensorgrad.cli import main
 from sensorgrad.config import Config, canonical_text, load_config
 from sensorgrad.envs.arm import DartEnv
@@ -558,6 +563,10 @@ class _Checked(BaseException):
 def stop_at_key_check(monkeypatch, no_work):
     """Stop a command once its config passes the key check; returns the
     list that gets the keys read from each config that passed."""
+    return _stop_at_key_check(monkeypatch)
+
+
+def _stop_at_key_check(monkeypatch):
     check = Config.check_unknown
     keys_read = []
 
@@ -663,6 +672,195 @@ def test_no_config_value_exits_3_before_the_key_check(
         assert code == 2 and named and named <= read[command], err
 
     one_value()
+
+
+# Magnitudes past which products and squares leave the float range.
+_MAGNITUDES = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([1, -1]),
+    st.integers(150, 308) | st.integers(-308, -150),
+)
+_EXTREME_SCALARS = _SCALARS | _MAGNITUDES
+EXTREME_VALUES = st.one_of(
+    _EXTREME_SCALARS,
+    st.lists(_EXTREME_SCALARS, max_size=3),
+    st.lists(st.lists(_EXTREME_SCALARS, max_size=3), max_size=3),
+)
+
+
+@st.composite
+def _values_near(draw, shipped):
+    """Any value, or ``shipped`` with one number set to an extreme magnitude."""
+    if draw(st.booleans()):
+        return draw(EXTREME_VALUES)
+    if not isinstance(shipped, list):
+        return draw(_MAGNITUDES)
+    value = copy.deepcopy(shipped)
+    row = value
+    while isinstance(row[0], list):
+        row = row[draw(st.integers(0, len(row) - 1))]
+    row[draw(st.integers(0, len(row) - 1))] = draw(_MAGNITUDES)
+    return value
+
+
+def _at_small_counts(path):
+    """A shipped config's values at the counts a run to the end uses: 1 dart
+    or 2 cannon runs and steps, 50 replications, 30 pretraining states."""
+    values = dict(load_config(path).values)
+    lanes = 1 if values.get("run.environment") == "dart" else 2
+    small = {
+        "search.runs": lanes, "search.steps": lanes,
+        "variance.replications": 50, "dart.pretrain_states": 30,
+    }
+    return {**values, **{key: n for key, n in small.items() if key in values}}
+
+
+def _may_be_nan(name, row, column, values) -> bool:
+    """Whether the README documents this output cell as possibly NaN."""
+    if name == LEARNING_CURVE.name:
+        return row["runs"] == "0"
+    return name == DIAGNOSTICS.name and (
+        row["error"] != ""
+        or (column == "loo_cost" and row["estimator"] != "with_encoding")
+        or (column == "eval_std_error" and values.get("search.eval_trials_per_point") == 1)
+    )
+
+
+def _unexplained_nonfinite(out, values) -> list:
+    """The non-finite numbers in ``out``'s result files outside the cells
+    the README documents as possibly NaN."""
+    found = []
+    for path in sorted(out.iterdir()) if out.exists() else []:
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        if path.suffix == ".txt":
+            found += [line for line in lines if re.search(r"\b(nan|inf)\b", line)]
+        elif path.suffix == ".csv":
+            for row in csv.DictReader(lines):
+                for column, cell in row.items():
+                    try:
+                        finite = np.isfinite(float(cell))
+                    except ValueError:
+                        continue
+                    if not finite and not (
+                        cell == "nan" and _may_be_nan(path.name, row, column, values)
+                    ):
+                        found.append((path.name, column, row))
+    return found
+
+
+def _run_to_the_end(tmp_path, capsys, command, values):
+    """Run ``command`` on ``values`` into a fresh directory; returns the exit
+    code, stderr, the numpy warnings raised and the output directory."""
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    cfg = write_cfg(tmp_path, canonical_text(values))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", cfg, "--out", str(out)])
+    warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, capsys.readouterr().err, warned, out
+
+
+def _check_the_end(code, err, warned, out, values):
+    """Exit 0, 1 or 2 with no numpy warning; only exit 2 writes to stderr,
+    one ``config error:`` line; no unexplained non-finite number in a file."""
+    assert code in (0, 1, 2) and not warned, (code, err, warned)
+    if code == 2:
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+    assert _unexplained_nonfinite(out, values) == []
+
+
+def test_no_config_value_exits_3_or_warns_after_the_key_check(
+    tmp_path, capsys, monkeypatch
+):
+    """A shipped config at small counts, with one key set to any JSON value
+    or to its shipped value with one number at an extreme magnitude, runs to
+    its end as ``_check_the_end`` requires, and an exit 2 names a key its
+    command reads."""
+    read = {}
+    with monkeypatch.context() as patch:
+        keys_read = _stop_at_key_check(patch)
+        for path in SHIPPED_CONFIGS:
+            _run_to_the_key_check(path, tmp_path / path.stem)
+            read.setdefault(_command_of(path), set()).update(keys_read[-1])
+    configs = {path: _at_small_counts(path) for path in SHIPPED_CONFIGS}
+    pairs = [(path, key) for path, values in configs.items() for key in sorted(values)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def one_value(data):
+        path, key = data.draw(st.sampled_from(pairs))
+        small = configs[path]
+        value = data.draw(_values_near(load_config(path).values[key]))
+        if key != "seed" and type(small[key]) is int and type(value) is int:
+            # A count above the small one only makes the run longer.
+            assume(value <= small[key])
+        values = {**small, key: value}
+        code, err, warned, out = _run_to_the_end(tmp_path, capsys, _command_of(path), values)
+        _check_the_end(code, err, warned, out, values)
+        if code == 2:
+            named = set(re.findall(r"key '([^']+)'", err))
+            assert named and named <= read[_command_of(path)], err
+
+    one_value()
+
+
+_DART_POLICY = load_config(CONFIG_DIR / "dart_search.cfg").values["search.initial_policy"]
+
+# Values that pass the key check but once overflowed in a simulator call, a
+# step, a scaled covariance, the dart pretraining or the variance check's
+# covariances: (config, changed keys, exit code, the keys an exit 2 names).
+OVERFLOWING_VALUES = {
+    "cannon-noise-scale": ("cannon_smoke.cfg", {"run.noise_scales": [1e200]}, 0, set()),
+    "cannon-scaled-noise": (
+        "cannon_smoke.cfg",
+        {"cannon.control_noise_diag": [1e308, 4.0], "run.noise_scales": [4.0]},
+        2, {"cannon.control_noise_diag", "run.noise_scales"},
+    ),
+    "variance-gradient": (
+        "variance_check.cfg", {"synthetic.true_gradient": [1e308, -0.7]},
+        2, {"synthetic.true_gradient", "synthetic.exploration_cov"},
+    ),
+    "variance-estimates-covariance": (
+        "variance_check_correlated.cfg", {"synthetic.true_gradient": [1.5, -1e150]},
+        2, {"synthetic.true_gradient", "synthetic.policy_sensor_coupling"},
+    ),
+    "variance-coupling": (
+        "variance_check_correlated.cfg",
+        {"synthetic.policy_sensor_coupling": [[1e308, -0.3], [0.2, 1e308]]},
+        2, {"synthetic.true_gradient", "synthetic.policy_sensor_coupling"},
+    ),
+    "dart-exploration": (
+        "dart_search.cfg", {"search.exploration_cov": [1e300] + [0.002] * 8}, 0, set()
+    ),
+    "dart-fixed-rate": (
+        "dart_search.cfg",
+        {"search.step_rule": "fixed_rate", "search.learning_rate": 1e308}, 0, set(),
+    ),
+    "dart-pretrain-cov": (
+        "dart_search.cfg", {"dart.pretrain_policy_cov": 1e300},
+        2, {"dart.pretrain_policy_cov", "search.initial_policy"},
+    ),
+    "dart-initial-policy": (
+        "dart_search.cfg", {"search.initial_policy": [1e300] + _DART_POLICY[1:]},
+        2, {"dart.pretrain_policy_cov", "search.initial_policy"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING_VALUES))
+def test_a_value_that_overflows_after_the_key_check_exits_0_or_2(
+    tmp_path, capsys, case
+):
+    name, changes, expected, keys = OVERFLOWING_VALUES[case]
+    path = CONFIG_DIR / name
+    values = {**_at_small_counts(path), **changes}
+    code, err, warned, out = _run_to_the_end(tmp_path, capsys, _command_of(path), values)
+    _check_the_end(code, err, warned, out, values)
+    assert code == expected
+    assert keys <= set(re.findall(r"key '([^']+)'", err))
 
 
 def test_the_readme_lists_the_keys_the_shipped_configs_read(
@@ -816,18 +1014,24 @@ def test_exploration_out_of_scale_with_the_sensors_is_a_config_error(
     assert not out.exists()
 
 
-def test_a_command_whose_score_overflows_ends_each_run_in_an_error_row(tmp_path):
-    text = (CONFIG_DIR / "cannon_smoke.cfg").read_text().replace(
-        "[16.0, 0.7853981633974483]", "[1e300, 0.7]"
-    )
-    out = tmp_path / "out"
-    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
-    rows = csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:])
-    assert [(r["estimator"], r["run"], r["step"], r["error"]) for r in rows] == [
-        (estimator, str(run), "1", "commanded speed overflows the score")
-        for estimator in ("ignore_sensors", "with_sensors")
-        for run in range(3)
-    ]
+def test_a_command_whose_score_overflows_ends_each_run_in_an_error_row(tmp_path, capsys):
+    # Every trial's score overflows: each trial is flagged, the step and its
+    # retry fail on an empty batch, and no numpy warning reaches stderr.
+    error = "insufficient samples: every trial was flagged"
+    for speed in ("1e78", "1e300"):
+        text = (CONFIG_DIR / "cannon_smoke.cfg").read_text().replace(
+            "[16.0, 0.7853981633974483]", f"[{speed}, 0.7]"
+        )
+        cfg, out = write_cfg(tmp_path, text, f"{speed}.cfg"), tmp_path / speed
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:])
+        columns = ("estimator", "run", "step", "flagged", "retried", "error")
+        assert [tuple(r[c] for c in columns) for r in rows] == [
+            (estimator, str(run), "1", "10", "true", error)
+            for estimator in ("ignore_sensors", "with_sensors")
+            for run in range(3)
+        ]
 
 
 def test_a_score_sum_that_overflows_ends_each_run_in_an_error_row(tmp_path, capsys):

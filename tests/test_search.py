@@ -34,6 +34,7 @@ def noiseless_world() -> SyntheticWorld:
         sensor_slope=np.zeros(2),
         output_variance=0.0,
         sensor_cov=np.zeros((2, 2)),
+        policy_sensor_coupling=np.zeros((2, 2)),
     )
 
 
@@ -44,6 +45,7 @@ def junk_sensor_world() -> SyntheticWorld:
         sensor_slope=np.zeros(2),
         output_variance=0.09,
         sensor_cov=0.5 * np.eye(2),
+        policy_sensor_coupling=np.zeros((2, 2)),
     )
 
 
@@ -53,6 +55,7 @@ def informative_sensor_world() -> SyntheticWorld:
         sensor_slope=np.array([0.8, -1.2]),
         output_variance=0.01,
         sensor_cov=np.array([[0.2, -0.05], [-0.05, 0.4]]),
+        policy_sensor_coupling=np.zeros((2, 2)),
     )
 
 
@@ -191,6 +194,7 @@ def test_zero_gradient_leaves_the_policy_in_place():
         sensor_slope=np.zeros(2),
         output_variance=0.0,
         sensor_cov=np.zeros((2, 2)),
+        policy_sensor_coupling=np.zeros((2, 2)),
     )
     config = base_config(step_rule="normalized")
     policy = config.initial_policy
@@ -480,6 +484,39 @@ def test_faults_stay_with_the_runs_they_hit():
             error=flagged_error,
         )
     ]
+
+
+class OverflowingEnv:
+    """Delegates to a base env, scoring inf every trial whose first policy
+    entry passes ``threshold``: a trial that cannot be scored."""
+
+    def __init__(self, base, threshold: float):
+        self.base, self.threshold = base, threshold
+
+    def check_policies(self, policies):
+        return self.base.check_policies(policies)
+
+    def sample_trials(self, policies, streams):
+        trials = self.base.sample_trials(policies, streams)
+        past = trials.policies[:, 0] > self.threshold
+        return replace(trials, scores=np.where(past, np.inf, trials.scores))
+
+
+def test_trials_that_cannot_be_scored_stay_with_the_run_they_hit():
+    # At this seed one trial of run 1, and no other run's, passes the
+    # threshold at each step: it is flagged in its own row, and every run,
+    # run 1 included, steps as it does alone.
+    env = OverflowingEnv(SyntheticEnv(junk_sensor_world()), threshold=0.9)
+    config = base_config(
+        steps=2, runs=4, seed=6, estimators=("with_sensors",), eval_trials_per_point=5,
+        step_rule="normalized", learning_rate=0.05,
+    )
+    by_run = _records_by_run(run_learning_curve(env, config))
+    assert {run: [r.flagged for r in records] for run, records in by_run.items()} == {
+        0: [0, 0], 1: [1, 1], 2: [0, 0], 3: [0, 0]
+    }
+    for run in range(config.runs):
+        assert repr(by_run[run]) == repr(_stepped_alone(env, config, run)[1])
 
 
 def test_a_steps_retries_share_one_env_call():

@@ -8,7 +8,7 @@ TRUE_GRADIENT = np.array([1.5, -0.7])
 SENSOR_SLOPE = np.array([0.8, -1.2])
 
 
-def make_world(coupling=None, sensor_cov=None, output_variance=0.0):
+def make_world(coupling=np.zeros((2, 2)), sensor_cov=None, output_variance=0.0):
     return SyntheticWorld(
         TRUE_GRADIENT,
         SENSOR_SLOPE,
@@ -74,16 +74,14 @@ def reference_trial(env, policy, rng):
     world = env.world
     disturbance = psd_sqrt(world.sensor_cov) @ rng.standard_normal(world.sensor_dim)
     score_noise = float(rng.standard_normal()) * np.sqrt(world.output_variance)
-    sensed = disturbance
-    if world.policy_sensor_coupling is not None:
-        sensed = disturbance - world.policy_sensor_coupling.T @ policy
+    sensed = disturbance - world.policy_sensor_coupling.T @ policy
     score = float(policy @ world.true_gradient) + float(disturbance @ world.sensor_slope)
     return score + score_noise, sensed
 
 
 @pytest.mark.parametrize(
     "coupling",
-    [None, np.array([[0.6, -0.3], [0.2, 0.5]])],
+    [np.zeros((2, 2)), np.array([[0.6, -0.3], [0.2, 0.5]])],
     ids=["plain", "correlated"],
 )
 def test_rows_do_not_depend_on_the_batch_they_are_drawn_in(coupling):
