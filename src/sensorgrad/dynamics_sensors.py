@@ -12,7 +12,9 @@ The model regresses vec(m(x)^-1), m(x)^-1 g(x), and m(x)^-1 c(x, v)
 on quadratic features of the observed state, with targets computed from
 the simulator's exact dynamics at sampled states.  No per-trial noise is
 ever visible to the pipeline; at trial time it sees only the policy, the
-sensed trajectories, and the realized release time.
+sensed trajectories, and the realized release time.  :class:`DartEnv`,
+the dart task's trial sampler, lives here because it encodes its
+batches with this pipeline.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "spline_basis",
     "project_residuals",
     "encode_dart_batch",
+    "DartEnv",
 ]
 
 
@@ -226,3 +229,23 @@ def encode_dart_batch(
     residuals = velocity_residuals(model, angles, velocities, torques, world.timestep)
     basis = spline_basis(world, times[1:])
     return replace(batch, sensors=project_residuals(residuals, basis, release))
+
+
+class DartEnv:
+    """Trial sampler for the dart task.
+
+    ``encode_batch`` replaces a batch's trajectory sensors with
+    residual-projection features under the fitted dynamics ``model``.
+    """
+
+    def __init__(self, world: ArmWorld, model: DynamicsModel):
+        self.world = world
+        self.policy_dim = world.policy_dim
+        self.model = model
+
+    def sample_trials(self, policies, streams) -> TrialBatch:
+        """One throw per policy row, row ``i`` drawing from ``streams[i]``."""
+        return dart_trials(self.world, policies, streams)
+
+    def encode_batch(self, batch: TrialBatch) -> TrialBatch:
+        return encode_dart_batch(self.world, self.model, batch)

@@ -47,7 +47,6 @@ __all__ = [
     "split_dart_sensors",
     "dart_trial",
     "dart_trials",
-    "DartEnv",
 ]
 
 KNOTS_PER_JOINT = 3
@@ -418,7 +417,7 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
     return TrialBatch(policies, scores, raw, ~throws)
 
 
-def _check_policies(world: ArmWorld, policies) -> np.ndarray:
+def _policy_rows(world: ArmWorld, policies) -> np.ndarray:
     policies = np.atleast_2d(np.asarray(policies, dtype=float))
     if policies.shape[1] != world.policy_dim:
         raise ValueError(
@@ -429,39 +428,12 @@ def _check_policies(world: ArmWorld, policies) -> np.ndarray:
 
 def dart_trial(world: ArmWorld, policy, rng: np.random.Generator) -> TrialBatch:
     """Throw once with the given spline-knot policy: a one-trial batch."""
-    return _simulate_batch(world, _check_policies(world, policy), [rng])
+    return _simulate_batch(world, _policy_rows(world, policy), [rng])
 
 
 def dart_trials(world: ArmWorld, policies, streams) -> TrialBatch:
     """Throw one trial per policy row, row ``i`` drawing from ``streams[i]``."""
-    policies = _check_policies(world, policies)
+    policies = _policy_rows(world, policies)
     if len(streams) != policies.shape[0]:
         raise ValueError("need one stream per policy row")
     return _simulate_batch(world, policies, streams)
-
-
-class DartEnv:
-    """Trial sampler for the dart task.
-
-    ``encode_batch`` replaces a batch's trajectory sensors with
-    residual-projection features under the fitted dynamics ``model``.
-    """
-
-    def __init__(self, world: ArmWorld, model):
-        self.world = world
-        self.policy_dim = world.policy_dim
-        self.model = model
-
-    def check_policies(self, policies) -> np.ndarray:
-        """Policy rows as a float array; raises for a malformed policy."""
-        return _check_policies(self.world, policies)
-
-    def sample_trials(self, policies, streams) -> TrialBatch:
-        """One throw per policy row, row ``i`` drawing from ``streams[i]``."""
-        return dart_trials(self.world, policies, streams)
-
-    def encode_batch(self, batch):
-        # Imported here: dynamics_sensors imports this module.
-        from ..dynamics_sensors import encode_dart_batch
-
-        return encode_dart_batch(self.world, self.model, batch)

@@ -7,7 +7,10 @@ score penalizes the squared miss between the landing range
 ``TARGET_RANGE``, under ``GRAVITY``.  Sensors report
 the realized actuation error (executed minus commanded control) plus
 independent read noise, so most of the score noise a regression sees
-is explainable by the sensor channel.
+is explainable by the sensor channel.  Any command is scored the same
+way: :func:`cannon_range` takes any speed and angle, so a command
+outside the physical range (a nonpositive speed, an angle outside
+``(0, pi/2)``) only scores poorly.
 
 Angles are radians throughout this module.  Config files may specify
 the noise covariances with angle entries in degrees; the conversion
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..estimators import PolicyDomainError, TrialBatch
+from ..estimators import TrialBatch
 from ..seeding import normal_rows, psd_sqrt, row_products
 
 __all__ = [
@@ -91,18 +94,11 @@ def cannon_range(control):
     return speed**2 * np.sin(2.0 * angle) / GRAVITY
 
 
-def _check_policies(policies) -> np.ndarray:
-    """Validate policy rows; the first bad row raises, naming its bad control."""
+def _policy_rows(policies) -> np.ndarray:
+    """Policy rows as a float array; raises for a malformed policy."""
     policies = np.atleast_2d(np.asarray(policies, dtype=float))
     if policies.ndim != 2 or policies.shape[1] != 2:
         raise ValueError("cannon policy must be (speed, angle)")
-    slow = ~(policies[:, 0] > 0.0)
-    steep = ~((0.0 < policies[:, 1]) & (policies[:, 1] < np.pi / 2.0))
-    bad = slow | steep
-    if bad.any():
-        if slow[np.argmax(bad)]:
-            raise PolicyDomainError("commanded speed must be positive")
-        raise PolicyDomainError("commanded angle must lie in (0, pi/2)")
     return policies
 
 
@@ -115,7 +111,7 @@ def cannon_true_value(
     values at nearby policies share randomness and finite differences
     of this function estimate the value gradient with low variance.
     """
-    (policy,) = _check_policies(policy)
+    (policy,) = _policy_rows(policy)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((samples, 2)) @ psd_sqrt(world.control_noise_cov).T
     ranges = cannon_range(policy + noise)
@@ -132,20 +128,16 @@ class CannonEnv:
         self._control_root = psd_sqrt(world.control_noise_cov)
         self._sensor_root = psd_sqrt(world.sensor_noise_cov)
 
-    def check_policies(self, policies) -> np.ndarray:
-        """Policy rows as a float array; raises outside the task's domain."""
-        return _check_policies(policies)
-
     @np.errstate(over="ignore", invalid="ignore")
     def sample_trials(self, policies, streams) -> TrialBatch:
         """One shot per policy row, row ``i`` drawing from ``streams[i]``.
 
-        The rows have passed :meth:`check_policies`.  Draw order per trial:
-        actuation noise, then sensor read noise.  The sensors are the sensed
-        actuation error.  Every row is computed by the same elementwise array
-        expression, so its values do not depend on the batch it is drawn in.
+        Draw order per trial: actuation noise, then sensor read noise.  The
+        sensors are the sensed actuation error.  Every row is computed by
+        the same elementwise array expression, so its values do not depend
+        on the batch it is drawn in.
         """
-        policies = np.atleast_2d(np.asarray(policies, dtype=float))
+        policies = _policy_rows(policies)
         normals = normal_rows(streams, policies.shape[0], 4)
         actuation = row_products(normals[:, :2], self._control_root.T)
         read = row_products(normals[:, 2:], self._sensor_root.T)

@@ -82,10 +82,6 @@ class SyntheticEnv:
         self.policy_dim = world.policy_dim
         self._score_std = float(np.sqrt(world.output_variance))
 
-    def check_policies(self, policies) -> np.ndarray:
-        """Policy rows as a float array; every policy is in this world's domain."""
-        return np.atleast_2d(np.asarray(policies, dtype=float))
-
     @np.errstate(over="ignore", invalid="ignore")
     def sample_trials(self, policies, streams) -> TrialBatch:
         """One trial per policy row, from per-row streams or one block stream.
@@ -98,7 +94,7 @@ class SyntheticEnv:
         expression, so its values depend on its policy and normals
         alone, not on the batch it is drawn in.
         """
-        policies = self.check_policies(policies)
+        policies = np.atleast_2d(np.asarray(policies, dtype=float))
         world = self.world
         sensor_dim = world.sensor_dim
         normals = normal_rows(streams, policies.shape[0], sensor_dim + 1)

@@ -39,7 +39,6 @@ from .linreg import RegressionError, ols
 __all__ = [
     "EstimationError",
     "EncodingError",
-    "PolicyDomainError",
     "TrialBatch",
     "GradientEstimate",
     "check_score_sum",
@@ -57,10 +56,6 @@ class EstimationError(ValueError):
 
 class EncodingError(ValueError):
     """Raised when the projection search cannot proceed."""
-
-
-class PolicyDomainError(ValueError):
-    """Raised when a commanded policy leaves an environment's domain."""
 
 
 def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
@@ -255,27 +250,23 @@ def predicted_variance_g1(world, exploration_cov: np.ndarray, n: int) -> np.ndar
 def predicted_variance_g2(world, exploration_cov: np.ndarray, n: int) -> np.ndarray:
     """Covariance law for the joint estimator.
 
-    With independent sensors (a zero coupling) the law is
-    ``inv(S_e) * s2 / (n - d - d_s - 1)``: the sensors absorb their
-    share of the score noise, at the price of d_s regression degrees of
-    freedom.  With coupled sensors, ``S_es = S_e @ coupling`` and
-    ``D = S_es @ inv(coupling' S_e coupling + S_s) @ S_es'``, the law
-    is ``inv(S_e - D) * s2 / (n - d - d_s - 1)``: coupling shrinks the
-    usable exploration scatter, inflating the covariance.  The
-    uncoupled case never inverts the sensor covariance, so a singular
-    one is fine there.
+    With ``S_es = S_e @ coupling`` and ``D = S_es @ inv(coupling' S_e
+    coupling + S_s) @ S_es'``, the law is ``inv(S_e - D) * s2 / (n - d -
+    d_s - 1)``: the sensors absorb their share of the score noise, at the
+    price of d_s regression degrees of freedom, and coupling shrinks the
+    usable exploration scatter, inflating the covariance.  With
+    independent sensors (a zero coupling) ``D`` is zero and the law is
+    ``inv(S_e) * s2 / (n - d - d_s - 1)``.  ``S_s`` is positive definite,
+    as its config key is read, so a zero coupling inverts it safely.
     """
     d, d_s = world.policy_dim, world.sensor_dim
     if n <= d + d_s + 1:
         raise EstimationError(f"variance undefined: n={n} <= d+d_s+1={d + d_s + 1}")
-    if not world.coupled:
-        inv = _spd_inverse(exploration_cov, "degenerate exploration")
-    else:
-        coupling = world.policy_sensor_coupling
-        cross = exploration_cov @ coupling
-        sensor_total = coupling.T @ exploration_cov @ coupling + world.sensor_cov
-        shrink = cross @ _spd_inverse(sensor_total, "degenerate coupling") @ cross.T
-        inv = _spd_inverse(exploration_cov - shrink, "degenerate coupling")
+    coupling = world.policy_sensor_coupling
+    cross = exploration_cov @ coupling
+    sensor_total = coupling.T @ exploration_cov @ coupling + world.sensor_cov
+    shrink = cross @ _spd_inverse(sensor_total, "degenerate coupling") @ cross.T
+    inv = _spd_inverse(exploration_cov - shrink, "degenerate coupling")
     return inv * (world.output_variance / (n - d - d_s - 1))
 
 

@@ -42,9 +42,9 @@ from .config import (
     config_hash,
     parse_config_text,
 )
-from .dynamics_sensors import fit_dynamics_model, sample_pretraining_states
+from .dynamics_sensors import DartEnv, fit_dynamics_model, sample_pretraining_states
 from .encoding import EncodingSearchConfig, optimize_projection
-from .envs.arm import ArmWorld, DartEnv
+from .envs.arm import ArmWorld
 from .envs.cannon import CannonEnv, CannonWorld
 from .envs.synthetic import SyntheticEnv, SyntheticWorld
 from .estimators import (

@@ -13,15 +13,14 @@ estimator choice never enters the derivation, so runs with different
 estimators see identical noise at the same (run, step, trial) address
 until their nominal policies diverge.
 
-An environment provides ``sample_trials(policies, streams)``, one trial
-per policy row drawn from its own stream, and ``check_policies(policies)``,
-which raises :class:`PolicyDomainError` for a row outside its domain
-without drawing anything.  ``sample_trials`` raises nothing on rows that
-passed the check: a trial it cannot score is flagged in its row, by the
-environment or by :class:`TrialBatch`.  :func:`run_learning_curve` is the
-only code that simulates: every (estimator, run) lane steps in one
-lockstep, and the check keeps one lane's infeasible batch out of the env
-call it shares with the others.  It returns the lanes' step records.
+An environment provides ``policy_dim`` and ``sample_trials(policies,
+streams)``, one trial per policy row drawn from its own stream.
+``sample_trials`` takes any policy of that width and raises nothing: a
+trial it cannot score is flagged in its row, by the environment or by
+:class:`TrialBatch`.  :func:`run_learning_curve` is the only code that
+simulates: every (estimator, run) lane steps in one lockstep, sharing
+one env call, and a lane fails only when its own batch cannot be used.
+It returns the lanes' step records.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .estimators import (
     EncodingError,
     EstimationError,
     GradientEstimate,
-    PolicyDomainError,
     TrialBatch,
     estimate_g1,
     estimate_g2,
@@ -61,7 +59,7 @@ ESTIMATORS = ("ignore_sensors", "with_sensors", "with_encoding")
 
 STEP_RULES = ("normalized", "fixed_rate")
 
-_RECOVERABLE = (EstimationError, EncodingError, PolicyDomainError)
+_RECOVERABLE = (EstimationError, EncodingError)
 
 
 @dataclass(frozen=True)
@@ -198,31 +196,22 @@ def _sample_blocks(env, blocks, finish) -> list:
     """Simulate every ``(policies, streams)`` block in one env call.
 
     Returns ``finish(index, trials)`` of each block, or the recoverable
-    error that ended the block: its domain check's (a failing block
-    stays out of the shared call, so it cannot abort the others) or its
-    own ``finish``'s.
+    error its ``finish`` raised, which leaves the other blocks alone.
     """
-    outcomes = [None] * len(blocks)
-    passed = []
-    for index, (policies, _) in enumerate(blocks):
-        try:
-            env.check_policies(policies)
-            passed.append(index)
-        except _RECOVERABLE as err:
-            outcomes[index] = err
-    if not passed:
-        return outcomes
+    if not blocks:
+        return []
     trials = env.sample_trials(
-        np.concatenate([blocks[i][0] for i in passed]),
-        [stream for i in passed for stream in blocks[i][1]],
+        np.concatenate([policies for policies, _ in blocks]),
+        [stream for _, streams in blocks for stream in streams],
     )
+    outcomes = []
     start = 0
-    for index in passed:
-        stop = start + len(blocks[index][1])
+    for index, (_, streams) in enumerate(blocks):
+        stop = start + len(streams)
         try:
-            outcomes[index] = finish(index, trials.rows(slice(start, stop)))
+            outcomes.append(finish(index, trials.rows(slice(start, stop))))
         except _RECOVERABLE as err:
-            outcomes[index] = err
+            outcomes.append(err)
         start = stop
     return outcomes
 
@@ -286,10 +275,13 @@ def hill_climb_step(
 def evaluate_policy(scores):
     """Mean and standard error of a policy's evaluation trial scores.
 
-    Flagged trials count like any other (their penalty score is part of
-    the policy's value).  The standard error is NaN for one score.
-    Raises EstimationError when the mean or the spread overflows.
+    Flagged trials with a finite score count like any other (the arm's
+    penalty score is part of the policy's value).  The standard error is
+    NaN for one score.  Raises EstimationError when a score is not
+    finite, or when the mean or the spread of finite scores overflows.
     """
+    if not np.isfinite(scores).all():
+        raise EstimationError("an evaluation trial could not be scored")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(scores))
         spread = np.std(scores, ddof=1) if len(scores) > 1 else float("nan")

@@ -19,6 +19,7 @@ from test_encoding import brute_force_loo, planted_batch
 from sensorgrad.cli import main
 from sensorgrad.config import load_config
 from sensorgrad.dynamics_sensors import (
+    DartEnv,
     encode_dart_batch,
     fit_dynamics_model,
     sample_pretraining_states,
@@ -27,7 +28,6 @@ from sensorgrad.dynamics_sensors import (
 from sensorgrad.encoding import EncodingSearchConfig, loo_cost, optimize_projection
 from sensorgrad.envs.arm import (
     ArmWorld,
-    DartEnv,
     commanded_torques,
     dart_trials,
     split_dart_sensors,

@@ -8,6 +8,7 @@ from scipy.interpolate import CubicSpline
 
 from arm_oracle import ArmState, arm_dynamics, arm_energy
 from sensorgrad.dynamics_sensors import (
+    DartEnv,
     fit_dynamics_model,
     sample_pretraining_states,
     spline_basis,
@@ -16,7 +17,6 @@ from sensorgrad.envs.arm import (
     FLAGGED_SCORE,
     KNOTS_PER_JOINT,
     ArmWorld,
-    DartEnv,
     chain_terms,
     dart_trial,
     dart_trials,

@@ -8,7 +8,7 @@ from sensorgrad.envs.cannon import (
     cannon_range,
     cannon_true_value,
 )
-from sensorgrad.estimators import PolicyDomainError, estimate_g1, estimate_g2
+from sensorgrad.estimators import estimate_g1, estimate_g2
 from sensorgrad.search import sample_exploration_policies
 from sensorgrad.seeding import children, psd_sqrt, substream
 
@@ -41,25 +41,21 @@ def test_noise_free_scores_are_closed_form():
     assert np.allclose(trial.sensors, 0.0)
 
 
-def test_policy_domain_is_enforced():
-    # sample_trials takes rows that passed this check, and does not repeat it.
-    env = CannonEnv(CannonWorld())
-    with pytest.raises(PolicyDomainError, match="speed"):
-        env.check_policies(np.array([0.0, 0.7]))
-    with pytest.raises(PolicyDomainError, match="angle"):
-        env.check_policies(np.array([15.0, np.pi / 2]))
-    with pytest.raises(PolicyDomainError, match="angle"):
-        env.check_policies(np.array([15.0, -0.1]))
-    # A batch reports its first bad row, whichever check that row fails.
-    good, slow, steep = [15.0, 0.7], [0.0, 0.7], [15.0, np.pi / 2]
-    cases = (([good, steep, slow], "angle"), ([good, slow, steep], "speed"))
-    for rows, problem in cases:
-        with pytest.raises(PolicyDomainError, match=problem):
-            env.check_policies(np.array(rows))
-    assert env.check_policies(np.array([good, good])).shape == (2, 2)
-    # cannon_true_value simulates a policy of its own, so it checks it.
-    with pytest.raises(PolicyDomainError, match="speed"):
-        cannon_true_value(env.world, slow)
+def test_any_command_is_scored_by_the_range_formula():
+    # A nonpositive speed or an angle outside (0, pi/2) is scored like any
+    # other command: the range formula clamps the speed, and sin takes
+    # any angle.
+    env = CannonEnv(CannonWorld(sensor_noise_cov=np.zeros((2, 2))))
+    commands = np.array([[0.0, 0.7], [-1.0, 0.7], [15.0, np.pi / 2], [15.0, -0.1]])
+    trials = env.sample_trials(commands, children(substream(74), 4))
+    executed = trials.policies + trials.sensors
+    assert np.array_equal(trials.scores, -((cannon_range(executed) - TARGET_RANGE) ** 2))
+    assert not trials.flagged.any()
+    for row, stream in enumerate(children(substream(74), 4)):
+        alone = env.sample_trials(commands[row], [stream])
+        assert alone.scores.tobytes() == trials.scores[row : row + 1].tobytes()
+        assert alone.sensors.tobytes() == trials.sensors[row : row + 1].tobytes()
+        assert np.isfinite(cannon_true_value(env.world, commands[row]))
 
 
 def test_sensors_report_the_actuation_error_exactly():

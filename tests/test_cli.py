@@ -21,7 +21,7 @@ from sensorgrad import experiments, search
 from sensorgrad.experiments import DIAGNOSTICS, LEARNING_CURVE
 from sensorgrad.cli import main
 from sensorgrad.config import Config, canonical_text, load_config
-from sensorgrad.envs.arm import DartEnv
+from sensorgrad.dynamics_sensors import DartEnv
 from sensorgrad.envs.cannon import CannonEnv
 from sensorgrad.envs.synthetic import SyntheticEnv
 from test_golden import DART_CFG
@@ -1125,7 +1125,25 @@ def test_a_huge_exploration_covariance_ends_each_run_in_an_error_row(tmp_path, c
     assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     rows = list(csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:]))
-    assert rows and all(row["error"].startswith("commanded speed") for row in rows)
+    # Most shots fly off the scale and are flagged; too few are left to fit.
+    assert len(rows) == 6
+    for row in rows:
+        assert row["step"] == "1" and int(row["flagged"]) > 0
+        error = row["error"]
+        assert error.startswith("insufficient samples") or error == "degenerate exploration"
+
+
+def test_a_command_outside_the_physical_range_is_scored(tmp_path, capsys):
+    # A negative speed scores like any command: the range formula clamps
+    # the executed speed, and every run steps to the end.
+    text = (CONFIG_DIR / "cannon_smoke.cfg").read_text().replace(
+        "[16.0, 0.7853981633974483]", "[-1.0, 0.7]"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:]))
+    assert len(rows) == 2 * 3 * 5 and not any(row["error"] for row in rows)
 
 
 def test_encode_search_round_trip_and_threshold_failure(tmp_path, capsys):

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sensorgrad.dynamics_sensors import fit_dynamics_model, sample_pretraining_states
+from sensorgrad.dynamics_sensors import (
+    DartEnv,
+    fit_dynamics_model,
+    sample_pretraining_states,
+)
 from sensorgrad.encoding import EncodingSearchConfig
-from sensorgrad.envs.arm import ArmWorld, DartEnv
+from sensorgrad.envs.arm import ArmWorld
 from sensorgrad.envs.cannon import CannonEnv, CannonWorld, cannon_true_value
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
-from sensorgrad.estimators import EstimationError, PolicyDomainError
+from sensorgrad.estimators import EstimationError
 from sensorgrad.search import (
     _RECOVERABLE,
     SearchConfig,
@@ -101,7 +105,6 @@ def step_alone(env, policy, config, rng, step_index=0):
 
     def attempt():
         policies, streams, encode_seed = _draw_attempt(policy, config, estimator, rng)
-        env.check_policies(policies)
         trials = env.sample_trials(policies, streams)
         return hill_climb_step(
             env, policy, config, estimator, trials, encode_seed, step_index
@@ -121,9 +124,6 @@ class FlakyEnv:
         self.base = base
         self.remaining = failures
 
-    def check_policies(self, policies):
-        return self.base.check_policies(policies)
-
     def sample_trials(self, policies, streams):
         if self.remaining > 0:
             self.remaining -= 1
@@ -137,12 +137,20 @@ class FlaggingEnv:
     def __init__(self, base):
         self.base = base
 
-    def check_policies(self, policies):
-        return self.base.check_policies(policies)
-
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
         return replace(trials, flagged=np.arange(len(trials)) % 3 == 0)
+
+
+class AllFlagged:
+    """Flags every trial of the base env."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def sample_trials(self, policies, streams):
+        trials = self.base.sample_trials(policies, streams)
+        return replace(trials, flagged=np.ones(len(trials), dtype=bool))
 
 
 def test_exploration_samples_match_the_requested_moments():
@@ -388,47 +396,36 @@ def test_lockstep_runs_match_runs_stepped_alone():
 
 
 class FaultyEnv:
-    """Junk-sensor synthetic env with faults aimed at chosen runs.
+    """Junk-sensor synthetic env with faults aimed at chosen runs, each
+    batch recognised by its trial streams' seed path.
 
-    ``infeasible`` (run, step): that run's first learning batch fails the
-    domain check; the batch is recognised by its first exploration
-    policy, derived from the run's seed path the way the search derives
-    it.  ``flagged`` (run, step): that run's first learning batch comes
-    back all flagged, recognised by its trial streams' seed path.
-    ``hopeless`` (run, step): that run's first learning batch and its
-    retry both come back all flagged.  ``broken_eval``: a policy whose
-    evaluation batch fails the domain check.  ``calls`` logs, per
-    simulator call, the seed paths (run, step, kind, child) of its streams.
+    ``flagged`` (run, step) pairs: each run's first learning batch at
+    that step comes back all flagged.  ``hopeless`` (run, step): that
+    run's first learning batch and its retry both come back all flagged.
+    ``broken_eval`` (run, step): that run's evaluation batch scores NaN.
+    ``calls`` logs, per simulator call, the seed paths (run, step, kind,
+    child) of its streams.
     """
 
-    def __init__(self, config, policies, infeasible, flagged, hopeless, broken_eval):
+    def __init__(self, flagged, hopeless, broken_eval):
         self.base = SyntheticEnv(junk_sensor_world())
-        run, step = infeasible
-        explore_rng = children(substream(config.seed, run, step, LEARN), 3)[0]
-        self.infeasible_row = sample_exploration_policies(
-            policies[run][step - 1], config.exploration_cov, 1, explore_rng
-        )[0]
         # A step's first attempt draws its trial streams from child 1 of
         # the step stream, its retry from child 4.
-        self.flagged_keys = {
-            (*flagged, LEARN, 1), (*hopeless, LEARN, 1), (*hopeless, LEARN, 4)
-        }
-        self.broken_eval = broken_eval
+        self.flagged_keys = {(*lane, LEARN, 1) for lane in flagged}
+        self.flagged_keys |= {(*hopeless, LEARN, 1), (*hopeless, LEARN, 4)}
+        self.broken_eval = (*broken_eval, EVAL)
         self.calls = []
-
-    def check_policies(self, policies):
-        policies = self.base.check_policies(policies)
-        if np.array_equal(policies[0], self.infeasible_row) or np.array_equal(
-            policies, np.tile(self.broken_eval, (policies.shape[0], 1))
-        ):
-            raise PolicyDomainError("policy left the feasible set")
-        return policies
 
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
         keys = [s.bit_generator.seed_seq.spawn_key[:4] for s in streams]
         self.calls.append(set(keys))
-        return replace(trials, flagged=[key in self.flagged_keys for key in keys])
+        broken = [key[:3] == self.broken_eval for key in keys]
+        return replace(
+            trials,
+            scores=np.where(broken, np.nan, trials.scores),
+            flagged=[key in self.flagged_keys for key in keys],
+        )
 
 
 FAULT_CONFIG = dict(
@@ -436,24 +433,17 @@ FAULT_CONFIG = dict(
 )
 
 
-def _faulty_env(config):
+def _faulty_env():
     """Runs 1 and 5 retry at step 2, run 2 at step 1; run 5's retry fails
-    and run 3's step-1 evaluation fails the domain check."""
-    policies = [
-        _stepped_alone(SyntheticEnv(junk_sensor_world()), config, run)[0]
-        for run in range(config.runs)
-    ]
-    return FaultyEnv(
-        config, policies, infeasible=(1, 2), flagged=(2, 1), hopeless=(5, 2),
-        broken_eval=policies[3][1],
-    )
+    and run 3's step-1 evaluation cannot be scored."""
+    return FaultyEnv(flagged=((1, 2), (2, 1)), hopeless=(5, 2), broken_eval=(3, 1))
 
 
 def test_faults_stay_with_the_runs_they_hit():
     config = base_config(**FAULT_CONFIG)
     clean = run_learning_curve(SyntheticEnv(junk_sensor_world()), config)
-    faulty = run_learning_curve(_faulty_env(config), config)
-    error = "policy left the feasible set"
+    faulty = run_learning_curve(_faulty_env(), config)
+    error = "an evaluation trial could not be scored"
     flagged_error = "insufficient samples: every trial was flagged"
     assert _failed_runs(faulty) == ((3, 1, error), (5, 2, flagged_error))
     (clean_runs, clean_values), (faulty_runs, faulty_values) = map(
@@ -466,12 +456,12 @@ def test_faults_stay_with_the_runs_they_hit():
         assert np.array_equal(
             faulty_values[faulty_runs.index(run)], clean_values[clean_runs.index(run)]
         )
-    # The infeasible and the all-flagged learning batches are retried
-    # from fresh draws of the same step stream; nothing before them moves.
+    # The all-flagged learning batches are retried from fresh draws of
+    # the same step stream; nothing before them moves.
     for run, step in ((1, 2), (2, 1)):
         assert repr(after[run][:step]) == repr(before[run][:step])
         assert [r.retried for r in after[run]] == [s == step for s in range(4)]
-    # The broken evaluation replaces that step's record with an error row.
+    # The unscorable evaluation replaces that step's record with an error row.
     assert repr(after[3][:1]) == repr(before[3][:1])
     assert after[3][1:] == [
         StepRecord(run=3, step=1, estimator="with_sensors", error=error)
@@ -492,9 +482,6 @@ class OverflowingEnv:
 
     def __init__(self, base, threshold: float):
         self.base, self.threshold = base, threshold
-
-    def check_policies(self, policies):
-        return self.base.check_policies(policies)
 
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
@@ -521,7 +508,7 @@ def test_trials_that_cannot_be_scored_stay_with_the_run_they_hit():
 
 def test_a_steps_retries_share_one_env_call():
     config = base_config(**FAULT_CONFIG)
-    env = _faulty_env(config)
+    env = _faulty_env()
     faulty = run_learning_curve(env, config)
     # A retry draws its trial streams from child 4 of the step stream.
     retry_calls = [keys for keys in env.calls if (1, 2, LEARN, 4) in keys]
@@ -543,47 +530,24 @@ def test_a_steps_retries_share_one_env_call():
     assert after[5][2].flagged == err.value.flagged == 8
 
 
-class RefusingEnv:
-    """A noiseless synthetic env whose domain check refuses ``refused`` rows."""
-
-    def __init__(self, refused):
-        self.base = SyntheticEnv(noiseless_world())
-        self.refused = refused
-
-    def check_policies(self, policies):
-        if np.array_equal(policies, self.refused):
-            raise PolicyDomainError("policy left the feasible set")
-        return self.base.check_policies(policies)
-
-    def sample_trials(self, policies, streams):
-        return self.base.sample_trials(policies, streams)
-
-
 def test_sample_blocks_keeps_each_failure_with_its_block():
     rows = [np.full((2, 2), value) for value in (0.1, 0.2, 0.3)]
-
-    def blocks():
-        return [(r, children(substream(3, i), 2)) for i, r in enumerate(rows)]
-
+    blocks = [(r, children(substream(3, i), 2)) for i, r in enumerate(rows)]
     finished = []
 
     def finish(index, trials):
         finished.append(index)
-        if index == 2:
+        if index == 1:
             raise EstimationError("finish failed")
         return trials.scores
 
-    # A block that fails its domain check never reaches finish, and an
-    # error raised by one block's finish leaves the other blocks alone.
-    env = RefusingEnv(rows[1])
-    outcomes = _sample_blocks(env, blocks(), finish)
-    assert finished == [0, 2]
-    assert isinstance(outcomes[1], PolicyDomainError)
-    assert isinstance(outcomes[2], EstimationError)
-    assert str(outcomes[2]) == "finish failed"
-    kept = _sample_blocks(env, blocks(), lambda _, trials: trials.scores)
-    assert np.array_equal(outcomes[0], kept[0])
-    assert np.allclose(kept[2], rows[2] @ TRUE_GRADIENT)
+    # An error raised by one block's finish leaves the other blocks alone.
+    outcomes = _sample_blocks(SyntheticEnv(noiseless_world()), blocks, finish)
+    assert finished == [0, 1, 2]
+    assert isinstance(outcomes[1], EstimationError)
+    assert str(outcomes[1]) == "finish failed"
+    for index in (0, 2):
+        assert np.allclose(outcomes[index], rows[index] @ TRUE_GRADIENT)
 
 
 def test_policy_evaluation_reports_mean_and_spread():
@@ -604,9 +568,6 @@ def test_an_evaluation_whose_scores_overflow_ends_the_run_in_an_error_row():
         def __init__(self, base):
             self.base, self.calls = base, 0
 
-        def check_policies(self, policies):
-            return self.base.check_policies(policies)
-
         def sample_trials(self, policies, streams):
             trials = self.base.sample_trials(policies, streams)
             self.calls += 1
@@ -618,6 +579,9 @@ def test_an_evaluation_whose_scores_overflow_ends_the_run_in_an_error_row():
     for scores in (np.full(4, -1e308), np.array([1e200, -1e200])):
         with pytest.raises(EstimationError, match=message):
             evaluate_policy(scores)
+    # A score that is already infinite did not overflow in a sum.
+    with pytest.raises(EstimationError, match="an evaluation trial could not be scored"):
+        evaluate_policy(np.array([-np.inf, -1.0]))
     config = base_config(steps=2, runs=2, eval_trials_per_point=4)
     env = LoudEvaluations(SyntheticEnv(noiseless_world()))
     records = run_learning_curve(env, config)
@@ -650,17 +614,13 @@ def test_a_second_failure_propagates():
 
 
 def test_failed_runs_are_recorded_not_raised():
-    class Infeasible:
-        def check_policies(self, policies):
-            raise PolicyDomainError("policy left the feasible set")
-
     config = base_config(steps=2, runs=3, seed=9)
-    records = run_learning_curve(Infeasible(), config)
+    records = run_learning_curve(AllFlagged(SyntheticEnv(noiseless_world())), config)
     assert _completed(records)[0] == ()
     assert len(_failed_runs(records)) == 3
     assert all(step == 0 for _, step, _ in _failed_runs(records))
     assert len(records) == 3
-    assert all("feasible" in record.error for record in records)
+    assert all("every trial was flagged" in record.error for record in records)
 
 
 def test_flagged_trials_are_dropped_and_counted():
@@ -675,17 +635,6 @@ def test_flagged_trials_are_dropped_and_counted():
 
 
 def test_an_all_flagged_batch_fails_the_step():
-    class AllFlagged:
-        def __init__(self, base):
-            self.base = base
-
-        def check_policies(self, policies):
-            return self.base.check_policies(policies)
-
-        def sample_trials(self, policies, streams):
-            trials = self.base.sample_trials(policies, streams)
-            return replace(trials, flagged=np.ones(len(trials), dtype=bool))
-
     env = AllFlagged(SyntheticEnv(noiseless_world()))
     config = base_config()
     with pytest.raises(EstimationError, match="flagged"):
