@@ -54,7 +54,7 @@ class EstimationError(ValueError):
     """Raised when a batch cannot support the requested estimate."""
 
 
-class EncodingError(ValueError):
+class EncodingError(EstimationError):
     """Raised when the projection search cannot proceed."""
 
 

@@ -8,7 +8,9 @@ or on policies and an optimized low-dimensional sensor projection.
 
 Randomness is hierarchical: every (run, step) owns two private streams
 derived from the experiment seed, one for learning trials and one for
-evaluation trials, and each trial gets a child of its step stream.  The
+evaluation trials.  An evaluation trial's stream is a child of its step
+stream, a learning trial's a grandchild (an attempt's second child); the
+path table in :mod:`sensorgrad.seeding` lists every address.  The
 estimator choice never enters the derivation, so runs with different
 estimators see identical noise at the same (run, step, trial) address
 until their nominal policies diverge.
@@ -20,7 +22,8 @@ trial it cannot score is flagged in its row, by the environment or by
 :class:`TrialBatch`.  :func:`run_learning_curve` is the only code that
 simulates: every (estimator, run) lane steps in one lockstep, sharing
 one env call, and a lane fails only when its own batch cannot be used.
-It returns the lanes' step records.
+It returns the lanes' step records; a failed step is a record holding
+its error.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .encoding import (
     optimize_projection,
 )
 from .estimators import (
-    EncodingError,
     EstimationError,
     GradientEstimate,
     TrialBatch,
@@ -58,8 +60,6 @@ __all__ = [
 ESTIMATORS = ("ignore_sensors", "with_sensors", "with_encoding")
 
 STEP_RULES = ("normalized", "fixed_rate")
-
-_RECOVERABLE = (EstimationError, EncodingError)
 
 
 @dataclass(frozen=True)
@@ -192,28 +192,20 @@ def _draw_attempt(policy, config: SearchConfig, estimator: str, rng) -> tuple:
     return policies, streams, int(seed_rng.integers(0, 2**32))
 
 
-def _sample_blocks(env, blocks, finish) -> list:
-    """Simulate every ``(policies, streams)`` block in one env call.
-
-    Returns ``finish(index, trials)`` of each block, or the recoverable
-    error its ``finish`` raised, which leaves the other blocks alone.
-    """
+def _sample_blocks(env, blocks) -> list:
+    """Simulate every ``(policies, streams)`` block in one env call and
+    return each block's trials."""
     if not blocks:
         return []
     trials = env.sample_trials(
         np.concatenate([policies for policies, _ in blocks]),
         [stream for _, streams in blocks for stream in streams],
     )
-    outcomes = []
-    start = 0
-    for index, (_, streams) in enumerate(blocks):
-        stop = start + len(streams)
-        try:
-            outcomes.append(finish(index, trials.rows(slice(start, stop))))
-        except _RECOVERABLE as err:
-            outcomes.append(err)
-        start = stop
-    return outcomes
+    stops = np.cumsum([len(streams) for _, streams in blocks])
+    return [
+        trials.rows(slice(stop - len(streams), stop))
+        for stop, (_, streams) in zip(stops, blocks)
+    ]
 
 
 def _kept_batch(env, estimator: str, trials: TrialBatch) -> TrialBatch:
@@ -244,30 +236,25 @@ def hill_climb_step(
 ):
     """One ``estimator`` step from ``policy`` on one attempt's simulated ``trials``.
 
-    Flagged trials are dropped before estimation; an estimator failure
-    (rank deficiency, too few surviving trials) raises with ``flagged``
-    set to the learning batch's flagged count.  The step neither
-    simulates nor retries: :func:`run_learning_curve` does both.
-    Returns (new policy, record).
+    Flagged trials are dropped before estimation.  Returns (new policy,
+    record); on an estimator failure (rank deficiency, too few surviving
+    trials) the policy is returned as it came and the record holds the
+    error and the learning batch's flagged count, a common cause of too
+    few samples.  The step neither simulates nor retries:
+    :func:`run_learning_curve` does both.
     """
     learning = trials.rows(slice(None, config.trials_per_step))
     search = trials.rows(slice(config.trials_per_step, None))
-    flagged = int(learning.flagged.sum())
+    record = StepRecord(estimator, -1, step_index, flagged=int(learning.flagged.sum()))
     try:
         estimate, loo = _estimate(env, learning, search, config, estimator, encode_seed)
-    except _RECOVERABLE as err:
-        # Flagging is a common cause of too few samples: the failed
-        # step's diagnostics row reports it.
-        err.flagged = flagged
-        raise
-    record = StepRecord(
-        run=-1,
-        step=step_index,
-        estimator=estimator,
+    except EstimationError as err:
+        return policy, replace(record, error=str(err))
+    record = replace(
+        record,
         gradient_norm=float(np.linalg.norm(estimate.gradient)),
         loo_cost=float("nan") if loo is None else float(loo),
         mean_trial_score=float(np.mean(learning.scores)),
-        flagged=flagged,
     )
     return _apply_rule(policy, estimate, config, step_index), record
 
@@ -294,15 +281,14 @@ def _step_runs(env, config: SearchConfig, lanes, step: int) -> list:
     """One attempt at ``step`` for each ``(estimator, policy, step stream)`` lane.
 
     Every lane's attempt is drawn, then all are simulated in one env call.
-    Returns each lane's (new policy, record) or its recoverable error.
+    Returns each lane's (new policy, record) from :func:`hill_climb_step`.
     """
     attempts = [_draw_attempt(policy, config, name, rng) for name, policy, rng in lanes]
-
-    def finish(index, trials):
-        name, policy, _ = lanes[index]
-        return hill_climb_step(env, policy, config, name, trials, attempts[index][2], step)
-
-    return _sample_blocks(env, [attempt[:2] for attempt in attempts], finish)
+    batches = _sample_blocks(env, [attempt[:2] for attempt in attempts])
+    return [
+        hill_climb_step(env, policy, config, name, trials, encode_seed, step)
+        for (name, policy, _), (_, _, encode_seed), trials in zip(lanes, attempts, batches)
+    ]
 
 
 def run_learning_curve(env, config: SearchConfig) -> tuple:
@@ -311,62 +297,47 @@ def run_learning_curve(env, config: SearchConfig) -> tuple:
 
     Each (estimator, run) lane advances in lockstep: at each step
     :func:`_step_runs` moves every live lane on first attempts sharing
-    one env call, and once more on the retries of the lanes that failed,
-    then the evaluation batches of the lanes that stepped go through
-    another.  A lane draws from its run's seed-derived streams whatever
-    its estimator, so its records do not depend on the other lanes.  A
-    lane whose retry fails too ends with a record holding the error and
-    drops out of later steps.
+    one env call, and once more on the retries of the lanes whose record
+    holds an error, then the evaluation batches of the lanes that stepped
+    go through another.  A lane draws from its run's seed-derived streams
+    whatever its estimator, so its records do not depend on the other
+    lanes.  A lane whose retry fails too, or whose evaluation cannot be
+    summarized, ends with a record holding the error and drops out of
+    later steps.
     """
     count = config.eval_trials_per_point
     lanes = [(name, run) for name in config.estimators for run in range(config.runs)]
     policies = dict.fromkeys(lanes, config.initial_policy)
     records = {lane: [] for lane in lanes}
-    failures = set()
-
-    def fail(lane, step, err, retried):
-        flagged = getattr(err, "flagged", 0)
-        records[lane].append(
-            StepRecord(*lane, step, flagged=flagged, retried=retried, error=str(err))
-        )
-        failures.add(lane)
-
     for step in range(config.steps):
-        pending = [lane for lane in lanes if lane not in failures]
-        rngs = {lane: substream(config.seed, lane[1], step, LEARN) for lane in pending}
-        stepped = []
+        live = [lane for lane in lanes if not (records[lane] and records[lane][-1].error)]
+        rngs = {lane: substream(config.seed, lane[1], step, LEARN) for lane in live}
+        stepped = {}
+        pending = live
         for retried in (False, True):
             # A retry draws the next children of the same step stream.
             outcomes = _step_runs(
                 env, config, [(lane[0], policies[lane], rngs[lane]) for lane in pending], step
             )
-            failed = []
-            for lane, outcome in zip(pending, outcomes):
-                if not isinstance(outcome, Exception):
-                    policies[lane], record = outcome
-                    stepped.append(replace(record, run=lane[1], retried=retried))
-                elif retried:
-                    fail(lane, step, outcome, retried=True)
-                else:
-                    failed.append(lane)
-            pending = failed
-        # Retried lanes rejoin in lane order, as if none had retried.
-        stepped.sort(key=lambda r: (config.estimators.index(r.estimator), r.run))
+            for lane, (policy, record) in zip(pending, outcomes):
+                policies[lane] = policy
+                stepped[lane] = replace(record, run=lane[1], retried=retried)
+            pending = [lane for lane in pending if stepped[lane].error]
+        evaluated = [lane for lane in live if not stepped[lane].error]
         blocks = [
-            (np.tile(policies[r.estimator, r.run], (count, 1)),
-             children(substream(config.seed, r.run, step, EVAL), count))
-            for r in stepped
+            (np.tile(policies[lane], (count, 1)),
+             children(substream(config.seed, lane[1], step, EVAL), count))
+            for lane in evaluated
         ]
-        outcomes = _sample_blocks(
-            env, blocks, lambda _, trials: evaluate_policy(trials.scores)
-        )
-        for record, outcome in zip(stepped, outcomes):
-            lane = (record.estimator, record.run)
-            if isinstance(outcome, Exception):
-                fail(lane, step, outcome, record.retried)
+        for lane, trials in zip(evaluated, _sample_blocks(env, blocks)):
+            record = stepped[lane]
+            try:
+                mean, std_error = evaluate_policy(trials.scores)
+            except EstimationError as err:
+                record = StepRecord(*lane, step, retried=record.retried, error=str(err))
             else:
-                mean, std_error = outcome
-                records[lane].append(
-                    replace(record, eval_mean=mean, eval_std_error=std_error)
-                )
+                record = replace(record, eval_mean=mean, eval_std_error=std_error)
+            stepped[lane] = record
+        for lane in live:
+            records[lane].append(stepped[lane])
     return tuple(record for lane in lanes for record in records[lane])

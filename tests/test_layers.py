@@ -12,6 +12,11 @@ An import inside a function is how a module hides a cycle in its
 imports, so the package's own modules are imported at module level
 only: the import graph stays acyclic, and a name lives in the module
 whose dependencies it needs.
+
+A caught exception is read, never kept: a failure that must outlive its
+handler becomes a value of the program's own (a record holding the
+message, a new error raised from it), so no exception travels as a value
+or carries state patched onto it.
 """
 
 import ast
@@ -62,6 +67,44 @@ def late_imports(source: str, package: str) -> list:
     ]
 
 
+# Calls that only read a caught exception.
+READERS = {"str", "type", "isinstance"}
+
+
+def _reads_only(node, parent) -> bool:
+    """Whether ``node``, a use of a caught exception's name, only reads it:
+    in an f-string, as the argument of a reader call, or as a raise's cause."""
+    if isinstance(parent, ast.FormattedValue):
+        return True
+    if isinstance(parent, ast.Call):
+        return isinstance(parent.func, ast.Name) and parent.func.id in READERS
+    return isinstance(parent, ast.Raise) and parent.cause is node
+
+
+def kept_exceptions(source: str) -> list:
+    """Line numbers where an ``except ... as name`` handler of ``source``
+    does more with ``name`` than read it: stores an attribute on it,
+    passes it to any other call, returns, yields or assigns it."""
+    lines = []
+    for handler in ast.walk(ast.parse(source)):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        parents = {
+            child: node
+            for statement in handler.body
+            for node in ast.walk(statement)
+            for child in ast.iter_child_nodes(node)
+        }
+        lines += [
+            node.lineno
+            for node in parents
+            if isinstance(node, ast.Name)
+            and node.id == handler.name
+            and not _reads_only(node, parents[node])
+        ]
+    return sorted(lines)
+
+
 def package_sources():
     """(path relative to the package, source, dotted package) of every module."""
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -105,3 +148,36 @@ def test_every_sensorgrad_import_is_at_module_level():
         if (lines := late_imports(source, package))
     }
     assert late == {}
+
+
+def test_the_scan_refuses_every_way_to_keep_an_exception():
+    source = (
+        "try:\n"
+        "    pass\n"
+        "except ValueError as err:\n"
+        "    print(f'{err!r}: {type(err).__name__}', str(err), isinstance(err, KeyError))\n"
+        "    raise RuntimeError(str(err)) from err\n"
+        "except KeyError as err:\n"
+        "    err.flagged = 3\n"
+        "    outcomes.append(err)\n"
+        "    kept = err\n"
+        "    print(err.args)\n"
+        "    raise err\n"
+        "def f():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except OSError as exc:\n"
+        "        return exc\n"
+        "    except Exception:\n"
+        "        return None\n"
+    )
+    assert kept_exceptions(source) == [7, 8, 9, 10, 11, 16]
+
+
+def test_no_handler_keeps_the_exception_it_caught():
+    kept = {
+        relative: lines
+        for relative, source, _ in package_sources()
+        if (lines := kept_exceptions(source))
+    }
+    assert kept == {}

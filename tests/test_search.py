@@ -17,11 +17,9 @@ from sensorgrad.envs.cannon import CannonEnv, CannonWorld, cannon_true_value
 from sensorgrad.envs.synthetic import SyntheticEnv, SyntheticWorld
 from sensorgrad.estimators import EstimationError
 from sensorgrad.search import (
-    _RECOVERABLE,
     SearchConfig,
     StepRecord,
     _draw_attempt,
-    _sample_blocks,
     evaluate_policy,
     hill_climb_step,
     run_learning_curve,
@@ -98,8 +96,9 @@ def step_alone(env, policy, config, rng, step_index=0):
     """One step of one run of the config's one estimator outside the
     lockstep driver (the test oracle).
 
-    Draws an attempt from ``rng`` and simulates it in its own env call,
-    then retries once with the next draws of the same stream.
+    Draws an attempt from ``rng`` and simulates it in its own env call;
+    when its record holds an error, retries once with the next draws of
+    the same stream.
     """
     (estimator,) = config.estimators
 
@@ -110,25 +109,11 @@ def step_alone(env, policy, config, rng, step_index=0):
             env, policy, config, estimator, trials, encode_seed, step_index
         )
 
-    try:
-        return attempt()
-    except _RECOVERABLE:
-        new_policy, record = attempt()
-        return new_policy, replace(record, retried=True)
-
-
-class FlakyEnv:
-    """Delegates to a base env, failing the first ``failures`` batch calls."""
-
-    def __init__(self, base, failures: int):
-        self.base = base
-        self.remaining = failures
-
-    def sample_trials(self, policies, streams):
-        if self.remaining > 0:
-            self.remaining -= 1
-            raise EstimationError("transient failure")
-        return self.base.sample_trials(policies, streams)
+    new_policy, record = attempt()
+    if not record.error:
+        return new_policy, record
+    new_policy, record = attempt()
+    return new_policy, replace(record, retried=True)
 
 
 class FlaggingEnv:
@@ -362,7 +347,8 @@ def test_a_lone_dart_run_matches_the_same_run_in_a_lockstep_batch():
 
 def _stepped_alone(env, config, run):
     """Policies and step records of one run stepped without the lockstep
-    driver, each evaluation simulated in its own env call."""
+    driver, each evaluation simulated in its own env call; a step whose
+    record holds an error ends the run."""
     policy = config.initial_policy
     count = config.eval_trials_per_point
     stepped, records = [], []
@@ -370,6 +356,9 @@ def _stepped_alone(env, config, run):
         policy, record = step_alone(
             env, policy, config, substream(config.seed, run, step, LEARN), step
         )
+        if record.error:
+            records.append(replace(record, run=run))
+            break
         streams = children(substream(config.seed, run, step, EVAL), count)
         trials = env.sample_trials(np.tile(policy, (count, 1)), streams)
         mean, std_error = evaluate_policy(trials.scores)
@@ -523,31 +512,10 @@ def test_a_steps_retries_share_one_env_call():
         index = faulty_runs.index(run)
         assert np.array_equal(faulty_values[index], [r.eval_mean for r in records])
     # Run 5's retry fails alone as it fails in the shared call.
-    _, records = _stepped_alone(env, replace(config, steps=2), 5)
-    assert repr(after[5][:2]) == repr(records)
-    with pytest.raises(EstimationError, match="every trial was flagged") as err:
-        _stepped_alone(env, config, 5)
-    assert after[5][2].flagged == err.value.flagged == 8
-
-
-def test_sample_blocks_keeps_each_failure_with_its_block():
-    rows = [np.full((2, 2), value) for value in (0.1, 0.2, 0.3)]
-    blocks = [(r, children(substream(3, i), 2)) for i, r in enumerate(rows)]
-    finished = []
-
-    def finish(index, trials):
-        finished.append(index)
-        if index == 1:
-            raise EstimationError("finish failed")
-        return trials.scores
-
-    # An error raised by one block's finish leaves the other blocks alone.
-    outcomes = _sample_blocks(SyntheticEnv(noiseless_world()), blocks, finish)
-    assert finished == [0, 1, 2]
-    assert isinstance(outcomes[1], EstimationError)
-    assert str(outcomes[1]) == "finish failed"
-    for index in (0, 2):
-        assert np.allclose(outcomes[index], rows[index] @ TRUE_GRADIENT)
+    _, records = _stepped_alone(env, config, 5)
+    assert repr(after[5]) == repr(records)
+    assert records[2].error == "insufficient samples: every trial was flagged"
+    assert after[5][2].flagged == records[2].flagged == 8
 
 
 def test_policy_evaluation_reports_mean_and_spread():
@@ -595,24 +563,6 @@ def test_single_evaluation_trial_records_no_spread():
     assert np.isnan(record.eval_std_error)
 
 
-def test_one_transient_failure_is_retried():
-    env = FlakyEnv(SyntheticEnv(noiseless_world()), failures=1)
-    config = base_config()
-    policy = config.initial_policy
-    new_policy, record = step_alone(
-        env, policy, config, substream(5, 0, 0), step_index=0
-    )
-    assert record.retried is True
-    assert np.allclose(new_policy, policy + 0.25 * TRUE_GRADIENT, atol=1e-9)
-
-
-def test_a_second_failure_propagates():
-    env = FlakyEnv(SyntheticEnv(noiseless_world()), failures=2)
-    config = base_config()
-    with pytest.raises(EstimationError, match="transient"):
-        step_alone(env, config.initial_policy, config, substream(5, 0, 0))
-
-
 def test_failed_runs_are_recorded_not_raised():
     config = base_config(steps=2, runs=3, seed=9)
     records = run_learning_curve(AllFlagged(SyntheticEnv(noiseless_world())), config)
@@ -637,8 +587,13 @@ def test_flagged_trials_are_dropped_and_counted():
 def test_an_all_flagged_batch_fails_the_step():
     env = AllFlagged(SyntheticEnv(noiseless_world()))
     config = base_config()
-    with pytest.raises(EstimationError, match="flagged"):
-        step_alone(env, config.initial_policy, config, substream(5, 0, 0))
+    policy = config.initial_policy
+    new_policy, record = step_alone(env, policy, config, substream(5, 0, 0))
+    assert new_policy.tobytes() == policy.tobytes()
+    assert record.error == "insufficient samples: every trial was flagged"
+    assert record.flagged == config.trials_per_step
+    assert record.retried is True
+    assert np.isnan(record.gradient_norm)
 
 
 def test_a_step_that_flagging_fails_reports_its_flagged_trials():
