@@ -127,11 +127,11 @@ class Config:
     file) on missing required keys or type mismatches, so command-line
     failures point at the offending field.  A key's own bounds are given
     where it is read (``minimum``, ``positive``, ``nonempty``,
-    ``choices``; a matrix's shape, a covariance's dimension) and refused
-    by name: ``key 'run.noise_scales' entries must be nonnegative``.  No
-    settings object checks them again.  ``read`` records every key that
-    ``has`` or an accessor was asked for; :meth:`check_unknown` rejects
-    the keys no reader asked for.
+    ``distinct``, ``choices``; a matrix's shape, a covariance's
+    dimension) and refused by name: ``key 'run.noise_scales' entries
+    must be nonnegative``.  No settings object checks them again.
+    ``read`` records every key that ``has`` or an accessor was asked
+    for; :meth:`check_unknown` rejects the keys no reader asked for.
     """
 
     values: dict
@@ -166,12 +166,12 @@ class Config:
 
     def _get(
         self, key, default, expected, kinds, listed=False, *,
-        minimum=None, positive=False, nonempty=False, choices=None,
+        minimum=None, positive=False, nonempty=False, distinct=False, choices=None,
     ):
         """The value of ``key``: one of ``kinds``, or a list of them when
         ``listed``, else refused as not ``expected``.  Then the bounds: an
         inclusive ``minimum``, ``positive`` and ``choices`` (for a list,
-        of each entry), and ``nonempty`` for a list."""
+        of each entry), and ``nonempty`` and ``distinct`` for a list."""
         value = self._fetch(key, default)
         items = value if _is(value, list) else [value]
         if _is(value, list) != listed or not all(_is(v, kinds) for v in items):
@@ -189,6 +189,8 @@ class Config:
                 continue
             subject = f"key '{key}' entries" if listed else f"key '{key}'"
             raise ConfigError(f"{self.source}: {subject} must be {problem}")
+        if distinct and len(set(items)) != len(items):
+            raise ConfigError(f"{self.source}: key '{key}' repeats an entry")
         return value
 
     def _floats(self, key: str, values) -> list:

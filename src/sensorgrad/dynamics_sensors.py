@@ -32,7 +32,7 @@ from .envs.arm import (
     split_dart_sensors,
 )
 from .estimators import TrialBatch
-from .linreg import quad_feature_count, quad_features
+from .linreg import quad_feature_count, quad_features, rank_deficient
 from .search import sample_exploration_policies
 from .seeding import children
 
@@ -102,16 +102,15 @@ def fit_dynamics_model(world: ArmWorld, states) -> DynamicsModel:
 
     ``states`` is an (angles, velocities) pair of (count, dof) arrays,
     as :func:`sample_pretraining_states` returns.  The angle-feature
-    design must be full rank; the angle/velocity design may be rank
-    deficient (all-zero velocities, say), in which case the Coriolis map
-    is the minimum-norm solution, which still reproduces the targets on
-    the sampled subspace.
+    design must pass the package's rank rule, :func:`linreg.rank_deficient`;
+    the angle/velocity design may be rank deficient (all-zero velocities,
+    say), in which case the Coriolis map is the minimum-norm solution,
+    which still reproduces the targets on the sampled subspace.
     """
     angles, velocities = (np.asarray(s, dtype=float) for s in states)
     if angles.ndim != 2 or angles.shape != velocities.shape:
         raise ValueError("states must be (angles, velocities) pairs")
     count, dof = angles.shape
-    f1 = quad_feature_count(dof)
     f2 = quad_feature_count(2 * dof)
     if count < f2 + 2:
         raise ValueError(
@@ -125,8 +124,8 @@ def fit_dynamics_model(world: ArmWorld, states) -> DynamicsModel:
 
     phi1 = quad_features(angles)
     phi2 = quad_features(np.concatenate([angles, velocities], axis=1))
-    map_mass, _, rank1, _ = np.linalg.lstsq(phi1, target_mass, rcond=None)
-    if rank1 < f1:
+    map_mass, _, _, svals = np.linalg.lstsq(phi1, target_mass, rcond=None)
+    if rank_deficient(svals):
         raise ValueError("insufficient state diversity")
     map_grav = np.linalg.lstsq(phi1, target_grav, rcond=None)[0]
     map_cor = np.linalg.lstsq(phi2, target_cor, rcond=None)[0]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -67,8 +66,8 @@ def _rod_inertias(lengths, masses) -> tuple:
 class ArmWorld:
     """Arm, controller, noise and integration constants.
 
-    Tuple-valued fields keep instances hashable so derived dynamics
-    tensors can be cached per world.  Angles are radians; joint angles
+    A world holds only its fields; the code that simulates it builds
+    its dynamics tensors per call.  Angles are radians; joint angles
     are relative (each measured from the previous link's direction),
     with the first measured from the +x axis, which points at the wall.
     """
@@ -86,31 +85,20 @@ class ArmWorld:
     gravity: float = 9.8
 
     def __post_init__(self):
-        to_tuple = lambda v: tuple(float(x) for x in v)
-        lengths = to_tuple(self.lengths)
-        masses = to_tuple(self.masses)
-        dof = len(lengths)
-        if dof < 1 or len(masses) != dof:
+        dof = len(self.lengths)
+        if dof < 1 or len(self.masses) != dof:
             raise ValueError("lengths and masses must have matching positive size")
-        if any(x <= 0.0 for x in lengths) or any(x <= 0.0 for x in masses):
+        if any(x <= 0.0 for x in (*self.lengths, *self.masses)):
             raise ValueError("lengths and masses must be positive")
         for name in ("kp", "kd", "torque_mult_std", "torque_add_std", "start_posture"):
-            value = to_tuple(getattr(self, name))
-            if len(value) != dof:
+            if len(getattr(self, name)) != dof:
                 raise ValueError(f"{name} must have one entry per joint")
-            object.__setattr__(self, name, value)
         if self.timestep <= 0.0:
             raise ValueError("timestep must be positive")
         if self.sim_duration < self.timestep:
             raise ValueError("sim_duration must cover at least one timestep")
         if self.release_time_std < 0.0:
             raise ValueError("release_time_std must be nonnegative")
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "release_time_std", float(self.release_time_std))
-        object.__setattr__(self, "sim_duration", float(self.sim_duration))
-        object.__setattr__(self, "timestep", float(self.timestep))
-        object.__setattr__(self, "gravity", float(self.gravity))
 
     @property
     def dof(self) -> int:
@@ -138,7 +126,6 @@ class _ChainTensors(NamedTuple):
     gravity_map: np.ndarray  # [c, j]
 
 
-@lru_cache(maxsize=None)
 def _chain_tensors(world: ArmWorld) -> _ChainTensors:
     dof = world.dof
     lengths = np.array(world.lengths)

@@ -9,7 +9,7 @@ policy (the policy-sensor coupling).  The sampler and the laws of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +40,11 @@ class SyntheticWorld:
     output_variance: float
     sensor_cov: np.ndarray
     policy_sensor_coupling: np.ndarray
-    # psd_sqrt(sensor_cov), derived once for every draw of the sampler.
-    sensor_root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("true_gradient", "sensor_slope", "sensor_cov", "policy_sensor_coupling"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "output_variance", float(self.output_variance))
-        object.__setattr__(self, "sensor_root", psd_sqrt(self.sensor_cov))
 
     @property
     def policy_dim(self) -> int:
@@ -81,6 +78,7 @@ class SyntheticEnv:
         self.world = world
         self.policy_dim = world.policy_dim
         self._score_std = float(np.sqrt(world.output_variance))
+        self._sensor_root = psd_sqrt(world.sensor_cov)
 
     @np.errstate(over="ignore", invalid="ignore")
     def sample_trials(self, policies, streams) -> TrialBatch:
@@ -98,7 +96,7 @@ class SyntheticEnv:
         world = self.world
         sensor_dim = world.sensor_dim
         normals = normal_rows(streams, policies.shape[0], sensor_dim + 1)
-        disturbance = row_products(normals[:, :sensor_dim], world.sensor_root.T)
+        disturbance = row_products(normals[:, :sensor_dim], self._sensor_root.T)
         sensed = disturbance - row_products(policies, world.policy_sensor_coupling)
         scores = (
             row_products(policies, world.true_gradient)

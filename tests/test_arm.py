@@ -336,6 +336,41 @@ def test_policy_validation():
     assert unscored.flagged.tolist() == [True]
 
 
+def test_a_world_of_lists_and_integers_throws_the_default_worlds_bytes():
+    world = ArmWorld(
+        lengths=[0.30, 0.27, 0.15],
+        masses=[2, 1.3, 0.5],
+        kp=[300, 70, 3.3],
+        kd=[14, 3.2, 0.15],
+        torque_mult_std=[0.2, 0.2, 0.2],
+        torque_add_std=[0.5, 0.5, 0.5],
+        start_posture=[1.9, 2, 0.6],
+    )
+    policies = THROW_POLICY + 0.05 * substream(112).standard_normal((6, 9))
+    listed = dart_trials(world, policies, children(substream(112, 1), 6))
+    reference = dart_trials(ArmWorld(), policies, children(substream(112, 1), 6))
+    assert not reference.flagged.all()
+    for field in ("scores", "sensors", "flagged"):
+        assert np.array_equal(getattr(listed, field), getattr(reference, field)), field
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"lengths": (0.3, 0.27), "masses": (2.0, 1.3, 0.5)}, "matching positive size"),
+        ({"lengths": (), "masses": ()}, "matching positive size"),
+        ({"masses": (2.0, 0.0, 0.5)}, "lengths and masses must be positive"),
+        ({"kd": (14.0, 3.2)}, "kd must have one entry per joint"),
+        ({"timestep": 0.0}, "timestep must be positive"),
+        ({"sim_duration": 5e-4}, "sim_duration must cover at least one timestep"),
+        ({"release_time_std": -0.01}, "release_time_std must be nonnegative"),
+    ],
+)
+def test_a_world_refuses_inconsistent_constants(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ArmWorld(**fields)
+
+
 def test_env_exposes_the_policy_dimension_and_encodes_its_sensors():
     world = ArmWorld()
     states = sample_pretraining_states(

@@ -298,6 +298,18 @@ BAD_SETTING_CASES = {
         RUN_CFG + "run.noise_scales = [1.0, -2.0]\n",
         "key 'run.noise_scales' entries must be nonnegative",
     ),
+    "cannon-repeated-noise-scale": (
+        "run",
+        RUN_CFG + "run.noise_scales = [1.0, 1.0]\n",
+        "key 'run.noise_scales' repeats an entry",
+    ),
+    "run-repeated-estimator": (
+        "run",
+        RUN_CFG.replace(
+            '["ignore_sensors", "with_sensors"]', '["with_sensors", "with_sensors"]'
+        ),
+        "key 'run.estimators' repeats an entry",
+    ),
     "dart-pretrain-states": (
         "run",
         DART_CFG.replace("dart.pretrain_states = 200", "dart.pretrain_states = 29"),

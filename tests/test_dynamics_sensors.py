@@ -12,7 +12,7 @@ from sensorgrad.dynamics_sensors import (
     velocity_residuals,
 )
 from sensorgrad.envs.arm import KNOTS_PER_JOINT, ArmWorld, chain_terms, dart_trials
-from sensorgrad.linreg import quad_features
+from sensorgrad.linreg import quad_features, rank_deficient
 from sensorgrad.seeding import PRETRAIN, children, substream
 
 WORLD = ArmWorld()
@@ -55,6 +55,19 @@ def test_fit_requires_enough_states():
     states = pretraining_states(10, substream(2, PRETRAIN))
     with pytest.raises(ValueError, match="insufficient samples"):
         fit_dynamics_model(WORLD, states)
+
+
+def test_fit_refuses_an_angle_design_past_the_rank_rule():
+    # Angles spread by 1e-5 give a design of condition number about 6.5e11:
+    # full rank to lstsq's own tolerance, rank deficient to linreg's rule.
+    rng = substream(3)
+    angles = np.array(WORLD.start_posture) + 1e-5 * rng.standard_normal((200, 3))
+    velocities = rng.standard_normal((200, 3))
+    svals = np.linalg.svd(quad_features(angles), compute_uv=False)
+    assert np.linalg.matrix_rank(quad_features(angles)) == svals.size
+    assert rank_deficient(svals)
+    with pytest.raises(ValueError, match="insufficient state diversity"):
+        fit_dynamics_model(WORLD, (angles, velocities))
 
 
 def r_squared(predicted, target):

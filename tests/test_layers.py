@@ -17,6 +17,12 @@ A caught exception is read, never kept: a failure that must outlive its
 handler becomes a value of the program's own (a record holding the
 message, a new error raised from it), so no exception travels as a value
 or carries state patched onto it.
+
+No value outlives the call that computed it: a cache keyed on an
+argument makes that argument's type hashable by contract, so ``src/``
+holds no ``functools.lru_cache``, ``cache`` or ``cached_property``.  A
+per-world constant is built per call, or held by the env that samples
+the world.
 """
 
 import ast
@@ -181,3 +187,63 @@ def test_no_handler_keeps_the_exception_it_caught():
         if (lines := kept_exceptions(source))
     }
     assert kept == {}
+
+
+CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def cross_call_caches(source: str) -> list:
+    """Line numbers where ``source`` imports or names one of ``functools``'
+    ``CACHES``: ``from functools import ...``, or ``<module>.<name>`` for
+    any name ``functools`` is imported as, used anywhere, a decorator
+    included."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name in CACHES]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_finds_every_cross_call_cache():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, reduce\n"
+        "from functools import cache as memo\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(x):\n"
+        "    return x\n"
+        "class A:\n"
+        "    @functools.cached_property\n"
+        "    def g(self):\n"
+        "        return functools.reduce(max, [1])\n"
+        "wrapped = functools.cache(f)\n"
+        "import functools as tools\n"
+        "@tools.lru_cache\n"
+        "def h(x):\n"
+        "    return x\n"
+    )
+    assert cross_call_caches(source) == [2, 3, 4, 8, 11, 13]
+
+
+def test_no_module_caches_values_across_calls():
+    cached = {
+        relative: lines
+        for relative, source, _ in package_sources()
+        if (lines := cross_call_caches(source))
+    }
+    assert cached == {}
