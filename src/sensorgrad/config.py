@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import is_symmetric
-
 __all__ = [
     "ConfigError",
     "Config",
@@ -108,6 +106,15 @@ def canonical_text(values: dict) -> str:
 def config_hash(values: dict) -> str:
     """SHA-256 hex digest of the canonical text."""
     return hashlib.sha256(canonical_text(values).encode("utf-8")).hexdigest()
+
+
+def is_symmetric(cov: np.ndarray) -> bool:
+    """Whether no entry of the square ``cov`` differs from its mirror by
+    more than 1e-9 times the largest entry (1e-9 when that is below 1)."""
+    scale = max(1.0, float(np.max(np.abs(cov), initial=0.0)))
+    with np.errstate(over="ignore"):
+        asymmetry = float(np.max(np.abs(cov - cov.T), initial=0.0))
+    return asymmetry <= 1e-9 * scale
 
 
 def _type_name(value) -> str:

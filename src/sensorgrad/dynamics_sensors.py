@@ -32,7 +32,7 @@ from .envs.arm import (
     split_dart_sensors,
 )
 from .estimators import TrialBatch
-from .linreg import quad_feature_count, quad_features, rank_deficient
+from .linreg import quad_features, rank_deficient
 from .search import sample_exploration_policies
 from .seeding import children
 
@@ -73,21 +73,18 @@ def sample_pretraining_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """States likely to be visited, from rollouts of random policies.
 
-    Policies are drawn from Normal(policy_mean, policy_cov).  Rollouts
-    run with the world's own torque noise, and the returned states are a
-    uniform subsample (without replacement) of all visited grid states,
-    as (angles, velocities) arrays of shape (count, dof).
+    Policies are drawn from Normal(policy_mean, policy_cov), a
+    ``world.policy_dim`` mean as ``search.initial_policy`` is read.
+    Rollouts run with the world's own torque noise, and the returned
+    states are a uniform subsample (without replacement) of all visited
+    grid states, as (angles, velocities) arrays of shape (count, dof).
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    mean = np.asarray(policy_mean, dtype=float)
-    if mean.shape != (world.policy_dim,):
-        raise ValueError("policy mean must match the policy dimension")
-    cov = np.asarray(policy_cov, dtype=float)
     states_per_rollout = world.grid_steps + 1
     rollouts = max(2, -(-count // max(states_per_rollout // 5, 1)))
     policy_rng, trial_rng, pick_rng = children(rng, 3)
-    policies = sample_exploration_policies(mean, cov, rollouts, policy_rng)
+    policies = sample_exploration_policies(
+        policy_mean, policy_cov, rollouts, policy_rng
+    )
     trials = dart_trials(world, policies, children(trial_rng, rollouts))
     angles, velocities, _ = split_dart_sensors(world, trials.sensors)
     pool_q = angles.reshape(-1, world.dof)
@@ -101,21 +98,16 @@ def fit_dynamics_model(world: ArmWorld, states) -> DynamicsModel:
     """Regress exact inverse-dynamics targets on state features.
 
     ``states`` is an (angles, velocities) pair of (count, dof) arrays,
-    as :func:`sample_pretraining_states` returns.  The angle-feature
-    design must pass the package's rank rule, :func:`linreg.rank_deficient`;
-    the angle/velocity design may be rank deficient (all-zero velocities,
+    as :func:`sample_pretraining_states` returns; the caller guarantees
+    ``count >= quad_feature_count(2 * dof) + 2``, the bound
+    ``dart.pretrain_states`` is read with.  The angle-feature design must
+    pass the package's rank rule, :func:`linreg.rank_deficient`; the
+    angle/velocity design may be rank deficient (all-zero velocities,
     say), in which case the Coriolis map is the minimum-norm solution,
     which still reproduces the targets on the sampled subspace.
     """
     angles, velocities = (np.asarray(s, dtype=float) for s in states)
-    if angles.ndim != 2 or angles.shape != velocities.shape:
-        raise ValueError("states must be (angles, velocities) pairs")
     count, dof = angles.shape
-    f2 = quad_feature_count(2 * dof)
-    if count < f2 + 2:
-        raise ValueError(
-            f"insufficient samples: {count} states cannot fit {f2} features"
-        )
     mass, grav, coriolis = chain_terms(world, angles, velocities)
     inv_mass = np.linalg.inv(mass)
     target_mass = inv_mass.reshape(count, dof * dof)
@@ -155,28 +147,18 @@ def velocity_residuals(
     """Observed velocity changes minus the model's one-step predictions.
 
     ``angles`` and ``velocities`` are the sensed grid trajectories,
-    shape (..., steps + 1, joints); ``torques`` are the commanded
-    torques at the step starts, shape (..., steps, joints).  Returns the
-    residuals, shape (..., steps, joints); residual ``k`` belongs to
-    time ``(k + 1) * timestep``.
+    arrays of shape (..., steps + 1, joints) with steps >= 1; ``torques``
+    are the commanded torques at the step starts, shape (..., steps,
+    joints).  Every caller passes the arm's own sensor layout, so the
+    shapes are not checked.  Returns the residuals, shape (..., steps,
+    joints); residual ``k`` belongs to time ``(k + 1) * timestep``.  A
+    residual that is not finite flags its trial when the encoded batch
+    is built.
     """
-    angles = np.asarray(angles, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    torques = np.asarray(torques, dtype=float)
-    if angles.ndim < 2 or angles.shape != velocities.shape:
-        raise ValueError("trajectories must be (steps + 1, joints) arrays")
-    if angles.shape[-2] < 2:
-        raise ValueError("trajectory must contain at least two samples")
-    steps = angles.shape[-2] - 1
-    if torques.shape != angles.shape[:-2] + (steps, angles.shape[-1]):
-        raise ValueError("length mismatch between torques and trajectory")
     predicted = predict_acceleration(
         model, torques, angles[..., :-1, :], velocities[..., :-1, :]
     )
-    values = velocities[..., 1:, :] - velocities[..., :-1, :] - predicted * timestep
-    if not np.isfinite(values).all():
-        raise ValueError("residual curve must be finite")
-    return values
+    return velocities[..., 1:, :] - velocities[..., :-1, :] - predicted * timestep
 
 
 def spline_basis(world: ArmWorld, times) -> np.ndarray:
@@ -193,19 +175,15 @@ def spline_basis(world: ArmWorld, times) -> np.ndarray:
 def project_residuals(residuals, basis: np.ndarray, release_time) -> np.ndarray:
     """Least-squares coefficients of each joint's curve on the basis.
 
-    ``residuals`` has shape (..., steps, joints).  Returns each trial's
-    coefficients concatenated joint-major, then its release time
-    (``release_time`` has the leading shape of ``residuals``).
+    ``residuals`` has shape (..., steps, joints), and ``basis`` (steps,
+    functions) is sampled at the curves' timestamps, with at least as
+    many steps as functions, as :func:`encode_dart_batch` builds both.
+    Returns each trial's coefficients concatenated joint-major, then its
+    release time (``release_time`` has the leading shape of ``residuals``).
     """
     residuals = np.asarray(residuals, dtype=float)
     basis = np.asarray(basis, dtype=float)
-    if residuals.ndim < 2:
-        raise ValueError("residuals must be (steps, joints) curves")
     steps, joints = residuals.shape[-2:]
-    if basis.shape[0] != steps:
-        raise ValueError("basis must be sampled at the curve's timestamps")
-    if steps < basis.shape[1]:
-        raise ValueError("fewer timesteps than basis functions")
     coef = np.linalg.pinv(basis) @ residuals.reshape(-1, steps, joints)
     flat = np.swapaxes(coef, 1, 2).reshape(residuals.shape[:-2] + (-1,))
     release = np.asarray(release_time, dtype=float)[..., None]
@@ -239,7 +217,6 @@ class DartEnv:
 
     def __init__(self, world: ArmWorld, model: DynamicsModel):
         self.world = world
-        self.policy_dim = world.policy_dim
         self.model = model
 
     def sample_trials(self, policies, streams) -> TrialBatch:

@@ -267,17 +267,16 @@ def optimize_projection(
 
     Runs a BFGS search with the analytic leave-one-out gradient from
     each restart and returns the best projection found, columns
-    orthonormalized.  Ties go to the earliest restart.  A ``target_dim``
-    above the raw sensor width raises :class:`EncodingError`, too few
-    trials for the leave-one-out fits :class:`EstimationError`.  With
-    ``max_iterations=0`` the best initialization is returned unchanged
-    (up to orthonormalization).
+    orthonormalized.  Ties go to the earliest restart.  The caller
+    guarantees a ``target_dim`` of at most the raw sensor width, as
+    ``search.encoding_dim`` and ``encode.target_dim`` are read.  Too few
+    trials for the leave-one-out fits raise :class:`EstimationError`.
+    With ``max_iterations=0`` the best initialization is returned
+    unchanged (up to orthonormalization).
     """
     raw = batch.sensors
     raw_dim = raw.shape[1]
     ds = config.target_dim
-    if ds > raw_dim:
-        raise EncodingError(f"target_dim {ds} exceeds the {raw_dim} raw sensors")
     centered = _centered(batch)
     rng = np.random.default_rng(config.seed)
     inits = [_pca_init(raw, ds)]

@@ -289,13 +289,12 @@ def commanded_torques(world: ArmWorld, policies, angles, velocities, times):
 def split_dart_sensors(world: ArmWorld, raw):
     """Unpack raw sensors into (angles, velocities, release_time).
 
-    ``raw`` has shape (..., sensor_dim).  Trajectories have shape
-    (..., grid_steps + 1, dof), sampled at multiples of the timestep
-    starting at zero; release times have the leading shape.
+    ``raw`` has shape (..., sensor_dim), the layout this world's trials
+    write.  Trajectories have shape (..., grid_steps + 1, dof), sampled
+    at multiples of the timestep starting at zero; release times have
+    the leading shape.
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.shape[-1:] != (world.sensor_dim,):
-        raise ValueError("length mismatch: raw sensors do not match this world")
     samples = world.grid_steps + 1
     blocks = raw[..., :-1].reshape(raw.shape[:-1] + (samples, 2 * world.dof))
     return blocks[..., : world.dof], blocks[..., world.dof :], raw[..., -1]
@@ -404,23 +403,17 @@ def _simulate_batch(world: ArmWorld, policies: np.ndarray, streams) -> TrialBatc
     return TrialBatch(policies, scores, raw, ~throws)
 
 
-def _policy_rows(world: ArmWorld, policies) -> np.ndarray:
-    policies = np.atleast_2d(np.asarray(policies, dtype=float))
-    if policies.shape[1] != world.policy_dim:
-        raise ValueError(
-            f"dart policy must have {world.policy_dim} knots, joint-major"
-        )
-    return policies
-
-
 def dart_trial(world: ArmWorld, policy, rng: np.random.Generator) -> TrialBatch:
     """Throw once with the given spline-knot policy: a one-trial batch."""
-    return _simulate_batch(world, _policy_rows(world, policy), [rng])
+    policies = np.atleast_2d(np.asarray(policy, dtype=float))
+    return _simulate_batch(world, policies, [rng])
 
 
 def dart_trials(world: ArmWorld, policies, streams) -> TrialBatch:
-    """Throw one trial per policy row, row ``i`` drawing from ``streams[i]``."""
-    policies = _policy_rows(world, policies)
-    if len(streams) != policies.shape[0]:
-        raise ValueError("need one stream per policy row")
+    """Throw one trial per policy row, row ``i`` drawing from ``streams[i]``.
+
+    The caller guarantees ``world.policy_dim`` knots per row, joint-major,
+    as ``search.initial_policy`` is read, and one stream per row.
+    """
+    policies = np.atleast_2d(np.asarray(policies, dtype=float))
     return _simulate_batch(world, policies, streams)

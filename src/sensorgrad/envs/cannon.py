@@ -70,10 +70,9 @@ class CannonWorld:
 
         Sensor read noise is left unchanged: the difficulty sweep
         varies how noisy the actuators are, not how well the sensors
-        report the perturbation.
+        report the perturbation.  The scale is nonnegative, as
+        ``run.noise_scales`` is read.
         """
-        if noise_scale < 0.0:
-            raise ValueError("noise scale must be nonnegative")
         return CannonWorld(
             control_noise_cov=self.control_noise_cov * noise_scale,
             sensor_noise_cov=self.sensor_noise_cov,
@@ -94,14 +93,6 @@ def cannon_range(control):
     return speed**2 * np.sin(2.0 * angle) / GRAVITY
 
 
-def _policy_rows(policies) -> np.ndarray:
-    """Policy rows as a float array; raises for a malformed policy."""
-    policies = np.atleast_2d(np.asarray(policies, dtype=float))
-    if policies.ndim != 2 or policies.shape[1] != 2:
-        raise ValueError("cannon policy must be (speed, angle)")
-    return policies
-
-
 def cannon_true_value(
     world: CannonWorld, policy, samples: int = 20000, seed: int = 0
 ) -> float:
@@ -111,7 +102,7 @@ def cannon_true_value(
     values at nearby policies share randomness and finite differences
     of this function estimate the value gradient with low variance.
     """
-    (policy,) = _policy_rows(policy)
+    policy = np.asarray(policy, dtype=float)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((samples, 2)) @ psd_sqrt(world.control_noise_cov).T
     ranges = cannon_range(policy + noise)
@@ -124,7 +115,6 @@ class CannonEnv:
 
     def __init__(self, world: CannonWorld):
         self.world = world
-        self.policy_dim = 2
         self._control_root = psd_sqrt(world.control_noise_cov)
         self._sensor_root = psd_sqrt(world.sensor_noise_cov)
 
@@ -137,7 +127,7 @@ class CannonEnv:
         the same elementwise array expression, so its values do not depend
         on the batch it is drawn in.
         """
-        policies = _policy_rows(policies)
+        policies = np.atleast_2d(np.asarray(policies, dtype=float))
         normals = normal_rows(streams, policies.shape[0], 4)
         actuation = row_products(normals[:, :2], self._control_root.T)
         read = row_products(normals[:, 2:], self._sensor_root.T)

@@ -76,7 +76,6 @@ class SyntheticEnv:
 
     def __init__(self, world: SyntheticWorld):
         self.world = world
-        self.policy_dim = world.policy_dim
         self._score_std = float(np.sqrt(world.output_variance))
         self._sensor_root = psd_sqrt(world.sensor_cov)
 

@@ -236,11 +236,10 @@ def predicted_variance_g1(world, exploration_cov: np.ndarray, n: int) -> np.ndar
     ``inv(S_e) * (a_s' S_s a_s + s2) / (n - d - 1)`` where ``a_s`` is
     the world's sensor slope: unexplained sensor-driven noise plus
     direct noise, divided by the scatter degrees of freedom.  Exact for
-    zero-mean designs regressed through the origin (n-dof scatter).
+    zero-mean designs regressed through the origin (n-dof scatter).  The
+    caller guarantees n >= d + 2, as ``variance.trials_per_batch`` is read.
     """
     d = world.policy_dim
-    if n <= d + 1:
-        raise EstimationError(f"variance undefined: n={n} <= d+1={d + 1}")
     inv = _spd_inverse(exploration_cov, "degenerate exploration")
     slope = world.sensor_slope
     total = float(slope @ world.sensor_cov @ slope) + world.output_variance
@@ -257,11 +256,11 @@ def predicted_variance_g2(world, exploration_cov: np.ndarray, n: int) -> np.ndar
     usable exploration scatter, inflating the covariance.  With
     independent sensors (a zero coupling) ``D`` is zero and the law is
     ``inv(S_e) * s2 / (n - d - d_s - 1)``.  ``S_s`` is positive definite,
-    as its config key is read, so a zero coupling inverts it safely.
+    as its config key is read, so a zero coupling inverts it safely.  The
+    caller guarantees n >= d + d_s + 2, as ``variance.trials_per_batch``
+    is read.
     """
     d, d_s = world.policy_dim, world.sensor_dim
-    if n <= d + d_s + 1:
-        raise EstimationError(f"variance undefined: n={n} <= d+d_s+1={d + d_s + 1}")
     coupling = world.policy_sensor_coupling
     cross = exploration_cov @ coupling
     sensor_total = coupling.T @ exploration_cov @ coupling + world.sensor_cov

@@ -585,13 +585,14 @@ def replicate_gradients(env, exploration_cov, n: int, reps: int, seed: int):
     two generators, which bounds memory without changing a bit.  Each
     chunk is reshaped to a stacked (count, n, ...) batch and fitted by
     one uncentered call of each estimator.  Returns the (reps, d) arrays
-    of g1 and g2 gradients.
+    of g1 and g2 gradients, d being the width of ``exploration_cov``.
     """
-    nominal = np.zeros(env.policy_dim)
+    d = exploration_cov.shape[0]
+    nominal = np.zeros(d)
     policy_rng = substream(seed, VARIANCE, LEARN)
     noise_rng = substream(seed, VARIANCE, EVAL)
-    g1_draws = np.empty((reps, env.policy_dim))
-    g2_draws = np.empty((reps, env.policy_dim))
+    g1_draws = np.empty((reps, d))
+    g2_draws = np.empty((reps, d))
     root = psd_sqrt(exploration_cov)
     for first in range(0, reps, REPLICATION_CHUNK):
         count = min(REPLICATION_CHUNK, reps - first)

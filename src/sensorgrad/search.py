@@ -15,13 +15,14 @@ estimator choice never enters the derivation, so runs with different
 estimators see identical noise at the same (run, step, trial) address
 until their nominal policies diverge.
 
-An environment provides ``policy_dim`` and ``sample_trials(policies,
-streams)``, one trial per policy row drawn from its own stream.
-``sample_trials`` takes any policy of that width and raises nothing: a
-trial it cannot score is flagged in its row, by the environment or by
-:class:`TrialBatch`.  :func:`run_learning_curve` is the only code that
-simulates: every (estimator, run) lane steps in one lockstep, sharing
-one env call, and a lane fails only when its own batch cannot be used.
+An environment is its ``sample_trials(policies, streams)``, one trial
+per policy row drawn from its own stream.  The policies have the width
+the config reader checked ``search.initial_policy`` against, and
+``sample_trials`` raises nothing for any value: a trial it cannot score
+is flagged in its row, by the environment or by :class:`TrialBatch`.
+:func:`run_learning_curve` is the only code that simulates: every
+(estimator, run) lane steps in one lockstep, sharing one env call, and
+a lane fails only when its own batch cannot be used.
 It returns the lanes' step records; a failed step is a record holding
 its error.
 """
@@ -124,12 +125,11 @@ def sample_exploration_policies(
 ) -> np.ndarray:
     """Draw ``count`` policies i.i.d. from Normal(policy, exploration_cov).
 
-    ``root`` is ``psd_sqrt(exploration_cov)``, for a caller that draws
-    from the same covariance repeatedly and has computed it once.
+    ``count`` is positive, as every count is read.  ``root`` is
+    ``psd_sqrt(exploration_cov)``, for a caller that draws from the same
+    covariance repeatedly and has computed it once.
     """
     policy = np.asarray(policy, dtype=float)
-    if count < 1:
-        raise ValueError("count must be positive")
     if root is None:
         root = psd_sqrt(exploration_cov)
     draws = rng.standard_normal((count, policy.shape[0]))

@@ -13,10 +13,13 @@ count.  Path layout used by the experiment harness:
     (run, step, LEARN)      one step's learning stream.  Each attempt at
                             the step takes children(., 3): the
                             exploration policies, the trials (one child
-                            each) and the projection search (its seed,
-                            or children(., 3) for a dedicated search
-                            batch).  A retry takes the next three
-                            children of the same stream.
+                            each) and a third child.  For with_encoding
+                            the third child's children(., 3) are the
+                            projection search batch's policies, its
+                            trials and the search seed; the other
+                            estimators draw a seed from it and never use
+                            it.  A retry takes the next three children
+                            of the same stream.
     (run, step, EVAL)       evaluation of the stepped policy, one child
                             per trial
     (PRETRAIN,)             dynamics pretraining: children(., 3) for the
@@ -52,10 +55,9 @@ def substream(root_seed: int, *path: int) -> np.random.Generator:
     """Return the generator at `path` under `root_seed`.
 
     The same (root_seed, path) pair always yields an identical stream;
-    distinct paths yield statistically independent streams.
+    distinct paths yield statistically independent streams.  The seed
+    is nonnegative, as ``SeedSequence`` requires.
     """
-    if root_seed < 0:
-        raise ValueError("root seed must be non-negative")
     ss = np.random.SeedSequence(root_seed, spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(ss)
 
@@ -81,10 +83,8 @@ def normal_rows(streams, count: int, width: int) -> np.ndarray:
     """
     if isinstance(streams, np.random.Generator):
         return streams.standard_normal((count, width))
-    if len(streams) != count:
-        raise ValueError("need one stream per policy row")
     block = np.empty((count, width))
-    for row, rng in zip(block, streams):
+    for row, rng in zip(block, streams, strict=True):
         rng.standard_normal(out=row)
     return block
 
@@ -102,33 +102,18 @@ def row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_symmetric(cov: np.ndarray) -> bool:
-    """Whether no entry of the square ``cov`` differs from its mirror by
-    more than 1e-9 times the largest entry (1e-9 when that is below 1)."""
-    scale = max(1.0, float(np.max(np.abs(cov), initial=0.0)))
-    with np.errstate(over="ignore"):
-        asymmetry = float(np.max(np.abs(cov - cov.T), initial=0.0))
-    return asymmetry <= 1e-9 * scale
-
-
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix.
+    """Symmetric square root of a symmetric positive semidefinite matrix.
 
-    Accepts singular (even zero) covariances; raises for matrices with
-    a meaningfully negative eigenvalue.  ``mean + psd_sqrt(cov) @ z``
+    The caller guarantees a square, symmetric, positive semidefinite
+    matrix: each covariance is built from values the config readers
+    check (a positive definite matrix, a nonnegative diagonal or scale).
+    Singular (even zero) covariances are fine; a rounding-level negative
+    eigenvalue counts as zero.  ``mean + psd_sqrt(cov) @ z``
     with standard-normal ``z`` draws from ``N(mean, cov)``.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    if not is_symmetric(cov):
-        raise ValueError("covariance must be symmetric")
-    scale = float(np.max(np.abs(cov), initial=0.0))
-    if cov.shape[0] == 0:
-        return cov.copy()
     # Halving first symmetrizes without overflow, rounding as the sum would.
     eigvals, eigvecs = np.linalg.eigh(cov / 2.0 + cov.T / 2.0)
-    if eigvals[0] < -1e-10 * max(1.0, scale):
-        raise ValueError("covariance must be positive semidefinite")
     root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     return root @ eigvecs.T

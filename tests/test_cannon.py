@@ -79,8 +79,6 @@ def test_scaled_world_changes_actuation_noise_only():
     assert np.array_equal(scaled.sensor_noise_cov, base.sensor_noise_cov)
     # Scaling by one, as a single-scale run does, leaves every bit.
     assert np.array_equal(base.scaled(1.0).control_noise_cov, base.control_noise_cov)
-    with pytest.raises(ValueError):
-        base.scaled(-1.0)
 
 
 def test_env_noise_scale_matches_scaled_world():

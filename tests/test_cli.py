@@ -226,6 +226,11 @@ BAD_SETTING_CASES = {
         ENCODE_CFG.replace("encode.target_dim = 1", "encode.target_dim = 0"),
         "key 'encode.target_dim' must lie in [1, raw_dim]",
     ),
+    "encode-target-dim-above-raw-dim": (
+        "encode-search",
+        ENCODE_CFG.replace("encode.target_dim = 1", "encode.target_dim = 9"),
+        "key 'encode.target_dim' must lie in [1, raw_dim]",
+    ),
     "variance-sensor-cov-not-psd": (
         "variance-check",
         VARIANCE_CFG.replace(SENSOR_COV, "[[-0.2, 0.0], [0.0, 0.4]]"),
@@ -298,6 +303,11 @@ BAD_SETTING_CASES = {
         RUN_CFG + "run.noise_scales = [1.0, -2.0]\n",
         "key 'run.noise_scales' entries must be nonnegative",
     ),
+    "cannon-negative-control-noise": (
+        "run",
+        RUN_CFG.replace("[1.0, 4.0]", "[1.0, -4.0]"),
+        "key 'cannon.control_noise_diag' entries must be nonnegative",
+    ),
     "cannon-repeated-noise-scale": (
         "run",
         RUN_CFG + "run.noise_scales = [1.0, 1.0]\n",
@@ -326,6 +336,13 @@ BAD_SETTING_CASES = {
             "[0.25, 0.0025]", "[0.25, 0.0025, 0.01]"
         ),
         "key 'search.initial_policy' must have 2 entries for the cannon environment",
+    ),
+    "dart-initial-policy-width": (
+        "run",
+        DART_CFG.replace(", -0.11943999999999999]", "]").replace(
+            "0.002, 0.002]", "0.002]"
+        ),
+        "key 'search.initial_policy' must have 9 entries for the dart environment",
     ),
     "cannon-encoding-dim": (
         "run",

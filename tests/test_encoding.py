@@ -294,14 +294,6 @@ def test_optimize_projection_never_ends_above_its_start():
 
 
 @pytest.mark.parametrize("restarts", [1, 3])
-def test_optimize_projection_refuses_more_columns_than_raw_sensors(restarts):
-    batch, _ = planted_batch(87, raw_dim=5)
-    config = EncodingSearchConfig(target_dim=6, restarts=restarts, seed=87)
-    with pytest.raises(EncodingError, match="target_dim 6 exceeds the 5 raw sensors"):
-        optimize_projection(batch, config)
-
-
-@pytest.mark.parametrize("restarts", [1, 3])
 @pytest.mark.parametrize("n, target_dim", [(3, 5), (4, 4), (2, 9)])
 def test_a_search_with_fewer_trials_than_columns_refuses_for_too_few_samples(
     n, target_dim, restarts

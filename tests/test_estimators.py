@@ -297,16 +297,6 @@ def test_predicted_bias_is_zero_without_a_coupling():
     assert np.array_equal(predicted_bias_g2(make_world()), np.zeros(2))
 
 
-def test_variance_laws_reject_degenerate_dof():
-    world = make_world()
-    with pytest.raises(EstimationError, match="variance undefined"):
-        predicted_variance_g1(world, EXPLORATION_COV, 3)
-    with pytest.raises(EstimationError, match="variance undefined"):
-        predicted_variance_g2(world, EXPLORATION_COV, 5)
-    with pytest.raises(EstimationError, match="variance undefined"):
-        predicted_variance_g2(make_world(COUPLING), EXPLORATION_COV, 5)
-
-
 @st.composite
 def law_cases(draw):
     """A world with 1-3 policy and sensor dimensions, a PD sensor

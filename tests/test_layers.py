@@ -23,9 +23,16 @@ argument makes that argument's type hashable by contract, so ``src/``
 holds no ``functools.lru_cache``, ``cache`` or ``cached_property``.  A
 per-world constant is built per call, or held by the env that samples
 the world.
+
+A bound is stated once, where its value enters: outside the config
+readers (``config`` and ``experiments``) a ``raise ValueError`` guards
+only ``TrialBatch``'s and ``ArmWorld``'s shape contracts and the dynamics
+fit's rank refusal, so no library layer re-checks what a reader or its
+own caller already guarantees.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import sensorgrad
@@ -247,3 +254,70 @@ def test_no_module_caches_values_across_calls():
         if (lines := cross_call_caches(source))
     }
     assert cached == {}
+
+
+# Modules that read config values and refuse them by name.
+BOUND_READERS = {"config.py", "experiments.py"}
+
+# Every ``raise ValueError`` site outside BOUND_READERS, with its count.
+VALUE_ERRORS = {
+    "estimators._as_rows": 1,
+    "estimators.TrialBatch.__post_init__": 2,
+    "envs.arm.ArmWorld.__post_init__": 6,
+    "dynamics_sensors.fit_dynamics_model": 1,
+}
+
+
+def _raises_value_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+
+def value_error_sites(source: str) -> list:
+    """The scope of each ``raise ValueError`` of ``source``, in source
+    order: the dotted names of its enclosing classes and functions
+    (``Class.method``, ``outer.inner``), or ``<module>`` at module level."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc and _raises_value_error(child):
+                sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_the_scan_finds_every_value_error_site():
+    source = (
+        "raise ValueError('module')\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError(f'{x}')\n"
+        "    def g():\n"
+        "        raise ValueError\n"
+        "    raise KeyError(x)\n"
+        "class A:\n"
+        "    def m(self):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except OSError as exc:\n"
+        "            raise ValueError('m') from exc\n"
+        "        raise EstimationError('named otherwise')\n"
+        "        raise\n"
+    )
+    assert value_error_sites(source) == ["<module>", "f", "f.g", "A.m"]
+
+
+def test_only_shape_contracts_and_the_rank_refusal_raise_value_error():
+    sites = Counter(
+        ".".join(Path(relative).with_suffix("").parts + (site,))
+        for relative, source, _ in package_sources()
+        if relative not in BOUND_READERS
+        for site in value_error_sites(source)
+    )
+    assert dict(sites) == VALUE_ERRORS

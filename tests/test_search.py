@@ -147,8 +147,6 @@ def test_exploration_samples_match_the_requested_moments():
     assert np.allclose(np.cov(draws.T), cov, atol=0.02)
     again = sample_exploration_policies(policy, cov, 40000, substream(101))
     assert np.array_equal(draws, again)
-    with pytest.raises(ValueError, match="positive"):
-        sample_exploration_policies(policy, cov, 0, substream(101))
 
 
 def test_fixed_rate_step_moves_by_rate_times_gradient():
