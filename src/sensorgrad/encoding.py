@@ -7,7 +7,8 @@ the joint regression on the remaining trials and square the error of
 its affine prediction at the held-out trial.  The coefficients drop
 out of that cost in closed form, so its gradient in B has a closed form
 too, and a quasi-Newton search with that exact gradient minimizes the
-cost over the entries of B from several restarts.
+cost over the entries of B from one start: the direction of the joint
+regression's sensor coefficients, the in-sample optimum for one column.
 
 The cost depends on B only through its column space (the regression is
 invariant under invertible recombinations of the projected columns),
@@ -47,8 +48,8 @@ _LEVERAGE_TOL = 1e-10
 @dataclass(frozen=True)
 class SensorProjection:
     """A sensor projection with orthonormal columns, as
-    :func:`optimize_projection` found it: the winning restart's
-    leave-one-out cost and its per-iteration history."""
+    :func:`optimize_projection` found it: its leave-one-out cost and
+    the cost's history, from the start on."""
 
     matrix: np.ndarray
     cost: float
@@ -59,19 +60,14 @@ class SensorProjection:
 class EncodingSearchConfig:
     """Settings for the projection search.
 
-    ``target_dim`` columns are fit by ``restarts`` quasi-Newton runs of
-    at most ``max_iterations`` iterations each, using the analytic
-    gradient of the leave-one-out cost.  One restart is
-    initialized from the principal components of the raw sensors; the
-    rest are random orthonormal matrices drawn from ``seed``.  The
-    fields are not checked here: a config reads each with its bounds
-    (``restarts`` at least 1, the other counts nonnegative).
+    ``target_dim`` columns are fit by one quasi-Newton run of at most
+    ``max_iterations`` iterations, using the analytic gradient of the
+    leave-one-out cost.  The fields are not checked here: a config
+    reads each with its bounds (both nonnegative).
     """
 
     target_dim: int
     max_iterations: int = 60
-    restarts: int = 3
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,49 +256,52 @@ def _search_cost_and_grad(flat, pols_c, y, sens_c) -> tuple[float, np.ndarray]:
     return cost, grad.ravel()
 
 
+def _search_start(batch: TrialBatch, target_dim: int) -> np.ndarray:
+    """The direction of the joint regression's sensor coefficients, then the
+    leading principal components, orthonormalized; the principal components
+    alone when that regression cannot be fit (too few trials, rank
+    deficiency) or its sensor coefficients are zero."""
+    pca = _pca_init(batch.sensors, target_dim)
+    if target_dim == 0:
+        return pca
+    try:
+        coefficients = estimate_g2(batch).sensor_coefficients
+    except EstimationError:
+        return pca
+    norm = np.linalg.norm(coefficients)
+    if norm == 0.0:
+        return pca
+    return _orthonormalized(np.column_stack([coefficients / norm, pca[:, :-1]]))
+
+
 def optimize_projection(
     batch: TrialBatch, config: EncodingSearchConfig
 ) -> SensorProjection:
     """Minimize the leave-one-out cost over projection entries.
 
-    Runs a BFGS search with the analytic leave-one-out gradient from
-    each restart and returns the best projection found, columns
-    orthonormalized.  Ties go to the earliest restart.  The caller
-    guarantees a ``target_dim`` of at most the raw sensor width, as
-    ``search.encoding_dim`` and ``encode.target_dim`` are read.  Too few
-    trials for the leave-one-out fits raise :class:`EstimationError`.
-    With ``max_iterations=0`` the best initialization is returned
-    unchanged (up to orthonormalization).
+    Runs one BFGS search with the analytic leave-one-out gradient from
+    :func:`_search_start` and returns the projection it ends at, columns
+    orthonormalized.  The caller guarantees a ``target_dim`` of at most
+    the raw sensor width, as ``search.encoding_dim`` and
+    ``encode.target_dim`` are read.  Too few trials for the
+    leave-one-out fits raise :class:`EstimationError`, a start the cost
+    rejects :class:`EncodingError`.  With ``max_iterations=0`` the
+    start is returned unchanged (up to orthonormalization).
     """
-    raw = batch.sensors
-    raw_dim = raw.shape[1]
-    ds = config.target_dim
     centered = _centered(batch)
-    rng = np.random.default_rng(config.seed)
-    inits = [_pca_init(raw, ds)]
-    while len(inits) < config.restarts:
-        inits.append(_orthonormalized(rng.standard_normal((raw_dim, ds))))
-
-    best_flat: np.ndarray | None = None
-    best_cost = np.inf
-    best_trace: tuple[float, ...] | None = None
-    for start in inits:
-        try:
-            trace = [loo_cost(batch, start)]
-        except _REJECTED:
-            continue
-        result = minimize(
-            lambda flat: _search_cost_and_grad(flat, *centered),
-            start.ravel(),
-            config.max_iterations,
-            callback=trace.append,
-        )
-        if result.fun < best_cost:
-            best_flat, best_cost, best_trace = result.x, result.fun, tuple(trace)
-    if best_flat is None:
+    start = _search_start(batch, config.target_dim)
+    try:
+        trace = [loo_cost(batch, start)]
+    except _REJECTED:
         raise EncodingError("no valid projection found")
-    best = _orthonormalized(best_flat.reshape(raw_dim, ds))
-    return SensorProjection(best, cost=best_cost, cost_trace=best_trace)
+    result = minimize(
+        lambda flat: _search_cost_and_grad(flat, *centered),
+        start.ravel(),
+        config.max_iterations,
+        callback=trace.append,
+    )
+    matrix = _orthonormalized(result.x.reshape(start.shape))
+    return SensorProjection(matrix, cost=result.fun, cost_trace=tuple(trace))
 
 
 def estimate_gradient_encoded(

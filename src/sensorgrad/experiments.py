@@ -20,7 +20,7 @@ A command accepts exactly the config keys that its readers read: each
 compute function reads and validates all of its keys, then calls
 ``Config.check_unknown`` before any trial, pretraining, replication or
 search runs.  A key's own bounds are stated where it is read
-(``cfg.get_int("encode.restarts", minimum=1)``); the checks here tie
+(``cfg.get_int("encode.raw_dim", positive=True)``); the checks here tie
 keys together and name the key they refuse, and no settings object
 checks a value again.
 """
@@ -325,8 +325,9 @@ def build_search_config(cfg: Config, estimators) -> SearchConfig:
         max_iterations=cfg.get_int(
             "search.encode_max_iterations", default.max_iterations, minimum=0
         ),
-        restarts=cfg.get_int("search.encode_restarts", default.restarts, minimum=1),
     )
+    # Accepted for compatibility and must be at least 1; the search makes one start.
+    cfg.get_int("search.encode_restarts", 1, minimum=1)
     return replace(
         config,
         encode_trials_per_step=cfg.get_int("search.encode_trials_per_step", positive=True),
@@ -656,8 +657,6 @@ def encode_search(cfg: Config):
         max_iterations=cfg.get_int(
             "encode.max_iterations", EncodingSearchConfig.max_iterations, minimum=0
         ),
-        restarts=cfg.get_int("encode.restarts", EncodingSearchConfig.restarts, minimum=1),
-        seed=int(substream(seed, ENCODE, 1).integers(0, 2**32)),
     )
     cfg.check_unknown()
 

@@ -69,8 +69,7 @@ class SearchConfig:
 
     Each of ``estimators`` makes ``runs`` runs.  ``encoding`` holds the
     projection search's settings for the encoding estimator; each step
-    searches with its seed replaced by one drawn from the step's own
-    stream, on its own fresh batch of ``encode_trials_per_step`` trials
+    searches on its own fresh batch of ``encode_trials_per_step`` trials
     drawn around the same nominal policy; the gradient still comes from
     the learning batch.  The settings check nothing: each field's bounds
     (``step_rule`` in ``STEP_RULES``, positive counts, a d x d positive
@@ -136,9 +135,7 @@ def sample_exploration_policies(
     return policy + draws @ root.T
 
 
-def _estimate(
-    env, learning: TrialBatch, search: TrialBatch, config, estimator: str, encode_seed: int
-):
+def _estimate(env, learning: TrialBatch, search: TrialBatch, config, estimator: str):
     """Dispatch to ``estimator``.
 
     Returns (estimate, loo_cost or None).  The gradient comes from the
@@ -161,9 +158,7 @@ def _estimate(
     def standardized(trials: TrialBatch) -> TrialBatch:
         return replace(trials, sensors=(trials.sensors - center) / spread)
 
-    projection = optimize_projection(
-        standardized(search_batch), replace(config.encoding, seed=encode_seed)
-    )
+    projection = optimize_projection(standardized(search_batch), config.encoding)
     estimate = estimate_gradient_encoded(standardized(batch), projection.matrix)
     return estimate, projection.cost
 
@@ -171,25 +166,26 @@ def _estimate(
 def _draw_attempt(policy, config: SearchConfig, estimator: str, rng) -> tuple:
     """Draw one attempt's exploration policies and per-trial streams from ``rng``.
 
-    Returns (policies, streams, encode_seed): the learning batch, followed
-    for the encoding estimator by the projection search's own batch.
-    Each call takes fresh children of ``rng``, so a retry draws anew.
+    Returns (policies, streams): the learning batch, followed for the
+    encoding estimator by the projection search's own batch, drawn from
+    the third child's first two children.  Each call takes three fresh
+    children of ``rng``, so a retry draws anew.
     """
     def explore(count, stream):
         return sample_exploration_policies(
             policy, config.exploration_cov, count, stream, root=config.exploration_root
         )
 
-    explore_rng, trial_rng, seed_rng = children(rng, 3)
+    explore_rng, trial_rng, search_rng = children(rng, 3)
     count = config.trials_per_step
     policies = explore(count, explore_rng)
     streams = children(trial_rng, count)
     if estimator == "with_encoding":
-        enc_explore_rng, enc_trial_rng, seed_rng = children(seed_rng, 3)
+        enc_explore_rng, enc_trial_rng, _ = children(search_rng, 3)
         count = config.encode_trials_per_step
         policies = np.concatenate([policies, explore(count, enc_explore_rng)])
         streams += children(enc_trial_rng, count)
-    return policies, streams, int(seed_rng.integers(0, 2**32))
+    return policies, streams
 
 
 def _sample_blocks(env, blocks) -> list:
@@ -231,8 +227,7 @@ def _apply_rule(policy, estimate: GradientEstimate, config: SearchConfig, step_i
 
 
 def hill_climb_step(
-    env, policy, config: SearchConfig, estimator: str, trials: TrialBatch,
-    encode_seed: int, step_index: int,
+    env, policy, config: SearchConfig, estimator: str, trials: TrialBatch, step_index: int
 ):
     """One ``estimator`` step from ``policy`` on one attempt's simulated ``trials``.
 
@@ -247,7 +242,7 @@ def hill_climb_step(
     search = trials.rows(slice(config.trials_per_step, None))
     record = StepRecord(estimator, -1, step_index, flagged=int(learning.flagged.sum()))
     try:
-        estimate, loo = _estimate(env, learning, search, config, estimator, encode_seed)
+        estimate, loo = _estimate(env, learning, search, config, estimator)
     except EstimationError as err:
         return policy, replace(record, error=str(err))
     record = replace(
@@ -284,10 +279,9 @@ def _step_runs(env, config: SearchConfig, lanes, step: int) -> list:
     Returns each lane's (new policy, record) from :func:`hill_climb_step`.
     """
     attempts = [_draw_attempt(policy, config, name, rng) for name, policy, rng in lanes]
-    batches = _sample_blocks(env, [attempt[:2] for attempt in attempts])
     return [
-        hill_climb_step(env, policy, config, name, trials, encode_seed, step)
-        for (name, policy, _), (_, _, encode_seed), trials in zip(lanes, attempts, batches)
+        hill_climb_step(env, policy, config, name, trials, step)
+        for (name, policy, _), trials in zip(lanes, _sample_blocks(env, attempts))
     ]
 
 

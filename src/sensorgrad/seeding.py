@@ -16,15 +16,15 @@ count.  Path layout used by the experiment harness:
                             each) and a third child.  For with_encoding
                             the third child's children(., 3) are the
                             projection search batch's policies, its
-                            trials and the search seed; the other
-                            estimators draw a seed from it and never use
-                            it.  A retry takes the next three children
-                            of the same stream.
+                            trials and a third, unused since the search
+                            lost its seed; the other estimators never use
+                            the third child.  A retry takes the next three
+                            children of the same stream.
     (run, step, EVAL)       evaluation of the stepped policy, one child
                             per trial
     (PRETRAIN,)             dynamics pretraining: children(., 3) for the
                             rollout policies, rollouts and state picks
-    (ENCODE, 0|1)           encode-search problem data and search seed
+    (ENCODE, 0)             encode-search problem data
     (VARIANCE, LEARN|EVAL)  variance check: one stream of exploration
                             draws and one of trial noise, each read as a
                             fixed-width standard-normal block in which

@@ -299,9 +299,7 @@ def test_criterion_08_planted_direction_recovery_and_heldout_oracle():
     worst_gap = 0.0
     for index in range(20):
         batch, direction = planted_batch(900 + index)
-        search = EncodingSearchConfig(
-            target_dim=1, max_iterations=60, restarts=3, seed=1000 + index
-        )
+        search = EncodingSearchConfig(target_dim=1, max_iterations=60)
         projection = optimize_projection(batch, search)
         cosine = float(np.linalg.norm(projection.matrix.T @ direction))
         hits += cosine >= 0.95
@@ -430,8 +428,7 @@ RERUN_CASES = {
         "encode.samples = 40\n"
         "encode.target_dim = 1\n"
         "encode.policy_dim = 2\n"
-        "encode.max_iterations = 25\n"
-        "encode.restarts = 2\n",
+        "encode.max_iterations = 25\n",
         (
             "projection.csv",
             "encode_trace.csv",

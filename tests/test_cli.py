@@ -61,7 +61,6 @@ encode.samples = 40
 encode.target_dim = 1
 encode.policy_dim = 2
 encode.max_iterations = 25
-encode.restarts = 2
 encode.min_cosine = 0.9
 """
 
@@ -208,8 +207,8 @@ BAD_SETTING_CASES = {
     ),
     "encode-restarts": (
         "encode-search",
-        ENCODE_CFG.replace("encode.restarts = 2", "encode.restarts = 0"),
-        "key 'encode.restarts' must be at least 1",
+        ENCODE_CFG + "encode.restarts = 2\n",
+        "unknown key 'encode.restarts'",
     ),
     "encode-max-iterations": (
         "encode-search",

@@ -9,6 +9,7 @@ from sensorgrad.encoding import (
     EncodingSearchConfig,
     _centered,
     _loo_cost_and_grad,
+    _pca_init,
     _search_cost_and_grad,
     estimate_gradient_encoded,
     loo_cost,
@@ -200,6 +201,14 @@ def test_search_rejects_exactly_where_loo_cost_raises(name, raises):
     assert not grad.any()
 
 
+def test_a_search_whose_start_is_rejected_finds_no_projection():
+    # The spike leaves the joint fit rank deficient, and its principal
+    # component gives trial 0 leverage 1.
+    batch, _ = rejection_case("leverage_one")
+    with pytest.raises(EncodingError, match="no valid projection found"):
+        optimize_projection(batch, EncodingSearchConfig(target_dim=1))
+
+
 @st.composite
 def spd_quadratics(draw):
     """A random SPD matrix (eigenvalues 0.1 to 10), a minimizer and a start."""
@@ -269,7 +278,7 @@ def test_minimize_takes_at_most_max_iterations_steps(max_iterations, seed):
 
 def test_optimize_projection_recovers_planted_direction():
     batch, direction = planted_batch(85)
-    config = EncodingSearchConfig(target_dim=1, max_iterations=60, restarts=3, seed=85)
+    config = EncodingSearchConfig(target_dim=1, max_iterations=60)
     projection = optimize_projection(batch, config)
     cosine = abs(float(projection.matrix[:, 0] @ direction))
     assert cosine >= 0.95
@@ -278,9 +287,30 @@ def test_optimize_projection_recovers_planted_direction():
     )
 
 
+def test_a_one_column_search_starts_at_the_joint_fit_direction():
+    batch, _ = planted_batch(93)
+    coefficients = estimate_g2(batch).sensor_coefficients
+    direction = coefficients / np.linalg.norm(coefficients)
+    projection = optimize_projection(batch, EncodingSearchConfig(target_dim=1))
+    assert projection.cost_trace[0] == pytest.approx(
+        loo_cost(batch, direction[:, None]), rel=1e-12
+    )
+    assert projection.cost <= projection.cost_trace[0]
+
+
+def test_a_search_too_small_for_the_joint_fit_starts_at_the_principal_components():
+    # d + target_dim + 3 = 6 <= n = 12 < d + m + 2 = 14: the leave-one-out
+    # fits work, the joint regression on all ten raw channels does not.
+    batch, _ = planted_batch(94, n=12, raw_dim=10)
+    with pytest.raises(EstimationError, match="insufficient samples"):
+        estimate_g2(batch)
+    projection = optimize_projection(batch, EncodingSearchConfig(target_dim=1))
+    assert projection.cost_trace[0] == loo_cost(batch, _pca_init(batch.sensors, 1))
+
+
 def test_optimize_projection_returns_orthonormal_columns():
     batch, _ = planted_batch(86, raw_dim=8)
-    config = EncodingSearchConfig(target_dim=3, max_iterations=25, restarts=2, seed=86)
+    config = EncodingSearchConfig(target_dim=3, max_iterations=25)
     projection = optimize_projection(batch, config)
     gram = projection.matrix.T @ projection.matrix
     assert np.allclose(gram, np.eye(3), atol=1e-10)
@@ -288,21 +318,21 @@ def test_optimize_projection_returns_orthonormal_columns():
 
 def test_optimize_projection_never_ends_above_its_start():
     batch, _ = planted_batch(87, raw_dim=5)
-    config = EncodingSearchConfig(target_dim=5, max_iterations=40, restarts=2, seed=87)
+    config = EncodingSearchConfig(target_dim=5, max_iterations=40)
     projection = optimize_projection(batch, config)
     assert projection.cost <= projection.cost_trace[0] + 1e-12
 
 
-@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("max_iterations", [1, 3])
 @pytest.mark.parametrize("n, target_dim", [(3, 5), (4, 4), (2, 9)])
 def test_a_search_with_fewer_trials_than_columns_refuses_for_too_few_samples(
-    n, target_dim, restarts
+    n, target_dim, max_iterations
 ):
     # The principal components fill at most n of the initial columns, but
     # the leave-one-out fits need n >= d + target_dim + 3: the search
-    # refuses before any projection is tried.
+    # refuses before any projection is tried, whatever its iteration budget.
     batch, _ = planted_batch(91, n=n, raw_dim=9)
-    config = EncodingSearchConfig(target_dim=target_dim, restarts=restarts, seed=91)
+    config = EncodingSearchConfig(target_dim=target_dim, max_iterations=max_iterations)
     need = rf"insufficient samples: n={n} < d\+d_s\+3={2 + target_dim + 3} "
     with pytest.raises(EstimationError, match=need):
         optimize_projection(batch, config)
@@ -320,16 +350,17 @@ def test_a_search_on_scores_whose_sum_overflows_refuses_them_by_name():
 
 def test_optimize_projection_zero_iterations_keeps_the_best_init():
     batch, _ = planted_batch(88, raw_dim=6)
-    config = EncodingSearchConfig(target_dim=2, max_iterations=0, restarts=2, seed=88)
+    config = EncodingSearchConfig(target_dim=2, max_iterations=0)
     projection = optimize_projection(batch, config)
     assert len(projection.cost_trace) == 1
     assert projection.cost == pytest.approx(projection.cost_trace[0])
 
 
-@pytest.mark.parametrize("restarts", [1, 3])
-def test_optimize_projection_to_zero_columns_costs_the_sensor_free_fit(restarts):
+@pytest.mark.parametrize("max_iterations", [1, 3])
+def test_optimize_projection_to_zero_columns_costs_the_sensor_free_fit(max_iterations):
+    # With no columns there is nothing to step: the trace is the start alone.
     batch, _ = planted_batch(90, raw_dim=4)
-    config = EncodingSearchConfig(target_dim=0, max_iterations=10, restarts=restarts)
+    config = EncodingSearchConfig(target_dim=0, max_iterations=max_iterations)
     projection = optimize_projection(batch, config)
     cost = loo_cost(batch, np.zeros((4, 0)))
     assert projection.matrix.shape == (4, 0)
@@ -339,7 +370,7 @@ def test_optimize_projection_to_zero_columns_costs_the_sensor_free_fit(restarts)
 
 def test_optimize_projection_is_deterministic():
     batch, _ = planted_batch(89)
-    config = EncodingSearchConfig(target_dim=1, max_iterations=30, restarts=2, seed=89)
+    config = EncodingSearchConfig(target_dim=1, max_iterations=30)
     a = optimize_projection(batch, config)
     b = optimize_projection(batch, config)
     assert np.array_equal(a.matrix, b.matrix)

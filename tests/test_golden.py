@@ -51,10 +51,10 @@ GOLDEN = {
         "config_echo.cfg": "80d42f00446b01046903404250c6f7cb034bb8c457a6ad63f7583139e3a52d72",
     },
     "encode-search": {
-        "projection.csv": "9b131dad8c0b172d90ca35c3db5da2622dda0150edf175644dd26093c8eb7c22",
-        "encode_trace.csv": "7aacd6417763f963034a927e8dde34a6d38ad0fe0af1b802f36d89dda0ca6168",
-        "encode_report.txt": "d10285e5514650e3e5617d599b0858bb64542adef3d95be0a14b63545a525ed7",
-        "config_echo.cfg": "67db15e540a098958f187596704c05b7a72c91cfe264fe3e87463363aa217e86",
+        "projection.csv": "b7731c6a5f6872733b5f93ad1c451ff6da77af600fe61aeee54a28cb30e56fa0",
+        "encode_trace.csv": "13a8240e3f3e74479810591a2e7d9acc8336929d83e3aff99943a0bb21e86b22",
+        "encode_report.txt": "9e236af0f4f0a6846623ece5afc1a7e9129c80522bf75c650efbc03a339fa1d7",
+        "config_echo.cfg": "a4a5cf38d42635811c830d24a94828188d0290761f2152297f49b2687408faa5",
     },
 }
 
@@ -81,8 +81,8 @@ SWEEP_GOLDEN = {
 }
 
 DART_GOLDEN = {
-    "learning_curve.csv": "b1aa1f0fb3d15f668d7e5473fb83f1d7a6548d07ce44f29d2849fd46c4af046c",
-    "diagnostics.csv": "b799e7368f7492815da7428adfa3c2788755aae97eaddf695a4d083c590172f7",
+    "learning_curve.csv": "6bf9233f0a80dbe478bf8635e718a1529ad18dcaf87262519d764bd3f8f3a18e",
+    "diagnostics.csv": "06a23a19315b6d3dffb5e4a6723ebfc4db435ac0704be0697e5d69ce68ac61ec",
     "config_echo.cfg": "68b25d4b83d0b92dd574dfd5347e2b9900feafbf59cd3b29fc488bc45f9b9195",
 }
 

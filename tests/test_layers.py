@@ -29,6 +29,11 @@ readers (``config`` and ``experiments``) a ``raise ValueError`` guards
 only ``TrialBatch``'s and ``ArmWorld``'s shape contracts and the dynamics
 fit's rank refusal, so no library layer re-checks what a reader or its
 own caller already guarantees.
+
+Every generator in ``src/`` comes from ``seeding``: ``np.random.default_rng``
+is named only in ``seeding.substream``, ``seeding.children`` and the
+fixed-seed oracle ``cannon.cannon_true_value``, so every draw has an
+address in the path table.
 """
 
 import ast
@@ -273,8 +278,8 @@ def _raises_value_error(node) -> bool:
     return isinstance(exc, ast.Name) and exc.id == "ValueError"
 
 
-def value_error_sites(source: str) -> list:
-    """The scope of each ``raise ValueError`` of ``source``, in source
+def scoped_sites(source: str, matches) -> list:
+    """The scope of each node of ``source`` that ``matches``, in source
     order: the dotted names of its enclosing classes and functions
     (``Class.method``, ``outer.inner``), or ``<module>`` at module level."""
     sites = []
@@ -284,12 +289,20 @@ def value_error_sites(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Raise) and child.exc and _raises_value_error(child):
+            if matches(child):
                 sites.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return sites
+
+
+def value_error_sites(source: str) -> list:
+    """The scope of each ``raise ValueError`` of ``source``."""
+    return scoped_sites(
+        source,
+        lambda node: isinstance(node, ast.Raise) and node.exc and _raises_value_error(node),
+    )
 
 
 def test_the_scan_finds_every_value_error_site():
@@ -321,3 +334,48 @@ def test_only_shape_contracts_and_the_rank_refusal_raise_value_error():
         for site in value_error_sites(source)
     )
     assert dict(sites) == VALUE_ERRORS
+
+
+# Every scope that makes a generator, with its count.
+GENERATOR_MAKERS = {
+    "seeding.substream": 1,
+    "seeding.children": 1,
+    "envs.cannon.cannon_true_value": 1,
+}
+
+
+# The field that holds the name of each node kind that can name a function.
+NAME_FIELDS = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+
+
+def generator_sites(source: str) -> list:
+    """The scope of each place ``source`` names ``default_rng``: an
+    attribute (``np.random.default_rng``), a bare name, or an import."""
+    return scoped_sites(
+        source,
+        lambda node: getattr(node, NAME_FIELDS.get(type(node), ""), None) == "default_rng",
+    )
+
+
+def test_the_scan_finds_every_generator_maker():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng as make\n"
+        "rng = np.random.default_rng(0)\n"
+        "def f(seed):\n"
+        "    return numpy.random.default_rng(seed)\n"
+        "class A:\n"
+        "    def m(self):\n"
+        "        maker = default_rng\n"
+        "        return make(2)\n"
+    )
+    assert generator_sites(source) == ["<module>", "<module>", "f", "A.m"]
+
+
+def test_every_generator_comes_from_seeding():
+    sites = Counter(
+        ".".join(Path(relative).with_suffix("").parts + (site,))
+        for relative, source, _ in package_sources()
+        for site in generator_sites(source)
+    )
+    assert dict(sites) == GENERATOR_MAKERS

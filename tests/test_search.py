@@ -103,11 +103,8 @@ def step_alone(env, policy, config, rng, step_index=0):
     (estimator,) = config.estimators
 
     def attempt():
-        policies, streams, encode_seed = _draw_attempt(policy, config, estimator, rng)
-        trials = env.sample_trials(policies, streams)
-        return hill_climb_step(
-            env, policy, config, estimator, trials, encode_seed, step_index
-        )
+        trials = env.sample_trials(*_draw_attempt(policy, config, estimator, rng))
+        return hill_climb_step(env, policy, config, estimator, trials, step_index)
 
     new_policy, record = attempt()
     if not record.error:
@@ -273,7 +270,7 @@ PREFIX_CASES = {
             exploration_cov=0.25 * np.eye(2),
             estimators=("with_encoding",),
             encode_trials_per_step=12,
-            encoding=EncodingSearchConfig(target_dim=1, max_iterations=10, restarts=1),
+            encoding=EncodingSearchConfig(target_dim=1, max_iterations=10),
         ),
     ),
 }
@@ -308,7 +305,7 @@ def test_a_lane_does_not_depend_on_the_estimators_beside_it(case):
     make_env, settings = PREFIX_CASES[case]
     encoding = dict(
         encode_trials_per_step=12,
-        encoding=EncodingSearchConfig(target_dim=1, max_iterations=10, restarts=1),
+        encoding=EncodingSearchConfig(target_dim=1, max_iterations=10),
     )
     config = base_config(
         steps=2, runs=2, seed=21, **{"trials_per_step": 10, **settings, **encoding}
@@ -644,7 +641,7 @@ def test_encoding_estimator_steps_and_reports_projection_cost():
         exploration_cov=0.25 * np.eye(2),
         estimators=("with_encoding",),
         encode_trials_per_step=12,
-        encoding=EncodingSearchConfig(target_dim=1, max_iterations=20, restarts=2),
+        encoding=EncodingSearchConfig(target_dim=1, max_iterations=20),
         seed=31,
     )
     policy = config.initial_policy
