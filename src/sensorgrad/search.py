@@ -9,11 +9,11 @@ or on policies and an optimized low-dimensional sensor projection.
 Randomness is hierarchical: every (run, step) owns two private streams
 derived from the experiment seed, one for learning trials and one for
 evaluation trials.  An evaluation trial's stream is a child of its step
-stream, a learning trial's a grandchild (an attempt's second child); the
-path table in :mod:`sensorgrad.seeding` lists every address.  The
-estimator choice never enters the derivation, so runs with different
-estimators see identical noise at the same (run, step, trial) address
-until their nominal policies diverge.
+stream, a learning trial's a grandchild (of child 3a + 1 for attempt a,
+0 first and 1 the retry); :mod:`sensorgrad.seeding` lists every
+address.  The estimator choice never enters the derivation, so runs
+with different estimators see identical noise at the same (run, step,
+trial) address until their nominal policies diverge.
 
 An environment is its ``sample_trials(policies, streams)``, one trial
 per policy row drawn from its own stream.  The policies have the width
@@ -45,7 +45,7 @@ from .estimators import (
     estimate_g1,
     estimate_g2,
 )
-from .seeding import EVAL, LEARN, children, psd_sqrt, substream
+from .seeding import EVAL, LEARN, child, children, psd_sqrt, substream
 
 __all__ = [
     "ESTIMATORS",
@@ -163,28 +163,27 @@ def _estimate(env, learning: TrialBatch, search: TrialBatch, config, estimator: 
     return estimate, projection.cost
 
 
-def _draw_attempt(policy, config: SearchConfig, estimator: str, rng) -> tuple:
-    """Draw one attempt's exploration policies and per-trial streams from ``rng``.
+def _draw_attempt(policy, config: SearchConfig, estimator: str, rng, a: int) -> tuple:
+    """Draw attempt ``a``'s exploration policies and per-trial streams.
 
-    Returns (policies, streams): the learning batch, followed for the
-    encoding estimator by the projection search's own batch, drawn from
-    the third child's first two children.  Each call takes three fresh
-    children of ``rng``, so a retry draws anew.
+    Returns (policies, streams): the learning batch, from child 3a of the
+    step stream ``rng`` and the children of child 3a + 1, followed for
+    the encoding estimator by the projection search's own batch, from
+    (3a + 2, 0) and the children of (3a + 2, 1).
     """
     def explore(count, stream):
         return sample_exploration_policies(
             policy, config.exploration_cov, count, stream, root=config.exploration_root
         )
 
-    explore_rng, trial_rng, search_rng = children(rng, 3)
     count = config.trials_per_step
-    policies = explore(count, explore_rng)
-    streams = children(trial_rng, count)
+    policies = explore(count, child(rng, 3 * a))
+    streams = children(child(rng, 3 * a + 1), count)
     if estimator == "with_encoding":
-        enc_explore_rng, enc_trial_rng, _ = children(search_rng, 3)
         count = config.encode_trials_per_step
-        policies = np.concatenate([policies, explore(count, enc_explore_rng)])
-        streams += children(enc_trial_rng, count)
+        search = explore(count, child(rng, 3 * a + 2, 0))
+        policies = np.concatenate([policies, search])
+        streams += children(child(rng, 3 * a + 2, 1), count)
     return policies, streams
 
 
@@ -272,13 +271,15 @@ def evaluate_policy(scores):
     return mean, float(spread / np.sqrt(len(scores)))
 
 
-def _step_runs(env, config: SearchConfig, lanes, step: int) -> list:
-    """One attempt at ``step`` for each ``(estimator, policy, step stream)`` lane.
+def _step_runs(env, config: SearchConfig, lanes, step: int, a: int) -> list:
+    """Attempt ``a`` at ``step`` for each ``(estimator, policy, step stream)`` lane.
 
     Every lane's attempt is drawn, then all are simulated in one env call.
     Returns each lane's (new policy, record) from :func:`hill_climb_step`.
     """
-    attempts = [_draw_attempt(policy, config, name, rng) for name, policy, rng in lanes]
+    attempts = [
+        _draw_attempt(policy, config, name, rng, a) for name, policy, rng in lanes
+    ]
     return [
         hill_climb_step(env, policy, config, name, trials, step)
         for (name, policy, _), trials in zip(lanes, _sample_blocks(env, attempts))
@@ -308,14 +309,14 @@ def run_learning_curve(env, config: SearchConfig) -> tuple:
         rngs = {lane: substream(config.seed, lane[1], step, LEARN) for lane in live}
         stepped = {}
         pending = live
-        for retried in (False, True):
-            # A retry draws the next children of the same step stream.
+        for a in (0, 1):
             outcomes = _step_runs(
-                env, config, [(lane[0], policies[lane], rngs[lane]) for lane in pending], step
+                env, config, [(lane[0], policies[lane], rngs[lane]) for lane in pending],
+                step, a,
             )
             for lane, (policy, record) in zip(pending, outcomes):
                 policies[lane] = policy
-                stepped[lane] = replace(record, run=lane[1], retried=retried)
+                stepped[lane] = replace(record, run=lane[1], retried=a == 1)
             pending = [lane for lane in pending if stepped[lane].error]
         evaluated = [lane for lane in live if not stepped[lane].error]
         blocks = [

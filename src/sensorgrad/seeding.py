@@ -4,22 +4,17 @@ All randomness in the package flows from a single root seed.  Every
 consumer derives its own independent substream through a fixed integer
 path (root -> run -> step -> trial), so results never depend on
 execution order or on how many runs' trials share one simulator call
-when the runs advance in lockstep.
+when the runs advance in lockstep.  A stream is a function of its
+address, the root seed and its path: ``child(rng, *p)`` extends
+``rng``'s path by ``p``, and ``children(rng, k)`` are ``child(rng, i)``
+for ``i < k``.  Path layout used by the experiment harness:
 
-``children(rng, k)`` of the stream at path ``p`` are the streams at
-``p + (i,)`` for the next k values of i; a later call continues the
-count.  Path layout used by the experiment harness:
-
-    (run, step, LEARN)      one step's learning stream.  Each attempt at
-                            the step takes children(., 3): the
-                            exploration policies, the trials (one child
-                            each) and a third child.  For with_encoding
-                            the third child's children(., 3) are the
-                            projection search batch's policies, its
-                            trials and a third, unused since the search
-                            lost its seed; the other estimators never use
-                            the third child.  A retry takes the next three
-                            children of the same stream.
+    (run, step, LEARN)      one step's learning stream.  Attempt a (0
+                            first, 1 the retry) draws its exploration
+                            policies from child 3a and its trials from
+                            the children of 3a + 1; for with_encoding
+                            the projection search batch's from
+                            (3a + 2, 0) and the children of (3a + 2, 1).
     (run, step, EVAL)       evaluation of the stepped policy, one child
                             per trial
     (PRETRAIN,)             dynamics pretraining: children(., 3) for the
@@ -30,12 +25,12 @@ count.  Path layout used by the experiment harness:
                             fixed-width standard-normal block in which
                             replication r takes rows [r*n, (r+1)*n)
 
-Paths are untagged integer tuples, so addresses can coincide.  Within
-one dart run, the first pretraining rollout's stream (PRETRAIN, 1, 0)
-is run 3's step-1 learning stream (3, 1, LEARN); the rollout only draws
-from it and the step only spawns children from it, so no number is used
-twice.  Leading every path with a domain tag would rule such overlaps
-out by construction.
+Paths are untagged integer tuples, so addresses can coincide, but no
+two streams drawn from share one.  In one dart run, run 3's step-1
+streams (3, 1, LEARN) and (3, 1, EVAL), parents never drawn from, have
+the addresses of pretraining rollouts 0 and 1, (PRETRAIN, 1, 0) and
+(PRETRAIN, 1, 1).  Leading every path with a domain tag would rule such
+overlaps out by construction.
 """
 
 from __future__ import annotations
@@ -62,16 +57,20 @@ def substream(root_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def children(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive `count` independent child generators from `rng`.
-
-    Children are taken from the generator's seed sequence, so the i-th
-    child of a given stream is always the same generator regardless of
-    scheduling.  Successive calls continue the spawn sequence rather
-    than repeating it.
-    """
+def child(rng: np.random.Generator, *path: int) -> np.random.Generator:
+    """Return the generator at ``rng``'s path plus ``path``, a function of
+    that address alone, whatever ``rng`` drew or derived before."""
     seq = rng.bit_generator.seed_seq
-    return [np.random.default_rng(ss) for ss in seq.spawn(count)]
+    return np.random.default_rng(
+        np.random.SeedSequence(
+            seq.entropy, spawn_key=seq.spawn_key + path, pool_size=seq.pool_size
+        )
+    )
+
+
+def children(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
+    """Return ``child(rng, i)`` for each ``i < count``."""
+    return [child(rng, i) for i in range(count)]
 
 
 def normal_rows(streams, count: int, width: int) -> np.ndarray:

@@ -31,9 +31,11 @@ fit's rank refusal, so no library layer re-checks what a reader or its
 own caller already guarantees.
 
 Every generator in ``src/`` comes from ``seeding``: ``np.random.default_rng``
-is named only in ``seeding.substream``, ``seeding.children`` and the
+is named only in ``seeding.substream``, ``seeding.child`` and the
 fixed-seed oracle ``cannon.cannon_true_value``, so every draw has an
-address in the path table.
+address in the path table.  No stream depends on a spawn count:
+``src/`` never names ``spawn`` or ``n_children_spawned``, so a stream
+is a function of its address alone, whatever was derived before it.
 """
 
 import ast
@@ -339,7 +341,7 @@ def test_only_shape_contracts_and_the_rank_refusal_raise_value_error():
 # Every scope that makes a generator, with its count.
 GENERATOR_MAKERS = {
     "seeding.substream": 1,
-    "seeding.children": 1,
+    "seeding.child": 1,
     "envs.cannon.cannon_true_value": 1,
 }
 
@@ -379,3 +381,43 @@ def test_every_generator_comes_from_seeding():
         for site in generator_sites(source)
     )
     assert dict(sites) == GENERATOR_MAKERS
+
+
+# Names that read or advance a seed sequence's spawn count.
+SPAWN_NAMES = {"spawn", "n_children_spawned"}
+
+
+def spawn_sites(source: str) -> list:
+    """The scope of each place ``source`` names one of ``SPAWN_NAMES``: an
+    attribute, a bare name, an import or a keyword argument."""
+    fields = NAME_FIELDS | {ast.keyword: "arg"}
+    return scoped_sites(
+        source, lambda node: getattr(node, fields.get(type(node), ""), None) in SPAWN_NAMES
+    )
+
+
+def test_the_scan_finds_every_spawn_count():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import spawn\n"
+        "seq = np.random.SeedSequence(1, spawn_key=(2,))\n"
+        "kids = seq.spawn(2)\n"
+        "def f(seq):\n"
+        "    return seq.n_children_spawned\n"
+        "def g(entropy):\n"
+        "    return np.random.SeedSequence(entropy, n_children_spawned=4)\n"
+        "class A:\n"
+        "    def m(self, rng):\n"
+        "        grow = rng.spawn\n"
+        "        return grow(1), spawn\n"
+    )
+    assert spawn_sites(source) == ["<module>", "<module>", "f", "g", "A.m", "A.m"]
+
+
+def test_no_stream_depends_on_a_spawn_count():
+    sites = {
+        relative: found
+        for relative, source, _ in package_sources()
+        if (found := spawn_sites(source))
+    }
+    assert sites == {}

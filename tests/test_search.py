@@ -1,5 +1,6 @@
 """Hill-climbing search: step rules, retries, aggregation, lockstep runs."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from sensorgrad.search import (
     run_learning_curve,
     sample_exploration_policies,
 )
-from sensorgrad.seeding import EVAL, LEARN, children, substream
+from sensorgrad.seeding import EVAL, LEARN, PRETRAIN, children, substream
 
 TRUE_GRADIENT = np.array([1.5, -0.7])
 
@@ -96,20 +97,20 @@ def step_alone(env, policy, config, rng, step_index=0):
     """One step of one run of the config's one estimator outside the
     lockstep driver (the test oracle).
 
-    Draws an attempt from ``rng`` and simulates it in its own env call;
-    when its record holds an error, retries once with the next draws of
-    the same stream.
+    Draws attempt 0 from ``rng`` and simulates it in its own env call;
+    when its record holds an error, retries once with attempt 1 of the
+    same stream.
     """
     (estimator,) = config.estimators
 
-    def attempt():
-        trials = env.sample_trials(*_draw_attempt(policy, config, estimator, rng))
+    def attempt(a):
+        trials = env.sample_trials(*_draw_attempt(policy, config, estimator, rng, a))
         return hill_climb_step(env, policy, config, estimator, trials, step_index)
 
-    new_policy, record = attempt()
+    new_policy, record = attempt(0)
     if not record.error:
         return new_policy, record
-    new_policy, record = attempt()
+    new_policy, record = attempt(1)
     return new_policy, replace(record, retried=True)
 
 
@@ -388,17 +389,22 @@ class FaultyEnv:
     run's first learning batch and its retry both come back all flagged.
     ``broken_eval`` (run, step): that run's evaluation batch scores NaN.
     ``calls`` logs, per simulator call, the seed paths (run, step, kind,
-    child) of its streams.
+    child) of its streams.  ``base`` is the env it wraps, and every other
+    attribute (a dart env's ``encode_batch``) is the base env's.
     """
 
-    def __init__(self, flagged, hopeless, broken_eval):
-        self.base = SyntheticEnv(junk_sensor_world())
-        # A step's first attempt draws its trial streams from child 1 of
-        # the step stream, its retry from child 4.
+    def __init__(self, flagged=(), hopeless=None, broken_eval=None, base=None):
+        self.base = base or SyntheticEnv(junk_sensor_world())
+        # Attempt a draws its trial streams from child 3a + 1 of the step
+        # stream: child 1 for the first attempt, child 4 for the retry.
         self.flagged_keys = {(*lane, LEARN, 1) for lane in flagged}
-        self.flagged_keys |= {(*hopeless, LEARN, 1), (*hopeless, LEARN, 4)}
-        self.broken_eval = (*broken_eval, EVAL)
+        if hopeless:
+            self.flagged_keys |= {(*hopeless, LEARN, 1), (*hopeless, LEARN, 4)}
+        self.broken_eval = broken_eval and (*broken_eval, EVAL)
         self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
 
     def sample_trials(self, policies, streams):
         trials = self.base.sample_trials(policies, streams)
@@ -511,6 +517,71 @@ def test_a_steps_retries_share_one_env_call():
     assert repr(after[5]) == repr(records)
     assert records[2].error == "insufficient samples: every trial was flagged"
     assert after[5][2].flagged == records[2].flagged == 8
+
+
+def _recording_streams(monkeypatch, work):
+    """``work()``'s result and the (entropy, spawn key) address of every
+    generator it made, split into those drawn from and the rest."""
+    made = []
+    make = np.random.default_rng
+
+    def record(seed):
+        rng = make(seed)
+        made.append((rng, rng.bit_generator.state))
+        return rng
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", record)
+        result = work()
+    drawn, idle = [], []
+    for rng, state in made:
+        seq = rng.bit_generator.seed_seq
+        moved = rng.bit_generator.state != state
+        (drawn if moved else idle).append((seq.entropy, seq.spawn_key))
+    return result, drawn, idle
+
+
+def test_no_two_streams_drawn_from_share_an_address(monkeypatch):
+    # Pretraining rollouts (PRETRAIN, 1, i) sit beside run 3's step-1
+    # streams; run 3 retries that step.  The lanes of two estimators draw
+    # the same streams (common random numbers), so each estimator's lanes
+    # are checked with the pretraining streams on their own.
+    seed, world = 20250819, ArmWorld()
+    states, pretrain, pretrain_idle = _recording_streams(
+        monkeypatch,
+        lambda: sample_pretraining_states(
+            world, 30, substream(seed, PRETRAIN),
+            policy_mean=DART_POLICY, policy_cov=0.01 * np.eye(9),
+        ),
+    )
+    dart = DartEnv(world, fit_dynamics_model(world, states))
+    _, settings = PREFIX_CASES["dart"]
+    config = base_config(
+        steps=2, runs=4, seed=seed, eval_trials_per_point=2, encode_trials_per_step=16,
+        encoding=EncodingSearchConfig(target_dim=1, max_iterations=10), **settings,
+    )
+    shared = {(seed, (3, 1, LEARN)), (seed, (3, 1, EVAL))}
+    assert shared == {(seed, (PRETRAIN, 1, i)) for i in (0, 1)} and shared <= set(pretrain)
+    unused = {
+        (run, step, LEARN, 3 * a + 2, *tail)
+        for run in range(4) for step in range(2) for a in (0, 1) for tail in ((), (2,))
+    }
+    for estimator in ("ignore_sensors", "with_encoding"):
+        env = FaultyEnv(flagged=((3, 1),), base=dart)
+        lane_config = replace(config, estimators=(estimator,))
+        records, drawn, idle = _recording_streams(
+            monkeypatch, lambda: run_learning_curve(env, lane_config)
+        )
+        assert _failed_runs(records) == ()
+        assert [r.retried for r in records] == [False] * 7 + [True]
+        addresses = pretrain + drawn
+        assert len(set(addresses)) == len(addresses)
+        built = Counter(addresses + pretrain_idle + idle)
+        assert {address for address, n in built.items() if n > 1} == shared
+        assert not unused & {key for _, key in built}
+        # Attempt 1 is the retry: its learning and search batches.
+        assert (seed, (3, 1, LEARN, 3)) in drawn and (seed, (3, 1, LEARN, 4, 11)) in drawn
+        assert ((seed, (3, 1, LEARN, 5, 0)) in drawn) == (estimator == "with_encoding")
 
 
 def test_policy_evaluation_reports_mean_and_spread():

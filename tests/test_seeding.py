@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorgrad.seeding import (
     ENCODE,
@@ -6,6 +8,7 @@ from sensorgrad.seeding import (
     LEARN,
     PRETRAIN,
     VARIANCE,
+    child,
     children,
     psd_sqrt,
     substream,
@@ -52,15 +55,30 @@ def test_children_are_reproducible_and_distinct():
             assert not np.array_equal(draws[i], draws[j])
 
 
-def test_children_continue_the_spawn_sequence():
-    parent = substream(5, 1)
-    first = children(parent, 2)
-    second = children(parent, 1)
-    fresh = children(substream(5, 1), 3)
-    draws = [s.standard_normal(4) for s in first + second]
-    redraws = [s.standard_normal(4) for s in fresh]
-    for d, r in zip(draws, redraws):
-        assert np.array_equal(d, r)
+def _same_draws(a, b) -> bool:
+    return np.array_equal(a.standard_normal(4), b.standard_normal(4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    path=st.lists(st.integers(0, 2**32 - 1), max_size=4),
+    count=st.integers(1, 5),
+    data=st.data(),
+)
+def test_a_child_is_the_stream_at_its_address(seed, path, count, data):
+    i = data.draw(st.integers(0, count - 1))
+    j = data.draw(st.integers(0, 3))
+    parent = substream(seed, *path)
+    first = children(parent, count)
+    # The parent has drawn and derived streams: neither moves its children.
+    parent.standard_normal(3)
+    again = children(parent, count)
+    assert len(first) == len(again) == count
+    assert all(_same_draws(a, b) for a, b in zip(first, again))
+    assert _same_draws(children(substream(seed, *path), count)[i], substream(seed, *path, i))
+    assert _same_draws(children(first[i], j + 1)[j], substream(seed, *path, i, j))
+    assert _same_draws(child(parent, i, j), substream(seed, *path, i, j))
 
 
 def test_psd_sqrt_reproduces_the_covariance():
